@@ -3,18 +3,19 @@
 Gates are parametrized by 15 real coefficients over a fixed traceless
 Hermitian generator basis, mapped onto SU(4) through the matrix
 exponential (a surjective, differentiable map).  For a fixed architecture
-the preparation fidelity |<target|U_R..U_1|0..0>|**2 is maximized by local
-ascent with central finite-difference gradients from many seeded random
-starts; the smallest gate count at which any canonical architecture
-reaches a fidelity tolerance estimates the target's exact-preparation
-complexity.
+the preparation fidelity |<target|U_R..U_1|0..0>|**2 is maximized by
+L-BFGS-B from many seeded random starts, with the exact gradient of each
+gate's exponential taken in its eigenbasis; the smallest gate count at
+which any canonical architecture reaches a fidelity tolerance estimates
+the target's exact-preparation complexity.
 
 Enumeration of architectures dedupes gate orderings that differ only by
-swapping adjacent slots on disjoint qubit pairs, which commute.
+swapping adjacent slots on disjoint qubit pairs, which commute, keeping
+the lexicographic normal form of each class.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -31,7 +32,6 @@ from .core import (
     StateVector,
     TwoQubitGate,
     all_pairs,
-    apply_gate_matrix,
     fidelity,
     random_architecture,
     random_circuit,
@@ -39,7 +39,6 @@ from .core import (
 )
 
 NUM_GATE_PARAMS = 15
-FD_STEP = 1e-5
 STOP_FIDELITY = 1.0 - 1e-9
 ARCH_SEQUENCE_CAP = 200_000
 
@@ -69,14 +68,24 @@ def _build_generators() -> np.ndarray:
 
 
 GENERATORS = _build_generators()
+_GENERATOR_ROWS = GENERATORS.reshape(NUM_GATE_PARAMS, 16)
+
+
+def _su4_eigh(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a (..., 15) parameter array, H = sum theta_a G_a = V diag(lam) V^+.
+
+    Returns (lam, V, U) with U = exp(-iH) of shape (..., 4, 4).
+    """
+    h = (thetas @ _GENERATOR_ROWS).reshape(thetas.shape[:-1] + (4, 4))
+    eigenvalues, vecs = np.linalg.eigh(h)
+    phases = np.exp(-1.0j * eigenvalues)
+    mats = (vecs * phases[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    return eigenvalues, vecs, mats
 
 
 def _su4_batch(thetas: np.ndarray) -> np.ndarray:
     """exp(-i sum theta_a G_a) for a (..., 15) parameter array -> (..., 4, 4)."""
-    h = np.tensordot(thetas, GENERATORS, axes=([-1], [0]))
-    eigenvalues, eigenvectors = np.linalg.eigh(h)
-    phases = np.exp(-1.0j * eigenvalues)
-    return (eigenvectors * phases[..., None, :]) @ np.swapaxes(eigenvectors.conj(), -1, -2)
+    return _su4_eigh(thetas)[2]
 
 
 def su4_from_params(theta: Sequence[float]) -> np.ndarray:
@@ -116,51 +125,66 @@ def _seed_key(seed, *extra) -> tuple[int, ...]:
 # --- fidelity ascent ------------------------------------------------------
 
 
-def _environment(phi: np.ndarray, s: np.ndarray, pair: tuple[int, int],
-                 num_qubits: int) -> np.ndarray:
-    """4x4 matrix E with <phi|U s> = sum_ab E[a, b] U[a, b] for U on `pair`."""
+@functools.cache
+def _gather_index(pair: tuple[int, int], num_qubits: int) -> np.ndarray:
+    """Basis indices of a 2**n vector arranged as (4, 2**(n-2)).
+
+    Row 2*b_j + b_k holds every index with those bits on qubits (j, k), in a
+    column order shared by all rows, so out[ix] = U @ psi[ix] applies U to
+    the pair.  The array is cached per (pair, n) and read-only.
+    """
     j, k = pair
-    p = np.moveaxis(phi.reshape((2,) * num_qubits), (j, k), (0, 1)).reshape(4, -1)
-    t = np.moveaxis(s.reshape((2,) * num_qubits), (j, k), (0, 1)).reshape(4, -1)
-    return p.conj() @ t.T
+    grid = np.arange(2**num_qubits).reshape((2,) * num_qubits)
+    index = np.moveaxis(grid, (j, k), (0, 1)).reshape(4, -1)
+    index.flags.writeable = False
+    return index
 
 
 def _fidelity_and_grad(thetas: np.ndarray, pairs: Sequence[tuple[int, int]],
-                       num_qubits: int, target_amp: np.ndarray,
-                       fd_step: float) -> tuple[float, np.ndarray]:
-    """Preparation fidelity from |0..0> and its central-difference gradient.
+                       num_qubits: int,
+                       target_amp: np.ndarray) -> tuple[float, np.ndarray]:
+    """Preparation fidelity from |0..0> and its exact gradient.
 
-    Perturbing one parameter changes only that gate, so with cached prefix
-    states and back-propagated targets each perturbed evaluation costs one
-    4x4 rebuild and a 4x4 contraction instead of a full circuit run.
+    The amplitude a = <target|U_R..U_1|0..0> is linear in each gate:
+    a = sum(E_g * U_g) with E_g built from the state before gate g and the
+    target propagated back to just after it.  With H = V diag(lam) V^+ and
+    U = exp(-iH), the derivative of U along H-direction G is
+    V ((V^+ G V) * L) V^+, where L holds the divided differences of
+    exp(-i x) at the eigenvalues (Daleckii-Krein), so
+    dF/dtheta_a = 2 Re(conj(a) sum((conj(V) M V^T) * G_a)) with
+    M = (V^T E conj(V)) * L.  One batched eigh serves the gates and the
+    gradient.
     """
     num_gates = len(pairs)
-    dim = target_amp.size
-    mats = _su4_batch(thetas)
-    forward = np.empty((num_gates + 1, dim), dtype=np.complex128)
-    forward[0] = 0.0
-    forward[0][0] = 1.0
-    for g in range(num_gates):
-        forward[g + 1] = apply_gate_matrix(forward[g], mats[g], pairs[g], num_qubits)
-    value = abs(np.vdot(target_amp, forward[num_gates])) ** 2
-    backward = np.empty((num_gates + 1, dim), dtype=np.complex128)
-    backward[num_gates] = target_amp
-    for g in range(num_gates, 0, -1):
-        backward[g - 1] = apply_gate_matrix(backward[g], mats[g - 1].conj().T,
-                                            pairs[g - 1], num_qubits)
-    eye = np.eye(NUM_GATE_PARAMS)
-    perturbed = np.empty((num_gates, 2 * NUM_GATE_PARAMS, NUM_GATE_PARAMS))
-    perturbed[:, :NUM_GATE_PARAMS, :] = thetas[:, None, :] + fd_step * eye
-    perturbed[:, NUM_GATE_PARAMS:, :] = thetas[:, None, :] - fd_step * eye
-    mats_pert = _su4_batch(perturbed.reshape(-1, NUM_GATE_PARAMS))
-    mats_pert = mats_pert.reshape(num_gates, 2 * NUM_GATE_PARAMS, 4, 4)
-    grad = np.empty((num_gates, NUM_GATE_PARAMS))
-    for g in range(num_gates):
-        env = _environment(backward[g + 1], forward[g], pairs[g], num_qubits)
-        amps = np.tensordot(mats_pert[g], env, axes=([1, 2], [0, 1]))
-        values = np.abs(amps) ** 2
-        grad[g] = (values[:NUM_GATE_PARAMS] - values[NUM_GATE_PARAMS:]) / (2.0 * fd_step)
-    return float(value), grad
+    eigenvalues, vecs, mats = _su4_eigh(thetas)
+    index = [_gather_index(pair, num_qubits) for pair in pairs]
+    psi = np.zeros(target_amp.size, dtype=np.complex128)
+    psi[0] = 1.0
+    before = []  # the state before gate g, gathered for its pair
+    for u, ix in zip(mats, index):
+        local = psi[ix]
+        before.append(local)
+        psi = np.empty_like(psi)
+        psi[ix] = u @ local
+    amp = np.vdot(target_amp, psi)
+    env = np.empty((num_gates, 4, 4), dtype=np.complex128)
+    back = target_amp
+    for g in range(num_gates - 1, -1, -1):
+        local = back[index[g]]
+        env[g] = local.conj() @ before[g].T
+        if g:  # nothing reads the target propagated to before gate 0
+            back = np.empty_like(back)
+            back[index[g]] = mats[g].conj().T @ local
+    # divided differences of exp(-ix), in a form that stays exact as
+    # eigenvalues meet: L_jk = -i exp(-i(l_j+l_k)/2) sinc((l_j-l_k)/2)
+    total = eigenvalues[:, :, None] + eigenvalues[:, None, :]
+    diff = eigenvalues[:, :, None] - eigenvalues[:, None, :]
+    divided = -1.0j * np.exp(-0.5j * total) * np.sinc(diff / (2.0 * math.pi))
+    inner = (np.swapaxes(vecs, -1, -2) @ env @ vecs.conj()) * divided
+    outer = vecs.conj() @ inner @ np.swapaxes(vecs, -1, -2)
+    damp = outer.reshape(num_gates, 16) @ _GENERATOR_ROWS.T
+    grad = 2.0 * (amp.conjugate() * damp).real
+    return float(abs(amp) ** 2), grad
 
 
 class _EarlyStop(Exception):
@@ -175,7 +199,7 @@ def _ascend(theta0: np.ndarray, pairs: Sequence[tuple[int, int]], num_qubits: in
 
     def negative(x: np.ndarray):
         theta = x.reshape(num_gates, NUM_GATE_PARAMS)
-        value, grad = _fidelity_and_grad(theta, pairs, num_qubits, target_amp, FD_STEP)
+        value, grad = _fidelity_and_grad(theta, pairs, num_qubits, target_amp)
         if value > best["f"]:
             best["f"] = value
             best["theta"] = theta.copy()
@@ -223,6 +247,37 @@ def _initial_theta(init_gates, num_gates: int) -> np.ndarray:
     return np.stack([params_from_su4(m) for m in mats])
 
 
+def _restarts(architecture: Architecture, target: StateVector,
+              budget: OptimizerBudget, seed, init_gates):
+    """Run the restarts in order, yielding (k, theta, value) for each.
+
+    Restart k starts from parameters drawn from a generator seeded by
+    (seed, k), or from init_gates when k == 0 and they are given.  The
+    consumer decides when to stop and replays the parameters it keeps.
+    """
+    pairs = architecture.gate_slots
+    num_gates = len(pairs)
+    init_theta = None if init_gates is None else _initial_theta(init_gates, num_gates)
+    for k in range(budget.restarts):
+        if k == 0 and init_theta is not None:
+            theta0 = init_theta
+        else:
+            rng = np.random.default_rng(_seed_key(seed, k))
+            theta0 = rng.uniform(-math.pi, math.pi, size=(num_gates, NUM_GATE_PARAMS))
+        theta, value = _ascend(theta0, pairs, architecture.num_qubits,
+                               target.amplitudes, budget.iterations)
+        yield k, theta, value
+
+
+def _replay(architecture: Architecture, theta: np.ndarray,
+            target: StateVector) -> tuple[Circuit, float]:
+    """Rebuild the gates of theta and the fidelity they reach when run."""
+    mats = _su4_batch(theta)
+    gates = tuple(TwoQubitGate(pair, m) for pair, m in zip(architecture.gate_slots, mats))
+    circuit = Circuit(architecture, gates)
+    return circuit, fidelity(run_circuit(circuit).states[-1], target)
+
+
 def optimize_gates(architecture: Architecture, target: StateVector,
                    budget: OptimizerBudget = OptimizerBudget(), seed=0, *,
                    success_fidelity: float | None = None,
@@ -243,35 +298,22 @@ def optimize_gates(architecture: Architecture, target: StateVector,
         raise DimensionMismatchError(
             f"target has {target.num_qubits} qubits, architecture has {n}"
         )
-    pairs = architecture.gate_slots
-    num_gates = len(pairs)
     threshold = STOP_FIDELITY if success_fidelity is None else success_fidelity
-    if num_gates == 0:
+    if architecture.num_gates == 0:
         circuit = Circuit(architecture, ())
         value = fidelity(StateVector.zero_state(n), target)
         return OptimizeResult(circuit, value, value >= threshold, 0, 0)
-    init_theta = None if init_gates is None else _initial_theta(init_gates, num_gates)
-    target_amp = target.amplitudes
     best_value = -1.0
     best_theta = None
     best_restart = 0
     restarts_run = 0
-    for k in range(budget.restarts):
-        if k == 0 and init_theta is not None:
-            theta0 = init_theta
-        else:
-            rng = np.random.default_rng(_seed_key(seed, k))
-            theta0 = rng.uniform(-math.pi, math.pi, size=(num_gates, NUM_GATE_PARAMS))
-        theta, value = _ascend(theta0, pairs, n, target_amp, budget.iterations)
+    for k, theta, value in _restarts(architecture, target, budget, seed, init_gates):
         restarts_run = k + 1
         if value > best_value:
             best_value, best_theta, best_restart = value, theta, k
         if success_fidelity is not None and value >= success_fidelity:
             break
-    mats = _su4_batch(best_theta)
-    gates = tuple(TwoQubitGate(pairs[g], mats[g]) for g in range(num_gates))
-    circuit = Circuit(architecture, gates)
-    achieved = fidelity(run_circuit(circuit).states[-1], target)
+    circuit, achieved = _replay(architecture, best_theta, target)
     return OptimizeResult(circuit, achieved, achieved >= threshold,
                           restarts_run, best_restart)
 
@@ -283,33 +325,21 @@ def optimize_gates_collect(architecture: Architecture, target: StateVector,
                            max_collect: int | None = None) -> list[OptimizeResult]:
     """Run every restart in order, collecting each one that reaches the
     threshold as its own solution (up to max_collect)."""
-    n = architecture.num_qubits
-    pairs = architecture.gate_slots
-    num_gates = len(pairs)
-    if num_gates == 0:
+    if architecture.num_gates == 0:
         base = optimize_gates(architecture, target, budget, seed,
                               success_fidelity=success_fidelity)
         return [base] if base.converged else []
-    init_theta = None if init_gates is None else _initial_theta(init_gates, num_gates)
-    target_amp = target.amplitudes
     collected: list[OptimizeResult] = []
-    for k in range(budget.restarts):
-        if max_collect is not None and len(collected) >= max_collect:
-            break
-        if k == 0 and init_theta is not None:
-            theta0 = init_theta
-        else:
-            rng = np.random.default_rng(_seed_key(seed, k))
-            theta0 = rng.uniform(-math.pi, math.pi, size=(num_gates, NUM_GATE_PARAMS))
-        theta, value = _ascend(theta0, pairs, n, target_amp, budget.iterations)
+    if max_collect is not None and max_collect <= 0:
+        return collected
+    for k, theta, value in _restarts(architecture, target, budget, seed, init_gates):
         if value < success_fidelity:
             continue
-        mats = _su4_batch(theta)
-        gates = tuple(TwoQubitGate(pairs[g], mats[g]) for g in range(num_gates))
-        circuit = Circuit(architecture, gates)
-        achieved = fidelity(run_circuit(circuit).states[-1], target)
+        circuit, achieved = _replay(architecture, theta, target)
         if achieved >= success_fidelity:
             collected.append(OptimizeResult(circuit, achieved, True, k + 1, k))
+            if max_collect is not None and len(collected) >= max_collect:
+                break
     return collected
 
 
@@ -321,45 +351,72 @@ def _disjoint(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 
 def commuting_normal_form(slots: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Sort adjacent slots on disjoint pairs into lexicographic order.
+    """Lexicographically smallest sequence reachable by commuting swaps.
 
-    Gates on disjoint pairs commute, so slot sequences related by such
-    swaps realize identical unitaries; this bubble pass computes a unique
-    representative of each equivalence class.
+    Gates on disjoint pairs commute, so slot sequences related by swapping
+    adjacent disjoint slots realize identical unitaries.  The representative
+    of each such class is its lexicographic normal form (Anisimov & Knuth):
+    repeatedly take the smallest remaining slot that commutes with every
+    remaining slot before it.
     """
-    slots = [tuple(int(q) for q in s) for s in slots]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(slots) - 1):
-            a, b = slots[i], slots[i + 1]
-            if a > b and _disjoint(a, b):
-                slots[i], slots[i + 1] = b, a
-                changed = True
-    return tuple(slots)
+    rest = [tuple(int(q) for q in s) for s in slots]
+    out = []
+    while rest:
+        free = [i for i, s in enumerate(rest)
+                if all(_disjoint(s, t) for t in rest[:i])]
+        out.append(rest.pop(min(free, key=rest.__getitem__)))
+    return tuple(out)
+
+
+def _extends_normal_form(prefix: Sequence[tuple[int, int]], slot: tuple[int, int]) -> bool:
+    """Whether prefix + (slot,) is in normal form, given that prefix is.
+
+    A sequence is in normal form iff no slot could commute leftward past a
+    larger one, so only the new slot's leftward path needs checking.
+    """
+    for prev in reversed(prefix):
+        if not _disjoint(prev, slot):
+            return True
+        if slot < prev:
+            return False
+    return True
+
+
+@functools.cache
+def _normal_forms(num_qubits: int, num_gates: int) -> tuple[Architecture, ...]:
+    """Every normal-form slot sequence of a length, in sorted order.
+
+    Normal forms are prefix-closed, so extending only normal prefixes in
+    pair order generates each class once, already sorted.
+    """
+    pairs = all_pairs(num_qubits)
+    sequences = [()]
+    for _ in range(num_gates):
+        sequences = [seq + (slot,) for seq in sequences for slot in pairs
+                     if _extends_normal_form(seq, slot)]
+    return tuple(Architecture(num_qubits, seq) for seq in sequences)
 
 
 def enumerate_architectures(num_qubits: int, num_gates: int, *,
-                            max_sequences: int = ARCH_SEQUENCE_CAP) -> list[Architecture]:
+                            max_sequences: int = ARCH_SEQUENCE_CAP
+                            ) -> tuple[Architecture, ...]:
     """All canonical slot sequences of a given length, sorted.
 
-    Slots range over the j < k pairs; sequences are deduped by the
-    commuting normal form.  Raises ResourceCapError when the raw sequence
-    count exceeds max_sequences.
+    Slots range over the j < k pairs; one sequence in commuting normal form
+    stands for each class.  The tuple is cached per (num_qubits,
+    num_gates) and shared between callers.  Raises ResourceCapError when the raw sequence count exceeds
+    max_sequences.
     """
     if num_qubits < 2:
         raise DimensionMismatchError("two-qubit slots need at least 2 qubits")
     if num_gates < 0:
         raise ValueError(f"num_gates must be >= 0, got {num_gates}")
-    pairs = all_pairs(num_qubits)
-    total = len(pairs) ** num_gates
+    total = len(all_pairs(num_qubits)) ** num_gates
     if total > max_sequences:
         raise ResourceCapError(
             f"{total} slot sequences exceed the enumeration cap {max_sequences}"
         )
-    canonical = {commuting_normal_form(seq)
-                 for seq in itertools.product(pairs, repeat=num_gates)}
-    return [Architecture(num_qubits, slots) for slots in sorted(canonical)]
+    return _normal_forms(num_qubits, num_gates)
 
 
 # --- targets and complexity estimation ------------------------------------
@@ -417,7 +474,7 @@ class ComplexityNotFound:
 
 
 def _architectures_for(num_qubits: int, r: int, seed,
-                       max_architectures: int) -> tuple[list[Architecture], bool]:
+                       max_architectures: int) -> tuple[Sequence[Architecture], bool]:
     """Canonical architectures at r, subsampled deterministically when too many."""
     archs = enumerate_architectures(num_qubits, r)
     if len(archs) <= max_architectures:

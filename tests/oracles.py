@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import expm, expm_frechet
 from scipy.optimize import minimize
 
 
@@ -158,29 +159,83 @@ def deutsch_direct(f0, f1):
     return psi
 
 
-def swap_closure_class_count(num_qubits, num_gates):
-    """Number of gate-slot sequences modulo swapping adjacent disjoint slots.
+def swap_class(seq):
+    """Every slot sequence reachable from seq by swapping adjacent slots
+    that share no qubit, found by flooding."""
+    seen = set()
+    frontier = [tuple(seq)]
+    while frontier:
+        current = frontier.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        for i in range(len(current) - 1):
+            a, b = current[i], current[i + 1]
+            if len({a[0], a[1], b[0], b[1]}) == 4:
+                swapped = list(current)
+                swapped[i], swapped[i + 1] = b, a
+                frontier.append(tuple(swapped))
+    return seen
 
-    Counts equivalence classes by flooding each class with single adjacent
-    swaps of slots that share no qubit.
-    """
+
+def swap_closure_class_count(num_qubits, num_gates):
+    """Number of gate-slot sequences modulo swapping adjacent disjoint slots."""
     pairs = [(j, k) for j in range(num_qubits) for k in range(j + 1, num_qubits)]
     seen = set()
     classes = 0
     for seq in itertools.product(pairs, repeat=num_gates):
-        if seq in seen:
-            continue
-        classes += 1
-        frontier = [seq]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for i in range(num_gates - 1):
-                a, b = current[i], current[i + 1]
-                if len({a[0], a[1], b[0], b[1]}) == 4:
-                    swapped = list(current)
-                    swapped[i], swapped[i + 1] = b, a
-                    frontier.append(tuple(swapped))
+        if seq not in seen:
+            classes += 1
+            seen |= swap_class(seq)
     return classes
+
+
+def adjacent_swap_sort(slots):
+    """Bubble adjacent disjoint out-of-order slots until none are left.
+
+    The earlier canonical form of architectures.  Its fixed points are one
+    per swap class only up to 4 qubits; from 5 qubits on some classes have
+    two, e.g. ((2, 4), (0, 2), (1, 3)) and ((1, 3), (2, 4), (0, 2)).
+    """
+    slots = list(slots)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(slots) - 1):
+            a, b = slots[i], slots[i + 1]
+            if a > b and len({a[0], a[1], b[0], b[1]}) == 4:
+                slots[i], slots[i + 1] = b, a
+                changed = True
+    return tuple(slots)
+
+
+def _apply_all(full, vec):
+    for u in full:
+        vec = u @ vec
+    return vec
+
+
+def fidelity_and_gradient_expm(thetas, generators, pairs, num_qubits, target):
+    """|<target|U_R..U_1|0..0>|^2 and its gradient in every gate parameter.
+
+    Gate g is U_g = expm(-i sum_a thetas[g, a] generators[a]); each
+    derivative dU_g/dtheta_a comes from scipy's Frechet derivative of expm,
+    and the circuit runs as dense embedded 2^n x 2^n matrices.
+    """
+    target = np.asarray(target, dtype=complex)
+    zero = np.zeros(2**num_qubits, dtype=complex)
+    zero[0] = 1.0
+    exponents = [-1j * np.tensordot(theta, generators, axes=1) for theta in thetas]
+    full = [embed_gate(expm(x), pair, num_qubits) for x, pair in zip(exponents, pairs)]
+    amp = np.vdot(target, _apply_all(full, zero))
+    grad = np.zeros((len(pairs), len(generators)))
+    for g, (x, pair) in enumerate(zip(exponents, pairs)):
+        right = _apply_all(full[:g], zero)
+        left = target.conj()
+        for u in reversed(full[g + 1:]):
+            left = left @ u
+        for a, gen in enumerate(generators):
+            du = expm_frechet(x, -1j * gen, compute_expm=False)
+            damp = left @ embed_gate(du, pair, num_qubits) @ right
+            grad[g, a] = 2.0 * (np.conj(amp) * damp).real
+    return float(abs(amp) ** 2), grad

@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from entpaths.core import (Architecture, ResourceCapError, StateVector,
-                           fidelity, haar_random_su4, run_circuit)
+from entpaths.core import (Architecture, Circuit, ResourceCapError,
+                           StateVector, TwoQubitGate, all_pairs, fidelity,
+                           haar_random_su4, run_circuit)
 from entpaths.synthesis import (ComplexityEstimate, ComplexityNotFound,
                                 GENERATORS, OptimizerBudget, SynthesisProblem,
-                                commuting_normal_form, enumerate_architectures,
+                                _fidelity_and_grad, commuting_normal_form,
+                                enumerate_architectures,
                                 estimate_state_complexity, optimize_gates,
                                 optimize_gates_collect, padded_warm_start,
                                 params_from_su4, sample_target,
@@ -51,6 +55,59 @@ def test_params_round_trip_reproduces_the_matrix():
         # the log is defined up to a fourth root of unity global phase
         overlap = abs(np.trace(rebuilt.conj().T @ u)) / 4.0
         assert np.isclose(overlap, 1.0, atol=1e-9)
+
+
+# --- fidelity and its exact gradient ------------------------------------
+
+
+def _random_pairs(num_qubits, num_gates, rng):
+    # ordered pairs, so slots with j > k are covered too
+    return [tuple(int(q) for q in rng.choice(num_qubits, size=2, replace=False))
+            for _ in range(num_gates)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("num_gates", [1, 2, 3, 4])
+def test_gradient_matches_expm_frechet_oracle(n, num_gates):
+    rng = np.random.default_rng(1000 + 10 * n + num_gates)
+    pairs = _random_pairs(n, num_gates, rng)
+    target = random_state(n, seed=200 + 10 * n + num_gates).amplitudes
+    thetas = rng.uniform(-np.pi, np.pi, size=(num_gates, 15))
+    value, grad = _fidelity_and_grad(thetas, pairs, n, target)
+    ref_value, ref_grad = oracles.fidelity_and_gradient_expm(
+        thetas, GENERATORS, pairs, n, target)
+    assert abs(value - ref_value) <= 1e-12
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-8
+
+
+def test_gradient_at_identity_and_near_degenerate_spectra():
+    # theta = 0 is the identity gate of the padded warm start; the two other
+    # gates have exactly and nearly repeated eigenvalues
+    rng = np.random.default_rng(21)
+    degenerate = np.zeros(15)
+    degenerate[12] = 0.7  # diag(1, -1, 0, 0) direction: eigenvalue 0 twice
+    thetas = np.stack([np.zeros(15), degenerate,
+                       degenerate + 1e-7 * rng.normal(size=15)])
+    pairs = [(0, 1), (1, 2), (0, 2)]
+    target = random_state(3, seed=22).amplitudes
+    value, grad = _fidelity_and_grad(thetas, pairs, 3, target)
+    ref_value, ref_grad = oracles.fidelity_and_gradient_expm(
+        thetas, GENERATORS, pairs, 3, target)
+    assert abs(value - ref_value) <= 1e-12
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kernel_fidelity_matches_circuit_run(n):
+    rng = np.random.default_rng(30 + n)
+    pairs = _random_pairs(n, 4, rng)
+    thetas = rng.uniform(-np.pi, np.pi, size=(4, 15))
+    target = random_state(n, seed=40 + n)
+    value, _ = _fidelity_and_grad(thetas, pairs, n, target.amplitudes)
+    circuit = Circuit.from_gates(n, [TwoQubitGate(pair, su4_from_params(theta))
+                                     for pair, theta in zip(pairs, thetas)])
+    slow = fidelity(run_circuit(circuit).states[-1], target)
+    assert abs(value - slow) <= 1e-12
 
 
 # --- single-architecture optimization ------------------------------------
@@ -161,7 +218,7 @@ def test_normal_form_classes_match_swap_closure_oracle():
 
 
 @pytest.mark.parametrize("n,r,count", [
-    (2, 1, 1), (3, 1, 3), (3, 2, 9), (4, 2, 33),
+    (2, 1, 1), (3, 1, 3), (3, 2, 9), (4, 2, 33), (5, 2, 85), (5, 3, 700),
 ])
 def test_architecture_enumeration_counts(n, r, count):
     archs = enumerate_architectures(n, r)
@@ -172,6 +229,38 @@ def test_architecture_enumeration_counts(n, r, count):
     assert slots == sorted(slots)
     for arch in archs:
         assert commuting_normal_form(arch.gate_slots) == arch.gate_slots
+
+
+def test_normal_form_moves_a_slot_past_several_commuting_ones():
+    # (1, 3) commutes with both slots before it, yet no adjacent disjoint
+    # pair is out of order, so sorting by adjacent swaps stops short here
+    assert (commuting_normal_form(((2, 4), (0, 2), (1, 3)))
+            == ((1, 3), (2, 4), (0, 2)))
+
+
+def test_normal_form_is_the_smallest_member_of_its_class():
+    rng = np.random.default_rng(9)
+    pairs = all_pairs(5)
+    for _ in range(40):
+        seq = tuple(pairs[i] for i in rng.integers(0, len(pairs), size=4))
+        assert commuting_normal_form(seq) == min(oracles.swap_class(seq))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumeration_below_five_qubits_matches_adjacent_swap_sort(n):
+    # up to 4 qubits the earlier bubble-sorted form was already unique per
+    # class, so the architectures searched there stay exactly the same
+    pairs = all_pairs(n)
+    for r in range(5):
+        expected = sorted({oracles.adjacent_swap_sort(seq)
+                           for seq in itertools.product(pairs, repeat=r)})
+        assert [a.gate_slots for a in enumerate_architectures(n, r)] == expected
+
+
+def test_architecture_enumeration_is_cached_per_size():
+    archs = enumerate_architectures(4, 3)
+    assert isinstance(archs, tuple)
+    assert enumerate_architectures(4, 3) is archs
 
 
 def test_architecture_enumeration_cap():
