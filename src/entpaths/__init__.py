@@ -6,65 +6,23 @@ paths whose amplitudes sum to circuit matrix elements, synthesizes circuits
 that prepare target states with as few gates as possible, and runs a
 seeded, fully reproducible experiment asking whether minimum-gate
 preparations travel along minimum-entanglement state paths.
+
+The top level exports what the README quick start uses; everything else is
+imported from its module (entpaths.core, entpaths.harness, ...).
 """
 
-from .canonical import canonical_json, format_float, write_canonical_json, write_csv
-from .core import (MAX_QUBITS, Architecture, Circuit, DimensionMismatchError,
-                   ResourceCapError, StatePath, StateVector, TwoQubitGate,
-                   all_pairs, apply_gate, config_label, config_to_index,
-                   fidelity, haar_random_su4, index_to_config, load_circuit,
-                   load_state, random_architecture, random_circuit,
-                   run_circuit, save_circuit, save_state)
-from .entanglement import (EntanglementValue, Measure, NumericalDomainError,
-                           ProductFitConvergenceError, geometric_entanglement,
-                           reduced_density_matrix,
-                           relative_entropy_pure_bipartite, von_neumann_entropy)
-from .fixtures import FIXTURE_NAMES, fixture_state
-from .harness import (ConfigError, ConjectureReport, ExperimentConfig,
-                      PathFamilyRecord, TargetOutcome, collect_families,
-                      evaluate_target, family_bin_of, report_to_dict,
-                      spearman_rank_correlation, test_conjecture,
-                      wilson_interval, write_records_csv)
-from .paths import (DEUTSCH_VARIANTS, DeutschReport, PathAmplitude,
-                    decompose_amplitude, deutsch_path_table,
-                    enumerate_paths, transition_amplitude)
-from .synthesis import (ComplexityEstimate, ComplexityNotFound,
-                        OptimizeResult, OptimizerBudget, SynthesisProblem,
-                        commuting_normal_form, enumerate_architectures,
-                        estimate_state_complexity, optimize_gates,
-                        padded_warm_start, params_from_su4, sample_target,
-                        su4_from_params)
-from .trajectories import (EntanglementTrajectory, TrajectoryMeasureError,
-                           export_trajectories, max_step_jump, measure_state,
-                           path_entanglement_sum, read_trajectories,
-                           trajectory, trajectory_summary)
+from .core import StateVector, random_architecture, random_circuit, run_circuit
+from .entanglement import Measure, geometric_entanglement
+from .fixtures import fixture_state
+from .paths import enumerate_paths, transition_amplitude
+from .synthesis import SynthesisProblem, estimate_state_complexity
+from .trajectories import path_entanglement_sum, trajectory
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_QUBITS", "Architecture", "Circuit", "ComplexityEstimate",
-    "ComplexityNotFound", "ConfigError", "ConjectureReport",
-    "DEUTSCH_VARIANTS", "DeutschReport", "DimensionMismatchError",
-    "EntanglementTrajectory", "EntanglementValue", "ExperimentConfig",
-    "FIXTURE_NAMES", "Measure", "NumericalDomainError", "OptimizeResult",
-    "OptimizerBudget", "PathAmplitude", "PathFamilyRecord",
-    "ProductFitConvergenceError", "ResourceCapError", "StatePath",
-    "StateVector", "SynthesisProblem", "TargetOutcome",
-    "TrajectoryMeasureError", "TwoQubitGate", "all_pairs", "apply_gate",
-    "canonical_json", "collect_families", "commuting_normal_form",
-    "config_label", "config_to_index", "decompose_amplitude",
-    "deutsch_path_table", "enumerate_architectures", "enumerate_paths",
-    "estimate_state_complexity", "evaluate_target", "export_trajectories",
-    "family_bin_of", "fidelity", "fixture_state", "format_float",
-    "geometric_entanglement", "haar_random_su4", "index_to_config",
-    "load_circuit", "load_state", "max_step_jump", "measure_state",
-    "optimize_gates", "padded_warm_start", "params_from_su4",
+    "Measure", "StateVector", "SynthesisProblem", "enumerate_paths",
+    "estimate_state_complexity", "fixture_state", "geometric_entanglement",
     "path_entanglement_sum", "random_architecture", "random_circuit",
-    "read_trajectories", "reduced_density_matrix",
-    "relative_entropy_pure_bipartite", "report_to_dict", "run_circuit",
-    "sample_target", "save_circuit", "save_state",
-    "spearman_rank_correlation", "su4_from_params", "test_conjecture",
-    "trajectory", "trajectory_summary", "transition_amplitude",
-    "von_neumann_entropy", "wilson_interval", "write_canonical_json",
-    "write_csv", "write_records_csv",
+    "run_circuit", "trajectory", "transition_amplitude",
 ]

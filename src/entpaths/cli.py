@@ -34,22 +34,18 @@ from .core import (MAX_QUBITS, ResourceCapError, StateVector, config_label,
 from .entanglement import (Measure, geometric_entanglement,
                            reduced_density_matrix, von_neumann_entropy)
 from .fixtures import fixture_state
-from .harness import (ConfigError, ExperimentConfig, report_to_dict,
-                      test_conjecture, write_records_csv)
+from .harness import (ExperimentConfig, report_to_dict, run_experiment,
+                      write_records_csv)
 from .paths import (DEFAULT_PATH_CAP, DEUTSCH_VARIANTS, deutsch_path_table,
-                    deutsch_report_to_dict, enumerate_paths,
-                    write_interference_csv)
+                    deutsch_report_to_dict, path_sums, write_interference_csv)
 from .trajectories import export_trajectories, trajectory, trajectory_summary
+from .validation import (ConfigError, check_fields, cut_field, int_field,
+                         measure_field, need)
 
 ARTIFACT_VERSION = __version__
 
 
 # --- config plumbing ------------------------------------------------------
-
-
-def _need(cond, field: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(f"{field} {message}")
 
 
 def _load_config(path, subcommand: str) -> dict:
@@ -74,34 +70,15 @@ def _load_config(path, subcommand: str) -> dict:
 
 
 def _cut_from_bitmask(mask: str, num_qubits: int) -> list[int]:
-    """Bitmask string -> kept-qubit indices; leftmost character is qubit 0."""
-    if not mask or any(c not in "01" for c in mask):
-        raise ConfigError(f"cut bitmask must be 0/1 characters, got {mask!r}")
-    if len(mask) != num_qubits:
-        raise ConfigError(
-            f"cut bitmask needs one bit per qubit ({num_qubits}), got {len(mask)}")
-    kept = [i for i, c in enumerate(mask) if c == "1"]
-    if not kept or len(kept) == num_qubits:
-        raise ConfigError("cut bitmask must keep a nonempty proper subset of qubits")
-    return kept
+    """Bitmask string -> kept-qubit indices; leftmost character is qubit 0.
 
-
-def _validate_cut(cut, num_qubits: int) -> tuple[int, ...]:
-    _need(isinstance(cut, list) and cut
-          and all(isinstance(q, int) and not isinstance(q, bool) for q in cut),
-          "cut", "must be a nonempty list of qubit indices")
-    out = tuple(sorted(set(int(q) for q in cut)))
-    _need(len(out) == len(cut), "cut", "must not repeat qubits")
-    _need(0 <= out[0] and out[-1] < num_qubits and len(out) < num_qubits,
-          "cut", f"must be a proper subset of 0..{num_qubits - 1}")
-    return out
-
-
-def _nonneg_int(doc: dict, field: str, default: int) -> int:
-    value = doc.get(field, default)
-    _need(isinstance(value, int) and not isinstance(value, bool) and value >= 0,
-          field, "must be a nonnegative integer")
-    return value
+    The result is checked like a config cut (cut_field) by the caller.
+    """
+    need(mask and all(c in "01" for c in mask), "--cut",
+         f"must be 0/1 characters, got {mask!r}")
+    need(len(mask) == num_qubits, "--cut",
+         f"needs one bit per qubit ({num_qubits}), got {len(mask)}")
+    return [i for i, c in enumerate(mask) if c == "1"]
 
 
 def _circuit_for(doc: dict, config_dir: Path):
@@ -110,26 +87,22 @@ def _circuit_for(doc: dict, config_dir: Path):
     Returns (circuit, resolved-config fragment); a circuit_file pins the
     circuit exactly, otherwise (n, r) plus the seed draw a random one.
     """
-    seed = _nonneg_int(doc, "seed", 0)
+    seed = int_field(doc, "seed", 0, low=0)
     if "circuit_file" in doc:
-        _need("n" not in doc and "r" not in doc, "circuit_file",
-              "fixes n and r; drop those fields")
+        need("n" not in doc and "r" not in doc, "circuit_file",
+             "fixes n and r; drop those fields")
         raw = doc["circuit_file"]
-        _need(isinstance(raw, str) and raw, "circuit_file", "must be a path")
+        need(isinstance(raw, str) and raw, "circuit_file", "must be a path")
         resolved = raw if Path(raw).is_absolute() else str((config_dir / raw).resolve())
         try:
             circuit = load_circuit(resolved)
         except OSError as exc:
             raise ConfigError(f"circuit_file: cannot read {resolved}: {exc}") from None
         return circuit, {"circuit_file": resolved, "seed": seed}
-    _need("n" in doc, "n", "is required (or give circuit_file)")
-    n = doc["n"]
-    _need(isinstance(n, int) and not isinstance(n, bool) and 2 <= n <= MAX_QUBITS,
-          "n", f"must be an integer in [2, {MAX_QUBITS}]")
-    _need("r" in doc, "r", "is required (or give circuit_file)")
-    r = doc["r"]
-    _need(isinstance(r, int) and not isinstance(r, bool) and r >= 0,
-          "r", "must be an integer >= 0")
+    need("n" in doc, "n", "is required (or give circuit_file)")
+    n = int_field(doc, "n", None, low=2, high=MAX_QUBITS)
+    need("r" in doc, "r", "is required (or give circuit_file)")
+    r = int_field(doc, "r", None, low=0)
     rng = np.random.default_rng(seed)
     circuit = random_circuit(random_architecture(n, r, rng), rng)
     return circuit, {"n": n, "r": r, "seed": seed}
@@ -158,10 +131,8 @@ def cmd_simulate(args) -> int:
     if args.config is None:
         raise ConfigError("simulate needs --config")
     doc = _load_config(args.config, "simulate")
-    known = {"n", "r", "seed", "circuit_file", "measure", "cut", "run_id",
-             "geo_restarts"}
-    for key in doc:
-        _need(key in known, key, "is not a simulate config field")
+    check_fields(doc, {"n", "r", "seed", "circuit_file", "measure", "cut",
+                       "run_id", "geo_restarts"})
     doc = dict(doc)
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -170,23 +141,15 @@ def cmd_simulate(args) -> int:
 
     circuit, resolved = _circuit_for(doc, Path(args.config).resolve().parent)
     n = circuit.num_qubits
-    try:
-        measure = Measure(doc.get("measure", "geometric"))
-    except ValueError:
-        raise ConfigError(
-            f"measure must be one of {[m.value for m in Measure]}") from None
     if args.cut is not None:
         doc["cut"] = _cut_from_bitmask(args.cut, n)
-    cut = _validate_cut(doc["cut"], n) if "cut" in doc else None
-    if measure is Measure.VON_NEUMANN_BITS and cut is None:
-        raise ConfigError("cut is required when measure is 'vonneumann'")
+    cut = cut_field(doc["cut"], n) if "cut" in doc else None
+    measure = measure_field(doc.get("measure", "geometric"), cut)
     run_id = doc.get("run_id", "run")
-    _need(isinstance(run_id, str) and run_id
-          and not any(c in run_id for c in ',"\n\r'),
-          "run_id", "must be a plain string without commas or quotes")
-    geo_restarts = doc.get("geo_restarts", 32)
-    _need(isinstance(geo_restarts, int) and not isinstance(geo_restarts, bool)
-          and geo_restarts >= 1, "geo_restarts", "must be an integer >= 1")
+    need(isinstance(run_id, str) and run_id
+         and not any(c in run_id for c in ',"\n\r'),
+         "run_id", "must be a plain string without commas or quotes")
+    geo_restarts = int_field(doc, "geo_restarts", 32, low=1)
 
     resolved.update({"measure": measure.value, "run_id": run_id,
                      "geo_restarts": geo_restarts})
@@ -214,9 +177,7 @@ def cmd_paths(args) -> int:
     if args.config is None:
         raise ConfigError("paths needs --config")
     doc = _load_config(args.config, "paths")
-    known = {"n", "r", "seed", "circuit_file", "q0", "path_cap"}
-    for key in doc:
-        _need(key in known, key, "is not a paths config field")
+    check_fields(doc, {"n", "r", "seed", "circuit_file", "q0", "path_cap"})
     doc = dict(doc)
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -224,20 +185,14 @@ def cmd_paths(args) -> int:
     circuit, resolved = _circuit_for(doc, Path(args.config).resolve().parent)
     n = circuit.num_qubits
     q0_label = doc.get("q0", "0" * n)
-    _need(isinstance(q0_label, str) and len(q0_label) == n
-          and all(c in "01" for c in q0_label),
-          "q0", f"must be a length-{n} bitstring")
-    path_cap = doc.get("path_cap", DEFAULT_PATH_CAP)
-    _need(isinstance(path_cap, int) and not isinstance(path_cap, bool)
-          and path_cap >= 1, "path_cap", "must be an integer >= 1")
+    need(isinstance(q0_label, str) and len(q0_label) == n
+         and all(c in "01" for c in q0_label),
+         "q0", f"must be a length-{n} bitstring")
+    path_cap = int_field(doc, "path_cap", DEFAULT_PATH_CAP, low=1)
     resolved.update({"q0": q0_label, "path_cap": path_cap})
 
     q0 = int(q0_label, 2)
-    sums = np.zeros(2**n, dtype=complex)
-    num_paths = 0
-    for path in enumerate_paths(circuit, q0, path_cap=path_cap):
-        sums[path.configs[-1]] += path.amplitude
-        num_paths += 1
+    sums, num_paths = path_sums(circuit, q0, path_cap=path_cap)
     direct = run_circuit(circuit, StateVector.basis_state(n, q0))[-1].amplitudes
     residuals = np.abs(sums - direct)
 
@@ -270,14 +225,13 @@ def cmd_deutsch(args) -> int:
     variant = args.variant
     if args.config is not None:
         doc = _load_config(args.config, "deutsch")
-        for key in doc:
-            _need(key == "variant", key, "is not a deutsch config field")
+        check_fields(doc, {"variant"})
         if variant is None:
             variant = doc.get("variant")
     if variant is None:
         variant = "not_x"
-    _need(variant in DEUTSCH_VARIANTS, "variant",
-          f"must be one of {sorted(DEUTSCH_VARIANTS)}")
+    need(variant in DEUTSCH_VARIANTS, "variant",
+         f"must be one of {sorted(DEUTSCH_VARIANTS)}")
 
     report = deutsch_path_table(variant)
     out = _out_dir(args)
@@ -300,17 +254,16 @@ def cmd_conjecture(args) -> int:
     doc = dict(doc)
     if args.seed is not None:
         targets = doc.get("targets")
-        _need(isinstance(targets, dict), "targets", "must be an object")
+        need(isinstance(targets, dict), "targets", "must be an object")
         doc["targets"] = dict(targets, seed=args.seed)
     if args.measure is not None:
         doc["measure"] = args.measure
     if args.cut is not None:
-        n = doc.get("n")
-        _need(isinstance(n, int) and not isinstance(n, bool), "n", "is required")
+        n = int_field(doc, "n", None, low=2, high=MAX_QUBITS)
         doc["cut"] = _cut_from_bitmask(args.cut, n)
 
     config = ExperimentConfig.from_dict(doc, base_dir=Path(args.config).resolve().parent)
-    report = test_conjecture(config, jobs=args.jobs)
+    report = run_experiment(config, jobs=args.jobs)
 
     out = _out_dir(args)
     doc_out = report_to_dict(report)
@@ -352,11 +305,7 @@ def _selftest_checks() -> list[tuple[str, float, float, float]]:
     rng = np.random.default_rng(7)
     n, r = 3, 3
     circuit = random_circuit(random_architecture(n, r, rng), rng)
-    sums = np.zeros(2**n, dtype=complex)
-    count = 0
-    for path in enumerate_paths(circuit, 0):
-        sums[path.configs[-1]] += path.amplitude
-        count += 1
+    sums, count = path_sums(circuit, 0)
     direct = run_circuit(circuit)[-1].amplitudes
     checks.append(("path count == 4^R", float(count), float(4**r), 0.0))
     checks.append(("path-sum residual", float(np.abs(sums - direct).max()),
@@ -413,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR", default=".",
                        help="output directory (default: current directory)")
         if jobs:
-            p.add_argument("--jobs", type=int, metavar="N",
-                           help="worker cap; never changes the outputs")
+            p.add_argument("--jobs", type=int, metavar="N", default=1,
+                           help="worker processes (default 1); never "
+                                "changes the outputs")
         if measure:
             p.add_argument("--measure", choices=[m.value for m in Measure],
                            help="override the config entanglement measure")

@@ -45,14 +45,12 @@ from .synthesis import (
     sample_target,
 )
 from .trajectories import path_entanglement_sum, trajectory
+from .validation import (ConfigError, check_fields, cut_field, int_field,
+                         measure_field, need, number_field)
 
 DELTA_BIN_DEFAULT = 1e-3
 DEGENERATE_ENTANGLEMENT = 1e-6
 WILSON_Z_95 = 1.959963984540054
-
-
-class ConfigError(ValueError):
-    """An experiment config violates its schema; message names the field."""
 
 
 def family_bin_of(sum_value: float, delta_bin: float = DELTA_BIN_DEFAULT) -> int:
@@ -186,7 +184,6 @@ class ExperimentConfig:
     samples_per_r: int = 6
     geo_restarts: int = 32
     max_architectures: int = 256
-    parallelism: int = 1
 
     @property
     def num_targets(self) -> int:
@@ -201,116 +198,49 @@ class ExperimentConfig:
         Schema: {n, targets: {count, r_gen, seed} | {files: [...]},
         fidelity_tol?, r_max?, delta_E_bin?, measure?, cut?,
         budget: {restarts?, iters?}?, samples_per_r?, geo_restarts?,
-        max_architectures?, parallelism?}.
+        max_architectures?}.
         """
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {"n", "targets", "fidelity_tol", "r_max", "delta_E_bin", "measure",
-                 "cut", "budget", "samples_per_r", "geo_restarts",
-                 "max_architectures", "parallelism"}
-        for key in doc:
-            if key not in known:
-                raise ConfigError(f"unknown config field {key!r}")
-
-        def need(cond, field, message):
-            if not cond:
-                raise ConfigError(f"{field} {message}")
-
-        need("n" in doc, "n", "is required")
-        n = doc["n"]
-        need(isinstance(n, int) and not isinstance(n, bool) and 2 <= n <= MAX_QUBITS,
-             "n", f"must be an integer in [2, {MAX_QUBITS}]")
+        need(isinstance(doc, dict), "config", "must be a JSON object")
+        check_fields(doc, {"n", "targets", "fidelity_tol", "r_max", "delta_E_bin",
+                           "measure", "cut", "budget", "samples_per_r",
+                           "geo_restarts", "max_architectures"})
+        n = int_field(doc, "n", None, low=2, high=MAX_QUBITS)
         need("targets" in doc, "targets", "is required")
         targets = doc["targets"]
         need(isinstance(targets, dict), "targets", "must be an object")
-        count = r_gen = None
-        files = None
-        seed = 0
+        count = r_gen = files = None
         if "files" in targets:
-            for key in targets:
-                if key not in {"files", "seed"}:
-                    raise ConfigError(f"targets.{key} not allowed alongside targets.files")
+            check_fields(targets, {"files", "seed"}, "targets")
             raw = targets["files"]
             need(isinstance(raw, list) and raw and all(isinstance(f, str) for f in raw),
                  "targets.files", "must be a nonempty list of paths")
             base = Path(base_dir) if base_dir is not None else Path(".")
             files = tuple(str((base / f).resolve()) if not Path(f).is_absolute() else f
                           for f in raw)
-            seed = targets.get("seed", 0)
-            need(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-                 "targets.seed", "must be a nonnegative integer")
         else:
-            for key in targets:
-                if key not in {"count", "r_gen", "seed"}:
-                    raise ConfigError(f"unknown field targets.{key}")
-            need("count" in targets, "targets.count", "is required")
-            count = targets["count"]
-            need(isinstance(count, int) and not isinstance(count, bool) and count >= 1,
-                 "targets.count", "must be an integer >= 1")
-            need("r_gen" in targets, "targets.r_gen", "is required")
-            r_gen = targets["r_gen"]
-            need(isinstance(r_gen, int) and not isinstance(r_gen, bool) and r_gen >= 1,
-                 "targets.r_gen", "must be an integer >= 1")
-            seed = targets.get("seed", 0)
-            need(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-                 "targets.seed", "must be a nonnegative integer")
-        fidelity_tol = doc.get("fidelity_tol", 1e-4)
-        need(isinstance(fidelity_tol, (int, float)) and 0.0 < float(fidelity_tol) < 1.0,
-             "fidelity_tol", "must be a number in (0, 1)")
-        r_max = doc.get("r_max", 3)
-        need(isinstance(r_max, int) and not isinstance(r_max, bool) and r_max >= 1,
-             "r_max", "must be an integer >= 1")
-        delta_bin = doc.get("delta_E_bin", DELTA_BIN_DEFAULT)
-        need(isinstance(delta_bin, (int, float)) and float(delta_bin) > 0.0,
-             "delta_E_bin", "must be a positive number")
-        measure_raw = doc.get("measure", "geometric")
-        try:
-            measure = Measure(measure_raw)
-        except ValueError:
-            raise ConfigError(
-                f"measure must be one of {[m.value for m in Measure]}, got {measure_raw!r}"
-            ) from None
-        cut = None
-        if "cut" in doc:
-            raw_cut = doc["cut"]
-            need(isinstance(raw_cut, list) and raw_cut
-                 and all(isinstance(q, int) and not isinstance(q, bool) for q in raw_cut),
-                 "cut", "must be a nonempty list of qubit indices")
-            cut = tuple(sorted(set(int(q) for q in raw_cut)))
-            need(len(cut) == len(raw_cut), "cut", "must not repeat qubits")
-            need(0 <= cut[0] and cut[-1] < n and len(cut) < n,
-                 "cut", f"must be a proper subset of 0..{n - 1}")
-        if measure is Measure.VON_NEUMANN_BITS and cut is None:
-            raise ConfigError("cut is required when measure is 'vonneumann'")
+            check_fields(targets, {"count", "r_gen", "seed"}, "targets")
+            count = int_field(targets, "count", None, low=1, where="targets")
+            r_gen = int_field(targets, "r_gen", None, low=1, where="targets")
+        seed = int_field(targets, "seed", 0, low=0, where="targets")
+        cut = cut_field(doc["cut"], n) if "cut" in doc else None
         budget = doc.get("budget", {})
         need(isinstance(budget, dict), "budget", "must be an object")
-        for key in budget:
-            if key not in {"restarts", "iters"}:
-                raise ConfigError(f"unknown field budget.{key}")
-        restarts = budget.get("restarts", 64)
-        need(isinstance(restarts, int) and not isinstance(restarts, bool) and restarts >= 1,
-             "budget.restarts", "must be an integer >= 1")
-        iterations = budget.get("iters", 2000)
-        need(isinstance(iterations, int) and not isinstance(iterations, bool) and iterations >= 1,
-             "budget.iters", "must be an integer >= 1")
-        samples_per_r = doc.get("samples_per_r", 6)
-        need(isinstance(samples_per_r, int) and not isinstance(samples_per_r, bool)
-             and samples_per_r >= 0, "samples_per_r", "must be an integer >= 0")
-        geo_restarts = doc.get("geo_restarts", 32)
-        need(isinstance(geo_restarts, int) and not isinstance(geo_restarts, bool)
-             and geo_restarts >= 1, "geo_restarts", "must be an integer >= 1")
-        max_architectures = doc.get("max_architectures", 256)
-        need(isinstance(max_architectures, int) and not isinstance(max_architectures, bool)
-             and max_architectures >= 1, "max_architectures", "must be an integer >= 1")
-        parallelism = doc.get("parallelism", 1)
-        need(isinstance(parallelism, int) and not isinstance(parallelism, bool)
-             and parallelism >= 1, "parallelism", "must be an integer >= 1")
-        return cls(num_qubits=n, target_count=count, r_gen_max=r_gen,
-                   target_files=files, seed=seed, fidelity_tol=float(fidelity_tol),
-                   r_max=r_max, delta_bin=float(delta_bin), measure=measure, cut=cut,
-                   restarts=restarts, iterations=iterations,
-                   samples_per_r=samples_per_r, geo_restarts=geo_restarts,
-                   max_architectures=max_architectures, parallelism=parallelism)
+        check_fields(budget, {"restarts", "iters"}, "budget")
+        return cls(
+            num_qubits=n, target_count=count, r_gen_max=r_gen,
+            target_files=files, seed=seed,
+            fidelity_tol=number_field(doc, "fidelity_tol", cls.fidelity_tol,
+                                      above=0.0, below=1.0),
+            r_max=int_field(doc, "r_max", cls.r_max, low=1),
+            delta_bin=number_field(doc, "delta_E_bin", cls.delta_bin, above=0.0),
+            measure=measure_field(doc.get("measure", cls.measure.value), cut),
+            cut=cut,
+            restarts=int_field(budget, "restarts", cls.restarts, low=1, where="budget"),
+            iterations=int_field(budget, "iters", cls.iterations, low=1, where="budget"),
+            samples_per_r=int_field(doc, "samples_per_r", cls.samples_per_r, low=0),
+            geo_restarts=int_field(doc, "geo_restarts", cls.geo_restarts, low=1),
+            max_architectures=int_field(doc, "max_architectures",
+                                        cls.max_architectures, low=1))
 
     def to_dict(self) -> dict:
         """Resolved config echo (defaults materialized)."""
@@ -330,7 +260,6 @@ class ExperimentConfig:
             "samples_per_r": self.samples_per_r,
             "geo_restarts": self.geo_restarts,
             "max_architectures": self.max_architectures,
-            "parallelism": self.parallelism,
         }
         if self.cut is not None:
             doc["cut"] = list(self.cut)
@@ -470,18 +399,17 @@ class ConjectureReport:
     outcomes: tuple[TargetOutcome, ...]
 
 
-def test_conjecture(config: ExperimentConfig, jobs: int | None = None) -> ConjectureReport:
-    """Run the whole experiment; `jobs` overrides config.parallelism.
+def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ConjectureReport:
+    """Run the whole experiment on up to `jobs` worker processes.
 
     Worker count never changes the result: each target is a pure function
     of (config, index) and outcomes are aggregated in index order.
     """
-    workers = config.parallelism if jobs is None else jobs
     indices = list(range(config.num_targets))
-    if workers <= 1 or len(indices) <= 1:
+    if jobs <= 1 or len(indices) <= 1:
         outcomes = [evaluate_target(config, i) for i in indices]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(evaluate_target, config, i): i for i in indices}
             by_index: dict[int, TargetOutcome] = {}
             for future in concurrent.futures.as_completed(futures):

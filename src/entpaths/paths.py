@@ -130,6 +130,22 @@ def enumerate_paths(circuit: Circuit, initial_configuration,
     return generate()
 
 
+def path_sums(circuit: Circuit, initial_configuration, *,
+              path_cap: int = DEFAULT_PATH_CAP) -> tuple[np.ndarray, int]:
+    """Every path amplitude from a basis start, summed per final configuration.
+
+    Returns (sums, count): sums[c] is the total over paths ending in c, so
+    sums equals the circuit unitary's column for the start, and count is
+    the number of paths (4**R).
+    """
+    sums = np.zeros(2**circuit.num_qubits, dtype=complex)
+    count = 0
+    for path in enumerate_paths(circuit, initial_configuration, path_cap=path_cap):
+        sums[path.configs[-1]] += path.amplitude
+        count += 1
+    return sums, count
+
+
 def transition_amplitude(circuit: Circuit, initial_configuration,
                          final_configuration, *,
                          path_cap: int = DEFAULT_PATH_CAP) -> complex:

@@ -246,8 +246,8 @@ def test_09_experiment_run_is_deterministic_and_complete():
         "samples_per_r": 2,
         "geo_restarts": 8,
     })
-    serial = report_to_dict(harness.test_conjecture(config, jobs=1))
-    parallel = report_to_dict(harness.test_conjecture(config, jobs=2))
+    serial = report_to_dict(harness.run_experiment(config, jobs=1))
+    parallel = report_to_dict(harness.run_experiment(config, jobs=2))
     assert canonical_json(serial) == canonical_json(parallel)
 
     aggregate = serial["aggregate"]

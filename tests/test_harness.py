@@ -100,7 +100,6 @@ def test_config_defaults_materialize():
     assert config.delta_bin == 1e-3
     assert config.measure is Measure.GEOMETRIC
     assert config.restarts == 64 and config.iterations == 2000
-    assert config.parallelism == 1
 
 
 def test_config_round_trips_through_its_echo():
@@ -123,6 +122,16 @@ def test_config_round_trips_through_its_echo():
     ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "cut": [0, 0]}, "cut"),
     ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "cut": [0, 1, 2]}, "cut"),
     ({"n": 3, "targets": {"files": ["x.json"], "count": 2}}, "targets.count"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "delta_E_bin": True},
+     "delta_E_bin"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "delta_E_bin": math.inf},
+     "delta_E_bin"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "delta_E_bin": math.nan},
+     "delta_E_bin"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "delta_E_bin": 10**400},
+     "delta_E_bin"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "parallelism": 2},
+     "parallelism"),
 ])
 def test_config_errors_name_the_field(doc, fragment):
     with pytest.raises(ConfigError) as err:
@@ -218,7 +227,7 @@ def test_degenerate_targets_are_dual_reported(tmp_path, bell):
     config = ExperimentConfig.from_dict(
         {"n": 2, "targets": {"files": ["p.json", "b.json"], "seed": 3}, **LEAN},
         base_dir=tmp_path)
-    report = harness.test_conjecture(config)
+    report = harness.run_experiment(config)
     doc = report_to_dict(report)
     agg = doc["aggregate"]
     assert agg["num_targets"] == 2
@@ -236,7 +245,7 @@ def test_degenerate_targets_are_dual_reported(tmp_path, bell):
 def test_synthesis_failures_are_counted_not_fatal():
     config = lean_config(fidelity_tol=1e-12,
                          budget={"restarts": 1, "iters": 3}, r_max=1)
-    report = harness.test_conjecture(config)
+    report = harness.run_experiment(config)
     doc = report_to_dict(report)
     assert doc["aggregate"]["num_synthesis_failures"] == 3
     for target in doc["targets"]:
@@ -248,14 +257,14 @@ def test_synthesis_failures_are_counted_not_fatal():
 
 def test_conjecture_run_is_parallel_invariant():
     config = lean_config()
-    serial = report_to_dict(harness.test_conjecture(config, jobs=1))
-    parallel = report_to_dict(harness.test_conjecture(config, jobs=3))
+    serial = report_to_dict(harness.run_experiment(config, jobs=1))
+    parallel = report_to_dict(harness.run_experiment(config, jobs=3))
     assert canonical_json(serial) == canonical_json(parallel)
 
 
 def test_report_structure_and_internal_consistency():
     config = lean_config()
-    doc = report_to_dict(harness.test_conjecture(config))
+    doc = report_to_dict(harness.run_experiment(config))
     assert doc["config"] == config.to_dict()
     agg = doc["aggregate"]
     evaluated = [t for t in doc["targets"] if t["success"] is not None]
@@ -283,7 +292,7 @@ def test_report_structure_and_internal_consistency():
 
 def test_records_csv_layout(tmp_path):
     config = lean_config(targets={"count": 2, "r_gen": 2, "seed": 8})
-    report = harness.test_conjecture(config)
+    report = harness.run_experiment(config)
     out = tmp_path / "records.csv"
     write_records_csv(report, out)
     lines = out.read_text().splitlines()

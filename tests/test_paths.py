@@ -9,7 +9,7 @@ from entpaths.core import (Circuit, ResourceCapError, StateVector,
 from entpaths.paths import (DEUTSCH_VARIANTS, decompose_amplitude,
                             deutsch_path_table, deutsch_report_to_dict,
                             deutsch_step_matrices, enumerate_paths,
-                            interference_csv_rows, oracle_matrix,
+                            interference_csv_rows, oracle_matrix, path_sums,
                             transition_amplitude, write_interference_csv)
 
 import oracles
@@ -68,6 +68,8 @@ def test_path_sums_reproduce_every_matrix_element(n, r, seed):
         for path in enumerate_paths(circuit, q0):
             sums[path.configs[-1]] += path.amplitude
         assert np.allclose(sums, unitary[:, q0], atol=1e-9)
+        shared, count = path_sums(circuit, q0)
+        assert np.array_equal(shared, sums) and count == 4**r
 
 
 def test_transition_amplitude_equals_unitary_entry():
