@@ -158,7 +158,7 @@ def cmd_simulate(args) -> int:
 
     state_path = run_circuit(circuit)
     traj = trajectory(state_path, measure, cut=cut,
-                      geo_restarts=geo_restarts, geo_seed=0)
+                      geo_restarts=geo_restarts)
 
     out = _out_dir(args)
     save_circuit(circuit, out / "circuit.json")

@@ -12,6 +12,7 @@ bit-exact JSON round trip for circuits.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -259,13 +260,28 @@ class StatePath:
         return self.states[item]
 
 
+@functools.cache
+def gather_index(pair: tuple[int, int], num_qubits: int) -> np.ndarray:
+    """Basis indices of a 2**n vector arranged as (4, 2**(n-2)).
+
+    Row 2*b_j + b_k holds every index with those bits on qubits (j, k), in a
+    column order shared by all rows, so out[ix] = U @ psi[ix] applies U to
+    the pair.  The array is cached per (pair, n) and read-only.
+    """
+    j, k = pair
+    grid = np.arange(2**num_qubits).reshape((2,) * num_qubits)
+    index = np.moveaxis(grid, (j, k), (0, 1)).reshape(4, -1)
+    index.flags.writeable = False
+    return index
+
+
 def apply_gate_matrix(amplitudes: np.ndarray, matrix: np.ndarray,
                       qubit_pair: tuple[int, int], num_qubits: int) -> np.ndarray:
     """Raw-array fast path: apply a 4x4 matrix to qubits (j, k) of a 2**n vector."""
-    j, k = qubit_pair
-    psi = amplitudes.reshape((2,) * num_qubits)
-    out = np.tensordot(matrix.reshape(2, 2, 2, 2), psi, axes=([2, 3], [j, k]))
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (j, k))).reshape(-1)
+    ix = gather_index(qubit_pair, num_qubits)
+    out = np.empty(2**num_qubits, dtype=np.complex128)
+    out[ix] = matrix @ amplitudes[ix]
+    return out
 
 
 def apply_gate(state: StateVector, gate: TwoQubitGate) -> StateVector:

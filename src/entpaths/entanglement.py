@@ -5,7 +5,8 @@ carry values of either kind:
 
   * von Neumann entropy of a reduced density matrix, in bits (log base 2),
   * geometric entanglement 1 - max |<phi|psi>|**2 over product states |phi>,
-    computed by alternating single-site rank-1 fitting with random restarts.
+    computed by the alternating single-site fit of Wei & Goldbart (PRA 68,
+    042307, 2003), with all random restarts advanced together as one batch.
 
 For a pure state and a fixed bipartition the relative entropy of
 entanglement coincides with the entropy of either reduced state, so that
@@ -103,27 +104,27 @@ def von_neumann_entropy(rho: np.ndarray) -> EntanglementValue:
     return EntanglementValue(max(entropy, 0.0), Measure.VON_NEUMANN_BITS)
 
 
-def _site_environment(psi: np.ndarray, vectors: list[np.ndarray], site: int) -> np.ndarray:
-    """Contract every site but one against conj(v_m); returns a 2-vector."""
-    temp = psi
-    for m in sorted(range(len(vectors)), reverse=True):
-        if m == site:
-            continue
-        temp = np.tensordot(temp, vectors[m].conj(), axes=([m], [0]))
-    return temp
+def _unit_draw(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Random unit 2-vectors of the given leading shape (real draws, then imaginary)."""
+    raw = rng.standard_normal(shape + (2, 2))
+    v = raw[..., 0, :] + 1j * raw[..., 1, :]
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def geometric_entanglement(state: StateVector, *, restarts: int = GEO_RESTARTS,
-                           tol: float = GEO_TOL, max_sweeps: int = GEO_MAX_SWEEPS,
                            seed: int = 0) -> EntanglementValue:
     """1 - max |<phi|psi>|**2 over normalized product states |phi>.
 
     Alternating optimization: with all sites but one held fixed, the optimal
     single-site vector is the normalized contraction of the state against
     the others, so each update is exact and the overlap never decreases.
-    Restart k draws its starting product vectors from a generator seeded by
-    (seed, k); the reported value is the best over restarts, which makes it
-    monotone in the restart count for a fixed seed.
+    Restarts run as one batch (restart index first; one einsum per site
+    updates every restart still running).  Restart k draws its start, and
+    any re-draw of a site whose environment vanishes, from a generator
+    seeded by (seed, k), and stops once a sweep moves its overlap by less
+    than GEO_TOL.  The value is the best over restarts, so it is monotone
+    in the restart count for a fixed seed; if no restart stops within
+    GEO_MAX_SWEEPS sweeps, ProductFitConvergenceError carries it.
     """
     n = state.num_qubits
     if n < 2:
@@ -131,37 +132,32 @@ def geometric_entanglement(state: StateVector, *, restarts: int = GEO_RESTARTS,
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     psi = state.amplitudes.reshape((2,) * n)
-    best_overlap = 0.0
-    any_converged = False
-    for k in range(restarts):
-        rng = np.random.default_rng((seed, k))
-        vectors = []
-        for _ in range(n):
-            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            vectors.append(v / np.linalg.norm(v))
-        overlap = 0.0
-        previous = -1.0
-        converged = False
-        for _ in range(max_sweeps):
-            for site in range(n):
-                w = _site_environment(psi, vectors, site)
-                norm = float(np.linalg.norm(w))
-                if norm < 1e-15:
-                    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                    vectors[site] = v / np.linalg.norm(v)
-                    continue
-                vectors[site] = w / norm
-                overlap = norm
-            if abs(overlap - previous) < tol:
-                converged = True
-                break
-            previous = overlap
-        best_overlap = max(best_overlap, overlap)
-        any_converged = any_converged or converged
-    value = max(0.0, 1.0 - best_overlap**2)
-    if not any_converged:
+    rngs = [np.random.default_rng((seed, k)) for k in range(restarts)]
+    vectors = np.stack([_unit_draw(rng, (n,)) for rng in rngs])  # (restart, site, 2)
+    overlap = np.zeros(restarts)
+    previous = np.full(restarts, -1.0)
+    active = np.arange(restarts)
+    for _ in range(GEO_MAX_SWEEPS):
+        for site in range(n):
+            conj = vectors[active].conj()
+            others = [operand for m in range(n) if m != site
+                      for operand in (conj[:, m], [n, m])]
+            w = np.einsum(psi, list(range(n)), *others, [n, site])
+            norm = np.linalg.norm(w, axis=1)
+            fit = norm >= 1e-15
+            vectors[active[fit], site] = w[fit] / norm[fit, None]
+            overlap[active[fit]] = norm[fit]
+            for k in active[~fit]:
+                vectors[k, site] = _unit_draw(rngs[k], ())
+        done = np.abs(overlap[active] - previous[active]) < GEO_TOL
+        previous[active] = overlap[active]
+        active = active[~done]
+        if not active.size:
+            break
+    value = max(0.0, 1.0 - float(overlap.max()) ** 2)
+    if active.size == restarts:  # restarts leave `active` only by converging
         raise ProductFitConvergenceError(
-            f"no restart converged within {max_sweeps} sweeps (best value {value})",
+            f"no restart converged within {GEO_MAX_SWEEPS} sweeps (best value {value})",
             best_value=value,
         )
     return EntanglementValue(value, Measure.GEOMETRIC)

@@ -79,7 +79,7 @@ def _record_from_circuit(record_id: str, circuit: Circuit, achieved: float, *,
                          r_star: int, measure: Measure, cut, geo_restarts: int,
                          delta_bin: float) -> PathFamilyRecord:
     traj = trajectory(run_circuit(circuit), measure, cut=cut,
-                      geo_restarts=geo_restarts, geo_seed=0)
+                      geo_restarts=geo_restarts)
     total = path_entanglement_sum(traj)
     return PathFamilyRecord(
         record_id=record_id,

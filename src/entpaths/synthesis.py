@@ -33,6 +33,7 @@ from .core import (
     TwoQubitGate,
     all_pairs,
     fidelity,
+    gather_index,
     random_architecture,
     random_circuit,
     run_circuit,
@@ -125,21 +126,6 @@ def _seed_key(seed, *extra) -> tuple[int, ...]:
 # --- fidelity ascent ------------------------------------------------------
 
 
-@functools.cache
-def _gather_index(pair: tuple[int, int], num_qubits: int) -> np.ndarray:
-    """Basis indices of a 2**n vector arranged as (4, 2**(n-2)).
-
-    Row 2*b_j + b_k holds every index with those bits on qubits (j, k), in a
-    column order shared by all rows, so out[ix] = U @ psi[ix] applies U to
-    the pair.  The array is cached per (pair, n) and read-only.
-    """
-    j, k = pair
-    grid = np.arange(2**num_qubits).reshape((2,) * num_qubits)
-    index = np.moveaxis(grid, (j, k), (0, 1)).reshape(4, -1)
-    index.flags.writeable = False
-    return index
-
-
 def _fidelity_and_grad(thetas: np.ndarray, pairs: Sequence[tuple[int, int]],
                        num_qubits: int,
                        target_amp: np.ndarray) -> tuple[float, np.ndarray]:
@@ -157,7 +143,7 @@ def _fidelity_and_grad(thetas: np.ndarray, pairs: Sequence[tuple[int, int]],
     """
     num_gates = len(pairs)
     eigenvalues, vecs, mats = _su4_eigh(thetas)
-    index = [_gather_index(pair, num_qubits) for pair in pairs]
+    index = [gather_index(pair, num_qubits) for pair in pairs]
     psi = np.zeros(target_amp.size, dtype=np.complex128)
     psi[0] = 1.0
     before = []  # the state before gate g, gathered for its pair

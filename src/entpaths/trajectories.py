@@ -62,11 +62,11 @@ class EntanglementTrajectory:
 
 def measure_state(state: StateVector, measure: Measure, *,
                   cut: Sequence[int] | None = None,
-                  geo_restarts: int = 32, geo_seed: int = 0) -> float:
+                  geo_restarts: int = 32) -> float:
     """Evaluate one entanglement measure on one state."""
     measure = Measure(measure)
     if measure is Measure.GEOMETRIC:
-        return geometric_entanglement(state, restarts=geo_restarts, seed=geo_seed).value
+        return geometric_entanglement(state, restarts=geo_restarts).value
     if cut is None:
         raise ValueError("the von Neumann measure needs a cut (qubits to keep)")
     return von_neumann_entropy(reduced_density_matrix(state, cut)).value
@@ -74,13 +74,12 @@ def measure_state(state: StateVector, measure: Measure, *,
 
 def trajectory(path: StatePath, measure: Measure = Measure.GEOMETRIC, *,
                cut: Sequence[int] | None = None,
-               geo_restarts: int = 32, geo_seed: int = 0) -> EntanglementTrajectory:
+               geo_restarts: int = 32) -> EntanglementTrajectory:
     """Evaluate a measure at every state of a path, including psi_0."""
     points = []
     for k, state in enumerate(path):
         try:
-            value = measure_state(state, measure, cut=cut,
-                                  geo_restarts=geo_restarts, geo_seed=geo_seed)
+            value = measure_state(state, measure, cut=cut, geo_restarts=geo_restarts)
         except Exception as exc:
             raise TrajectoryMeasureError(k, str(exc)) from exc
         points.append((k, value))

@@ -126,6 +126,57 @@ def grid_polish_geometric(amplitudes, num_qubits, grid=10):
     return 1.0 - best
 
 
+def _site_environment(psi, vectors, site):
+    """Contract every site but one against conj(v_m); returns a 2-vector."""
+    temp = psi
+    for m in sorted(range(len(vectors)), reverse=True):
+        if m == site:
+            continue
+        temp = np.tensordot(temp, vectors[m].conj(), axes=([m], [0]))
+    return temp
+
+
+def geometric_entanglement_loop(amplitudes, num_qubits, *, restarts=32, tol=1e-9,
+                                max_sweeps=1000, seed=0):
+    """Alternating product-state fit, one restart at a time, one site at a time.
+
+    The reference for the package's restart-batched fit: restart k draws
+    from a generator seeded by (seed, k), and each site's environment is a
+    tensordot chain.  Returns (1 - best overlap**2, whether any restart
+    converged).
+    """
+    n = num_qubits
+    psi = np.asarray(amplitudes).reshape((2,) * n)
+    best_overlap = 0.0
+    any_converged = False
+    for k in range(restarts):
+        rng = np.random.default_rng((seed, k))
+        vectors = []
+        for _ in range(n):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            vectors.append(v / np.linalg.norm(v))
+        overlap = 0.0
+        previous = -1.0
+        converged = False
+        for _ in range(max_sweeps):
+            for site in range(n):
+                w = _site_environment(psi, vectors, site)
+                norm = float(np.linalg.norm(w))
+                if norm < 1e-15:
+                    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                    vectors[site] = v / np.linalg.norm(v)
+                    continue
+                vectors[site] = w / norm
+                overlap = norm
+            if abs(overlap - previous) < tol:
+                converged = True
+                break
+            previous = overlap
+        best_overlap = max(best_overlap, overlap)
+        any_converged = any_converged or converged
+    return max(0.0, 1.0 - best_overlap**2), any_converged
+
+
 def best_single_gate_fidelity(amplitudes, num_qubits, pair):
     """Best fidelity one gate on `pair` can reach from |0...0>.
 

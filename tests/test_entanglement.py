@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from entpaths import entanglement
 from entpaths.core import StateVector
 from entpaths.entanglement import (Measure, NumericalDomainError,
+                                   ProductFitConvergenceError,
                                    geometric_entanglement,
                                    reduced_density_matrix,
                                    relative_entropy_pure_bipartite,
@@ -113,6 +115,31 @@ def test_geometric_matches_grid_polish_oracle():
         fast = geometric_entanglement(state).value
         slow = oracles.grid_polish_geometric(state.amplitudes, n)
         assert abs(fast - slow) < 1e-4
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("restarts", [1, 16, 32])
+@pytest.mark.parametrize("name", ["random2", "random3", "random4", "random5",
+                                  "zero3", "bell", "ghz3", "w3"])
+def test_batched_fit_matches_loop_oracle(name, restarts, seed, request):
+    if name.startswith("random"):
+        state = random_state(int(name[-1]), 90 + int(name[-1]))
+    elif name == "zero3":
+        state = StateVector.zero_state(3)
+    else:
+        state = request.getfixturevalue(name)
+    value = geometric_entanglement(state, restarts=restarts, seed=seed).value
+    reference, converged = oracles.geometric_entanglement_loop(
+        state.amplitudes, state.num_qubits, restarts=restarts, seed=seed)
+    assert converged
+    assert abs(value - reference) <= 1e-12
+
+
+def test_unconverged_fit_raises_with_the_best_value(monkeypatch, w3):
+    monkeypatch.setattr(entanglement, "GEO_MAX_SWEEPS", 1)  # a first sweep never converges
+    with pytest.raises(ProductFitConvergenceError) as err:
+        geometric_entanglement(w3)
+    assert 0.0 <= err.value.best_value <= 1.0
 
 
 def test_geometric_entanglement_deterministic(w3):

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from entpaths.core import (Circuit, ResourceCapError, StateVector,
-                           TwoQubitGate, config_to_index, random_architecture,
-                           random_circuit, run_circuit)
+from entpaths.core import (Circuit, ResourceCapError, TwoQubitGate,
+                           random_architecture, random_circuit)
 from entpaths.paths import (DEUTSCH_VARIANTS, decompose_amplitude,
                             deutsch_path_table, deutsch_report_to_dict,
                             deutsch_step_matrices, enumerate_paths,

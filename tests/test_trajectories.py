@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entpaths.core import (Circuit, StateVector, TwoQubitGate,
-                           random_architecture, random_circuit, run_circuit)
-from entpaths.entanglement import Measure
+from entpaths import entanglement
+from entpaths.core import (Circuit, TwoQubitGate, random_architecture,
+                           random_circuit, run_circuit)
+from entpaths.entanglement import Measure, ProductFitConvergenceError
 from entpaths.trajectories import (EntanglementTrajectory,
                                    TrajectoryMeasureError, export_trajectories,
                                    max_step_jump, measure_state,
@@ -91,6 +92,14 @@ def test_trajectory_wraps_measure_failures_with_the_step():
     with pytest.raises(TrajectoryMeasureError) as err:
         trajectory(run_circuit(circuit), Measure.VON_NEUMANN_BITS)  # no cut
     assert err.value.step == 0
+
+
+def test_trajectory_wraps_an_unconverged_geometric_fit_at_step_zero(monkeypatch):
+    monkeypatch.setattr(entanglement, "GEO_MAX_SWEEPS", 1)
+    with pytest.raises(TrajectoryMeasureError) as err:
+        trajectory(run_circuit(bell_prep_circuit()))
+    assert err.value.step == 0
+    assert isinstance(err.value.__cause__, ProductFitConvergenceError)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
