@@ -31,7 +31,7 @@ from .canonical import write_canonical_json, write_csv
 from .core import (MAX_QUBITS, ResourceCapError, StateVector, config_label,
                    load_circuit, random_architecture, random_circuit,
                    run_circuit, save_circuit, haar_random_su4)
-from .entanglement import (Measure, geometric_entanglement,
+from .entanglement import (GEO_RESTARTS, Measure, geometric_entanglement,
                            reduced_density_matrix, von_neumann_entropy)
 from .fixtures import fixture_state
 from .harness import (ExperimentConfig, report_to_dict, run_experiment,
@@ -149,7 +149,7 @@ def cmd_simulate(args) -> int:
     need(isinstance(run_id, str) and run_id
          and not any(c in run_id for c in ',"\n\r'),
          "run_id", "must be a plain string without commas or quotes")
-    geo_restarts = int_field(doc, "geo_restarts", 32, low=1)
+    geo_restarts = int_field(doc, "geo_restarts", GEO_RESTARTS, low=1)
 
     resolved.update({"measure": measure.value, "run_id": run_id,
                      "geo_restarts": geo_restarts})

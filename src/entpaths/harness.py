@@ -31,7 +31,7 @@ from .core import (
     load_state,
     run_circuit,
 )
-from .entanglement import Measure, geometric_entanglement
+from .entanglement import GEO_RESTARTS, Measure, geometric_entanglement
 from .synthesis import (
     ComplexityEstimate,
     ComplexityNotFound,
@@ -98,7 +98,7 @@ def collect_families(target: StateVector, estimate: ComplexityEstimate, *,
                      delta_bin: float = DELTA_BIN_DEFAULT, seed=0,
                      measure: Measure = Measure.GEOMETRIC,
                      cut: Sequence[int] | None = None,
-                     geo_restarts: int = 32,
+                     geo_restarts: int = GEO_RESTARTS,
                      record_prefix: str = "t") -> list[PathFamilyRecord]:
     """Gather successful synthesis solutions across gate counts.
 
@@ -182,7 +182,7 @@ class ExperimentConfig:
     restarts: int = 64
     iterations: int = 2000
     samples_per_r: int = 6
-    geo_restarts: int = 32
+    geo_restarts: int = GEO_RESTARTS
     max_architectures: int = 256
 
     @property

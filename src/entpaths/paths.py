@@ -7,6 +7,14 @@ spawns 4**R structural paths.  Each path carries the product of its gate
 matrix elements; summing path amplitudes into a final configuration
 reproduces the transition amplitude of the full unitary.
 
+One walk serves every entry point.  It expands all but the last six gates
+into subtree roots, then branches each root's subtree over those last six
+gates with numpy, 4096 paths per block, in depth-first order (branches
+00, 01, 10, 11).  path_sums adds each block into the per-endpoint sums
+without building a Python object per path; enumerate_paths turns blocks
+into PathAmplitude tuples.  Amplitudes and sums are bit-identical to a
+recursive scalar walk (tests/oracles.walk_paths).
+
 Also includes the classic two-qubit balanced-vs-constant function tester
 (Deutsch's algorithm) as a worked interference example: its per-step
 amplitude tables and per-path contributions show sign cancellation killing
@@ -69,36 +77,74 @@ def _as_index(configuration, num_qubits: int) -> int:
     return config_to_index(bits)
 
 
-def _walk_paths(matrices: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]],
-                num_qubits: int, start_index: int,
-                final_index: int | None) -> Iterator[tuple[tuple[int, ...], complex]]:
-    """Depth-first walk of the branching tree over raw 4x4 step matrices.
+# Paths are expanded with numpy this many gates deep at a time: 4**6 = 4096
+# paths per block keeps each block's arrays small.
+_BLOCK_DEPTH = 6
+_OUT2 = np.arange(4)  # acted bit-pair values 00, 01, 10, 11
 
-    Branches at each step are visited in order of the output bit-pair value
-    (00, 01, 10, 11), so the yield order is deterministic.  Paths whose
-    amplitude is exactly zero are still structural branches and are yielded.
+
+def _branch(layers: list[np.ndarray], amplitudes: np.ndarray,
+            columns: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]],
+            num_qubits: int) -> np.ndarray:
+    """Branch every node four ways per gate, appending one config array each.
+
+    columns[g][in2, out2] is gate g's matrix element [out2, in2].  Children
+    of node i sit at 4*i + out2 (out2 = the acted bit-pair value 00, 01,
+    10, 11), which keeps depth-first order.  Products are formed from real
+    and imaginary parts separately, rounding as the scalar complex product
+    does (numpy's vectorised complex multiply may differ in the last bit).
     """
-    total = len(matrices)
-    trail = [start_index]
-
-    def step(depth: int, config: int, amplitude: complex):
-        if depth == total:
-            if final_index is None or config == final_index:
-                yield tuple(trail), complex(amplitude)
-            return
-        j, k = pairs[depth]
+    configs = layers[-1]
+    for column, (j, k) in zip(columns, pairs):
         shift_j = num_qubits - 1 - j
         shift_k = num_qubits - 1 - k
-        in2 = (((config >> shift_j) & 1) << 1) | ((config >> shift_k) & 1)
-        base = config & ~(1 << shift_j) & ~(1 << shift_k)
-        matrix = matrices[depth]
-        for out2 in range(4):
-            new_config = base | ((out2 >> 1) << shift_j) | ((out2 & 1) << shift_k)
-            trail.append(new_config)
-            yield from step(depth + 1, new_config, amplitude * matrix[out2, in2])
-            trail.pop()
+        in2 = (((configs >> shift_j) & 1) << 1) | ((configs >> shift_k) & 1)
+        base = configs & ~((1 << shift_j) | (1 << shift_k))
+        configs = (base[:, None] | ((_OUT2 >> 1) << shift_j)
+                   | ((_OUT2 & 1) << shift_k)).ravel()
+        entries = column.take(in2, axis=0).ravel()
+        parents = amplitudes.repeat(4)
+        amplitudes = np.empty(len(entries), dtype=complex)
+        amplitudes.real = parents.real * entries.real - parents.imag * entries.imag
+        amplitudes.imag = parents.real * entries.imag + parents.imag * entries.real
+        layers.append(configs)
+    return amplitudes
 
-    yield from step(0, start_index, 1.0 + 0.0j)
+
+def _walk_blocks(matrices: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]],
+                 num_qubits: int, start_index: int
+                 ) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    """Every path of the branching tree, in depth-first blocks.
+
+    The first R - L gates (L = min(R, _BLOCK_DEPTH)) branch into 4**(R-L)
+    subtree roots; a block is one root's subtree over the last L gates, as
+    (layers, amplitudes): path i of the block passes through configuration
+    layers[d][i * len(layers[d]) // len(amplitudes)] at step d.  Paths of
+    amplitude exactly zero are structural branches and are included.
+    """
+    columns = [np.asarray(matrix, dtype=complex).T for matrix in matrices]
+    split = max(len(columns) - _BLOCK_DEPTH, 0)
+    roots = [np.array([start_index])]
+    root_amplitudes = _branch(roots, np.array([1.0 + 0.0j]),
+                              columns[:split], pairs[:split], num_qubits)
+    for i in range(len(root_amplitudes)):
+        layers = [layer[[i >> 2 * (split - d)]] for d, layer in enumerate(roots)]
+        amplitudes = _branch(layers, root_amplitudes[i:i + 1],
+                             columns[split:], pairs[split:], num_qubits)
+        yield layers, amplitudes
+
+
+def _circuit_blocks(circuit: Circuit, start: int,
+                    path_cap: int) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+    """The block walk of a circuit; raises ResourceCapError before any work."""
+    total = 4**circuit.num_gates
+    if total > path_cap:
+        raise ResourceCapError(
+            f"4**{circuit.num_gates} = {total} paths exceeds the path cap {path_cap}"
+        )
+    return _walk_blocks([gate.matrix for gate in circuit.gates],
+                        [gate.qubit_pair for gate in circuit.gates],
+                        circuit.num_qubits, start)
 
 
 def enumerate_paths(circuit: Circuit, initial_configuration,
@@ -114,18 +160,19 @@ def enumerate_paths(circuit: Circuit, initial_configuration,
     n = circuit.num_qubits
     start = _as_index(initial_configuration, n)
     final = None if final_configuration is None else _as_index(final_configuration, n)
-    total = 4**circuit.num_gates
-    if total > path_cap:
-        raise ResourceCapError(
-            f"4**{circuit.num_gates} = {total} paths exceeds the path cap {path_cap}"
-        )
-    matrices = [gate.matrix for gate in circuit.gates]
-    pairs = [gate.qubit_pair for gate in circuit.gates]
+    blocks = _circuit_blocks(circuit, start, path_cap)
 
     def generate():
-        for trail, amplitude in _walk_paths(matrices, pairs, n, start, final):
-            magnitude, phase = decompose_amplitude(amplitude)
-            yield PathAmplitude(trail, amplitude, magnitude, phase)
+        for layers, amplitudes in blocks:
+            size = len(amplitudes)
+            trails = np.column_stack([np.repeat(layer, size // len(layer))
+                                      for layer in layers])
+            if final is not None:
+                keep = trails[:, -1] == final
+                trails, amplitudes = trails[keep], amplitudes[keep]
+            for trail, amplitude in zip(trails.tolist(), amplitudes.tolist()):
+                magnitude, phase = decompose_amplitude(amplitude)
+                yield PathAmplitude(tuple(trail), amplitude, magnitude, phase)
 
     return generate()
 
@@ -136,13 +183,15 @@ def path_sums(circuit: Circuit, initial_configuration, *,
 
     Returns (sums, count): sums[c] is the total over paths ending in c, so
     sums equals the circuit unitary's column for the start, and count is
-    the number of paths (4**R).
+    the number of paths (4**R).  Each endpoint's sum is accumulated in
+    depth-first path order.
     """
+    start = _as_index(initial_configuration, circuit.num_qubits)
     sums = np.zeros(2**circuit.num_qubits, dtype=complex)
     count = 0
-    for path in enumerate_paths(circuit, initial_configuration, path_cap=path_cap):
-        sums[path.configs[-1]] += path.amplitude
-        count += 1
+    for layers, amplitudes in _circuit_blocks(circuit, start, path_cap):
+        np.add.at(sums, layers[-1], amplitudes)
+        count += len(amplitudes)
     return sums, count
 
 
@@ -154,11 +203,9 @@ def transition_amplitude(circuit: Circuit, initial_configuration,
     Agrees with the direct matrix-product amplitude of the circuit unitary;
     that identity is the core consistency check of the whole path picture.
     """
-    total = 0.0 + 0.0j
-    for path in enumerate_paths(circuit, initial_configuration,
-                                final_configuration, path_cap=path_cap):
-        total += path.amplitude
-    return complex(total)
+    final = _as_index(final_configuration, circuit.num_qubits)
+    sums, _ = path_sums(circuit, initial_configuration, path_cap=path_cap)
+    return complex(sums[final])
 
 
 # --- Deutsch's algorithm as an interference table -------------------------
@@ -232,10 +279,10 @@ def deutsch_path_table(variant: str) -> DeutschReport:
     for matrix in matrices:
         amplitudes = apply_gate_matrix(amplitudes, matrix, (0, 1), 2)
         steps.append(tuple(complex(a) for a in amplitudes))
-    contributions = []
-    for config in range(4):
-        contribs = tuple(a for _, a in _walk_paths(matrices, pairs, 2, start, config))
-        contributions.append(contribs)
+    # three steps are fewer than _BLOCK_DEPTH: one block holds all 4**3 paths
+    ((layers, path_amplitudes),) = _walk_blocks(matrices, pairs, 2, start)
+    contributions = [tuple(path_amplitudes[layers[-1] == config].tolist())
+                     for config in range(4)]
     probability = float(abs(amplitudes[2]) ** 2 + abs(amplitudes[3]) ** 2)
     return DeutschReport(
         variant=variant,

@@ -15,6 +15,7 @@ import numpy as np
 from .canonical import write_csv
 from .core import StatePath, StateVector
 from .entanglement import (
+    GEO_RESTARTS,
     Measure,
     geometric_entanglement,
     reduced_density_matrix,
@@ -62,7 +63,7 @@ class EntanglementTrajectory:
 
 def measure_state(state: StateVector, measure: Measure, *,
                   cut: Sequence[int] | None = None,
-                  geo_restarts: int = 32) -> float:
+                  geo_restarts: int = GEO_RESTARTS) -> float:
     """Evaluate one entanglement measure on one state."""
     measure = Measure(measure)
     if measure is Measure.GEOMETRIC:
@@ -74,7 +75,7 @@ def measure_state(state: StateVector, measure: Measure, *,
 
 def trajectory(path: StatePath, measure: Measure = Measure.GEOMETRIC, *,
                cut: Sequence[int] | None = None,
-               geo_restarts: int = 32) -> EntanglementTrajectory:
+               geo_restarts: int = GEO_RESTARTS) -> EntanglementTrajectory:
     """Evaluate a measure at every state of a path, including psi_0."""
     points = []
     for k, state in enumerate(path):

@@ -8,6 +8,7 @@ shares no code path with the package, so agreement is meaningful.
 import cmath
 import itertools
 import math
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import expm, expm_frechet
@@ -208,6 +209,41 @@ def deutsch_direct(f0, f1):
     for step in (np.kron(_H1, _H1), u_f, np.kron(_H1, np.eye(2))):
         psi = step @ psi
     return psi
+
+
+def walk_paths(matrices: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]],
+               num_qubits: int, start_index: int,
+               final_index: int | None) -> Iterator[tuple[tuple[int, ...], complex]]:
+    """Depth-first walk of the branching tree over raw 4x4 step matrices.
+
+    Branches at each step are visited in order of the output bit-pair value
+    (00, 01, 10, 11), so the yield order is deterministic.  Paths whose
+    amplitude is exactly zero are still structural branches and are yielded.
+
+    One recursive generator frame and one scalar complex product per node:
+    the reference for the package's block-vectorised path walk.
+    """
+    total = len(matrices)
+    trail = [start_index]
+
+    def step(depth: int, config: int, amplitude: complex):
+        if depth == total:
+            if final_index is None or config == final_index:
+                yield tuple(trail), complex(amplitude)
+            return
+        j, k = pairs[depth]
+        shift_j = num_qubits - 1 - j
+        shift_k = num_qubits - 1 - k
+        in2 = (((config >> shift_j) & 1) << 1) | ((config >> shift_k) & 1)
+        base = config & ~(1 << shift_j) & ~(1 << shift_k)
+        matrix = matrices[depth]
+        for out2 in range(4):
+            new_config = base | ((out2 >> 1) << shift_j) | ((out2 & 1) << shift_k)
+            trail.append(new_config)
+            yield from step(depth + 1, new_config, amplitude * matrix[out2, in2])
+            trail.pop()
+
+    yield from step(0, start_index, 1.0 + 0.0j)
 
 
 def swap_class(seq):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from entpaths import paths as paths_module
 from entpaths.core import (Circuit, ResourceCapError, TwoQubitGate,
-                           random_architecture, random_circuit)
+                           random_architecture, random_circuit, run_circuit)
 from entpaths.paths import (DEUTSCH_VARIANTS, decompose_amplitude,
                             deutsch_path_table, deutsch_report_to_dict,
                             deutsch_step_matrices, enumerate_paths,
@@ -110,6 +111,74 @@ def test_path_cap_raises_before_yielding():
     assert "1024" in str(err.value)  # the 4**R estimate is part of the message
 
 
+def test_path_sums_and_transition_amplitude_check_the_cap_before_any_work(monkeypatch):
+    circuit = _random_circuit(2, 5, 17)
+
+    def no_work(*args):
+        raise AssertionError("paths were expanded before the cap check")
+
+    monkeypatch.setattr(paths_module, "_branch", no_work)
+    for compute in (lambda cap: path_sums(circuit, 0, path_cap=cap),
+                    lambda cap: transition_amplitude(circuit, 0, 3, path_cap=cap)):
+        with pytest.raises(ResourceCapError, match="1024"):
+            compute(1023)
+    monkeypatch.undo()
+    assert path_sums(circuit, 0, path_cap=1024)[1] == 1024
+
+
+def _exact(amplitudes):
+    """Bytes of a complex sequence: equal only if every bit, sign of zero
+    included, is equal."""
+    return np.array(list(amplitudes), dtype=complex).tobytes()
+
+
+# block depth 6: R below, at and above it, including several root layers
+@pytest.mark.parametrize("r", [0, 1, 2, 5, 6, 7, 9])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_block_walk_matches_recursive_oracle_exactly(n, r):
+    rng = np.random.default_rng(1000 * n + r)
+    circuit = _random_circuit(n, r, 1000 * n + r)
+    matrices = [gate.matrix for gate in circuit.gates]
+    pairs = [gate.qubit_pair for gate in circuit.gates]
+    starts = [int(rng.integers(2**n))] if r == 9 else [0, 2**n - 1, int(rng.integers(2**n))]
+    for start in starts:
+        final = int(rng.integers(2**n))
+        everything = list(oracles.walk_paths(matrices, pairs, n, start, None))
+        # the oracle's final-configuration filter keeps exactly these paths
+        ending = [(trail, a) for trail, a in everything if trail[-1] == final]
+        for end, expected in ((None, everything), (final, ending)):
+            got = list(enumerate_paths(circuit, start, end))
+            assert [p.configs for p in got] == [trail for trail, _ in expected]
+            assert _exact(p.amplitude for p in got) == _exact(a for _, a in expected)
+        sums = np.zeros(2**n, dtype=complex)
+        for trail, amplitude in everything:
+            sums[trail[-1]] += amplitude
+        shared, count = path_sums(circuit, start)
+        assert shared.tobytes() == sums.tobytes() and count == 4**r
+        total = 0.0 + 0.0j
+        for _, amplitude in ending:
+            total += amplitude
+        assert _exact([transition_amplitude(circuit, start, final)]) == _exact([total])
+
+
+def test_block_walk_yields_zero_amplitude_branches_like_the_oracle():
+    gate = TwoQubitGate.from_unitary((0, 1), CNOT)
+    circuit = Circuit.from_gates(2, [gate, gate])
+    for start in range(4):
+        expected = list(oracles.walk_paths([gate.matrix] * 2, [(0, 1)] * 2, 2, start, None))
+        got = list(enumerate_paths(circuit, start))
+        assert len(got) == 16
+        assert [p.configs for p in got] == [trail for trail, _ in expected]
+        assert _exact(p.amplitude for p in got) == _exact(a for _, a in expected)
+
+
+def test_path_sums_at_the_benchmark_size():
+    circuit = _random_circuit(4, 10, 19)
+    sums, count = path_sums(circuit, 0)
+    assert count == 4**10
+    assert np.abs(sums - run_circuit(circuit)[-1].amplitudes).max() < 1e-9
+
+
 def test_decompose_amplitude():
     mag, phase = decompose_amplitude(1j)
     assert np.isclose(mag, 1.0) and np.isclose(phase, math.pi / 2)
@@ -146,6 +215,15 @@ def test_deutsch_final_state_matches_direct_products(variant):
     f0, f1 = DEUTSCH_VARIANTS[variant]
     expected = oracles.deutsch_direct(f0, f1)
     assert np.allclose(report.step_amplitudes[-1], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", sorted(DEUTSCH_VARIANTS))
+def test_deutsch_contributions_match_recursive_oracle_exactly(variant):
+    report = deutsch_path_table(variant)
+    matrices = deutsch_step_matrices(variant)
+    for config in range(4):
+        expected = [a for _, a in oracles.walk_paths(matrices, [(0, 1)] * 3, 2, 1, config)]
+        assert _exact(report.final_path_contributions[config]) == _exact(expected)
 
 
 def test_deutsch_balanced_oracles_give_outcome_one():

@@ -1,4 +1,9 @@
-"""No module of the package or its tests imports a name it never reads."""
+"""Static checks on the source, with nothing but ast.
+
+No module of the package or its tests imports a name it never reads; no
+private top-level helper of the package is left unreferenced; and every
+geo_restarts default is entanglement.GEO_RESTARTS, written once.
+"""
 import ast
 from pathlib import Path
 
@@ -26,3 +31,65 @@ def test_every_imported_name_is_read():
              for path in sorted(modules)
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "imported but never read:\n" + "\n".join(found)
+
+
+def private_definitions(tree):
+    """Top-level private functions, classes and constants (dunders exempt)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+
+
+def referenced_names(tree):
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_private_helper_is_referenced():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "entpaths").glob("*.py"))}
+    used = set().union(*map(referenced_names, trees.values()))
+    found = [f"{path.relative_to(ROOT)} {name}"
+             for path, tree in trees.items()
+             for name in private_definitions(tree) if name not in used]
+    assert not found, "private but never referenced in src/:\n" + "\n".join(found)
+
+
+def geo_restarts_defaults(tree):
+    """Every default the source gives geo_restarts: parameter defaults,
+    dataclass fields and int_field(doc, "geo_restarts", default, ...)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += zip(args.kwonlyargs, args.kw_defaults)
+            yield from (default for arg, default in pairs
+                        if arg.arg == "geo_restarts" and default is not None)
+        elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+              and node.target.id == "geo_restarts" and node.value is not None):
+            yield node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "int_field" and len(node.args) >= 3
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value == "geo_restarts"):
+            yield node.args[2]
+
+
+def test_geo_restarts_defaults_are_the_entanglement_constant():
+    defaults = [(path.name, node)
+                for path in sorted((ROOT / "src" / "entpaths").glob("*.py"))
+                for node in geo_restarts_defaults(ast.parse(path.read_text(encoding="utf-8")))]
+    # cli's config field, two harness defaults and two trajectories defaults,
+    # plus ExperimentConfig.from_dict reading its own field default
+    assert len(defaults) >= 5
+    literal = [f"{name}:{node.lineno} {ast.unparse(node)}" for name, node in defaults
+               if ast.unparse(node) not in ("GEO_RESTARTS", "cls.geo_restarts")]
+    assert not literal, "geo_restarts default is not GEO_RESTARTS:\n" + "\n".join(literal)
