@@ -31,7 +31,7 @@ from .core import (
     load_state,
     run_circuit,
 )
-from .entanglement import GEO_RESTARTS, Measure, geometric_entanglement
+from .entanglement import GEO_RESTARTS, Measure
 from .synthesis import (
     ComplexityEstimate,
     ComplexityNotFound,
@@ -44,7 +44,7 @@ from .synthesis import (
     padded_warm_start,
     sample_target,
 )
-from .trajectories import path_entanglement_sum, trajectory
+from .trajectories import measure_state, path_entanglement_sum, trajectory
 from .validation import (ConfigError, check_fields, cut_field, int_field,
                          measure_field, need, number_field)
 
@@ -349,8 +349,8 @@ def evaluate_target(config: ExperimentConfig, index: int) -> TargetOutcome:
         r_gen = int(rng.integers(1, config.r_gen_max + 1))
         target, _ = sample_target(config.num_qubits, r_gen,
                                   _seed_key(config.seed, index, 1))
-    entanglement = geometric_entanglement(
-        target, restarts=config.geo_restarts, seed=0).value
+    entanglement = measure_state(target, config.measure, cut=config.cut,
+                                 geo_restarts=config.geo_restarts)
     degenerate = entanglement < DEGENERATE_ENTANGLEMENT
     problem = SynthesisProblem(
         target, fidelity_tol=config.fidelity_tol, r_max=config.r_max,

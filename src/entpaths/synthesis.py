@@ -3,11 +3,16 @@
 Gates are parametrized by 15 real coefficients over a fixed traceless
 Hermitian generator basis, mapped onto SU(4) through the matrix
 exponential (a surjective, differentiable map).  For a fixed architecture
-the preparation fidelity |<target|U_R..U_1|0..0>|**2 is maximized by
-L-BFGS-B from many seeded random starts, with the exact gradient of each
-gate's exponential taken in its eigenbasis; the smallest gate count at
-which any canonical architecture reaches a fidelity tolerance estimates
-the target's exact-preparation complexity.
+the preparation fidelity |<target|U_R..U_1|0..0>|**2 is maximized in two
+parts.  The last gate has a closed-form optimum: one 4x4 SVD of the
+overlap between the state before it and the target, gathered on its pair
+(von Neumann's trace inequality), so the fidelity becomes a function of
+the other R-1 gates alone (variable projection, Golub & Pereyra 1973).
+That function is maximized by L-BFGS-B from many seeded random starts,
+with the exact gradient of each gate's exponential taken in its
+eigenbasis; a one-gate search is a single exact evaluation.  The smallest
+gate count at which any canonical architecture reaches a fidelity
+tolerance estimates the target's exact-preparation complexity.
 
 Enumeration of architectures dedupes gate orderings that differ only by
 swapping adjacent slots on disjoint qubit pairs, which commute, keeping
@@ -127,21 +132,29 @@ def _seed_key(seed, *extra) -> tuple[int, ...]:
 
 
 def _fidelity_and_grad(thetas: np.ndarray, pairs: Sequence[tuple[int, int]],
-                       num_qubits: int,
-                       target_amp: np.ndarray) -> tuple[float, np.ndarray]:
-    """Preparation fidelity from |0..0> and its exact gradient.
+                       num_qubits: int, target_amp: np.ndarray
+                       ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Best fidelity over the last gate, its gradient in the other gates,
+    and the best last gate.
 
-    The amplitude a = <target|U_R..U_1|0..0> is linear in each gate:
-    a = sum(E_g * U_g) with E_g built from the state before gate g and the
-    target propagated back to just after it.  With H = V diag(lam) V^+ and
-    U = exp(-iH), the derivative of U along H-direction G is
-    V ((V^+ G V) * L) V^+, where L holds the divided differences of
-    exp(-i x) at the eigenvalues (Daleckii-Krein), so
-    dF/dtheta_a = 2 Re(conj(a) sum((conj(V) M V^T) * G_a)) with
-    M = (V^T E conj(V)) * L.  One batched eigh serves the gates and the
+    thetas holds the R-1 free gates of the R slots in pairs.  With phi the
+    state before the last gate, gathered on its pair as Phi = phi[ix] and
+    the target as T = t[ix], the amplitude is a = tr(U K) for K = Phi T^+,
+    so by the von Neumann trace inequality max_U |a| = sum of the singular
+    values of K, reached at U* = V W^+ where K = W S V^+.  Since U* is
+    optimal, the gradient in the free gates is that of |a|**2 at U* held
+    fixed (Danskin): the backward pass starts from (U*^+ (x) I) t.
+
+    The amplitude is linear in each free gate: a = sum(E_g * U_g) with E_g
+    built from the state before gate g and the target propagated back to
+    just after it.  With H = V diag(lam) V^+ and U = exp(-iH), the
+    derivative of U along H-direction G is V ((V^+ G V) * L) V^+, where L
+    holds the divided differences of exp(-i x) at the eigenvalues
+    (Daleckii-Krein), so dF/dtheta_a = 2 Re(conj(a) sum((conj(V) M V^T) * G_a))
+    with M = (V^T E conj(V)) * L.  One batched eigh serves the gates and the
     gradient.
     """
-    num_gates = len(pairs)
+    num_free = len(pairs) - 1
     eigenvalues, vecs, mats = _su4_eigh(thetas)
     index = [gather_index(pair, num_qubits) for pair in pairs]
     psi = np.zeros(target_amp.size, dtype=np.complex128)
@@ -152,10 +165,14 @@ def _fidelity_and_grad(thetas: np.ndarray, pairs: Sequence[tuple[int, int]],
         before.append(local)
         psi = np.empty_like(psi)
         psi[ix] = u @ local
-    amp = np.vdot(target_amp, psi)
-    env = np.empty((num_gates, 4, 4), dtype=np.complex128)
-    back = target_amp
-    for g in range(num_gates - 1, -1, -1):
+    last_target = target_amp[index[-1]]
+    w, sigma, vh = np.linalg.svd(psi[index[-1]] @ last_target.conj().T)
+    last = vh.conj().T @ w.conj().T
+    amp = float(sigma.sum())  # tr(U* K), real and nonnegative
+    env = np.empty((num_free, 4, 4), dtype=np.complex128)
+    back = np.empty_like(target_amp)
+    back[index[-1]] = last.conj().T @ last_target
+    for g in range(num_free - 1, -1, -1):
         local = back[index[g]]
         env[g] = local.conj() @ before[g].T
         if g:  # nothing reads the target propagated to before gate 0
@@ -168,9 +185,9 @@ def _fidelity_and_grad(thetas: np.ndarray, pairs: Sequence[tuple[int, int]],
     divided = -1.0j * np.exp(-0.5j * total) * np.sinc(diff / (2.0 * math.pi))
     inner = (np.swapaxes(vecs, -1, -2) @ env @ vecs.conj()) * divided
     outer = vecs.conj() @ inner @ np.swapaxes(vecs, -1, -2)
-    damp = outer.reshape(num_gates, 16) @ _GENERATOR_ROWS.T
-    grad = 2.0 * (amp.conjugate() * damp).real
-    return float(abs(amp) ** 2), grad
+    damp = outer.reshape(num_free, 16) @ _GENERATOR_ROWS.T
+    grad = 2.0 * amp * damp.real
+    return amp * amp, grad, last
 
 
 class _EarlyStop(Exception):
@@ -179,28 +196,36 @@ class _EarlyStop(Exception):
 
 def _ascend(theta0: np.ndarray, pairs: Sequence[tuple[int, int]], num_qubits: int,
             target_amp: np.ndarray, iterations: int) -> tuple[np.ndarray, float]:
-    """One local ascent; returns the best parameters and fidelity seen."""
-    num_gates = len(pairs)
-    best = {"f": -1.0, "theta": theta0}
+    """One local ascent over the free gates theta0 (every slot but the
+    last); returns the parameters of all gates and the best fidelity seen.
+
+    The last gate is solved in closed form at every evaluation and appended
+    with its phase fixed to det = 1.  With no free gate there is nothing to
+    ascend, so one evaluation is the answer.
+    """
+    best = {"f": -1.0}
 
     def negative(x: np.ndarray):
-        theta = x.reshape(num_gates, NUM_GATE_PARAMS)
-        value, grad = _fidelity_and_grad(theta, pairs, num_qubits, target_amp)
+        theta = x.reshape(theta0.shape)
+        value, grad, last = _fidelity_and_grad(theta, pairs, num_qubits, target_amp)
         if value > best["f"]:
-            best["f"] = value
-            best["theta"] = theta.copy()
+            best.update(f=value, theta=theta.copy(), last=last)
             if value >= STOP_FIDELITY:
                 raise _EarlyStop
         return -value, -grad.reshape(-1)
 
     try:
-        scipy.optimize.minimize(
-            negative, theta0.reshape(-1), jac=True, method="L-BFGS-B",
-            options={"maxiter": iterations, "ftol": 1e-12, "gtol": 1e-8},
-        )
+        if theta0.size:
+            scipy.optimize.minimize(
+                negative, theta0.reshape(-1), jac=True, method="L-BFGS-B",
+                options={"maxiter": iterations, "ftol": 1e-12, "gtol": 1e-8},
+            )
+        else:
+            negative(theta0.reshape(-1))
     except _EarlyStop:
         pass
-    return best["theta"], best["f"]
+    last = best["last"] * np.exp(-0.25j * np.angle(np.linalg.det(best["last"])))
+    return np.vstack([best["theta"], params_from_su4(last)]), best["f"]
 
 
 @dataclass(frozen=True)
@@ -225,31 +250,33 @@ class OptimizeResult:
 
 
 def _initial_theta(init_gates, num_gates: int) -> np.ndarray:
-    mats = []
-    for gate in init_gates:
-        mats.append(gate.matrix if isinstance(gate, TwoQubitGate) else np.asarray(gate))
+    """Parameters of a warm start's free gates: every gate but the last."""
+    mats = [gate.matrix if isinstance(gate, TwoQubitGate) else np.asarray(gate)
+            for gate in init_gates]
     if len(mats) != num_gates:
         raise DimensionMismatchError(f"{len(mats)} init gates for {num_gates} slots")
-    return np.stack([params_from_su4(m) for m in mats])
+    return np.array([params_from_su4(m) for m in mats[:-1]]).reshape(-1, NUM_GATE_PARAMS)
 
 
 def _restarts(architecture: Architecture, target: StateVector,
               budget: OptimizerBudget, seed, init_gates):
     """Run the restarts in order, yielding (k, theta, value) for each.
 
-    Restart k starts from parameters drawn from a generator seeded by
-    (seed, k), or from init_gates when k == 0 and they are given.  The
-    consumer decides when to stop and replays the parameters it keeps.
+    Restart k starts its free gates from parameters drawn from a generator
+    seeded by (seed, k), or from init_gates when k == 0 and they are given.
+    With one gate nothing is free and every restart would give the same
+    answer, so only restart 0 runs.  The consumer decides when to stop and
+    replays the parameters it keeps.
     """
     pairs = architecture.gate_slots
-    num_gates = len(pairs)
-    init_theta = None if init_gates is None else _initial_theta(init_gates, num_gates)
-    for k in range(budget.restarts):
+    num_free = len(pairs) - 1
+    init_theta = None if init_gates is None else _initial_theta(init_gates, len(pairs))
+    for k in range(budget.restarts if num_free else 1):
         if k == 0 and init_theta is not None:
             theta0 = init_theta
         else:
             rng = np.random.default_rng(_seed_key(seed, k))
-            theta0 = rng.uniform(-math.pi, math.pi, size=(num_gates, NUM_GATE_PARAMS))
+            theta0 = rng.uniform(-math.pi, math.pi, size=(num_free, NUM_GATE_PARAMS))
         theta, value = _ascend(theta0, pairs, architecture.num_qubits,
                                target.amplitudes, budget.iterations)
         yield k, theta, value
@@ -270,14 +297,17 @@ def optimize_gates(architecture: Architecture, target: StateVector,
                    init_gates=None) -> OptimizeResult:
     """Maximize preparation fidelity over the gates of one architecture.
 
-    Restart k draws its starting parameters from a generator seeded by
-    (seed, k), so the search is deterministic.  When success_fidelity is
-    given, restarts stop at the first index reaching it; the result is the
-    best over restarts 0..that index, which is independent of how restarts
-    are scheduled.  If init_gates is given, restart 0 starts from those
-    matrices instead of a random draw (used to warm-start padded layouts).
-    Exhausting the budget below the threshold returns the best circuit
-    found flagged converged=False.
+    The last gate is solved in closed form, so only the others are
+    ascended.  Restart k draws their starting parameters from a generator
+    seeded by (seed, k), so the search is deterministic; a one-gate
+    architecture has nothing free and runs a single restart, which is
+    exact.  When success_fidelity is given, restarts stop at the first
+    index reaching it; the result is the best over restarts 0..that index,
+    which is independent of how restarts are scheduled.  If init_gates is
+    given, restart 0 starts from all of those matrices but the last instead
+    of a random draw (used to warm-start padded layouts).  Exhausting the
+    budget below the threshold returns the best circuit found flagged
+    converged=False.
     """
     n = architecture.num_qubits
     if target.num_qubits != n:
@@ -310,7 +340,8 @@ def optimize_gates_collect(architecture: Architecture, target: StateVector,
                            init_gates=None,
                            max_collect: int | None = None) -> list[OptimizeResult]:
     """Run every restart in order, collecting each one that reaches the
-    threshold as its own solution (up to max_collect)."""
+    threshold as its own solution (up to max_collect).  A one-gate
+    architecture runs one restart, so it gives at most one solution."""
     if architecture.num_gates == 0:
         base = optimize_gates(architecture, target, budget, seed,
                               success_fidelity=success_fidelity)
@@ -334,24 +365,6 @@ def optimize_gates_collect(architecture: Architecture, target: StateVector,
 
 def _disjoint(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] not in b and a[1] not in b
-
-
-def commuting_normal_form(slots: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Lexicographically smallest sequence reachable by commuting swaps.
-
-    Gates on disjoint pairs commute, so slot sequences related by swapping
-    adjacent disjoint slots realize identical unitaries.  The representative
-    of each such class is its lexicographic normal form (Anisimov & Knuth):
-    repeatedly take the smallest remaining slot that commutes with every
-    remaining slot before it.
-    """
-    rest = [tuple(int(q) for q in s) for s in slots]
-    out = []
-    while rest:
-        free = [i for i, s in enumerate(rest)
-                if all(_disjoint(s, t) for t in rest[:i])]
-        out.append(rest.pop(min(free, key=rest.__getitem__)))
-    return tuple(out)
 
 
 def _extends_normal_form(prefix: Sequence[tuple[int, int]], slot: tuple[int, int]) -> bool:

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the most literal way possible —
 explicit loops over basis indices, dense matrices, exhaustive search — and
-shares no code path with the package, so agreement is meaningful.
+shares no code path with the package, so agreement is meaningful.  The
+one exception is the full-gate ascent at the end, which is the package's
+earlier ascent kept as a baseline: it runs on the package's gate chart.
 """
 
 import cmath
@@ -13,6 +15,10 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.linalg import expm, expm_frechet
 from scipy.optimize import minimize
+
+from entpaths.core import gather_index
+from entpaths.synthesis import (NUM_GATE_PARAMS, STOP_FIDELITY, _GENERATOR_ROWS,
+                                _su4_eigh)
 
 
 def embed_gate(matrix, pair, num_qubits):
@@ -265,6 +271,29 @@ def swap_class(seq):
     return seen
 
 
+def _disjoint(a, b):
+    return a[0] not in b and a[1] not in b
+
+
+def commuting_normal_form(slots):
+    """Lexicographically smallest sequence reachable by commuting swaps.
+
+    Gates on disjoint pairs commute, so slot sequences related by swapping
+    adjacent disjoint slots realize identical unitaries.  The representative
+    of each such class is its lexicographic normal form (Anisimov & Knuth):
+    repeatedly take the smallest remaining slot that commutes with every
+    remaining slot before it.  The package generates these forms directly;
+    this is the reference they are checked against.
+    """
+    rest = [tuple(int(q) for q in s) for s in slots]
+    out = []
+    while rest:
+        free = [i for i, s in enumerate(rest)
+                if all(_disjoint(s, t) for t in rest[:i])]
+        out.append(rest.pop(min(free, key=rest.__getitem__)))
+    return tuple(out)
+
+
 def swap_closure_class_count(num_qubits, num_gates):
     """Number of gate-slot sequences modulo swapping adjacent disjoint slots."""
     pairs = [(j, k) for j in range(num_qubits) for k in range(j + 1, num_qubits)]
@@ -326,3 +355,98 @@ def fidelity_and_gradient_expm(thetas, generators, pairs, num_qubits, target):
             damp = left @ embed_gate(du, pair, num_qubits) @ right
             grad[g, a] = 2.0 * (np.conj(amp) * damp).real
     return float(abs(amp) ** 2), grad
+
+
+def best_last_gate_fidelity(before, target, num_qubits, pair):
+    """max over unitary U of |<target|(U on pair)|before>|**2, entry by entry.
+
+    K[a, b] sums before[x] * conj(target[y]) over basis pairs x, y that
+    agree off the pair and carry pair values a and b; the maximum of
+    |tr(U K)| over unitaries is the trace norm of K, here the sum of the
+    square roots of the eigenvalues of K K^+.
+    """
+    j, k = pair
+    kmat = np.zeros((4, 4), dtype=complex)
+    for x in range(2**num_qubits):
+        bits = [(x >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)]
+        a = 2 * bits[j] + bits[k]
+        for b in range(4):
+            new = list(bits)
+            new[j] = (b >> 1) & 1
+            new[k] = b & 1
+            y = 0
+            for bit in new:
+                y = (y << 1) | bit
+            kmat[a, b] += before[x] * np.conj(target[y])
+    eigenvalues = np.linalg.eigvalsh(kmat @ kmat.conj().T)
+    return sum(math.sqrt(max(float(e), 0.0)) for e in eigenvalues) ** 2
+
+
+def fidelity_and_grad_full(thetas, pairs, num_qubits, target_amp):
+    """Preparation fidelity from |0..0> and its exact gradient in every gate.
+
+    The package's kernel before the last gate was solved in closed form,
+    kept verbatim (on the package's gate chart and gather index) for the
+    full-gate ascent below.
+    """
+    num_gates = len(pairs)
+    eigenvalues, vecs, mats = _su4_eigh(thetas)
+    index = [gather_index(pair, num_qubits) for pair in pairs]
+    psi = np.zeros(target_amp.size, dtype=np.complex128)
+    psi[0] = 1.0
+    before = []  # the state before gate g, gathered for its pair
+    for u, ix in zip(mats, index):
+        local = psi[ix]
+        before.append(local)
+        psi = np.empty_like(psi)
+        psi[ix] = u @ local
+    amp = np.vdot(target_amp, psi)
+    env = np.empty((num_gates, 4, 4), dtype=np.complex128)
+    back = target_amp
+    for g in range(num_gates - 1, -1, -1):
+        local = back[index[g]]
+        env[g] = local.conj() @ before[g].T
+        if g:  # nothing reads the target propagated to before gate 0
+            back = np.empty_like(back)
+            back[index[g]] = mats[g].conj().T @ local
+    # divided differences of exp(-ix), in a form that stays exact as
+    # eigenvalues meet: L_jk = -i exp(-i(l_j+l_k)/2) sinc((l_j-l_k)/2)
+    total = eigenvalues[:, :, None] + eigenvalues[:, None, :]
+    diff = eigenvalues[:, :, None] - eigenvalues[:, None, :]
+    divided = -1.0j * np.exp(-0.5j * total) * np.sinc(diff / (2.0 * math.pi))
+    inner = (np.swapaxes(vecs, -1, -2) @ env @ vecs.conj()) * divided
+    outer = vecs.conj() @ inner @ np.swapaxes(vecs, -1, -2)
+    damp = outer.reshape(num_gates, 16) @ _GENERATOR_ROWS.T
+    grad = 2.0 * (amp.conjugate() * damp).real
+    return float(abs(amp) ** 2), grad
+
+
+class _EarlyStop(Exception):
+    pass
+
+
+def ascend_full_gates(theta0, pairs, num_qubits, target_amp, iterations):
+    """One local ascent over all R gates; returns the best parameters and
+    fidelity seen.  The package's ascent before the closed-form last gate,
+    kept verbatim as the reference its replacement must match in success."""
+    num_gates = len(pairs)
+    best = {"f": -1.0, "theta": theta0}
+
+    def negative(x: np.ndarray):
+        theta = x.reshape(num_gates, NUM_GATE_PARAMS)
+        value, grad = fidelity_and_grad_full(theta, pairs, num_qubits, target_amp)
+        if value > best["f"]:
+            best["f"] = value
+            best["theta"] = theta.copy()
+            if value >= STOP_FIDELITY:
+                raise _EarlyStop
+        return -value, -grad.reshape(-1)
+
+    try:
+        minimize(
+            negative, theta0.reshape(-1), jac=True, method="L-BFGS-B",
+            options={"maxiter": iterations, "ftol": 1e-12, "gtol": 1e-8},
+        )
+    except _EarlyStop:
+        pass
+    return best["theta"], best["f"]

@@ -242,9 +242,32 @@ def test_degenerate_targets_are_dual_reported(tmp_path, bell):
     assert outcome["min_bin"] == 0
 
 
-def test_synthesis_failures_are_counted_not_fatal():
+def test_degenerate_uses_the_configured_measure(tmp_path, bell):
+    # |0> (x) Bell is entangled, but not across the cut that keeps qubit 0
+    product_with_bell = StateVector.from_amplitudes(
+        np.kron([1.0, 0.0], bell.amplitudes))
+    save_state(product_with_bell, tmp_path / "t.json")
+    doc = {"n": 3, "targets": {"files": ["t.json"]}, **LEAN}
+    by_measure = {}
+    for measure, extra in (("vonneumann", {"cut": [0]}), ("geometric", {})):
+        config = ExperimentConfig.from_dict(
+            {**doc, "measure": measure, **extra}, base_dir=tmp_path)
+        by_measure[measure] = evaluate_target(config, 0)
+    assert by_measure["vonneumann"].degenerate
+    assert abs(by_measure["vonneumann"].target_entanglement) < 1e-9
+    assert not by_measure["geometric"].degenerate
+    assert np.isclose(by_measure["geometric"].target_entanglement, 0.5, atol=1e-6)
+
+
+def test_synthesis_failures_are_counted_not_fatal(tmp_path, ghz3):
+    # GHZ3 needs two gates, so with r_max 1 every target fails to synthesize
+    files = []
+    for i in range(3):
+        save_state(ghz3, tmp_path / f"g{i}.json")
+        files.append(str(tmp_path / f"g{i}.json"))
     config = lean_config(fidelity_tol=1e-12,
-                         budget={"restarts": 1, "iters": 3}, r_max=1)
+                         budget={"restarts": 1, "iters": 3}, r_max=1,
+                         targets={"files": files, "seed": 21})
     report = harness.run_experiment(config)
     doc = report_to_dict(report)
     assert doc["aggregate"]["num_synthesis_failures"] == 3

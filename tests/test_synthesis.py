@@ -8,7 +8,7 @@ from entpaths.core import (Architecture, Circuit, ResourceCapError,
                            haar_random_su4, run_circuit)
 from entpaths.synthesis import (ComplexityEstimate, ComplexityNotFound,
                                 GENERATORS, OptimizerBudget, SynthesisProblem,
-                                _fidelity_and_grad, commuting_normal_form,
+                                _ascend, _fidelity_and_grad,
                                 enumerate_architectures,
                                 estimate_state_complexity, optimize_gates,
                                 optimize_gates_collect, padded_warm_start,
@@ -17,6 +17,7 @@ from entpaths.synthesis import (ComplexityEstimate, ComplexityNotFound,
 
 import oracles
 from conftest import random_state
+from oracles import commuting_normal_form
 
 SMALL = OptimizerBudget(restarts=12, iterations=400)
 
@@ -66,48 +67,109 @@ def _random_pairs(num_qubits, num_gates, rng):
             for _ in range(num_gates)]
 
 
+def _check_against_expm_oracle(free, pairs, n, target):
+    # the reduced gradient is the full gradient at the closed-form last
+    # gate, restricted to the free gates; at that optimum the full
+    # gradient on the last gate vanishes
+    value, grad, last = _fidelity_and_grad(free, pairs, n, target)
+    thetas = np.vstack([free, params_from_su4(last)])
+    ref_value, ref_grad = oracles.fidelity_and_gradient_expm(
+        thetas, GENERATORS, pairs, n, target)
+    assert abs(value - ref_value) <= 1e-12
+    assert np.max(np.abs(grad - ref_grad[:-1]), initial=0.0) <= 1e-8
+    assert np.max(np.abs(ref_grad[-1])) <= 1e-8
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("num_gates", [1, 2, 3, 4])
 def test_gradient_matches_expm_frechet_oracle(n, num_gates):
     rng = np.random.default_rng(1000 + 10 * n + num_gates)
     pairs = _random_pairs(n, num_gates, rng)
     target = random_state(n, seed=200 + 10 * n + num_gates).amplitudes
-    thetas = rng.uniform(-np.pi, np.pi, size=(num_gates, 15))
-    value, grad = _fidelity_and_grad(thetas, pairs, n, target)
-    ref_value, ref_grad = oracles.fidelity_and_gradient_expm(
-        thetas, GENERATORS, pairs, n, target)
-    assert abs(value - ref_value) <= 1e-12
-    assert np.max(np.abs(grad - ref_grad)) <= 1e-8
+    free = rng.uniform(-np.pi, np.pi, size=(num_gates - 1, 15))
+    _check_against_expm_oracle(free, pairs, n, target)
 
 
 def test_gradient_at_identity_and_near_degenerate_spectra():
     # theta = 0 is the identity gate of the padded warm start; the two other
-    # gates have exactly and nearly repeated eigenvalues
+    # free gates have exactly and nearly repeated eigenvalues
     rng = np.random.default_rng(21)
     degenerate = np.zeros(15)
     degenerate[12] = 0.7  # diag(1, -1, 0, 0) direction: eigenvalue 0 twice
-    thetas = np.stack([np.zeros(15), degenerate,
-                       degenerate + 1e-7 * rng.normal(size=15)])
-    pairs = [(0, 1), (1, 2), (0, 2)]
+    free = np.stack([np.zeros(15), degenerate,
+                     degenerate + 1e-7 * rng.normal(size=15)])
+    pairs = [(0, 1), (1, 2), (0, 2), (1, 2)]
     target = random_state(3, seed=22).amplitudes
-    value, grad = _fidelity_and_grad(thetas, pairs, 3, target)
-    ref_value, ref_grad = oracles.fidelity_and_gradient_expm(
-        thetas, GENERATORS, pairs, 3, target)
-    assert abs(value - ref_value) <= 1e-12
-    assert np.max(np.abs(grad - ref_grad)) <= 1e-8
+    _check_against_expm_oracle(free, pairs, 3, target)
+
+
+def _dense_state(free, pairs, n):
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    for theta, pair in zip(free, pairs):
+        state = oracles.embed_gate(su4_from_params(theta), pair, n) @ state
+    return state
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("num_gates", [1, 2, 3])
+def test_closed_form_last_gate_matches_trace_norm_oracle(n, num_gates):
+    rng = np.random.default_rng(60 + 10 * n + num_gates)
+    pairs = _random_pairs(n, num_gates, rng)
+    target = random_state(n, seed=70 + 10 * n + num_gates).amplitudes
+    free = rng.uniform(-np.pi, np.pi, size=(num_gates - 1, 15))
+    value, _, last = _fidelity_and_grad(free, pairs, n, target)
+    before = _dense_state(free, pairs, n)
+    bound = oracles.best_last_gate_fidelity(before, target, n, pairs[-1])
+    # K is rank-deficient on two qubits and after one gate from |0..0>;
+    # the square roots of its round-off eigenvalues are the oracle's slack
+    assert abs(value - bound) <= 1e-7
+    # the returned gate reaches the value, and no other gate beats it
+    reached = abs(np.vdot(target, oracles.embed_gate(last, pairs[-1], n) @ before)) ** 2
+    assert abs(reached - value) <= 1e-12
+    assert np.allclose(last.conj().T @ last, np.eye(4), atol=1e-12)
+    for _ in range(50):
+        other = oracles.embed_gate(haar_random_su4(rng), pairs[-1], n)
+        assert abs(np.vdot(target, other @ before)) ** 2 <= value + 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_kernel_fidelity_matches_circuit_run(n):
     rng = np.random.default_rng(30 + n)
     pairs = _random_pairs(n, 4, rng)
-    thetas = rng.uniform(-np.pi, np.pi, size=(4, 15))
+    free = rng.uniform(-np.pi, np.pi, size=(3, 15))
     target = random_state(n, seed=40 + n)
-    value, _ = _fidelity_and_grad(thetas, pairs, n, target.amplitudes)
+    value, _, last = _fidelity_and_grad(free, pairs, n, target.amplitudes)
+    thetas = np.vstack([free, params_from_su4(last)])
     circuit = Circuit.from_gates(n, [TwoQubitGate(pair, su4_from_params(theta))
                                      for pair, theta in zip(pairs, thetas)])
     slow = fidelity(run_circuit(circuit).states[-1], target)
     assert abs(value - slow) <= 1e-12
+
+
+def test_ascent_succeeds_at_least_as_often_as_the_full_gate_ascent():
+    # one restart per seeded target, from the same draw: the full-gate
+    # ascent starts from all R gates, the closed-form one from the first
+    # R - 1 of them; its parameters for all R gates replay to its value
+    threshold = 1.0 - 1e-4
+    full_successes = successes = 0
+    for n in (2, 3, 4, 5):
+        for num_gates in (1, 2, 3, 4):
+            for seed in range(15):
+                target, generator = sample_target(n, num_gates, (n, num_gates, seed))
+                pairs = generator.architecture.gate_slots
+                rng = np.random.default_rng((n, num_gates, seed, 1))
+                theta0 = rng.uniform(-np.pi, np.pi, size=(num_gates, 15))
+                _, full = oracles.ascend_full_gates(theta0, pairs, n,
+                                                    target.amplitudes, 500)
+                theta, value = _ascend(theta0[:-1], pairs, n, target.amplitudes, 500)
+                circuit = Circuit.from_gates(n, [
+                    TwoQubitGate(pair, su4_from_params(t)) for pair, t in zip(pairs, theta)])
+                replayed = fidelity(run_circuit(circuit).states[-1], target)
+                assert abs(replayed - value) <= 1e-12
+                full_successes += full >= threshold
+                successes += value >= threshold
+    assert successes >= full_successes
 
 
 # --- single-architecture optimization ------------------------------------
@@ -167,8 +229,8 @@ def test_early_stop_result_is_schedule_independent():
 
 
 def test_optimize_collect_returns_every_passing_restart_in_order():
-    target = random_state(2, seed=7)
-    arch = Architecture(2, ((0, 1),))
+    target = random_state(3, seed=7)
+    arch = Architecture(3, ((0, 1), (1, 2)))
     results = optimize_gates_collect(arch, target, OptimizerBudget(5, 300),
                                      seed=3, success_fidelity=0.0)
     assert len(results) == 5
@@ -179,14 +241,27 @@ def test_optimize_collect_returns_every_passing_restart_in_order():
 
 
 def test_optimize_collect_honors_threshold_and_cap():
-    target = random_state(2, seed=7)
-    arch = Architecture(2, ((0, 1),))
+    target = random_state(3, seed=7)
+    arch = Architecture(3, ((0, 1), (1, 2)))
     none = optimize_gates_collect(arch, target, OptimizerBudget(3, 300),
                                   seed=3, success_fidelity=1.1)
     assert none == []
     capped = optimize_gates_collect(arch, target, OptimizerBudget(5, 300),
                                     seed=3, success_fidelity=0.0, max_collect=2)
     assert len(capped) == 2
+
+
+def test_one_gate_architecture_runs_one_exact_restart():
+    # nothing is free with one gate, so more restarts could not differ
+    target = random_state(3, seed=8)
+    arch = Architecture(3, ((0, 2),))
+    result = optimize_gates(arch, target, OptimizerBudget(5, 300), seed=3)
+    assert result.restarts_run == 1 and result.best_restart == 0
+    bound = oracles.best_single_gate_fidelity(target.amplitudes, 3, (0, 2))
+    assert abs(result.achieved_fidelity - bound) <= 1e-12
+    collected = optimize_gates_collect(arch, target, OptimizerBudget(5, 300),
+                                       seed=3, success_fidelity=0.0)
+    assert len(collected) == 1
 
 
 # --- architectures --------------------------------------------------------
