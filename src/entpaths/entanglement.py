@@ -6,7 +6,11 @@ carry values of either kind:
   * von Neumann entropy of a reduced density matrix, in bits (log base 2),
   * geometric entanglement 1 - max |<phi|psi>|**2 over product states |phi>,
     computed by the alternating single-site fit of Wei & Goldbart (PRA 68,
-    042307, 2003), with all random restarts advanced together as one batch.
+    042307, 2003).  One private routine fits a whole stack of same-size
+    states, every (state, restart) pair a row of one batch, from start
+    vectors cached per (n, restarts, seed); geometric_entanglement fits one
+    state with it and trajectories.trajectory fits every state of a path in
+    one call.
 
 For a pure state and a fixed bipartition the relative entropy of
 entanglement coincides with the entropy of either reduced state, so that
@@ -15,6 +19,7 @@ quantity is provided only as an alias on that restricted domain.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -111,6 +116,82 @@ def _unit_draw(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+@functools.cache
+def _start_vectors(num_qubits: int, restarts: int, seed: int) -> np.ndarray:
+    """Start vectors (restart, site, 2): restart k's n unit vectors, drawn
+    first from a generator seeded by (seed, k).  Cached and read-only."""
+    starts = np.stack([_unit_draw(np.random.default_rng((seed, k)), (num_qubits,))
+                       for k in range(restarts)])
+    starts.setflags(write=False)
+    return starts
+
+
+def _redraw_generator(num_qubits: int, seed: int, k: int) -> np.random.Generator:
+    """Restart k's generator, advanced past its start draw."""
+    rng = np.random.default_rng((seed, k))
+    _unit_draw(rng, (num_qubits,))
+    return rng
+
+
+def _convergence_error(value: float) -> ProductFitConvergenceError:
+    return ProductFitConvergenceError(
+        f"no restart converged within {GEO_MAX_SWEEPS} sweeps (best value {value})",
+        best_value=value,
+    )
+
+
+def _product_fit(amplitudes: np.ndarray, num_qubits: int, restarts: int,
+                 seed: int = 0) -> tuple[list[float], np.ndarray]:
+    """Alternating product-state fit of every state of a (states, 2**n) stack.
+
+    Returns each state's value 1 - max |<phi|psi>|**2 over its restarts and
+    whether any of its restarts converged.  Every (state, restart) pair is
+    one row of a single batch: one einsum per site updates every row still
+    running, and each row stops on its own once a sweep moves its overlap
+    by less than GEO_TOL.  Row (s, k) starts from restart k's cached start
+    vectors; a site whose environment vanishes is re-drawn from restart k's
+    generator, continued past the start draw, so a state's value does not
+    depend on the other states in the stack.
+    """
+    n = num_qubits
+    if n < 2:
+        raise DimensionMismatchError("geometric entanglement needs at least 2 qubits")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    num_states = len(amplitudes)
+    psi = np.asarray(amplitudes).reshape((num_states,) + (2,) * n)
+    vectors = np.tile(_start_vectors(n, restarts, seed), (num_states, 1, 1))  # (row, site, 2)
+    overlap = np.zeros(num_states * restarts)
+    previous = np.full(overlap.size, -1.0)
+    active = np.arange(overlap.size)
+    redraw: dict[int, np.random.Generator] = {}
+    for _ in range(GEO_MAX_SWEEPS):
+        local = psi[active // restarts]
+        for site in range(n):
+            conj = vectors[active].conj()
+            others = [operand for m in range(n) if m != site
+                      for operand in (conj[:, m], [n, m])]
+            w = np.einsum(local, [n, *range(n)], *others, [n, site])
+            norm = np.linalg.norm(w, axis=1)
+            fit = norm >= 1e-15
+            vectors[active[fit], site] = w[fit] / norm[fit, None]
+            overlap[active[fit]] = norm[fit]
+            for row in active[~fit]:
+                if row not in redraw:
+                    redraw[row] = _redraw_generator(n, seed, row % restarts)
+                vectors[row, site] = _unit_draw(redraw[row], ())
+        done = np.abs(overlap[active] - previous[active]) < GEO_TOL
+        previous[active] = overlap[active]
+        active = active[~done]
+        if not active.size:
+            break
+    running = np.zeros(overlap.size, dtype=bool)
+    running[active] = True  # rows leave `active` only by converging
+    converged = ~running.reshape(num_states, restarts).all(axis=1)
+    best = overlap.reshape(num_states, restarts).max(axis=1)
+    return [max(0.0, 1.0 - float(b) ** 2) for b in best], converged
+
+
 def geometric_entanglement(state: StateVector, *, restarts: int = GEO_RESTARTS,
                            seed: int = 0) -> EntanglementValue:
     """1 - max |<phi|psi>|**2 over normalized product states |phi>.
@@ -118,49 +199,19 @@ def geometric_entanglement(state: StateVector, *, restarts: int = GEO_RESTARTS,
     Alternating optimization: with all sites but one held fixed, the optimal
     single-site vector is the normalized contraction of the state against
     the others, so each update is exact and the overlap never decreases.
-    Restarts run as one batch (restart index first; one einsum per site
-    updates every restart still running).  Restart k draws its start, and
-    any re-draw of a site whose environment vanishes, from a generator
-    seeded by (seed, k), and stops once a sweep moves its overlap by less
-    than GEO_TOL.  The value is the best over restarts, so it is monotone
-    in the restart count for a fixed seed; if no restart stops within
-    GEO_MAX_SWEEPS sweeps, ProductFitConvergenceError carries it.
+    Restarts run as one batch.  Restart k starts from vectors drawn from a
+    generator seeded by (seed, k) (a table cached per (n, restarts, seed)),
+    re-draws any site whose environment vanishes from that same generator,
+    and stops once a sweep moves its overlap by less than GEO_TOL.  The
+    value is the best over restarts, so it is monotone in the restart count
+    for a fixed seed; if no restart stops within GEO_MAX_SWEEPS sweeps,
+    ProductFitConvergenceError carries it.
     """
-    n = state.num_qubits
-    if n < 2:
-        raise DimensionMismatchError("geometric entanglement needs at least 2 qubits")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    psi = state.amplitudes.reshape((2,) * n)
-    rngs = [np.random.default_rng((seed, k)) for k in range(restarts)]
-    vectors = np.stack([_unit_draw(rng, (n,)) for rng in rngs])  # (restart, site, 2)
-    overlap = np.zeros(restarts)
-    previous = np.full(restarts, -1.0)
-    active = np.arange(restarts)
-    for _ in range(GEO_MAX_SWEEPS):
-        for site in range(n):
-            conj = vectors[active].conj()
-            others = [operand for m in range(n) if m != site
-                      for operand in (conj[:, m], [n, m])]
-            w = np.einsum(psi, list(range(n)), *others, [n, site])
-            norm = np.linalg.norm(w, axis=1)
-            fit = norm >= 1e-15
-            vectors[active[fit], site] = w[fit] / norm[fit, None]
-            overlap[active[fit]] = norm[fit]
-            for k in active[~fit]:
-                vectors[k, site] = _unit_draw(rngs[k], ())
-        done = np.abs(overlap[active] - previous[active]) < GEO_TOL
-        previous[active] = overlap[active]
-        active = active[~done]
-        if not active.size:
-            break
-    value = max(0.0, 1.0 - float(overlap.max()) ** 2)
-    if active.size == restarts:  # restarts leave `active` only by converging
-        raise ProductFitConvergenceError(
-            f"no restart converged within {GEO_MAX_SWEEPS} sweeps (best value {value})",
-            best_value=value,
-        )
-    return EntanglementValue(value, Measure.GEOMETRIC)
+    values, converged = _product_fit(state.amplitudes[None], state.num_qubits,
+                                     restarts, seed)
+    if not converged[0]:
+        raise _convergence_error(values[0])
+    return EntanglementValue(values[0], Measure.GEOMETRIC)
 
 
 def relative_entropy_pure_bipartite(state: StateVector, keep: Sequence[int]) -> EntanglementValue:

@@ -10,9 +10,13 @@ overlap between the state before it and the target, gathered on its pair
 the other R-1 gates alone (variable projection, Golub & Pereyra 1973).
 That function is maximized by L-BFGS-B from many seeded random starts,
 with the exact gradient of each gate's exponential taken in its
-eigenbasis; a one-gate search is a single exact evaluation.  The smallest
-gate count at which any canonical architecture reaches a fidelity
-tolerance estimates the target's exact-preparation complexity.
+eigenbasis; a one-gate search is a single exact evaluation.  Each ascent
+evaluates its start once and calls L-BFGS-B only when that start neither
+reaches the stopping fidelity nor is stationary (the test L-BFGS-B would
+make on it before any step), and only the restarts a search keeps have
+their last gate converted back to parameters.  The smallest gate count at
+which any canonical architecture reaches a fidelity tolerance estimates
+the target's exact-preparation complexity.
 
 Enumeration of architectures dedupes gate orderings that differ only by
 swapping adjacent slots on disjoint qubit pairs, which commute, keeping
@@ -46,6 +50,7 @@ from .core import (
 
 NUM_GATE_PARAMS = 15
 STOP_FIDELITY = 1.0 - 1e-9
+LBFGS_GTOL = 1e-8
 ARCH_SEQUENCE_CAP = 200_000
 
 EXHAUSTIVE = "architecture_exhaustive"
@@ -195,13 +200,18 @@ class _EarlyStop(Exception):
 
 
 def _ascend(theta0: np.ndarray, pairs: Sequence[tuple[int, int]], num_qubits: int,
-            target_amp: np.ndarray, iterations: int) -> tuple[np.ndarray, float]:
+            target_amp: np.ndarray, iterations: int
+            ) -> tuple[np.ndarray, np.ndarray, float]:
     """One local ascent over the free gates theta0 (every slot but the
-    last); returns the parameters of all gates and the best fidelity seen.
+    last); returns the best free gates seen, the closed-form last gate
+    there (its phase not yet fixed) and their fidelity.
 
-    The last gate is solved in closed form at every evaluation and appended
-    with its phase fixed to det = 1.  With no free gate there is nothing to
-    ascend, so one evaluation is the answer.
+    The start is evaluated once.  It is the answer, and L-BFGS-B is not
+    called, when nothing is free, when it already reaches STOP_FIDELITY, or
+    when it is stationary: max |grad| <= LBFGS_GTOL is the test L-BFGS-B
+    applies to its first evaluation before taking any step, so the call
+    would return at once.  Otherwise L-BFGS-B starts from it and is handed
+    that evaluation, so no point is evaluated twice.
     """
     best = {"f": -1.0}
 
@@ -214,18 +224,24 @@ def _ascend(theta0: np.ndarray, pairs: Sequence[tuple[int, int]], num_qubits: in
                 raise _EarlyStop
         return -value, -grad.reshape(-1)
 
+    x0 = theta0.reshape(-1)
     try:
-        if theta0.size:
+        start = negative(x0)
+        if x0.size and np.abs(start[1]).max() > LBFGS_GTOL:
+            pending = [start]
+
+            def objective(x: np.ndarray):
+                if pending and np.array_equal(x, x0):  # L-BFGS-B's first call
+                    return pending.pop()
+                return negative(x)
+
             scipy.optimize.minimize(
-                negative, theta0.reshape(-1), jac=True, method="L-BFGS-B",
-                options={"maxiter": iterations, "ftol": 1e-12, "gtol": 1e-8},
+                objective, x0, jac=True, method="L-BFGS-B",
+                options={"maxiter": iterations, "ftol": 1e-12, "gtol": LBFGS_GTOL},
             )
-        else:
-            negative(theta0.reshape(-1))
     except _EarlyStop:
         pass
-    last = best["last"] * np.exp(-0.25j * np.angle(np.linalg.det(best["last"])))
-    return np.vstack([best["theta"], params_from_su4(last)]), best["f"]
+    return best["theta"], best["last"], best["f"]
 
 
 @dataclass(frozen=True)
@@ -260,13 +276,15 @@ def _initial_theta(init_gates, num_gates: int) -> np.ndarray:
 
 def _restarts(architecture: Architecture, target: StateVector,
               budget: OptimizerBudget, seed, init_gates):
-    """Run the restarts in order, yielding (k, theta, value) for each.
+    """Run the restarts in order, yielding (k, theta, last, value) for each:
+    the free gates' parameters, the raw closed-form last gate and the
+    fidelity.
 
     Restart k starts its free gates from parameters drawn from a generator
     seeded by (seed, k), or from init_gates when k == 0 and they are given.
     With one gate nothing is free and every restart would give the same
     answer, so only restart 0 runs.  The consumer decides when to stop and
-    replays the parameters it keeps.
+    replays the restarts it keeps.
     """
     pairs = architecture.gate_slots
     num_free = len(pairs) - 1
@@ -277,15 +295,21 @@ def _restarts(architecture: Architecture, target: StateVector,
         else:
             rng = np.random.default_rng(_seed_key(seed, k))
             theta0 = rng.uniform(-math.pi, math.pi, size=(num_free, NUM_GATE_PARAMS))
-        theta, value = _ascend(theta0, pairs, architecture.num_qubits,
-                               target.amplitudes, budget.iterations)
-        yield k, theta, value
+        theta, last, value = _ascend(theta0, pairs, architecture.num_qubits,
+                                     target.amplitudes, budget.iterations)
+        yield k, theta, last, value
 
 
-def _replay(architecture: Architecture, theta: np.ndarray,
+def _replay(architecture: Architecture, theta: np.ndarray, last: np.ndarray,
             target: StateVector) -> tuple[Circuit, float]:
-    """Rebuild the gates of theta and the fidelity they reach when run."""
-    mats = _su4_batch(theta)
+    """Rebuild the gates of a restart and the fidelity they reach when run.
+
+    The free gates come from their parameters theta; the last gate has its
+    phase fixed to det = 1 and goes through its parameters too, so every
+    gate of the circuit lies in the parameter chart's image.
+    """
+    last = last * np.exp(-0.25j * np.angle(np.linalg.det(last)))
+    mats = _su4_batch(np.vstack([theta, params_from_su4(last)]))
     gates = tuple(TwoQubitGate(pair, m) for pair, m in zip(architecture.gate_slots, mats))
     circuit = Circuit(architecture, gates)
     return circuit, fidelity(run_circuit(circuit).states[-1], target)
@@ -320,16 +344,16 @@ def optimize_gates(architecture: Architecture, target: StateVector,
         value = fidelity(StateVector.zero_state(n), target)
         return OptimizeResult(circuit, value, value >= threshold, 0, 0)
     best_value = -1.0
-    best_theta = None
+    best_gates = None
     best_restart = 0
     restarts_run = 0
-    for k, theta, value in _restarts(architecture, target, budget, seed, init_gates):
+    for k, theta, last, value in _restarts(architecture, target, budget, seed, init_gates):
         restarts_run = k + 1
         if value > best_value:
-            best_value, best_theta, best_restart = value, theta, k
+            best_value, best_gates, best_restart = value, (theta, last), k
         if success_fidelity is not None and value >= success_fidelity:
             break
-    circuit, achieved = _replay(architecture, best_theta, target)
+    circuit, achieved = _replay(architecture, *best_gates, target)
     return OptimizeResult(circuit, achieved, achieved >= threshold,
                           restarts_run, best_restart)
 
@@ -349,10 +373,10 @@ def optimize_gates_collect(architecture: Architecture, target: StateVector,
     collected: list[OptimizeResult] = []
     if max_collect is not None and max_collect <= 0:
         return collected
-    for k, theta, value in _restarts(architecture, target, budget, seed, init_gates):
+    for k, theta, last, value in _restarts(architecture, target, budget, seed, init_gates):
         if value < success_fidelity:
             continue
-        circuit, achieved = _replay(architecture, theta, target)
+        circuit, achieved = _replay(architecture, theta, last, target)
         if achieved >= success_fidelity:
             collected.append(OptimizeResult(circuit, achieved, True, k + 1, k))
             if max_collect is not None and len(collected) >= max_collect:

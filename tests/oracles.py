@@ -3,8 +3,9 @@
 Everything here is deliberately written the most literal way possible —
 explicit loops over basis indices, dense matrices, exhaustive search — and
 shares no code path with the package, so agreement is meaningful.  The
-one exception is the full-gate ascent at the end, which is the package's
-earlier ascent kept as a baseline: it runs on the package's gate chart.
+exceptions are the two ascents at the end, kept as baselines of the
+package's earlier ascents: the full-gate one runs on the package's gate
+chart, and the closed-form one on the package's fidelity kernel.
 """
 
 import cmath
@@ -17,8 +18,8 @@ from scipy.linalg import expm, expm_frechet
 from scipy.optimize import minimize
 
 from entpaths.core import gather_index
-from entpaths.synthesis import (NUM_GATE_PARAMS, STOP_FIDELITY, _GENERATOR_ROWS,
-                                _su4_eigh)
+from entpaths.synthesis import (LBFGS_GTOL, NUM_GATE_PARAMS, STOP_FIDELITY,
+                                _GENERATOR_ROWS, _fidelity_and_grad, _su4_eigh)
 
 
 def embed_gate(matrix, pair, num_qubits):
@@ -144,13 +145,15 @@ def _site_environment(psi, vectors, site):
 
 
 def geometric_entanglement_loop(amplitudes, num_qubits, *, restarts=32, tol=1e-9,
-                                max_sweeps=1000, seed=0):
+                                max_sweeps=1000, seed=0, start_vectors=None):
     """Alternating product-state fit, one restart at a time, one site at a time.
 
     The reference for the package's restart-batched fit: restart k draws
     from a generator seeded by (seed, k), and each site's environment is a
-    tensordot chain.  Returns (1 - best overlap**2, whether any restart
-    converged).
+    tensordot chain.  Given start_vectors (restart, site, 2), restart k
+    still draws its start, so later re-draws continue from the same point
+    of its generator, but fits from start_vectors[k].  Returns (1 - best
+    overlap**2, whether any restart converged).
     """
     n = num_qubits
     psi = np.asarray(amplitudes).reshape((2,) * n)
@@ -162,6 +165,8 @@ def geometric_entanglement_loop(amplitudes, num_qubits, *, restarts=32, tol=1e-9
         for _ in range(n):
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             vectors.append(v / np.linalg.norm(v))
+        if start_vectors is not None:
+            vectors = [np.array(v) for v in start_vectors[k]]
         overlap = 0.0
         previous = -1.0
         converged = False
@@ -450,3 +455,29 @@ def ascend_full_gates(theta0, pairs, num_qubits, target_amp, iterations):
     except _EarlyStop:
         pass
     return best["theta"], best["f"]
+
+
+def ascend_always_scipy(theta0, pairs, num_qubits, target_amp, iterations):
+    """The closed-form ascent with L-BFGS-B always called: returns the best
+    free gates seen, the raw last gate there and their fidelity.  The
+    reference for the package's ascent, which skips the call on a start
+    that early-stops or is stationary."""
+    best = {"f": -1.0}
+
+    def negative(x: np.ndarray):
+        theta = x.reshape(theta0.shape)
+        value, grad, last = _fidelity_and_grad(theta, pairs, num_qubits, target_amp)
+        if value > best["f"]:
+            best.update(f=value, theta=theta.copy(), last=last)
+            if value >= STOP_FIDELITY:
+                raise _EarlyStop
+        return -value, -grad.reshape(-1)
+
+    try:
+        minimize(
+            negative, theta0.reshape(-1), jac=True, method="L-BFGS-B",
+            options={"maxiter": iterations, "ftol": 1e-12, "gtol": LBFGS_GTOL},
+        )
+    except _EarlyStop:
+        pass
+    return best["theta"], best["last"], best["f"]

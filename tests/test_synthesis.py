@@ -2,14 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from entpaths import synthesis
 from entpaths.core import (Architecture, Circuit, ResourceCapError,
                            StateVector, TwoQubitGate, all_pairs, fidelity,
-                           haar_random_su4, run_circuit)
+                           haar_random_su4, random_circuit, run_circuit)
 from entpaths.synthesis import (ComplexityEstimate, ComplexityNotFound,
                                 GENERATORS, OptimizerBudget, SynthesisProblem,
-                                _ascend, _fidelity_and_grad,
-                                enumerate_architectures,
+                                STOP_FIDELITY, _ascend, _fidelity_and_grad,
+                                _restarts, enumerate_architectures,
                                 estimate_state_complexity, optimize_gates,
                                 optimize_gates_collect, padded_warm_start,
                                 params_from_su4, sample_target,
@@ -162,7 +164,9 @@ def test_ascent_succeeds_at_least_as_often_as_the_full_gate_ascent():
                 theta0 = rng.uniform(-np.pi, np.pi, size=(num_gates, 15))
                 _, full = oracles.ascend_full_gates(theta0, pairs, n,
                                                     target.amplitudes, 500)
-                theta, value = _ascend(theta0[:-1], pairs, n, target.amplitudes, 500)
+                free, last, value = _ascend(theta0[:-1], pairs, n, target.amplitudes, 500)
+                last = last * np.exp(-0.25j * np.angle(np.linalg.det(last)))
+                theta = np.vstack([free, params_from_su4(last)])
                 circuit = Circuit.from_gates(n, [
                     TwoQubitGate(pair, su4_from_params(t)) for pair, t in zip(pairs, theta)])
                 replayed = fidelity(run_circuit(circuit).states[-1], target)
@@ -170,6 +174,101 @@ def test_ascent_succeeds_at_least_as_often_as_the_full_gate_ascent():
                 full_successes += full >= threshold
                 successes += value >= threshold
     assert successes >= full_successes
+
+
+STATIONARY_OR_NOT = [
+    (3, ((0, 1), (0, 1))),           # reducible: the last gate absorbs the first
+    (4, ((0, 1), (2, 3), (0, 1))),   # reducible, with a free gate that matters
+    (3, ((0, 1), (1, 2))),
+    (4, ((0, 1), (1, 2), (2, 3))),
+]
+
+
+@pytest.mark.parametrize("n,pairs", STATIONARY_OR_NOT)
+def test_ascent_matches_the_ascent_that_always_calls_scipy(n, pairs, monkeypatch):
+    # targets reachable on the layout (early stops) and random ones, from a
+    # random start and, short of the target, again from just beside the
+    # optimum found (a gradient small but above the stationarity test); the
+    # start's evaluation is handed to scipy, so both evaluate as often
+    evaluations = {"package": 0, "reference": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            evaluations[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(synthesis, "_fidelity_and_grad",
+                        counted("package", _fidelity_and_grad))
+    monkeypatch.setattr(oracles, "_fidelity_and_grad",
+                        counted("reference", _fidelity_and_grad))
+    for seed in range(6):
+        if seed % 2:
+            target = random_state(n, seed=300 + seed)
+        else:
+            target = run_circuit(random_circuit(Architecture(n, pairs),
+                                                np.random.default_rng(seed)))[-1]
+        rng = np.random.default_rng((n, len(pairs), seed))
+        theta0 = rng.uniform(-np.pi, np.pi, size=(len(pairs) - 1, 15))
+        for _ in range(2):
+            theta, last, value = _ascend(theta0, pairs, n, target.amplitudes, 300)
+            ref_theta, ref_last, ref_value = oracles.ascend_always_scipy(
+                theta0, pairs, n, target.amplitudes, 300)
+            assert np.array_equal(theta, ref_theta)
+            assert np.array_equal(last, ref_last)
+            assert value == ref_value
+            if value >= STOP_FIDELITY:
+                break
+            theta0 = theta + 1e-6 * rng.normal(size=theta.shape)
+    assert evaluations["package"] == evaluations["reference"]
+
+
+def test_stationary_start_never_enters_scipy(monkeypatch):
+    calls = []
+    real = scipy.optimize.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis.scipy.optimize, "minimize", counting)
+    pairs = ((0, 1), (0, 1))
+    rng = np.random.default_rng(4)
+    for seed in range(5):
+        target = random_state(3, seed=310 + seed)
+        theta, _, value = _ascend(rng.uniform(-np.pi, np.pi, size=(1, 15)), pairs, 3,
+                                  target.amplitudes, 300)
+        # any first gate is absorbed, so the start already holds the optimum
+        bound = oracles.best_single_gate_fidelity(target.amplitudes, 3, (0, 1))
+        assert abs(value - bound) <= 1e-12
+    assert calls == []
+    _ascend(rng.uniform(-np.pi, np.pi, size=(1, 15)), ((0, 1), (1, 2)), 3,
+            random_state(3, seed=320).amplitudes, 300)
+    assert calls == [1]
+
+
+def test_last_gate_is_converted_once_per_replayed_restart(monkeypatch):
+    arch = Architecture(3, ((0, 1), (1, 2)))
+    target = random_state(3, seed=7)
+    budget = OptimizerBudget(restarts=6, iterations=100)
+    values = sorted(value for *_, value in _restarts(arch, target, budget, 0, None))
+    counts = {"ascents": 0, "conversions": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(synthesis, "_ascend", counted("ascents", _ascend))
+    monkeypatch.setattr(synthesis, "params_from_su4",
+                        counted("conversions", params_from_su4))
+    optimize_gates(arch, target, budget, seed=0)
+    assert counts == {"ascents": 6, "conversions": 1}
+    counts.update(ascents=0, conversions=0)
+    # the best three restarts pass, so three are replayed
+    optimize_gates_collect(arch, target, budget, 0, success_fidelity=values[3])
+    assert counts == {"ascents": 6, "conversions": 3}
 
 
 # --- single-architecture optimization ------------------------------------

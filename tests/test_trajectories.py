@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entpaths import entanglement
-from entpaths.core import (Circuit, TwoQubitGate, random_architecture,
+from entpaths.core import (Circuit, DimensionMismatchError, StatePath,
+                           StateVector, TwoQubitGate, random_architecture,
                            random_circuit, run_circuit)
 from entpaths.entanglement import Measure, ProductFitConvergenceError
 from entpaths.trajectories import (EntanglementTrajectory,
@@ -14,6 +15,9 @@ from entpaths.trajectories import (EntanglementTrajectory,
                                    max_step_jump, measure_state,
                                    path_entanglement_sum, read_trajectories,
                                    trajectory, trajectory_summary)
+
+import oracles
+from conftest import random_state
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -100,6 +104,80 @@ def test_trajectory_wraps_an_unconverged_geometric_fit_at_step_zero(monkeypatch)
         trajectory(run_circuit(bell_prep_circuit()))
     assert err.value.step == 0
     assert isinstance(err.value.__cause__, ProductFitConvergenceError)
+
+
+def test_trajectory_rejects_a_one_qubit_geometric_path_at_step_zero():
+    plus = StateVector.from_amplitudes([1 / math.sqrt(2), 1 / math.sqrt(2)])
+    with pytest.raises(TrajectoryMeasureError) as err:
+        trajectory(StatePath((StateVector.zero_state(1), plus)))
+    assert err.value.step == 0
+    assert str(err.value) == ("measure failed at step 0: "
+                              "geometric entanglement needs at least 2 qubits")
+    assert isinstance(err.value.__cause__, DimensionMismatchError)
+
+
+def _random_path(n, num_gates, seed):
+    rng = np.random.default_rng(seed)
+    return run_circuit(random_circuit(random_architecture(n, num_gates, rng), rng))
+
+
+@pytest.mark.parametrize("restarts", [1, 16])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_batched_path_fit_matches_the_loop_oracle_state_by_state(n, restarts):
+    for seed in range(3):
+        path = _random_path(n, 2 + seed, (n, restarts, seed))
+        traj = trajectory(path, geo_restarts=restarts)
+        for state, value in zip(path, traj.values):
+            reference, converged = oracles.geometric_entanglement_loop(
+                state.amplitudes, n, restarts=restarts)
+            assert converged
+            assert abs(value - reference) <= 1e-12
+
+
+def test_unconverged_step_after_the_first_fails_with_its_own_best_value(monkeypatch):
+    # |000> converges on the second sweep; a Haar-gated state does not
+    monkeypatch.setattr(entanglement, "GEO_MAX_SWEEPS", 2)
+    path = _random_path(3, 3, 8)
+    expected = [oracles.geometric_entanglement_loop(state.amplitudes, 3, restarts=16,
+                                                    max_sweeps=2)
+                for state in path]
+    first = next(k for k, (_, converged) in enumerate(expected) if not converged)
+    assert first > 0
+    with pytest.raises(TrajectoryMeasureError) as err:
+        trajectory(path, geo_restarts=16)
+    assert err.value.step == first
+    cause = err.value.__cause__
+    assert isinstance(cause, ProductFitConvergenceError)
+    assert abs(cause.best_value - expected[first][0]) <= 1e-12
+
+
+@pytest.mark.parametrize("restarts", [1, 16])
+def test_redrawn_sites_continue_each_restarts_generator(monkeypatch, restarts):
+    # every start vector is |1>: on |000> the environments of sites 0 and 1
+    # vanish in turn, and on a state with no |x11> amplitude that of site 0
+    # does, so each is re-drawn from the restart's generator past its start
+    starts = np.zeros((restarts, 3, 2), dtype=complex)
+    starts[..., 1] = 1.0
+    monkeypatch.setattr(entanglement, "_start_vectors", lambda n, r, seed: starts)
+    amps = random_state(3, 12).amplitudes.copy()
+    amps[[3, 7]] = 0.0
+    skewed = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+    path = StatePath((StateVector.zero_state(3), skewed))
+    traj = trajectory(path, geo_restarts=restarts)
+    for state, value in zip(path, traj.values):
+        reference, converged = oracles.geometric_entanglement_loop(
+            state.amplitudes, 3, restarts=restarts, start_vectors=starts)
+        assert converged
+        assert abs(value - reference) <= 1e-12
+    # after one sweep the overlap on |000> is the product of the re-drawn
+    # vectors' first entries, so it pins the re-draws themselves
+    monkeypatch.setattr(entanglement, "GEO_MAX_SWEEPS", 1)
+    with pytest.raises(TrajectoryMeasureError) as err:
+        trajectory(path, geo_restarts=restarts)
+    reference, _ = oracles.geometric_entanglement_loop(
+        path[0].amplitudes, 3, restarts=restarts, max_sweeps=1, start_vectors=starts)
+    assert err.value.step == 0
+    assert abs(err.value.__cause__.best_value - reference) <= 1e-12
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
