@@ -27,7 +27,6 @@ from .core import (
     MAX_QUBITS,
     Circuit,
     StateVector,
-    TwoQubitGate,
     load_state,
     run_circuit,
 )
@@ -41,7 +40,6 @@ from .synthesis import (
     enumerate_architectures,
     estimate_state_complexity,
     optimize_gates_collect,
-    padded_warm_start,
     sample_target,
 )
 from .trajectories import measure_state, path_entanglement_sum, trajectory
@@ -103,13 +101,12 @@ def collect_families(target: StateVector, estimate: ComplexityEstimate, *,
     """Gather successful synthesis solutions across gate counts.
 
     The estimate's witness is always included as a record; at each r the
-    canonical architectures are searched in order and every restart that
-    reaches the fidelity threshold contributes a record (up to
-    samples_per_r per r).  Gate counts below r_star are skipped: the
-    exhaustive search below r_star already failed, so they hold no
-    solutions.  For r above r_star the search leads with a warm start that
-    pads the previous anchor circuit by an identity gate, which guarantees
-    solutions keep being found at larger gate counts.
+    irreducible canonical architectures are searched in order and every
+    restart that reaches the fidelity threshold contributes a record (up to
+    samples_per_r per r).  A gate count may give no records at all, e.g.
+    when no irreducible layout of that length exists or none reaches the
+    target.  Gate counts below r_star are skipped: the exhaustive search
+    below r_star already failed, so they hold no solutions.
     """
     if samples_per_r < 0:
         raise ValueError(f"samples_per_r must be >= 0, got {samples_per_r}")
@@ -119,30 +116,16 @@ def collect_families(target: StateVector, estimate: ComplexityEstimate, *,
         f"{record_prefix}-r{r_star}-witness", estimate.witness,
         estimate.achieved_fidelity, r_star=r_star, measure=measure, cut=cut,
         geo_restarts=geo_restarts, delta_bin=delta_bin)]
-    anchor = estimate.witness
     for r in sorted(set(int(r) for r in r_values)):
         if r < max(r_star, 1):
             continue
-        warm_arch = None
-        warm_init = None
-        if r == anchor.num_gates + 1:
-            warm_arch, warm_init = padded_warm_start(anchor, target.num_qubits)
-        archs = enumerate_architectures(target.num_qubits, r)
-        ordered = list(range(len(archs)))
-        if warm_arch is not None and warm_arch in archs:
-            warm_index = archs.index(warm_arch)
-            ordered.remove(warm_index)
-            ordered.insert(0, warm_index)
         collected_r = 0
-        first_at_r: Circuit | None = None
-        for ai in ordered:
+        for ai, arch in enumerate(enumerate_architectures(target.num_qubits, r)):
             if collected_r >= samples_per_r:
                 break
-            arch = archs[ai]
-            init = warm_init if (warm_arch is not None and arch == warm_arch) else None
             solutions = optimize_gates_collect(
                 arch, target, budget, _seed_key(seed, r, ai),
-                success_fidelity=threshold, init_gates=init,
+                success_fidelity=threshold,
                 max_collect=samples_per_r - collected_r)
             for result in solutions:
                 record_id = f"{record_prefix}-r{r}-a{ai:02d}-k{result.best_restart:02d}"
@@ -151,14 +134,6 @@ def collect_families(target: StateVector, estimate: ComplexityEstimate, *,
                     r_star=r_star, measure=measure, cut=cut,
                     geo_restarts=geo_restarts, delta_bin=delta_bin))
                 collected_r += 1
-                if first_at_r is None:
-                    first_at_r = result.circuit
-        if first_at_r is not None:
-            anchor = first_at_r
-        elif anchor.num_gates == r - 1:
-            pad_arch, pad_init = padded_warm_start(anchor, target.num_qubits)
-            anchor = Circuit(pad_arch, anchor.gates + (
-                TwoQubitGate(pad_arch.gate_slots[-1], pad_init[-1]),))
     return records
 
 

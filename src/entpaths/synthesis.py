@@ -20,7 +20,10 @@ the target's exact-preparation complexity.
 
 Enumeration of architectures dedupes gate orderings that differ only by
 swapping adjacent slots on disjoint qubit pairs, which commute, keeping
-the lexicographic normal form of each class.
+the lexicographic normal form of each class.  It also drops reducible
+classes, where two gates on one pair have only disjoint gates between
+them: those merge into one gate, so such a layout reaches exactly what a
+shorter one reaches.
 """
 from __future__ import annotations
 
@@ -265,36 +268,22 @@ class OptimizeResult:
     best_restart: int
 
 
-def _initial_theta(init_gates, num_gates: int) -> np.ndarray:
-    """Parameters of a warm start's free gates: every gate but the last."""
-    mats = [gate.matrix if isinstance(gate, TwoQubitGate) else np.asarray(gate)
-            for gate in init_gates]
-    if len(mats) != num_gates:
-        raise DimensionMismatchError(f"{len(mats)} init gates for {num_gates} slots")
-    return np.array([params_from_su4(m) for m in mats[:-1]]).reshape(-1, NUM_GATE_PARAMS)
-
-
 def _restarts(architecture: Architecture, target: StateVector,
-              budget: OptimizerBudget, seed, init_gates):
+              budget: OptimizerBudget, seed):
     """Run the restarts in order, yielding (k, theta, last, value) for each:
     the free gates' parameters, the raw closed-form last gate and the
     fidelity.
 
     Restart k starts its free gates from parameters drawn from a generator
-    seeded by (seed, k), or from init_gates when k == 0 and they are given.
-    With one gate nothing is free and every restart would give the same
-    answer, so only restart 0 runs.  The consumer decides when to stop and
-    replays the restarts it keeps.
+    seeded by (seed, k).  With one gate nothing is free and every restart
+    would give the same answer, so only restart 0 runs.  The consumer
+    decides when to stop and replays the restarts it keeps.
     """
     pairs = architecture.gate_slots
     num_free = len(pairs) - 1
-    init_theta = None if init_gates is None else _initial_theta(init_gates, len(pairs))
     for k in range(budget.restarts if num_free else 1):
-        if k == 0 and init_theta is not None:
-            theta0 = init_theta
-        else:
-            rng = np.random.default_rng(_seed_key(seed, k))
-            theta0 = rng.uniform(-math.pi, math.pi, size=(num_free, NUM_GATE_PARAMS))
+        rng = np.random.default_rng(_seed_key(seed, k))
+        theta0 = rng.uniform(-math.pi, math.pi, size=(num_free, NUM_GATE_PARAMS))
         theta, last, value = _ascend(theta0, pairs, architecture.num_qubits,
                                      target.amplitudes, budget.iterations)
         yield k, theta, last, value
@@ -317,8 +306,7 @@ def _replay(architecture: Architecture, theta: np.ndarray, last: np.ndarray,
 
 def optimize_gates(architecture: Architecture, target: StateVector,
                    budget: OptimizerBudget = OptimizerBudget(), seed=0, *,
-                   success_fidelity: float | None = None,
-                   init_gates=None) -> OptimizeResult:
+                   success_fidelity: float | None = None) -> OptimizeResult:
     """Maximize preparation fidelity over the gates of one architecture.
 
     The last gate is solved in closed form, so only the others are
@@ -327,9 +315,7 @@ def optimize_gates(architecture: Architecture, target: StateVector,
     architecture has nothing free and runs a single restart, which is
     exact.  When success_fidelity is given, restarts stop at the first
     index reaching it; the result is the best over restarts 0..that index,
-    which is independent of how restarts are scheduled.  If init_gates is
-    given, restart 0 starts from all of those matrices but the last instead
-    of a random draw (used to warm-start padded layouts).  Exhausting the
+    which is independent of how restarts are scheduled.  Exhausting the
     budget below the threshold returns the best circuit found flagged
     converged=False.
     """
@@ -347,7 +333,7 @@ def optimize_gates(architecture: Architecture, target: StateVector,
     best_gates = None
     best_restart = 0
     restarts_run = 0
-    for k, theta, last, value in _restarts(architecture, target, budget, seed, init_gates):
+    for k, theta, last, value in _restarts(architecture, target, budget, seed):
         restarts_run = k + 1
         if value > best_value:
             best_value, best_gates, best_restart = value, (theta, last), k
@@ -361,7 +347,6 @@ def optimize_gates(architecture: Architecture, target: StateVector,
 def optimize_gates_collect(architecture: Architecture, target: StateVector,
                            budget: OptimizerBudget, seed, *,
                            success_fidelity: float,
-                           init_gates=None,
                            max_collect: int | None = None) -> list[OptimizeResult]:
     """Run every restart in order, collecting each one that reaches the
     threshold as its own solution (up to max_collect).  A one-gate
@@ -373,7 +358,7 @@ def optimize_gates_collect(architecture: Architecture, target: StateVector,
     collected: list[OptimizeResult] = []
     if max_collect is not None and max_collect <= 0:
         return collected
-    for k, theta, last, value in _restarts(architecture, target, budget, seed, init_gates):
+    for k, theta, last, value in _restarts(architecture, target, budget, seed):
         if value < success_fidelity:
             continue
         circuit, achieved = _replay(architecture, theta, last, target)
@@ -392,12 +377,17 @@ def _disjoint(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 
 def _extends_normal_form(prefix: Sequence[tuple[int, int]], slot: tuple[int, int]) -> bool:
-    """Whether prefix + (slot,) is in normal form, given that prefix is.
+    """Whether prefix + (slot,) is an irreducible normal form, given that
+    prefix is.
 
     A sequence is in normal form iff no slot could commute leftward past a
-    larger one, so only the new slot's leftward path needs checking.
+    larger one, and irreducible iff no slot could commute leftward onto an
+    equal one, which it would merge with; so only the new slot's leftward
+    path needs checking.
     """
     for prev in reversed(prefix):
+        if prev == slot:
+            return False
         if not _disjoint(prev, slot):
             return True
         if slot < prev:
@@ -407,38 +397,41 @@ def _extends_normal_form(prefix: Sequence[tuple[int, int]], slot: tuple[int, int
 
 @functools.cache
 def _normal_forms(num_qubits: int, num_gates: int) -> tuple[Architecture, ...]:
-    """Every normal-form slot sequence of a length, in sorted order.
+    """Every irreducible normal-form slot sequence of a length, in sorted
+    order.
 
-    Normal forms are prefix-closed, so extending only normal prefixes in
-    pair order generates each class once, already sorted.
+    Irreducible normal forms are prefix-closed, so extending only such
+    prefixes in pair order generates each class once, already sorted.
+    Raises ResourceCapError as soon as more than ARCH_SEQUENCE_CAP
+    sequences of one length have been generated.
     """
     pairs = all_pairs(num_qubits)
     sequences = [()]
     for _ in range(num_gates):
-        sequences = [seq + (slot,) for seq in sequences for slot in pairs
-                     if _extends_normal_form(seq, slot)]
+        extended = []
+        for seq in sequences:
+            extended += [seq + (slot,) for slot in pairs if _extends_normal_form(seq, slot)]
+            if len(extended) > ARCH_SEQUENCE_CAP:
+                raise ResourceCapError(
+                    f"more than {ARCH_SEQUENCE_CAP} architectures of {num_gates} gates"
+                    f" on {num_qubits} qubits exceed the enumeration cap")
+        sequences = extended
     return tuple(Architecture(num_qubits, seq) for seq in sequences)
 
 
-def enumerate_architectures(num_qubits: int, num_gates: int, *,
-                            max_sequences: int = ARCH_SEQUENCE_CAP
-                            ) -> tuple[Architecture, ...]:
-    """All canonical slot sequences of a given length, sorted.
+def enumerate_architectures(num_qubits: int, num_gates: int) -> tuple[Architecture, ...]:
+    """All irreducible canonical slot sequences of a given length, sorted.
 
     Slots range over the j < k pairs; one sequence in commuting normal form
-    stands for each class.  The tuple is cached per (num_qubits,
-    num_gates) and shared between callers.  Raises ResourceCapError when the raw sequence count exceeds
-    max_sequences.
+    stands for each class, and classes in which two gates on one pair meet
+    with only disjoint gates between them are left out.  The tuple is
+    cached per (num_qubits, num_gates) and shared between callers.  Raises
+    ResourceCapError when there are more than ARCH_SEQUENCE_CAP of them.
     """
     if num_qubits < 2:
         raise DimensionMismatchError("two-qubit slots need at least 2 qubits")
     if num_gates < 0:
         raise ValueError(f"num_gates must be >= 0, got {num_gates}")
-    total = len(all_pairs(num_qubits)) ** num_gates
-    if total > max_sequences:
-        raise ResourceCapError(
-            f"{total} slot sequences exceed the enumeration cap {max_sequences}"
-        )
     return _normal_forms(num_qubits, num_gates)
 
 
@@ -540,19 +533,3 @@ def estimate_state_complexity(problem: SynthesisProblem):
         best_per_r[r] = best_r
         exhaustive_below = exhaustive_below and full
     return ComplexityNotFound(best_per_r)
-
-
-def padded_warm_start(circuit: Circuit, num_qubits: int):
-    """Extend a circuit by one identity gate on its last slot.
-
-    Returns (architecture, init_gates) for optimize_gates: the padded
-    layout prepares the same state at r+1 gates, so a search at the larger
-    gate count that includes this warm start always finds a solution when
-    one existed at r.  The padded slot sequence stays canonical because a
-    repeated slot never commutes past itself.
-    """
-    pad = circuit.gates[-1].qubit_pair if circuit.num_gates else (0, 1)
-    slots = tuple(g.qubit_pair for g in circuit.gates) + (pad,)
-    arch = Architecture(num_qubits, slots)
-    init = tuple(g.matrix for g in circuit.gates) + (np.eye(4, dtype=np.complex128),)
-    return arch, init

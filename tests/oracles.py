@@ -299,16 +299,38 @@ def commuting_normal_form(slots):
     return tuple(out)
 
 
-def swap_closure_class_count(num_qubits, num_gates):
-    """Number of gate-slot sequences modulo swapping adjacent disjoint slots."""
+def _swap_classes(num_qubits, num_gates):
+    """Every class of gate-slot sequences modulo swapping adjacent disjoint
+    slots, each as the set of its members."""
     pairs = [(j, k) for j in range(num_qubits) for k in range(j + 1, num_qubits)]
     seen = set()
-    classes = 0
     for seq in itertools.product(pairs, repeat=num_gates):
         if seq not in seen:
-            classes += 1
-            seen |= swap_class(seq)
-    return classes
+            members = swap_class(seq)
+            seen |= members
+            yield members
+
+
+def swap_closure_class_count(num_qubits, num_gates):
+    """Number of gate-slot sequences modulo swapping adjacent disjoint slots."""
+    return sum(1 for _ in _swap_classes(num_qubits, num_gates))
+
+
+def _has_adjacent_repeat(members):
+    return any(a == b for member in members for a, b in zip(member, member[1:]))
+
+
+def is_reducible(seq):
+    """Whether some member of seq's swap class has two equal adjacent
+    slots, i.e. two gates on one pair that merge into one gate."""
+    return _has_adjacent_repeat(swap_class(seq))
+
+
+def irreducible_class_count(num_qubits, num_gates):
+    """Number of swap classes none of whose members repeats a slot in two
+    adjacent places."""
+    return sum(1 for members in _swap_classes(num_qubits, num_gates)
+               if not _has_adjacent_repeat(members))
 
 
 def adjacent_swap_sort(slots):

@@ -16,6 +16,8 @@ from entpaths.harness import (ConfigError, ExperimentConfig, collect_families,
 from entpaths.synthesis import (OptimizerBudget, SynthesisProblem,
                                 estimate_state_complexity)
 
+import oracles
+
 LEAN = {"budget": {"restarts": 8, "iters": 500}, "samples_per_r": 2,
         "geo_restarts": 8, "r_max": 2}
 
@@ -169,19 +171,38 @@ def test_collect_families_on_bell(bell):
         budget=OptimizerBudget(8, 500), fidelity_tol=1e-4, delta_bin=1e-3,
         seed=9, record_prefix="bell")
     assert records[0].record_id == "bell-r1-witness"
-    assert records[0].is_optimal_r
+    # on two qubits every layout of two or more gates repeats the one pair,
+    # so r = 2 has no irreducible layout and gives no records
+    assert {rec.r for rec in records} == {1}
+    for rec in records:
+        assert rec.achieved_fidelity > 1.0 - 1e-4
+        assert rec.is_optimal_r
+        assert rec.family_bin == family_bin_of(rec.sum_value)
+        # a two-qubit register has E_G <= 1/2, so any trajectory to a state
+        # of maximal entanglement telescopes: the sum is forced to (almost)
+        # 1/2, the tolerance window being the only slack
+        assert abs(rec.sum_value - 0.5) < 5e-3
+
+
+def test_collect_families_above_r_star_uses_irreducible_layouts():
+    target = StateVector.from_amplitudes(
+        np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
+    estimate = estimate_state_complexity(
+        SynthesisProblem(target, budget=OptimizerBudget(16, 800), seed=2))
+    assert estimate.r_star == 2
+    records = collect_families(
+        target, estimate, r_values=[2, 3], samples_per_r=3,
+        budget=OptimizerBudget(8, 500), fidelity_tol=1e-4, delta_bin=1e-3,
+        seed=9, record_prefix="t")
+    assert records[0].record_id == "t-r2-witness"
     by_r = {}
     for rec in records:
         by_r.setdefault(rec.r, []).append(rec)
         assert rec.achieved_fidelity > 1.0 - 1e-4
-        assert rec.is_optimal_r == (rec.r == 1)
+        assert rec.is_optimal_r == (rec.r == 2)
         assert rec.family_bin == family_bin_of(rec.sum_value)
-    assert set(by_r) == {1, 2}
-    # a two-qubit register has E_G <= 1/2, so any trajectory to a state of
-    # maximal entanglement telescopes: the sum is forced to (almost) 1/2,
-    # the tolerance window being the only slack
-    for rec in records:
-        assert abs(rec.sum_value - 0.5) < 5e-3
+        assert not oracles.is_reducible(rec.architecture)
+    assert set(by_r) == {2, 3}
 
 
 def test_collect_families_is_deterministic(bell):

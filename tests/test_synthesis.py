@@ -13,9 +13,8 @@ from entpaths.synthesis import (ComplexityEstimate, ComplexityNotFound,
                                 STOP_FIDELITY, _ascend, _fidelity_and_grad,
                                 _restarts, enumerate_architectures,
                                 estimate_state_complexity, optimize_gates,
-                                optimize_gates_collect, padded_warm_start,
-                                params_from_su4, sample_target,
-                                su4_from_params)
+                                optimize_gates_collect, params_from_su4,
+                                sample_target, su4_from_params)
 
 import oracles
 from conftest import random_state
@@ -93,8 +92,8 @@ def test_gradient_matches_expm_frechet_oracle(n, num_gates):
 
 
 def test_gradient_at_identity_and_near_degenerate_spectra():
-    # theta = 0 is the identity gate of the padded warm start; the two other
-    # free gates have exactly and nearly repeated eigenvalues
+    # theta = 0 is the identity gate, whose eigenvalues all coincide; the two
+    # other free gates have exactly and nearly repeated eigenvalues
     rng = np.random.default_rng(21)
     degenerate = np.zeros(15)
     degenerate[12] = 0.7  # diag(1, -1, 0, 0) direction: eigenvalue 0 twice
@@ -251,7 +250,7 @@ def test_last_gate_is_converted_once_per_replayed_restart(monkeypatch):
     arch = Architecture(3, ((0, 1), (1, 2)))
     target = random_state(3, seed=7)
     budget = OptimizerBudget(restarts=6, iterations=100)
-    values = sorted(value for *_, value in _restarts(arch, target, budget, 0, None))
+    values = sorted(value for *_, value in _restarts(arch, target, budget, 0))
     counts = {"ascents": 0, "conversions": 0}
 
     def counted(name, fn):
@@ -392,17 +391,19 @@ def test_normal_form_classes_match_swap_closure_oracle():
 
 
 @pytest.mark.parametrize("n,r,count", [
-    (2, 1, 1), (3, 1, 3), (3, 2, 9), (4, 2, 33), (5, 2, 85), (5, 3, 700),
+    (2, 1, 1), (2, 2, 0), (3, 1, 3), (3, 2, 6), (3, 3, 12), (4, 2, 27),
+    (4, 3, 120), (5, 2, 75), (5, 3, 540),
 ])
 def test_architecture_enumeration_counts(n, r, count):
     archs = enumerate_architectures(n, r)
     assert len(archs) == count
-    assert count == oracles.swap_closure_class_count(n, r)
-    # every entry is its own normal form, listed in sorted order
+    assert count == oracles.irreducible_class_count(n, r)
+    # every entry is an irreducible normal form, listed in sorted order
     slots = [a.gate_slots for a in archs]
     assert slots == sorted(slots)
     for arch in archs:
         assert commuting_normal_form(arch.gate_slots) == arch.gate_slots
+        assert not oracles.is_reducible(arch.gate_slots)
 
 
 def test_normal_form_moves_a_slot_past_several_commuting_ones():
@@ -423,11 +424,12 @@ def test_normal_form_is_the_smallest_member_of_its_class():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_enumeration_below_five_qubits_matches_adjacent_swap_sort(n):
     # up to 4 qubits the earlier bubble-sorted form was already unique per
-    # class, so the architectures searched there stay exactly the same
+    # class, so the irreducible architectures searched there stay the same
     pairs = all_pairs(n)
     for r in range(5):
-        expected = sorted({oracles.adjacent_swap_sort(seq)
-                           for seq in itertools.product(pairs, repeat=r)})
+        forms = {oracles.adjacent_swap_sort(seq)
+                 for seq in itertools.product(pairs, repeat=r)}
+        expected = sorted(seq for seq in forms if not oracles.is_reducible(seq))
         assert [a.gate_slots for a in enumerate_architectures(n, r)] == expected
 
 
@@ -440,6 +442,11 @@ def test_architecture_enumeration_is_cached_per_size():
 def test_architecture_enumeration_cap():
     with pytest.raises(ResourceCapError):
         enumerate_architectures(5, 8)
+
+
+def test_architecture_cap_bounds_classes_not_raw_sequences():
+    # 6**7 = 279,936 raw sequences, above the cap, but far fewer classes
+    assert len(enumerate_architectures(4, 7)) == 47_040
 
 
 # --- targets and complexity ----------------------------------------------
@@ -514,28 +521,3 @@ def test_architecture_subsampling_is_deterministic():
     if isinstance(e1, ComplexityEstimate):
         assert e1.r_star == e2.r_star
         assert e1.achieved_fidelity == e2.achieved_fidelity
-
-
-def test_padded_warm_start_preserves_the_prepared_state():
-    _, circuit = sample_target(3, 2, seed=16)
-    arch, init = padded_warm_start(circuit, 3)
-    assert arch.num_gates == 3
-    assert arch.gate_slots[:2] == circuit.architecture.gate_slots
-    assert np.allclose(init[-1], np.eye(4))
-    # the padded initializer prepares exactly the same state
-    from entpaths.core import Circuit, TwoQubitGate
-    padded = Circuit(arch, tuple(
-        TwoQubitGate(slot, matrix) for slot, matrix in zip(arch.gate_slots, init)))
-    before = run_circuit(circuit)[-1]
-    after = run_circuit(padded)[-1]
-    assert np.isclose(fidelity(before, after), 1.0, atol=1e-12)
-
-
-def test_padded_architecture_is_canonical():
-    # the pad repeats the last slot, which never commutes past itself, so
-    # padding a canonical sequence keeps it canonical
-    from entpaths.core import random_circuit
-    for base in enumerate_architectures(4, 2):
-        circuit = random_circuit(base, 17)
-        arch, _ = padded_warm_start(circuit, 4)
-        assert commuting_normal_form(arch.gate_slots) == arch.gate_slots
