@@ -96,8 +96,8 @@ def _circuit_for(doc: dict, config_dir: Path):
         resolved = raw if Path(raw).is_absolute() else str((config_dir / raw).resolve())
         try:
             circuit = load_circuit(resolved)
-        except OSError as exc:
-            raise ConfigError(f"circuit_file: cannot read {resolved}: {exc}") from None
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"circuit_file: cannot load {resolved}: {exc}") from None
         return circuit, {"circuit_file": resolved, "seed": seed}
     need("n" in doc, "n", "is required (or give circuit_file)")
     n = int_field(doc, "n", None, low=2, high=MAX_QUBITS)
@@ -286,20 +286,20 @@ def _selftest_checks() -> list[tuple[str, float, float, float]]:
     |value - target| <= tolerance."""
     checks = []
     product = StateVector.zero_state(3)
-    checks.append(("E_G |000>", geometric_entanglement(product).value, 0.0, 1e-9))
-    checks.append(("E_G bell", geometric_entanglement(fixture_state("bell")).value,
+    checks.append(("E_G |000>", geometric_entanglement(product), 0.0, 1e-9))
+    checks.append(("E_G bell", geometric_entanglement(fixture_state("bell")),
                    0.5, 1e-6))
-    checks.append(("E_G ghz3", geometric_entanglement(fixture_state("ghz3")).value,
+    checks.append(("E_G ghz3", geometric_entanglement(fixture_state("ghz3")),
                    0.5, 1e-6))
-    checks.append(("E_G w3", geometric_entanglement(fixture_state("w3")).value,
+    checks.append(("E_G w3", geometric_entanglement(fixture_state("w3")),
                    5.0 / 9.0, 1e-4))
     checks.append(("S bell marginal",
                    von_neumann_entropy(
-                       reduced_density_matrix(fixture_state("bell"), [0])).value,
+                       reduced_density_matrix(fixture_state("bell"), [0])),
                    1.0, 1e-9))
     checks.append(("S w3 marginal",
                    von_neumann_entropy(
-                       reduced_density_matrix(fixture_state("w3"), [0])).value,
+                       reduced_density_matrix(fixture_state("w3"), [0])),
                    -(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3), 1e-6))
 
     rng = np.random.default_rng(7)

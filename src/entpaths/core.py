@@ -227,39 +227,6 @@ class Circuit:
         return self.architecture.num_gates
 
 
-@dataclass(frozen=True, eq=False)
-class StatePath:
-    """The ordered states psi_0 .. psi_R visited while a circuit runs."""
-
-    states: tuple[StateVector, ...]
-
-    def __post_init__(self):
-        states = tuple(self.states)
-        if not states:
-            raise ValueError("a state path holds at least the initial state")
-        n = states[0].num_qubits
-        if any(s.num_qubits != n for s in states):
-            raise DimensionMismatchError("all states on a path must share num_qubits")
-        object.__setattr__(self, "states", states)
-
-    @property
-    def num_qubits(self) -> int:
-        return self.states[0].num_qubits
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.states) - 1
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
-
-    def __getitem__(self, item):
-        return self.states[item]
-
-
 @functools.cache
 def gather_index(pair: tuple[int, int], num_qubits: int) -> np.ndarray:
     """Basis indices of a 2**n vector arranged as (4, 2**(n-2)).
@@ -295,11 +262,12 @@ def apply_gate(state: StateVector, gate: TwoQubitGate) -> StateVector:
     return StateVector(state.num_qubits, amp)
 
 
-def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StatePath:
+def run_circuit(circuit: Circuit,
+                initial: StateVector | None = None) -> tuple[StateVector, ...]:
     """Run a circuit, recording every intermediate state.
 
-    Returns the path psi_0 .. psi_R with psi_0 the initial state (|0...0>
-    unless another is given) so an R-gate circuit yields R+1 states.
+    Returns the state path psi_0 .. psi_R with psi_0 the initial state
+    (|0...0> unless another is given), so an R-gate circuit yields R+1 states.
     """
     n = circuit.num_qubits
     if initial is None:
@@ -313,7 +281,7 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StatePa
     for gate in circuit.gates:
         amp = apply_gate_matrix(amp, gate.matrix, gate.qubit_pair, n)
         states.append(StateVector(n, amp))
-    return StatePath(tuple(states))
+    return tuple(states)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -1,7 +1,4 @@
-"""Entanglement measures for pure n-qubit states.
-
-Two measures are exposed under a common tag so downstream analytics can
-carry values of either kind:
+"""Entanglement measures for pure n-qubit states, each returned as a float.
 
   * von Neumann entropy of a reduced density matrix, in bits (log base 2),
   * geometric entanglement 1 - max |<phi|psi>|**2 over product states |phi>,
@@ -12,15 +9,13 @@ carry values of either kind:
     state with it and trajectories.trajectory fits every state of a path in
     one call.
 
-For a pure state and a fixed bipartition the relative entropy of
-entanglement coincides with the entropy of either reduced state, so that
-quantity is provided only as an alias on that restricted domain.
+Measure names which of the two a trajectory or a config refers to.
 """
 from __future__ import annotations
 
 import enum
 import functools
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,15 +43,10 @@ class ProductFitConvergenceError(RuntimeError):
 
 
 class Measure(str, enum.Enum):
-    """Tag for which entanglement quantity a number represents."""
+    """Which entanglement quantity a number represents."""
 
     VON_NEUMANN_BITS = "vonneumann"
     GEOMETRIC = "geometric"
-
-
-class EntanglementValue(NamedTuple):
-    value: float
-    measure: Measure
 
 
 def reduced_density_matrix(state: StateVector, keep: Sequence[int]) -> np.ndarray:
@@ -92,7 +82,7 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(rho)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> EntanglementValue:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -sum(lam * log2 lam) of a density matrix, in bits.
 
     Eigenvalues in [-1e-10, 0) are clamped to 0 (0*log 0 := 0); anything
@@ -106,7 +96,7 @@ def von_neumann_entropy(rho: np.ndarray) -> EntanglementValue:
     lam = np.clip(eigenvalues, 0.0, None)
     positive = lam[lam > 0.0]
     entropy = float(-(positive * np.log2(positive)).sum())
-    return EntanglementValue(max(entropy, 0.0), Measure.VON_NEUMANN_BITS)
+    return max(entropy, 0.0)
 
 
 def _unit_draw(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -193,7 +183,7 @@ def _product_fit(amplitudes: np.ndarray, num_qubits: int, restarts: int,
 
 
 def geometric_entanglement(state: StateVector, *, restarts: int = GEO_RESTARTS,
-                           seed: int = 0) -> EntanglementValue:
+                           seed: int = 0) -> float:
     """1 - max |<phi|psi>|**2 over normalized product states |phi>.
 
     Alternating optimization: with all sites but one held fixed, the optimal
@@ -211,14 +201,4 @@ def geometric_entanglement(state: StateVector, *, restarts: int = GEO_RESTARTS,
                                      restarts, seed)
     if not converged[0]:
         raise _convergence_error(values[0])
-    return EntanglementValue(values[0], Measure.GEOMETRIC)
-
-
-def relative_entropy_pure_bipartite(state: StateVector, keep: Sequence[int]) -> EntanglementValue:
-    """Relative entropy of entanglement for a pure state across one cut.
-
-    On this restricted domain the closest separable state is known in closed
-    form and the quantity equals the entropy of the reduced state, so this
-    simply composes the two operations (value in bits).
-    """
-    return von_neumann_entropy(reduced_density_matrix(state, keep))
+    return values[0]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -149,16 +149,16 @@ class ExperimentConfig:
     r_gen_max: int | None
     target_files: tuple[str, ...] | None
     seed: int
-    fidelity_tol: float = 1e-4
-    r_max: int = 3
+    fidelity_tol: float = SynthesisProblem.fidelity_tol
+    r_max: int = SynthesisProblem.r_max
     delta_bin: float = DELTA_BIN_DEFAULT
     measure: Measure = Measure.GEOMETRIC
     cut: tuple[int, ...] | None = None
-    restarts: int = 64
-    iterations: int = 2000
+    restarts: int = OptimizerBudget.restarts
+    iterations: int = OptimizerBudget.iterations
     samples_per_r: int = 6
     geo_restarts: int = GEO_RESTARTS
-    max_architectures: int = 256
+    max_architectures: int = SynthesisProblem.max_architectures
 
     @property
     def num_targets(self) -> int:
@@ -246,20 +246,21 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TargetOutcome:
-    """Everything the report keeps about one target."""
+    """Everything the report keeps about one target; a target whose gate
+    count was not found keeps the defaults and its best fidelity per r."""
 
     target_id: str
     r_gen: int | None
-    r_star: int | None
-    exhaustiveness: str | None
-    witness_fidelity: float | None
     target_entanglement: float
     degenerate: bool
-    records: tuple[PathFamilyRecord, ...]
-    min_bin: int | None
-    min_bin_optimal_r: int | None
-    success: bool | None
-    spearman_bin_vs_r: float | None
+    r_star: int | None = None
+    exhaustiveness: str | None = None
+    witness_fidelity: float | None = None
+    records: tuple[PathFamilyRecord, ...] = ()
+    min_bin: int | None = None
+    min_bin_optimal_r: int | None = None
+    success: bool | None = None
+    spearman_bin_vs_r: float | None = None
     best_fidelity_per_r: tuple[tuple[int, float], ...] = ()
 
 
@@ -313,7 +314,11 @@ def evaluate_target(config: ExperimentConfig, index: int) -> TargetOutcome:
     """Full pipeline for target `index`: sample/load, estimate, collect, score."""
     target_id = f"t{index:03d}"
     if config.target_files is not None:
-        target = load_state(config.target_files[index])
+        try:
+            target = load_state(config.target_files[index])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"targets.files[{index}]: cannot load "
+                              f"{config.target_files[index]}: {exc}") from None
         if target.num_qubits != config.num_qubits:
             raise ConfigError(
                 f"targets.files[{index}] has {target.num_qubits} qubits, config n={config.num_qubits}"
@@ -335,10 +340,8 @@ def evaluate_target(config: ExperimentConfig, index: int) -> TargetOutcome:
     estimate = estimate_state_complexity(problem)
     if isinstance(estimate, ComplexityNotFound):
         return TargetOutcome(
-            target_id=target_id, r_gen=r_gen, r_star=None, exhaustiveness=None,
-            witness_fidelity=None, target_entanglement=entanglement,
-            degenerate=degenerate, records=(), min_bin=None,
-            min_bin_optimal_r=None, success=None, spearman_bin_vs_r=None,
+            target_id=target_id, r_gen=r_gen, target_entanglement=entanglement,
+            degenerate=degenerate,
             best_fidelity_per_r=tuple(sorted(estimate.best_fidelity_per_r.items())))
     records = tuple(collect_families(
         target, estimate,
@@ -413,7 +416,11 @@ def _rate_block(outcomes: Sequence[TargetOutcome]) -> dict:
 
 
 def report_to_dict(report: ConjectureReport) -> dict:
-    """Canonical-JSON-ready report with aggregates and per-target detail."""
+    """Canonical-JSON-ready report with aggregates and per-target detail.
+
+    Each target entry holds its TargetOutcome's fields, with the records as
+    a list and best_fidelity_per_r as a dict keyed by str(r).
+    """
     evaluated = [o for o in report.outcomes if o.r_star is not None]
     failures = [o for o in report.outcomes if o.r_star is None]
     nondegenerate = [o for o in evaluated if not o.degenerate]
@@ -421,32 +428,10 @@ def report_to_dict(report: ConjectureReport) -> dict:
                       if o.spearman_bin_vs_r is not None]
     targets = []
     for o in report.outcomes:
-        targets.append({
-            "target_id": o.target_id,
-            "r_gen": o.r_gen,
-            "r_star": o.r_star,
-            "exhaustiveness": o.exhaustiveness,
-            "witness_fidelity": o.witness_fidelity,
-            "target_entanglement": o.target_entanglement,
-            "degenerate": o.degenerate,
-            "min_bin": o.min_bin,
-            "min_bin_optimal_r": o.min_bin_optimal_r,
-            "success": o.success,
-            "spearman_bin_vs_r": o.spearman_bin_vs_r,
-            "best_fidelity_per_r": {str(r): f for r, f in o.best_fidelity_per_r},
-            "records": [
-                {
-                    "record_id": rec.record_id,
-                    "r": rec.r,
-                    "sum_value": rec.sum_value,
-                    "family_bin": rec.family_bin,
-                    "is_optimal_r": rec.is_optimal_r,
-                    "achieved_fidelity": rec.achieved_fidelity,
-                    "architecture": [list(p) for p in rec.architecture],
-                }
-                for rec in o.records
-            ],
-        })
+        target = asdict(o)
+        target["records"] = list(target["records"])
+        target["best_fidelity_per_r"] = {str(r): f for r, f in o.best_fidelity_per_r}
+        targets.append(target)
     return {
         "config": report.config.to_dict(),
         "aggregate": {

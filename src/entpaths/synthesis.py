@@ -301,7 +301,7 @@ def _replay(architecture: Architecture, theta: np.ndarray, last: np.ndarray,
     mats = _su4_batch(np.vstack([theta, params_from_su4(last)]))
     gates = tuple(TwoQubitGate(pair, m) for pair, m in zip(architecture.gate_slots, mats))
     circuit = Circuit(architecture, gates)
-    return circuit, fidelity(run_circuit(circuit).states[-1], target)
+    return circuit, fidelity(run_circuit(circuit)[-1], target)
 
 
 def optimize_gates(architecture: Architecture, target: StateVector,
@@ -449,7 +449,7 @@ def sample_target(num_qubits: int, r_gen: int, seed) -> tuple[StateVector, Circu
     rng = np.random.default_rng(_seed_key(seed))
     arch = random_architecture(num_qubits, r_gen, rng)
     circuit = random_circuit(arch, rng)
-    return run_circuit(circuit).states[-1], circuit
+    return run_circuit(circuit)[-1], circuit
 
 
 @dataclass(frozen=True, eq=False)

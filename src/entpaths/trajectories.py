@@ -1,22 +1,23 @@
-"""Entanglement analytics along the state sequence a circuit produces.
+"""Entanglement analytics along the state path a circuit produces.
 
-Evaluating a measure at every state of a run gives a trajectory
-(k, e_k) for k = 0..R; its total variation sum(|e_k - e_{k-1}|) is the
-headline statistic of the synthesis experiments, and the largest single
-step is reported alongside it.  Under the geometric measure every state of
-a path goes into one batched product-state fit, so a trajectory costs one
-fit's set-up, not one per state; a step whose fit does not converge still
-fails as that step.
+Evaluating a measure at every state psi_0 .. psi_R of a path (the tuple
+core.run_circuit returns) gives a trajectory of values e_0 .. e_R; its
+total variation sum(|e_k - e_{k-1}|) is the headline statistic of the
+synthesis experiments, and the largest single step is reported alongside
+it.  Under the geometric measure every state of a path goes into one
+batched product-state fit, so a trajectory costs one fit's set-up, not one
+per state; a step whose fit does not converge still fails as that step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .canonical import write_csv
-from .core import StatePath, StateVector
+from .core import StateVector
 from .entanglement import (
     GEO_RESTARTS,
     Measure,
@@ -26,6 +27,8 @@ from .entanglement import (
     reduced_density_matrix,
     von_neumann_entropy,
 )
+
+_CSV_HEADER = ("run_id", "k", "entanglement", "measure_tag")
 
 
 class TrajectoryMeasureError(RuntimeError):
@@ -38,32 +41,24 @@ class TrajectoryMeasureError(RuntimeError):
 
 @dataclass(frozen=True)
 class EntanglementTrajectory:
-    """Per-step entanglement values (k, e_k) under one measure tag."""
+    """Per-step entanglement values e_0 .. e_R under one measure."""
 
     measure: Measure
-    points: tuple[tuple[int, float], ...]
+    values: tuple[float, ...]
 
     def __post_init__(self):
-        points = tuple((int(k), float(e)) for k, e in self.points)
-        if not points:
-            raise ValueError("a trajectory needs at least one point")
-        for position, (k, e) in enumerate(points):
-            if k != position:
-                raise ValueError(
-                    f"trajectory steps must run 0..R contiguously, got {k} at {position}"
-                )
+        values = tuple(float(e) for e in self.values)
+        if not values:
+            raise ValueError("a trajectory needs at least one value")
+        for k, e in enumerate(values):
             if not np.isfinite(e) or e < 0.0:
                 raise ValueError(f"entanglement value {e} at step {k} is invalid")
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "measure", Measure(self.measure))
 
     @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(e for _, e in self.points)
-
-    @property
     def num_steps(self) -> int:
-        return len(self.points) - 1
+        return len(self.values) - 1
 
 
 def measure_state(state: StateVector, measure: Measure, *,
@@ -72,47 +67,38 @@ def measure_state(state: StateVector, measure: Measure, *,
     """Evaluate one entanglement measure on one state."""
     measure = Measure(measure)
     if measure is Measure.GEOMETRIC:
-        return geometric_entanglement(state, restarts=geo_restarts).value
+        return geometric_entanglement(state, restarts=geo_restarts)
     if cut is None:
         raise ValueError("the von Neumann measure needs a cut (qubits to keep)")
-    return von_neumann_entropy(reduced_density_matrix(state, cut)).value
+    return von_neumann_entropy(reduced_density_matrix(state, cut))
 
 
-def _path_values(path: StatePath, measure: Measure, cut: Sequence[int] | None,
-                 geo_restarts: int) -> Iterator[float]:
-    """Each state's value in order; the k-th next() raises step k's failure.
-
-    The geometric measure fits every state of the path in one batch, as
-    geometric_entanglement would fit each alone.
-    """
-    if Measure(measure) is not Measure.GEOMETRIC:
-        for state in path:
-            yield measure_state(state, measure, cut=cut)
-        return
-    amplitudes = np.stack([state.amplitudes for state in path])
-    values, converged = _product_fit(amplitudes, path[0].num_qubits, geo_restarts)
-    for value, ok in zip(values, converged):
-        if not ok:
-            raise _convergence_error(value)
-        yield value
-
-
-def trajectory(path: StatePath, measure: Measure = Measure.GEOMETRIC, *,
+def trajectory(path: Sequence[StateVector], measure: Measure = Measure.GEOMETRIC, *,
                cut: Sequence[int] | None = None,
                geo_restarts: int = GEO_RESTARTS) -> EntanglementTrajectory:
     """Evaluate a measure at every state of a path, including psi_0.
 
-    A failure raises TrajectoryMeasureError for the first step that fails,
-    chained to the measure's own error.
+    The geometric measure fits every state of the path in one batch, as
+    geometric_entanglement would fit each alone.  A failure raises
+    TrajectoryMeasureError for the first step that fails, chained to the
+    measure's own error.
     """
-    values = _path_values(path, measure, cut, geo_restarts)
-    points = []
-    for k in range(len(path)):
-        try:
-            points.append((k, next(values)))
-        except Exception as exc:
-            raise TrajectoryMeasureError(k, str(exc)) from exc
-    return EntanglementTrajectory(Measure(measure), tuple(points))
+    values: list[float] = []
+    try:
+        measure = Measure(measure)
+        if measure is Measure.GEOMETRIC:
+            amplitudes = np.stack([state.amplitudes for state in path])
+            fitted, converged = _product_fit(amplitudes, path[0].num_qubits, geo_restarts)
+            for value, ok in zip(fitted, converged):
+                if not ok:
+                    raise _convergence_error(value)
+                values.append(value)
+        else:
+            for state in path:
+                values.append(measure_state(state, measure, cut=cut))
+    except Exception as exc:
+        raise TrajectoryMeasureError(len(values), str(exc)) from exc
+    return EntanglementTrajectory(measure, tuple(values))
 
 
 def path_entanglement_sum(traj: EntanglementTrajectory) -> float:
@@ -139,35 +125,33 @@ def export_trajectories(named: Sequence[tuple[str, EntanglementTrajectory]], pat
     Floats carry 17 significant digits so reading the file back reproduces
     the exact values.
     """
-    rows = []
-    for run_id, traj in named:
-        for k, value in traj.points:
-            rows.append((run_id, k, value, traj.measure.value))
-    write_csv(path, ("run_id", "k", "entanglement", "measure_tag"), rows)
+    write_csv(path, _CSV_HEADER, [(run_id, k, value, traj.measure.value)
+                                 for run_id, traj in named
+                                 for k, value in enumerate(traj.values)])
 
 
 def read_trajectories(path) -> list[tuple[str, EntanglementTrajectory]]:
-    """Inverse of export_trajectories (exact float round trip)."""
-    lines = [ln for ln in open(path, encoding="utf-8").read().splitlines() if ln]
-    if lines[0] != "run_id,k,entanglement,measure_tag":
-        raise ValueError(f"unexpected trajectory CSV header {lines[0]!r}")
+    """Inverse of export_trajectories (exact float round trip).
+
+    Raises ValueError when the header is missing, when a run mixes measure
+    tags, or when a run's steps k do not run 0..R in order.
+    """
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
+    if not lines or lines[0] != ",".join(_CSV_HEADER):
+        raise ValueError(f"trajectory CSV {path} does not start with the header "
+                         f"{','.join(_CSV_HEADER)!r}")
     grouped: dict[str, list[tuple[int, float, str]]] = {}
-    order: list[str] = []
     for line in lines[1:]:
         run_id, k, value, tag = line.split(",")
-        if run_id not in grouped:
-            grouped[run_id] = []
-            order.append(run_id)
-        grouped[run_id].append((int(k), float(value), tag))
+        grouped.setdefault(run_id, []).append((int(k), float(value), tag))
     result = []
-    for run_id in order:
-        entries = grouped[run_id]
-        tags = {tag for _, _, tag in entries}
-        if len(tags) != 1:
-            raise ValueError(f"run {run_id} mixes measure tags {tags}")
-        traj = EntanglementTrajectory(Measure(tags.pop()),
-                                      tuple((k, v) for k, v, _ in entries))
-        result.append((run_id, traj))
+    for run_id, entries in grouped.items():
+        steps, values, tags = zip(*entries)
+        if steps != tuple(range(len(steps))):
+            raise ValueError(f"run {run_id} steps {list(steps)} do not run 0..R in order")
+        if len(set(tags)) != 1:
+            raise ValueError(f"run {run_id} mixes measure tags {set(tags)}")
+        result.append((run_id, EntanglementTrajectory(Measure(tags[0]), values)))
     return result
 
 

@@ -54,7 +54,7 @@ def test_01_path_sums_match_direct_simulation():
         summed = {}
         for q0 in {q for q, _ in endpoints}:
             initial = StateVector.basis_state(n, q0)
-            direct[q0] = run_circuit(circuit, initial=initial).states[-1].amplitudes
+            direct[q0] = run_circuit(circuit, initial=initial)[-1].amplitudes
             sums = np.zeros(dim, dtype=np.complex128)
             for path in enumerate_paths(circuit, q0):
                 sums[path.configs[-1]] += path.amplitude
@@ -85,15 +85,15 @@ def test_02_path_count_is_four_to_the_gate_count():
 def test_03_entanglement_fixture_values(bell, ghz3, w3):
     for product in (StateVector.zero_state(2), StateVector.zero_state(3),
                     random_product_state(3, 31)):
-        assert geometric_entanglement(product).value < 1e-9
-    assert np.isclose(geometric_entanglement(bell).value, 0.5, atol=1e-6)
-    assert np.isclose(geometric_entanglement(ghz3).value, 0.5, atol=1e-6)
-    assert np.isclose(geometric_entanglement(w3).value, 5.0 / 9.0, atol=1e-4)
+        assert geometric_entanglement(product) < 1e-9
+    assert np.isclose(geometric_entanglement(bell), 0.5, atol=1e-6)
+    assert np.isclose(geometric_entanglement(ghz3), 0.5, atol=1e-6)
+    assert np.isclose(geometric_entanglement(w3), 5.0 / 9.0, atol=1e-4)
 
-    s_bell = von_neumann_entropy(reduced_density_matrix(bell, [0])).value
+    s_bell = von_neumann_entropy(reduced_density_matrix(bell, [0]))
     assert np.isclose(s_bell, 1.0, atol=1e-9)
     # W marginal spectrum is {1/3, 2/3}, so the entropy is log2(3) - 2/3.
-    s_w = von_neumann_entropy(reduced_density_matrix(w3, [1])).value
+    s_w = von_neumann_entropy(reduced_density_matrix(w3, [1]))
     assert np.isclose(s_w, math.log2(3.0) - 2.0 / 3.0, atol=1e-6)
     _report(3, "entanglement fixture values",
             f"S(W marginal) = {s_w:.5f}")
@@ -104,7 +104,7 @@ def test_04_geometric_measure_agrees_with_brute_force():
     for seed in range(20):
         n = 2 if seed < 10 else 3
         state = random_state(n, 400 + seed)
-        fast = geometric_entanglement(state).value
+        fast = geometric_entanglement(state)
         slow = oracles.grid_polish_geometric(state.amplitudes, n)
         worst = max(worst, abs(fast - slow))
     assert worst < 1e-4
@@ -175,17 +175,17 @@ def test_07_trajectory_sum_properties():
     for _ in range(1000):
         length = int(rng.integers(2, 9))
         values = rng.integers(0, 4097, size=length) / 1024.0
-        traj = EntanglementTrajectory(measure, tuple(enumerate(values)))
+        traj = EntanglementTrajectory(measure, tuple(values))
         total = path_entanglement_sum(traj)
         assert total >= abs(values[-1] - values[0])
 
         split = int(rng.integers(1, length))
-        left = EntanglementTrajectory(measure, tuple(enumerate(values[:split + 1])))
-        right = EntanglementTrajectory(measure, tuple(enumerate(values[split:])))
+        left = EntanglementTrajectory(measure, tuple(values[:split + 1]))
+        right = EntanglementTrajectory(measure, tuple(values[split:]))
         assert path_entanglement_sum(left) + path_entanglement_sum(right) == total
 
         ordered = np.sort(values)
-        mono = EntanglementTrajectory(measure, tuple(enumerate(ordered)))
+        mono = EntanglementTrajectory(measure, tuple(ordered))
         gap = float(ordered[-1] - ordered[0])
         assert abs(path_entanglement_sum(mono) - gap) < 1e-12
 
@@ -215,7 +215,7 @@ def test_08_synthesis_soundness():
             SynthesisProblem(target=target, seed=900 + i))
         assert isinstance(estimate, ComplexityEstimate)
         assert estimate.r_star <= r_gen
-        replayed = fidelity(run_circuit(estimate.witness).states[-1], target)
+        replayed = fidelity(run_circuit(estimate.witness)[-1], target)
         worst_replay = max(worst_replay,
                            abs(replayed - estimate.achieved_fidelity))
     for i in range(5):

@@ -193,3 +193,22 @@ def test_selftest_passes(capsys):
     assert any("pass" in line for line in lines)
     assert not any("FAIL" in line for line in lines)
     assert "10/10" in lines[-1]
+
+
+def test_corrupt_circuit_file_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "c.json").write_text(json.dumps({
+        "num_qubits": 2, "gates": [{"pair": [0, 1], "matrix": [1.0, 0.0]}]}))
+    config = write_config(tmp_path, "sim.json", {"circuit_file": "c.json"})
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "circuit_file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["not json {", None])
+def test_unreadable_target_file_is_a_config_error(tmp_path, capsys, content):
+    if content is not None:
+        (tmp_path / "t.json").write_text(content)
+    config = write_config(tmp_path, "c.json", {
+        "n": 2, "targets": {"files": ["t.json"], "seed": 1},
+        "budget": {"restarts": 2, "iters": 50}, "geo_restarts": 4, "r_max": 1})
+    assert main(["conjecture", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "targets.files[0]" in capsys.readouterr().err

@@ -5,12 +5,10 @@ import pytest
 
 from entpaths import entanglement
 from entpaths.core import StateVector
-from entpaths.entanglement import (Measure, NumericalDomainError,
+from entpaths.entanglement import (NumericalDomainError,
                                    ProductFitConvergenceError,
                                    geometric_entanglement,
-                                   reduced_density_matrix,
-                                   relative_entropy_pure_bipartite,
-                                   von_neumann_entropy)
+                                   reduced_density_matrix, von_neumann_entropy)
 
 import oracles
 from conftest import random_product_state, random_state
@@ -47,35 +45,35 @@ def test_reduced_density_matrix_requires_proper_subset(bell):
 
 def test_entropy_of_bell_marginal_is_one_bit(bell):
     value = von_neumann_entropy(reduced_density_matrix(bell, [0]))
-    assert value.measure is Measure.VON_NEUMANN_BITS
-    assert np.isclose(value.value, 1.0, atol=1e-9)
+    assert isinstance(value, float)
+    assert np.isclose(value, 1.0, atol=1e-9)
 
 
 def test_entropy_of_product_marginal_is_zero():
     state = random_product_state(3, 21)
     for q in range(3):
         value = von_neumann_entropy(reduced_density_matrix(state, [q]))
-        assert abs(value.value) < 1e-9
+        assert abs(value) < 1e-9
 
 
 def test_entropy_of_w3_marginal(w3):
     value = von_neumann_entropy(reduced_density_matrix(w3, [0]))
     expected = -(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3)
-    assert np.isclose(value.value, expected, atol=1e-9)
-    assert np.isclose(value.value, 0.9182958340544896, atol=1e-12)
+    assert np.isclose(value, expected, atol=1e-9)
+    assert np.isclose(value, 0.9182958340544896, atol=1e-12)
 
 
 def test_entropy_matches_loop_oracle_on_random_states():
     for seed in range(30, 36):
         state = random_state(3, seed)
-        fast = von_neumann_entropy(reduced_density_matrix(state, [0, 1])).value
+        fast = von_neumann_entropy(reduced_density_matrix(state, [0, 1]))
         slow = oracles.entropy_bits(oracles.reduced_rho(state.amplitudes, [0, 1], 3))
         assert np.isclose(fast, slow, atol=1e-9)
 
 
 def test_entropy_clips_harmless_negative_eigenvalues():
     rho = np.diag([1.0, -5e-11, 0.0, 0.0])
-    assert von_neumann_entropy(rho).value == 0.0
+    assert von_neumann_entropy(rho) == 0.0
 
 
 def test_entropy_rejects_genuinely_negative_spectrum():
@@ -91,28 +89,23 @@ def test_entropy_rejects_non_hermitian_and_wrong_trace():
 
 
 def test_geometric_entanglement_fixture_values(bell, ghz3, w3):
-    assert np.isclose(geometric_entanglement(bell).value, 0.5, atol=1e-6)
-    assert np.isclose(geometric_entanglement(ghz3).value, 0.5, atol=1e-6)
-    assert np.isclose(geometric_entanglement(w3).value, 5.0 / 9.0, atol=1e-4)
+    assert np.isclose(geometric_entanglement(bell), 0.5, atol=1e-6)
+    assert np.isclose(geometric_entanglement(ghz3), 0.5, atol=1e-6)
+    assert np.isclose(geometric_entanglement(w3), 5.0 / 9.0, atol=1e-4)
 
 
 def test_geometric_entanglement_vanishes_on_product_states():
     for seed in (41, 42):
         for n in (2, 3):
             state = random_product_state(n, seed)
-            assert geometric_entanglement(state).value < 1e-9
-
-
-def test_geometric_entanglement_measure_tag(bell):
-    value = geometric_entanglement(bell)
-    assert value.measure is Measure.GEOMETRIC
+            assert geometric_entanglement(state) < 1e-9
 
 
 def test_geometric_matches_grid_polish_oracle():
     for seed in range(60, 66):
         n = 2 if seed % 2 == 0 else 3
         state = random_state(n, seed)
-        fast = geometric_entanglement(state).value
+        fast = geometric_entanglement(state)
         slow = oracles.grid_polish_geometric(state.amplitudes, n)
         assert abs(fast - slow) < 1e-4
 
@@ -128,7 +121,7 @@ def test_batched_fit_matches_loop_oracle(name, restarts, seed, request):
         state = StateVector.zero_state(3)
     else:
         state = request.getfixturevalue(name)
-    value = geometric_entanglement(state, restarts=restarts, seed=seed).value
+    value = geometric_entanglement(state, restarts=restarts, seed=seed)
     reference, converged = oracles.geometric_entanglement_loop(
         state.amplitudes, state.num_qubits, restarts=restarts, seed=seed)
     assert converged
@@ -143,25 +136,13 @@ def test_unconverged_fit_raises_with_the_best_value(monkeypatch, w3):
 
 
 def test_geometric_entanglement_deterministic(w3):
-    a = geometric_entanglement(w3, seed=5).value
-    b = geometric_entanglement(w3, seed=5).value
+    a = geometric_entanglement(w3, seed=5)
+    b = geometric_entanglement(w3, seed=5)
     assert a == b
 
 
 def test_more_restarts_never_hurt():
     state = random_state(3, 70)
-    few = geometric_entanglement(state, restarts=1).value
-    many = geometric_entanglement(state, restarts=32).value
+    few = geometric_entanglement(state, restarts=1)
+    many = geometric_entanglement(state, restarts=32)
     assert many <= few + 1e-15
-
-
-def test_relative_entropy_alias_equals_reduced_entropy(bell):
-    ree = relative_entropy_pure_bipartite(bell, [0])
-    direct = von_neumann_entropy(reduced_density_matrix(bell, [0]))
-    assert ree.value == direct.value
-    assert ree.measure is Measure.VON_NEUMANN_BITS
-
-
-def test_relative_entropy_alias_on_product_state():
-    state = random_product_state(2, 80)
-    assert relative_entropy_pure_bipartite(state, [1]).value < 1e-9

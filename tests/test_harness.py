@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -297,6 +298,18 @@ def test_synthesis_failures_are_counted_not_fatal(tmp_path, ghz3):
         assert target["success"] is None
         assert target["records"] == []
         assert target["best_fidelity_per_r"]
+
+
+def test_report_targets_hold_exactly_the_outcome_fields(tmp_path, ghz3):
+    save_state(ghz3, tmp_path / "g.json")
+    fields = {f.name for f in dataclasses.fields(harness.TargetOutcome)}
+    found = report_to_dict(harness.run_experiment(lean_config()))
+    not_found = report_to_dict(harness.run_experiment(lean_config(
+        budget={"restarts": 1, "iters": 3}, r_max=1,
+        targets={"files": [str(tmp_path / "g.json")], "seed": 21})))
+    assert not_found["targets"][0]["r_star"] is None
+    for target in found["targets"] + not_found["targets"]:
+        assert set(target) == fields
 
 
 def test_conjecture_run_is_parallel_invariant():

@@ -18,7 +18,7 @@ def test_readme_python_blocks_run_in_order():
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     # the values the README's comments promise
-    assert abs(namespace["geometric_entanglement"](namespace["bell"]).value - 0.5) < 1e-6
+    assert abs(namespace["geometric_entanglement"](namespace["bell"]) - 0.5) < 1e-6
     assert namespace["count"] == 4**namespace["circuit"].num_gates
     assert namespace["estimate"].r_star == 1
 

@@ -144,7 +144,7 @@ def test_kernel_fidelity_matches_circuit_run(n):
     thetas = np.vstack([free, params_from_su4(last)])
     circuit = Circuit.from_gates(n, [TwoQubitGate(pair, su4_from_params(theta))
                                      for pair, theta in zip(pairs, thetas)])
-    slow = fidelity(run_circuit(circuit).states[-1], target)
+    slow = fidelity(run_circuit(circuit)[-1], target)
     assert abs(value - slow) <= 1e-12
 
 
@@ -168,7 +168,7 @@ def test_ascent_succeeds_at_least_as_often_as_the_full_gate_ascent():
                 theta = np.vstack([free, params_from_su4(last)])
                 circuit = Circuit.from_gates(n, [
                     TwoQubitGate(pair, su4_from_params(t)) for pair, t in zip(pairs, theta)])
-                replayed = fidelity(run_circuit(circuit).states[-1], target)
+                replayed = fidelity(run_circuit(circuit)[-1], target)
                 assert abs(replayed - value) <= 1e-12
                 full_successes += full >= threshold
                 successes += value >= threshold

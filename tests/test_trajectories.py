@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entpaths import entanglement
-from entpaths.core import (Circuit, DimensionMismatchError, StatePath,
-                           StateVector, TwoQubitGate, random_architecture,
-                           random_circuit, run_circuit)
+from entpaths.core import (Circuit, DimensionMismatchError, StateVector,
+                           TwoQubitGate, random_architecture, random_circuit,
+                           run_circuit)
 from entpaths.entanglement import Measure, ProductFitConvergenceError
 from entpaths.trajectories import (EntanglementTrajectory,
                                    TrajectoryMeasureError, export_trajectories,
@@ -34,8 +34,7 @@ def bell_prep_circuit():
 
 
 def _traj(values, measure=Measure.GEOMETRIC):
-    return EntanglementTrajectory(
-        measure, tuple((k, float(v)) for k, v in enumerate(values)))
+    return EntanglementTrajectory(measure, tuple(float(v) for v in values))
 
 
 def test_trajectory_includes_the_initial_state():
@@ -75,13 +74,23 @@ def test_round_trip_circuit_overshoots_the_endpoint_gap():
     assert abs(traj.values[2] - traj.values[0]) < 1e-9
 
 
-def test_trajectory_validation():
+def test_trajectory_validation(tmp_path):
+    gapped = tmp_path / "gapped.csv"
+    gapped.write_text("run_id,k,entanglement,measure_tag\n"
+                      "a,0,0,geometric\na,2,0.1,geometric\n")
+    with pytest.raises(ValueError, match="0..R"):
+        read_trajectories(gapped)
     with pytest.raises(ValueError):
-        EntanglementTrajectory(Measure.GEOMETRIC, ((0, 0.0), (2, 0.1)))
+        EntanglementTrajectory(Measure.GEOMETRIC, (-0.5,))
     with pytest.raises(ValueError):
-        EntanglementTrajectory(Measure.GEOMETRIC, ((0, -0.5),))
-    with pytest.raises(ValueError):
-        EntanglementTrajectory(Measure.GEOMETRIC, ((0, math.nan),))
+        EntanglementTrajectory(Measure.GEOMETRIC, (math.nan,))
+
+
+def test_read_trajectories_rejects_a_file_without_header(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match="header"):
+        read_trajectories(empty)
 
 
 def test_measure_state_needs_cut_for_entropy(bell):
@@ -109,7 +118,7 @@ def test_trajectory_wraps_an_unconverged_geometric_fit_at_step_zero(monkeypatch)
 def test_trajectory_rejects_a_one_qubit_geometric_path_at_step_zero():
     plus = StateVector.from_amplitudes([1 / math.sqrt(2), 1 / math.sqrt(2)])
     with pytest.raises(TrajectoryMeasureError) as err:
-        trajectory(StatePath((StateVector.zero_state(1), plus)))
+        trajectory((StateVector.zero_state(1), plus))
     assert err.value.step == 0
     assert str(err.value) == ("measure failed at step 0: "
                               "geometric entanglement needs at least 2 qubits")
@@ -162,7 +171,7 @@ def test_redrawn_sites_continue_each_restarts_generator(monkeypatch, restarts):
     amps = random_state(3, 12).amplitudes.copy()
     amps[[3, 7]] = 0.0
     skewed = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
-    path = StatePath((StateVector.zero_state(3), skewed))
+    path = (StateVector.zero_state(3), skewed)
     traj = trajectory(path, geo_restarts=restarts)
     for state, value in zip(path, traj.values):
         reference, converged = oracles.geometric_entanglement_loop(

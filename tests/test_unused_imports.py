@@ -1,8 +1,9 @@
 """Static checks on the source, with nothing but ast.
 
 No module of the package or its tests imports a name it never reads; no
-private top-level helper of the package is left unreferenced; and every
-geo_restarts default is entanglement.GEO_RESTARTS, written once.
+private top-level helper of the package is left unreferenced; every
+geo_restarts default is entanglement.GEO_RESTARTS, written once; and the
+search defaults of ExperimentConfig are read from the synthesis dataclasses.
 """
 import ast
 from pathlib import Path
@@ -93,3 +94,22 @@ def test_geo_restarts_defaults_are_the_entanglement_constant():
     literal = [f"{name}:{node.lineno} {ast.unparse(node)}" for name, node in defaults
                if ast.unparse(node) not in ("GEO_RESTARTS", "cls.geo_restarts")]
     assert not literal, "geo_restarts default is not GEO_RESTARTS:\n" + "\n".join(literal)
+
+
+# ExperimentConfig field -> the synthesis default it must be read from
+SEARCH_DEFAULTS = {
+    "fidelity_tol": "SynthesisProblem.fidelity_tol",
+    "r_max": "SynthesisProblem.r_max",
+    "max_architectures": "SynthesisProblem.max_architectures",
+    "restarts": "OptimizerBudget.restarts",
+    "iterations": "OptimizerBudget.iterations",
+}
+
+
+def test_experiment_config_reads_the_synthesis_defaults():
+    tree = ast.parse((ROOT / "src" / "entpaths" / "harness.py").read_text(encoding="utf-8"))
+    config = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    defaults = {node.target.id: ast.unparse(node.value) for node in config.body
+                if isinstance(node, ast.AnnAssign) and node.value is not None}
+    assert {name: defaults.get(name) for name in SEARCH_DEFAULTS} == SEARCH_DEFAULTS
