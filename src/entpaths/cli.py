@@ -163,10 +163,11 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     save_circuit(circuit, out / "circuit.json")
     export_trajectories([(run_id, traj)], out / "trajectory.csv")
-    write_canonical_json(out / "summary.json", trajectory_summary(run_id, traj))
+    summary = trajectory_summary(run_id, traj)
+    write_canonical_json(out / "summary.json", summary)
     _write_manifest(out, "simulate", resolved["seed"], resolved)
     print(f"simulate: R={circuit.num_gates} n={n} "
-          f"sum={trajectory_summary(run_id, traj)['sum']:.6g} -> {out}")
+          f"sum={summary['sum']:.6g} -> {out}")
     return 0
 
 
@@ -250,6 +251,7 @@ def cmd_deutsch(args) -> int:
 def cmd_conjecture(args) -> int:
     if args.config is None:
         raise ConfigError("conjecture needs --config")
+    need(args.jobs >= 1, "--jobs", f"must be >= 1, got {args.jobs}")
     doc = _load_config(args.config, "conjecture")
     doc = dict(doc)
     if args.seed is not None:
@@ -271,10 +273,11 @@ def cmd_conjecture(args) -> int:
     write_records_csv(report, out / "records.csv")
     _write_manifest(out, "conjecture", config.seed, config.to_dict())
     agg = doc_out["aggregate"]["all_targets"]
-    low, high = agg["success_rate_ci95"]
-    print(f"conjecture: {doc_out['aggregate']['num_targets']} targets, "
-          f"success rate {agg['success_rate']:.3g} [{low:.3g}, {high:.3g}] "
-          f"-> {out}")
+    line = f"conjecture: {doc_out['aggregate']['num_targets']} targets"
+    if agg["trials"]:
+        low, high = agg["success_rate_ci95"]
+        line += f", success rate {agg['success_rate']:.3g} [{low:.3g}, {high:.3g}]"
+    print(f"{line} -> {out}")
     return 0
 
 
@@ -354,11 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "minimum-entanglement-path experiment.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, jobs=False, measure=False):
+    def common(p, *, seed=True, jobs=False, measure=False):
         p.add_argument("--config", metavar="PATH",
                        help="JSON config (a manifest.json also works)")
-        p.add_argument("--seed", type=int, metavar="U64",
-                       help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, metavar="U64",
+                           help="override the config seed")
         p.add_argument("--out", metavar="DIR", default=".",
                        help="output directory (default: current directory)")
         if jobs:
@@ -381,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("deutsch", help="oracle interference table")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--variant", choices=sorted(DEUTSCH_VARIANTS),
                    help="oracle choice (default not_x)")
     p.set_defaults(func=cmd_deutsch)

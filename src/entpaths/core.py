@@ -48,11 +48,17 @@ def config_to_index(bits: Sequence[int]) -> int:
     return index
 
 
-def index_to_config(index: int, num_qubits: int) -> tuple[int, ...]:
-    """Bit configuration of a basis index, length num_qubits."""
-    if not 0 <= index < 2**num_qubits:
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    return tuple((index >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits))
+def basis_index(configuration, num_qubits: int) -> int:
+    """Basis index of a configuration given as an index or a bit sequence."""
+    if isinstance(configuration, (int, np.integer)):
+        index = int(configuration)
+        if not 0 <= index < 2**num_qubits:
+            raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
+        return index
+    bits = tuple(configuration)
+    if len(bits) != num_qubits:
+        raise DimensionMismatchError(f"expected {num_qubits} bits, got {len(bits)}")
+    return config_to_index(bits)
 
 
 def config_label(index: int, num_qubits: int) -> str:
@@ -103,19 +109,8 @@ class StateVector:
     @classmethod
     def basis_state(cls, num_qubits: int, configuration) -> "StateVector":
         """Computational basis state from an index or a bit sequence."""
-        if isinstance(configuration, (int, np.integer)):
-            index = int(configuration)
-            if not 0 <= index < 2**num_qubits:
-                raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-        else:
-            bits = tuple(configuration)
-            if len(bits) != num_qubits:
-                raise DimensionMismatchError(
-                    f"expected {num_qubits} bits, got {len(bits)}"
-                )
-            index = config_to_index(bits)
         amp = np.zeros(2**num_qubits, dtype=np.complex128)
-        amp[index] = 1.0
+        amp[basis_index(configuration, num_qubits)] = 1.0
         return cls(num_qubits, amp)
 
     @classmethod

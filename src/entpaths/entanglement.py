@@ -5,7 +5,7 @@
     computed by the alternating single-site fit of Wei & Goldbart (PRA 68,
     042307, 2003).  One private routine fits a whole stack of same-size
     states, every (state, restart) pair a row of one batch, from start
-    vectors cached per (n, restarts, seed); geometric_entanglement fits one
+    vectors cached per (n, restarts); geometric_entanglement fits one
     state with it and trajectories.trajectory fits every state of a path in
     one call.
 
@@ -107,18 +107,18 @@ def _unit_draw(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 
 @functools.cache
-def _start_vectors(num_qubits: int, restarts: int, seed: int) -> np.ndarray:
+def _start_vectors(num_qubits: int, restarts: int) -> np.ndarray:
     """Start vectors (restart, site, 2): restart k's n unit vectors, drawn
-    first from a generator seeded by (seed, k).  Cached and read-only."""
-    starts = np.stack([_unit_draw(np.random.default_rng((seed, k)), (num_qubits,))
+    first from a generator seeded by (0, k).  Cached and read-only."""
+    starts = np.stack([_unit_draw(np.random.default_rng((0, k)), (num_qubits,))
                        for k in range(restarts)])
     starts.setflags(write=False)
     return starts
 
 
-def _redraw_generator(num_qubits: int, seed: int, k: int) -> np.random.Generator:
+def _redraw_generator(num_qubits: int, k: int) -> np.random.Generator:
     """Restart k's generator, advanced past its start draw."""
-    rng = np.random.default_rng((seed, k))
+    rng = np.random.default_rng((0, k))
     _unit_draw(rng, (num_qubits,))
     return rng
 
@@ -130,8 +130,8 @@ def _convergence_error(value: float) -> ProductFitConvergenceError:
     )
 
 
-def _product_fit(amplitudes: np.ndarray, num_qubits: int, restarts: int,
-                 seed: int = 0) -> tuple[list[float], np.ndarray]:
+def _product_fit(amplitudes: np.ndarray, num_qubits: int,
+                 restarts: int) -> tuple[list[float], np.ndarray]:
     """Alternating product-state fit of every state of a (states, 2**n) stack.
 
     Returns each state's value 1 - max |<phi|psi>|**2 over its restarts and
@@ -150,7 +150,7 @@ def _product_fit(amplitudes: np.ndarray, num_qubits: int, restarts: int,
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     num_states = len(amplitudes)
     psi = np.asarray(amplitudes).reshape((num_states,) + (2,) * n)
-    vectors = np.tile(_start_vectors(n, restarts, seed), (num_states, 1, 1))  # (row, site, 2)
+    vectors = np.tile(_start_vectors(n, restarts), (num_states, 1, 1))  # (row, site, 2)
     overlap = np.zeros(num_states * restarts)
     previous = np.full(overlap.size, -1.0)
     active = np.arange(overlap.size)
@@ -168,7 +168,7 @@ def _product_fit(amplitudes: np.ndarray, num_qubits: int, restarts: int,
             overlap[active[fit]] = norm[fit]
             for row in active[~fit]:
                 if row not in redraw:
-                    redraw[row] = _redraw_generator(n, seed, row % restarts)
+                    redraw[row] = _redraw_generator(n, row % restarts)
                 vectors[row, site] = _unit_draw(redraw[row], ())
         done = np.abs(overlap[active] - previous[active]) < GEO_TOL
         previous[active] = overlap[active]
@@ -182,23 +182,23 @@ def _product_fit(amplitudes: np.ndarray, num_qubits: int, restarts: int,
     return [max(0.0, 1.0 - float(b) ** 2) for b in best], converged
 
 
-def geometric_entanglement(state: StateVector, *, restarts: int = GEO_RESTARTS,
-                           seed: int = 0) -> float:
+def geometric_entanglement(state: StateVector, *,
+                           restarts: int = GEO_RESTARTS) -> float:
     """1 - max |<phi|psi>|**2 over normalized product states |phi>.
 
     Alternating optimization: with all sites but one held fixed, the optimal
     single-site vector is the normalized contraction of the state against
     the others, so each update is exact and the overlap never decreases.
     Restarts run as one batch.  Restart k starts from vectors drawn from a
-    generator seeded by (seed, k) (a table cached per (n, restarts, seed)),
+    generator seeded by (0, k) (a table cached per (n, restarts)),
     re-draws any site whose environment vanishes from that same generator,
     and stops once a sweep moves its overlap by less than GEO_TOL.  The
-    value is the best over restarts, so it is monotone in the restart count
-    for a fixed seed; if no restart stops within GEO_MAX_SWEEPS sweeps,
+    value is the best over restarts, so it is monotone in the restart count;
+    if no restart stops within GEO_MAX_SWEEPS sweeps,
     ProductFitConvergenceError carries it.
     """
     values, converged = _product_fit(state.amplitudes[None], state.num_qubits,
-                                     restarts, seed)
+                                     restarts)
     if not converged[0]:
         raise _convergence_error(values[0])
     return values[0]

@@ -33,8 +33,8 @@ from .core import (
     Circuit,
     ResourceCapError,
     apply_gate_matrix,
+    basis_index,
     config_label,
-    config_to_index,
 )
 
 DEFAULT_PATH_CAP = 4**12
@@ -44,37 +44,12 @@ class PathAmplitude(NamedTuple):
     """One configuration path and its complex amplitude.
 
     configs holds the basis index at each step (length R+1, starting at the
-    initial configuration); magnitude/phase are the polar parts of the
-    amplitude with phase in (-pi, pi] and phase 0 for amplitude 0.
+    initial configuration); amplitude is the product of the gate matrix
+    elements along the path.
     """
 
     configs: tuple[int, ...]
     amplitude: complex
-    magnitude: float
-    phase: float
-
-
-def decompose_amplitude(amplitude: complex) -> tuple[float, float]:
-    """Polar parts (magnitude, phase) with phase in (-pi, pi]; phase(0) = 0."""
-    magnitude = abs(amplitude)
-    if magnitude == 0.0:
-        return 0.0, 0.0
-    phase = math.atan2(amplitude.imag, amplitude.real)
-    if phase <= -math.pi:
-        phase = math.pi
-    return float(magnitude), float(phase)
-
-
-def _as_index(configuration, num_qubits: int) -> int:
-    if isinstance(configuration, (int, np.integer)):
-        index = int(configuration)
-        if not 0 <= index < 2**num_qubits:
-            raise ValueError(f"configuration {index} out of range for {num_qubits} qubits")
-        return index
-    bits = tuple(configuration)
-    if len(bits) != num_qubits:
-        raise ValueError(f"expected {num_qubits} bits, got {len(bits)}")
-    return config_to_index(bits)
 
 
 # Paths are expanded with numpy this many gates deep at a time: 4**6 = 4096
@@ -158,8 +133,8 @@ def enumerate_paths(circuit: Circuit, initial_configuration,
     anything if 4**R exceeds path_cap.
     """
     n = circuit.num_qubits
-    start = _as_index(initial_configuration, n)
-    final = None if final_configuration is None else _as_index(final_configuration, n)
+    start = basis_index(initial_configuration, n)
+    final = None if final_configuration is None else basis_index(final_configuration, n)
     blocks = _circuit_blocks(circuit, start, path_cap)
 
     def generate():
@@ -171,8 +146,7 @@ def enumerate_paths(circuit: Circuit, initial_configuration,
                 keep = trails[:, -1] == final
                 trails, amplitudes = trails[keep], amplitudes[keep]
             for trail, amplitude in zip(trails.tolist(), amplitudes.tolist()):
-                magnitude, phase = decompose_amplitude(amplitude)
-                yield PathAmplitude(tuple(trail), amplitude, magnitude, phase)
+                yield PathAmplitude(tuple(trail), amplitude)
 
     return generate()
 
@@ -186,7 +160,7 @@ def path_sums(circuit: Circuit, initial_configuration, *,
     the number of paths (4**R).  Each endpoint's sum is accumulated in
     depth-first path order.
     """
-    start = _as_index(initial_configuration, circuit.num_qubits)
+    start = basis_index(initial_configuration, circuit.num_qubits)
     sums = np.zeros(2**circuit.num_qubits, dtype=complex)
     count = 0
     for layers, amplitudes in _circuit_blocks(circuit, start, path_cap):
@@ -203,7 +177,7 @@ def transition_amplitude(circuit: Circuit, initial_configuration,
     Agrees with the direct matrix-product amplitude of the circuit unitary;
     that identity is the core consistency check of the whole path picture.
     """
-    final = _as_index(final_configuration, circuit.num_qubits)
+    final = basis_index(final_configuration, circuit.num_qubits)
     sums, _ = path_sums(circuit, initial_configuration, path_cap=path_cap)
     return complex(sums[final])
 

@@ -13,8 +13,8 @@ with the exact gradient of each gate's exponential taken in its
 eigenbasis; a one-gate search is a single exact evaluation.  Each ascent
 evaluates its start once and calls L-BFGS-B only when that start neither
 reaches the stopping fidelity nor is stationary (the test L-BFGS-B would
-make on it before any step), and only the restarts a search keeps have
-their last gate converted back to parameters.  The smallest gate count at
+make on it before any step).  The last gate of a kept restart stays the
+matrix the SVD gave, rescaled into SU(4).  The smallest gate count at
 which any canonical architecture reaches a fidelity tolerance estimates
 the target's exact-preparation complexity.
 
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .core import (
@@ -108,24 +107,6 @@ def su4_from_params(theta: Sequence[float]) -> np.ndarray:
     if theta.shape != (NUM_GATE_PARAMS,):
         raise DimensionMismatchError(f"expected {NUM_GATE_PARAMS} parameters, got {theta.shape}")
     return _su4_batch(theta)
-
-
-def params_from_su4(matrix: np.ndarray) -> np.ndarray:
-    """A parameter preimage of a special-unitary 4x4 matrix.
-
-    Recovered through the principal matrix logarithm; the round trip
-    su4_from_params(params_from_su4(U)) equals U up to a global phase that
-    is a 4th root of unity (the traceless projection of the log branch).
-    """
-    u = np.asarray(matrix, dtype=np.complex128)
-    if u.shape != (4, 4):
-        raise DimensionMismatchError(f"expected a 4x4 matrix, got {u.shape}")
-    t, q = scipy.linalg.schur(u, output="complex")
-    angles = np.angle(np.diagonal(t))
-    h = -(q * angles[None, :]) @ q.conj().T  # U = exp(-iH)
-    h = (h + h.conj().T) / 2.0
-    h = h - (np.trace(h).real / 4.0) * np.eye(4)
-    return np.real(np.tensordot(GENERATORS, h, axes=([1, 2], [1, 0]))) / 2.0
 
 
 def _seed_key(seed, *extra) -> tuple[int, ...]:
@@ -293,14 +274,13 @@ def _replay(architecture: Architecture, theta: np.ndarray, last: np.ndarray,
             target: StateVector) -> tuple[Circuit, float]:
     """Rebuild the gates of a restart and the fidelity they reach when run.
 
-    The free gates come from their parameters theta; the last gate has its
-    phase fixed to det = 1 and goes through its parameters too, so every
-    gate of the circuit lies in the parameter chart's image.
+    The free gates come from their parameters theta; the closed-form last
+    gate is bound as it is, its global phase rescaled so that det = 1.
     """
-    last = last * np.exp(-0.25j * np.angle(np.linalg.det(last)))
-    mats = _su4_batch(np.vstack([theta, params_from_su4(last)]))
-    gates = tuple(TwoQubitGate(pair, m) for pair, m in zip(architecture.gate_slots, mats))
-    circuit = Circuit(architecture, gates)
+    *free_pairs, last_pair = architecture.gate_slots
+    gates = [TwoQubitGate(pair, m) for pair, m in zip(free_pairs, _su4_batch(theta))]
+    gates.append(TwoQubitGate.from_unitary(last_pair, last))
+    circuit = Circuit(architecture, tuple(gates))
     return circuit, fidelity(run_circuit(circuit)[-1], target)
 
 

@@ -3,7 +3,9 @@
 Everything here is deliberately written the most literal way possible —
 explicit loops over basis indices, dense matrices, exhaustive search — and
 shares no code path with the package, so agreement is meaningful.  The
-exceptions are the two ascents at the end, kept as baselines of the
+exceptions are params_from_su4, which inverts the package's gate chart
+through a matrix logarithm so tests can build parameters from a matrix,
+and the two ascents at the end, kept as baselines of the
 package's earlier ascents: the full-gate one runs on the package's gate
 chart, and the closed-form one on the package's fidelity kernel.
 """
@@ -14,12 +16,14 @@ import math
 from typing import Iterator, Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import expm, expm_frechet
 from scipy.optimize import minimize
 
-from entpaths.core import gather_index
-from entpaths.synthesis import (LBFGS_GTOL, NUM_GATE_PARAMS, STOP_FIDELITY,
-                                _GENERATOR_ROWS, _fidelity_and_grad, _su4_eigh)
+from entpaths.core import DimensionMismatchError, gather_index
+from entpaths.synthesis import (GENERATORS, LBFGS_GTOL, NUM_GATE_PARAMS,
+                                STOP_FIDELITY, _GENERATOR_ROWS,
+                                _fidelity_and_grad, _su4_eigh)
 
 
 def embed_gate(matrix, pair, num_qubits):
@@ -382,6 +386,24 @@ def fidelity_and_gradient_expm(thetas, generators, pairs, num_qubits, target):
             damp = left @ embed_gate(du, pair, num_qubits) @ right
             grad[g, a] = 2.0 * (np.conj(amp) * damp).real
     return float(abs(amp) ** 2), grad
+
+
+def params_from_su4(matrix: np.ndarray) -> np.ndarray:
+    """A parameter preimage of a special-unitary 4x4 matrix.
+
+    Recovered through the principal matrix logarithm; the round trip
+    su4_from_params(params_from_su4(U)) equals U up to a global phase that
+    is a 4th root of unity (the traceless projection of the log branch).
+    """
+    u = np.asarray(matrix, dtype=np.complex128)
+    if u.shape != (4, 4):
+        raise DimensionMismatchError(f"expected a 4x4 matrix, got {u.shape}")
+    t, q = scipy.linalg.schur(u, output="complex")
+    angles = np.angle(np.diagonal(t))
+    h = -(q * angles[None, :]) @ q.conj().T  # U = exp(-iH)
+    h = (h + h.conj().T) / 2.0
+    h = h - (np.trace(h).real / 4.0) * np.eye(4)
+    return np.real(np.tensordot(GENERATORS, h, axes=([1, 2], [1, 0]))) / 2.0
 
 
 def best_last_gate_fidelity(before, target, num_qubits, pair):

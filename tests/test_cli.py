@@ -6,6 +6,7 @@ import pytest
 from entpaths.canonical import write_canonical_json
 from entpaths.cli import main
 from entpaths.core import StateVector, load_circuit, save_state
+from entpaths.fixtures import fixture_state
 from entpaths.trajectories import read_trajectories
 
 
@@ -212,3 +213,35 @@ def test_unreadable_target_file_is_a_config_error(tmp_path, capsys, content):
         "budget": {"restarts": 2, "iters": 50}, "geo_restarts": 4, "r_max": 1})
     assert main(["conjecture", "--config", config, "--out", str(tmp_path / "o")]) == 2
     assert "targets.files[0]" in capsys.readouterr().err
+
+
+def test_conjecture_with_no_target_found_prints_no_rate(tmp_path, capsys):
+    # no single gate prepares GHZ3, so with r_max 1 no target is evaluated
+    save_state(fixture_state("ghz3"), tmp_path / "ghz3.json")
+    config = write_config(tmp_path, "c.json", {
+        "n": 3, "targets": {"files": ["ghz3.json"], "seed": 1},
+        "budget": {"restarts": 2, "iters": 50}, "geo_restarts": 4, "r_max": 1})
+    out = tmp_path / "o"
+    assert main(["conjecture", "--config", config, "--out", str(out)]) == 0
+    aggregate = read_json(out / "report.json")["aggregate"]
+    assert aggregate["num_synthesis_failures"] == 1
+    assert aggregate["all_targets"]["trials"] == 0
+    assert "success rate" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_config_error(tmp_path, capsys, jobs):
+    config = write_config(tmp_path, "c.json", {
+        "n": 2, "targets": {"count": 1, "r_gen": 1, "seed": 2},
+        "budget": {"restarts": 2, "iters": 50}, "geo_restarts": 4, "r_max": 1})
+    out = tmp_path / "o"
+    assert main(["conjecture", "--config", config, "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_deutsch_takes_no_seed(tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["deutsch", "--seed", "3", "--out", str(tmp_path / "d")])
+    assert exit_info.value.code == 2

@@ -6,7 +6,7 @@ import pytest
 from entpaths.core import (Architecture, Circuit, DimensionMismatchError,
                            StateVector, TwoQubitGate, all_pairs, apply_gate,
                            apply_gate_matrix, config_label, config_to_index,
-                           fidelity, haar_random_su4, index_to_config,
+                           fidelity, haar_random_su4,
                            load_circuit, load_state, random_architecture,
                            random_circuit, run_circuit, save_circuit,
                            save_state)
@@ -23,15 +23,8 @@ def test_qubit_zero_is_most_significant_bit():
     # |10> means qubit 0 set -> basis index 2
     assert config_to_index((1, 0)) == 2
     assert config_to_index((0, 1)) == 1
-    assert index_to_config(2, 2) == (1, 0)
     assert config_label(2, 2) == "10"
     assert config_label(5, 3) == "101"
-
-
-def test_config_round_trip():
-    for n in (1, 2, 3, 4):
-        for i in range(2**n):
-            assert config_to_index(index_to_config(i, n)) == i
 
 
 def test_state_vector_requires_normalization():

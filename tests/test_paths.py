@@ -1,13 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from entpaths import paths as paths_module
 from entpaths.core import (Circuit, ResourceCapError, TwoQubitGate,
                            random_architecture, random_circuit, run_circuit)
-from entpaths.paths import (DEUTSCH_VARIANTS, decompose_amplitude,
-                            deutsch_path_table, deutsch_report_to_dict,
+from entpaths.paths import (DEUTSCH_VARIANTS, deutsch_path_table, deutsch_report_to_dict,
                             deutsch_step_matrices, enumerate_paths,
                             interference_csv_rows, oracle_matrix, path_sums,
                             transition_amplitude, write_interference_csv)
@@ -177,23 +174,6 @@ def test_path_sums_at_the_benchmark_size():
     sums, count = path_sums(circuit, 0)
     assert count == 4**10
     assert np.abs(sums - run_circuit(circuit)[-1].amplitudes).max() < 1e-9
-
-
-def test_decompose_amplitude():
-    mag, phase = decompose_amplitude(1j)
-    assert np.isclose(mag, 1.0) and np.isclose(phase, math.pi / 2)
-    mag, phase = decompose_amplitude(-1.0 + 0.0j)
-    assert np.isclose(phase, math.pi)  # -pi is normalized to +pi
-    assert decompose_amplitude(0.0) == (0.0, 0.0)
-    _, phase = decompose_amplitude(complex(-1.0, -0.0))
-    assert phase == math.pi
-
-
-def test_path_magnitude_and_phase_match_amplitude():
-    circuit = _random_circuit(2, 2, 18)
-    for path in enumerate_paths(circuit, 0):
-        rebuilt = path.magnitude * np.exp(1j * path.phase)
-        assert np.isclose(rebuilt, path.amplitude, atol=1e-12)
 
 
 # --- the two-bit function tester -----------------------------------------

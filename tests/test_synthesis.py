@@ -11,14 +11,14 @@ from entpaths.core import (Architecture, Circuit, ResourceCapError,
 from entpaths.synthesis import (ComplexityEstimate, ComplexityNotFound,
                                 GENERATORS, OptimizerBudget, SynthesisProblem,
                                 STOP_FIDELITY, _ascend, _fidelity_and_grad,
-                                _restarts, enumerate_architectures,
+                                enumerate_architectures,
                                 estimate_state_complexity, optimize_gates,
-                                optimize_gates_collect, params_from_su4,
-                                sample_target, su4_from_params)
+                                optimize_gates_collect, sample_target,
+                                su4_from_params)
 
 import oracles
 from conftest import random_state
-from oracles import commuting_normal_form
+from oracles import commuting_normal_form, params_from_su4
 
 SMALL = OptimizerBudget(restarts=12, iterations=400)
 
@@ -244,30 +244,6 @@ def test_stationary_start_never_enters_scipy(monkeypatch):
     _ascend(rng.uniform(-np.pi, np.pi, size=(1, 15)), ((0, 1), (1, 2)), 3,
             random_state(3, seed=320).amplitudes, 300)
     assert calls == [1]
-
-
-def test_last_gate_is_converted_once_per_replayed_restart(monkeypatch):
-    arch = Architecture(3, ((0, 1), (1, 2)))
-    target = random_state(3, seed=7)
-    budget = OptimizerBudget(restarts=6, iterations=100)
-    values = sorted(value for *_, value in _restarts(arch, target, budget, 0))
-    counts = {"ascents": 0, "conversions": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(synthesis, "_ascend", counted("ascents", _ascend))
-    monkeypatch.setattr(synthesis, "params_from_su4",
-                        counted("conversions", params_from_su4))
-    optimize_gates(arch, target, budget, seed=0)
-    assert counts == {"ascents": 6, "conversions": 1}
-    counts.update(ascents=0, conversions=0)
-    # the best three restarts pass, so three are replayed
-    optimize_gates_collect(arch, target, budget, 0, success_fidelity=values[3])
-    assert counts == {"ascents": 6, "conversions": 3}
 
 
 # --- single-architecture optimization ------------------------------------

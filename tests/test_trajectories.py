@@ -167,7 +167,7 @@ def test_redrawn_sites_continue_each_restarts_generator(monkeypatch, restarts):
     # does, so each is re-drawn from the restart's generator past its start
     starts = np.zeros((restarts, 3, 2), dtype=complex)
     starts[..., 1] = 1.0
-    monkeypatch.setattr(entanglement, "_start_vectors", lambda n, r, seed: starts)
+    monkeypatch.setattr(entanglement, "_start_vectors", lambda n, r: starts)
     amps = random_state(3, 12).amplitudes.copy()
     amps[[3, 7]] = 0.0
     skewed = StateVector.from_amplitudes(amps / np.linalg.norm(amps))

@@ -2,8 +2,9 @@
 
 No module of the package or its tests imports a name it never reads; no
 private top-level helper of the package is left unreferenced; every
-geo_restarts default is entanglement.GEO_RESTARTS, written once; and the
-search defaults of ExperimentConfig are read from the synthesis dataclasses.
+geo_restarts default is entanglement.GEO_RESTARTS, written once; the
+search defaults of ExperimentConfig are read from the synthesis dataclasses;
+and scipy is imported only by synthesis, for its optimizer.
 """
 import ast
 from pathlib import Path
@@ -113,3 +114,22 @@ def test_experiment_config_reads_the_synthesis_defaults():
     defaults = {node.target.id: ast.unparse(node.value) for node in config.body
                 if isinstance(node, ast.AnnAssign) and node.value is not None}
     assert {name: defaults.get(name) for name in SEARCH_DEFAULTS} == SEARCH_DEFAULTS
+
+
+def scipy_imports(tree):
+    """The scipy modules a source imports, as dotted names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names if alias.name.split(".")[0] == "scipy"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found |= {f"scipy.{alias.name}" if node.module == "scipy" else node.module
+                      for alias in node.names}
+    return found
+
+
+def test_only_synthesis_imports_scipy_and_only_its_optimizer():
+    found = {path.name: scipy_imports(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted((ROOT / "src" / "entpaths").glob("*.py"))}
+    assert {name: imports for name, imports in found.items() if imports} == {
+        "synthesis.py": {"scipy.optimize"}}
