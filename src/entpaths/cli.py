@@ -32,7 +32,7 @@ from .core import (MAX_QUBITS, ResourceCapError, StateVector, config_label,
                    load_circuit, random_architecture, random_circuit,
                    run_circuit, save_circuit, haar_random_su4)
 from .entanglement import (GEO_RESTARTS, Measure, geometric_entanglement,
-                           reduced_density_matrix, von_neumann_entropy)
+                           von_neumann_entropy)
 from .fixtures import fixture_state
 from .harness import (ExperimentConfig, report_to_dict, run_experiment,
                       write_records_csv)
@@ -297,12 +297,8 @@ def _selftest_checks() -> list[tuple[str, float, float, float]]:
     checks.append(("E_G w3", geometric_entanglement(fixture_state("w3")),
                    5.0 / 9.0, 1e-4))
     checks.append(("S bell marginal",
-                   von_neumann_entropy(
-                       reduced_density_matrix(fixture_state("bell"), [0])),
-                   1.0, 1e-9))
-    checks.append(("S w3 marginal",
-                   von_neumann_entropy(
-                       reduced_density_matrix(fixture_state("w3"), [0])),
+                   von_neumann_entropy(fixture_state("bell"), [0]), 1.0, 1e-9))
+    checks.append(("S w3 marginal", von_neumann_entropy(fixture_state("w3"), [0]),
                    -(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3), 1e-6))
 
     rng = np.random.default_rng(7)

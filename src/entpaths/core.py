@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .canonical import canonical_json
+from .canonical import write_canonical_json
 
 MAX_QUBITS = 12  # dense vectors only; experiments in this package run at n <= 5
 
@@ -118,6 +118,17 @@ class StateVector:
         return cls.basis_state(num_qubits, 0)
 
 
+def _unitary_4x4(matrix) -> np.ndarray:
+    """A copy of `matrix` as complex128, checked to be a finite 4x4 unitary."""
+    mat = np.array(matrix, dtype=np.complex128, copy=True)
+    if mat.shape != (4, 4):
+        raise DimensionMismatchError(f"gate matrix must be 4x4, got {mat.shape}")
+    err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(4))))
+    if not err <= UNITARY_ATOL:  # a NaN or inf entry makes err NaN or inf
+        raise ValueError(f"gate matrix is not a finite unitary (deviation {err:.3e})")
+    return mat
+
+
 @dataclass(frozen=True, eq=False)
 class TwoQubitGate:
     """A special-unitary 4x4 matrix bound to an ordered qubit pair (j, k)."""
@@ -130,12 +141,7 @@ class TwoQubitGate:
         if len(pair) != 2 or pair[0] < 0 or pair[1] < 0 or pair[0] == pair[1]:
             raise ValueError(f"qubit pair must be two distinct indices >= 0, got {pair}")
         object.__setattr__(self, "qubit_pair", pair)
-        mat = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if mat.shape != (4, 4):
-            raise DimensionMismatchError(f"gate matrix must be 4x4, got {mat.shape}")
-        err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(4))))
-        if err > UNITARY_ATOL:
-            raise ValueError(f"gate matrix is not unitary (deviation {err:.3e})")
+        mat = _unitary_4x4(self.matrix)
         det = complex(np.linalg.det(mat))
         if abs(det - 1.0) > DET_ATOL:
             raise ValueError(
@@ -153,12 +159,7 @@ class TwoQubitGate:
         with determinant -1 (e.g. CNOT) picks up a global phase exp(-i*pi/4),
         which leaves all fidelities and measurement statistics unchanged.
         """
-        mat = np.asarray(matrix, dtype=np.complex128)
-        if mat.shape != (4, 4):
-            raise DimensionMismatchError(f"gate matrix must be 4x4, got {mat.shape}")
-        err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(4))))
-        if err > UNITARY_ATOL:
-            raise ValueError(f"gate matrix is not unitary (deviation {err:.3e})")
+        mat = _unitary_4x4(matrix)
         det = complex(np.linalg.det(mat))
         return cls(qubit_pair, mat / det**0.25)
 
@@ -171,10 +172,11 @@ class Architecture:
     gate_slots: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n = int(self.num_qubits)
-        if not 1 <= n <= MAX_QUBITS:
-            raise DimensionMismatchError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n}")
-        object.__setattr__(self, "num_qubits", n)
+        n = self.num_qubits
+        if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_QUBITS:
+            raise DimensionMismatchError(
+                f"num_qubits must be an int in [1, {MAX_QUBITS}], got {n!r}")
+        object.__setattr__(self, "num_qubits", int(n))
         slots = tuple(tuple(int(q) for q in slot) for slot in self.gate_slots)
         for slot in slots:
             if len(slot) != 2 or slot[0] == slot[1]:
@@ -336,42 +338,47 @@ def random_circuit(architecture: Architecture, seed) -> Circuit:
     return Circuit(architecture, gates)
 
 
-# --- circuit JSON (bit-exact round trip) ---------------------------------
+# --- circuit and state JSON (bit-exact round trip) -----------------------
+
+
+def _to_floats(values: np.ndarray) -> list[float]:
+    """Row-major complex entries as interleaved re/im floats."""
+    return np.asarray(values, dtype=np.complex128).ravel().view(np.float64).tolist()
+
+
+def _from_floats(raw, where: str) -> np.ndarray:
+    """Complex entries from a flat list of interleaved re/im floats."""
+    try:
+        values = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where} must be a list of numbers: {exc}") from None
+    if values.ndim != 1 or values.size % 2:
+        raise ValueError(f"{where} must be a flat list of re/im pairs, got shape {values.shape}")
+    return values[0::2] + 1j * values[1::2]
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:
     """JSON-ready dict: row-major 4x4 matrices as interleaved re/im floats."""
-    gates = []
-    for gate in circuit.gates:
-        flat: list[float] = []
-        for z in gate.matrix.reshape(-1):
-            flat.append(float(z.real))
-            flat.append(float(z.imag))
-        gates.append({"pair": [gate.qubit_pair[0], gate.qubit_pair[1]], "matrix": flat})
+    gates = [{"pair": list(gate.qubit_pair), "matrix": _to_floats(gate.matrix)}
+             for gate in circuit.gates]
     return {"num_qubits": circuit.num_qubits, "gates": gates}
 
 
 def circuit_from_dict(doc: dict) -> Circuit:
     if not isinstance(doc, dict) or "num_qubits" not in doc or "gates" not in doc:
         raise ValueError("circuit document needs 'num_qubits' and 'gates'")
-    n = int(doc["num_qubits"])
-    gates = []
-    for i, entry in enumerate(doc["gates"]):
-        try:
-            pair = tuple(int(q) for q in entry["pair"])
-            values = [float(v) for v in entry["matrix"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"gates[{i}] is malformed: {exc}") from exc
-        if len(values) != 32:
-            raise ValueError(f"gates[{i}].matrix must hold 32 floats, got {len(values)}")
-        flat = np.array(values[0::2]) + 1j * np.array(values[1::2])
-        gates.append(TwoQubitGate(pair, flat.reshape(4, 4)))
-    return Circuit.from_gates(n, gates)
+    try:
+        entries = [(tuple(int(q) for q in entry["pair"]), entry["matrix"])
+                   for entry in doc["gates"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"circuit gates are malformed: {exc!r}") from None
+    gates = [TwoQubitGate(pair, _from_floats(raw, f"gates[{i}].matrix").reshape(4, 4))
+             for i, (pair, raw) in enumerate(entries)]
+    return Circuit.from_gates(doc["num_qubits"], gates)
 
 
 def save_circuit(circuit: Circuit, path) -> None:
-    Path(path).write_text(canonical_json(circuit_to_dict(circuit)),
-                          encoding="utf-8", newline="\n")
+    write_canonical_json(path, circuit_to_dict(circuit))
 
 
 def load_circuit(path) -> Circuit:
@@ -379,27 +386,17 @@ def load_circuit(path) -> Circuit:
 
 
 def state_to_dict(state: StateVector) -> dict:
-    flat: list[float] = []
-    for z in state.amplitudes:
-        flat.append(float(z.real))
-        flat.append(float(z.imag))
-    return {"num_qubits": state.num_qubits, "amplitudes": flat}
+    return {"num_qubits": state.num_qubits, "amplitudes": _to_floats(state.amplitudes)}
 
 
 def state_from_dict(doc: dict) -> StateVector:
     if not isinstance(doc, dict) or "num_qubits" not in doc or "amplitudes" not in doc:
         raise ValueError("state document needs 'num_qubits' and 'amplitudes'")
-    n = int(doc["num_qubits"])
-    values = [float(v) for v in doc["amplitudes"]]
-    if len(values) != 2 * 2**n:
-        raise ValueError(f"expected {2 * 2**n} floats, got {len(values)}")
-    amp = np.array(values[0::2]) + 1j * np.array(values[1::2])
-    return StateVector(n, amp)
+    return StateVector(doc["num_qubits"], _from_floats(doc["amplitudes"], "amplitudes"))
 
 
 def save_state(state: StateVector, path) -> None:
-    Path(path).write_text(canonical_json(state_to_dict(state)),
-                          encoding="utf-8", newline="\n")
+    write_canonical_json(path, state_to_dict(state))
 
 
 def load_state(path) -> StateVector:

@@ -4,9 +4,10 @@ Evaluating a measure at every state psi_0 .. psi_R of a path (the tuple
 core.run_circuit returns) gives a trajectory of values e_0 .. e_R; its
 total variation sum(|e_k - e_{k-1}|) is the headline statistic of the
 synthesis experiments, and the largest single step is reported alongside
-it.  Under the geometric measure every state of a path goes into one
-batched product-state fit, so a trajectory costs one fit's set-up, not one
-per state; a step whose fit does not converge still fails as that step.
+it.  Every state of a path is scored in one batch (one product-state fit
+under the geometric measure, one SVD under von Neumann), so a trajectory
+costs one set-up, not one per state; a step whose geometric fit does not
+converge still fails as that step.
 """
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ from .entanglement import (
     GEO_RESTARTS,
     Measure,
     _convergence_error,
+    _entropies,
     _product_fit,
     geometric_entanglement,
-    reduced_density_matrix,
     von_neumann_entropy,
 )
 
@@ -68,9 +69,7 @@ def measure_state(state: StateVector, measure: Measure, *,
     measure = Measure(measure)
     if measure is Measure.GEOMETRIC:
         return geometric_entanglement(state, restarts=geo_restarts)
-    if cut is None:
-        raise ValueError("the von Neumann measure needs a cut (qubits to keep)")
-    return von_neumann_entropy(reduced_density_matrix(state, cut))
+    return von_neumann_entropy(state, cut)
 
 
 def trajectory(path: Sequence[StateVector], measure: Measure = Measure.GEOMETRIC, *,
@@ -78,24 +77,25 @@ def trajectory(path: Sequence[StateVector], measure: Measure = Measure.GEOMETRIC
                geo_restarts: int = GEO_RESTARTS) -> EntanglementTrajectory:
     """Evaluate a measure at every state of a path, including psi_0.
 
-    The geometric measure fits every state of the path in one batch, as
-    geometric_entanglement would fit each alone.  A failure raises
+    Every state of the path goes into one batch, the product-state fit
+    under the geometric measure and the Schmidt-coefficient entropy under
+    von Neumann, with the values that geometric_entanglement or
+    von_neumann_entropy give each state alone.  A failure raises
     TrajectoryMeasureError for the first step that fails, chained to the
     measure's own error.
     """
     values: list[float] = []
     try:
         measure = Measure(measure)
+        amplitudes = np.stack([state.amplitudes for state in path])
         if measure is Measure.GEOMETRIC:
-            amplitudes = np.stack([state.amplitudes for state in path])
             fitted, converged = _product_fit(amplitudes, path[0].num_qubits, geo_restarts)
             for value, ok in zip(fitted, converged):
                 if not ok:
                     raise _convergence_error(value)
                 values.append(value)
         else:
-            for state in path:
-                values.append(measure_state(state, measure, cut=cut))
+            values = _entropies(amplitudes, path[0].num_qubits, cut)
     except Exception as exc:
         raise TrajectoryMeasureError(len(values), str(exc)) from exc
     return EntanglementTrajectory(measure, tuple(values))

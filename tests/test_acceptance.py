@@ -18,7 +18,7 @@ from entpaths.cli import main as cli_main
 from entpaths.core import (StateVector, fidelity, haar_random_su4,
                            random_architecture, random_circuit, run_circuit)
 from entpaths.entanglement import (Measure, geometric_entanglement,
-                                   reduced_density_matrix, von_neumann_entropy)
+                                   von_neumann_entropy)
 from entpaths.harness import ExperimentConfig, report_to_dict
 from entpaths.paths import deutsch_path_table, enumerate_paths
 from entpaths.synthesis import (ComplexityEstimate, SynthesisProblem,
@@ -90,10 +90,10 @@ def test_03_entanglement_fixture_values(bell, ghz3, w3):
     assert np.isclose(geometric_entanglement(ghz3), 0.5, atol=1e-6)
     assert np.isclose(geometric_entanglement(w3), 5.0 / 9.0, atol=1e-4)
 
-    s_bell = von_neumann_entropy(reduced_density_matrix(bell, [0]))
+    s_bell = von_neumann_entropy(bell, [0])
     assert np.isclose(s_bell, 1.0, atol=1e-9)
     # W marginal spectrum is {1/3, 2/3}, so the entropy is log2(3) - 2/3.
-    s_w = von_neumann_entropy(reduced_density_matrix(w3, [1]))
+    s_w = von_neumann_entropy(w3, [1])
     assert np.isclose(s_w, math.log2(3.0) - 2.0 / 3.0, atol=1e-6)
     _report(3, "entanglement fixture values",
             f"S(W marginal) = {s_w:.5f}")

@@ -197,14 +197,21 @@ def test_selftest_passes(capsys):
 
 
 def test_corrupt_circuit_file_is_a_config_error(tmp_path, capsys):
-    (tmp_path / "c.json").write_text(json.dumps({
-        "num_qubits": 2, "gates": [{"pair": [0, 1], "matrix": [1.0, 0.0]}]}))
-    config = write_config(tmp_path, "sim.json", {"circuit_file": "c.json"})
-    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 2
-    assert "circuit_file" in capsys.readouterr().err
+    for doc in ({"num_qubits": 2, "gates": [{"pair": [0, 1], "matrix": [1.0, 0.0]}]},
+                {"num_qubits": 2, "gates": [{"pair": [0, 1], "matrix": [float("nan")] * 32}]},
+                {"num_qubits": 2, "gates": 5},
+                {"num_qubits": [2], "gates": []}):
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        config = write_config(tmp_path, "sim.json", {"circuit_file": "c.json"})
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert "circuit_file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", ["not json {", None])
+@pytest.mark.parametrize("content", [
+    "not json {", None,
+    pytest.param('{"num_qubits": 2, "amplitudes": 5}', id="amplitudes-not-a-list"),
+    pytest.param('{"num_qubits": [2], "amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]}',
+                 id="num_qubits-a-list")])
 def test_unreadable_target_file_is_a_config_error(tmp_path, capsys, content):
     if content is not None:
         (tmp_path / "t.json").write_text(content)

@@ -58,6 +58,19 @@ def test_gate_rejects_non_unitary_and_non_special():
         TwoQubitGate((0, 1), CNOT)  # det -1, must go through from_unitary
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gate_rejects_non_finite_entries(bad):
+    # a NaN deviation compares False with any tolerance, so a check written
+    # as `deviation > tol` lets a NaN or inf matrix through
+    matrix = np.eye(4, dtype=complex)
+    matrix[1, 2] = bad
+    for build in (TwoQubitGate, TwoQubitGate.from_unitary):
+        with pytest.raises(ValueError, match="finite"):
+            build((0, 1), matrix)
+    with pytest.raises(ValueError, match="finite"):
+        TwoQubitGate((0, 1), np.full((4, 4), bad))
+
+
 def test_gate_rejects_degenerate_pair():
     with pytest.raises(ValueError):
         TwoQubitGate((1, 1), np.eye(4))

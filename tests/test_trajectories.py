@@ -9,7 +9,8 @@ from entpaths import entanglement
 from entpaths.core import (Circuit, DimensionMismatchError, StateVector,
                            TwoQubitGate, random_architecture, random_circuit,
                            run_circuit)
-from entpaths.entanglement import Measure, ProductFitConvergenceError
+from entpaths.entanglement import (Measure, ProductFitConvergenceError,
+                                   von_neumann_entropy)
 from entpaths.trajectories import (EntanglementTrajectory,
                                    TrajectoryMeasureError, export_trajectories,
                                    max_step_jump, measure_state,
@@ -140,6 +141,18 @@ def test_batched_path_fit_matches_the_loop_oracle_state_by_state(n, restarts):
             reference, converged = oracles.geometric_entanglement_loop(
                 state.amplitudes, n, restarts=restarts)
             assert converged
+            assert abs(value - reference) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_batched_path_entropies_match_each_state_and_the_oracle(n):
+    cuts = {tuple(range(k)) for k in range(1, n)} | {(n - 1,), tuple(range(0, n, 2))}
+    for seed, cut in enumerate(sorted(cuts)):
+        path = _random_path(n, 2 + seed % 3, (n, seed))
+        traj = trajectory(path, Measure.VON_NEUMANN_BITS, cut=cut)
+        assert traj.values == tuple(von_neumann_entropy(state, cut) for state in path)
+        for state, value in zip(path, traj.values):
+            reference = oracles.entropy_bits(oracles.reduced_rho(state.amplitudes, cut, n))
             assert abs(value - reference) <= 1e-12
 
 
