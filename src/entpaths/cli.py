@@ -38,7 +38,7 @@ from .harness import (ExperimentConfig, report_to_dict, run_experiment,
                       write_records_csv)
 from .paths import (DEFAULT_PATH_CAP, DEUTSCH_VARIANTS, deutsch_path_table,
                     deutsch_report_to_dict, path_sums, write_interference_csv)
-from .trajectories import export_trajectories, trajectory, trajectory_summary
+from .trajectories import export_trajectory, trajectory, trajectory_summary
 from .validation import (ConfigError, check_fields, cut_field, int_field,
                          measure_field, need)
 
@@ -156,14 +156,12 @@ def cmd_simulate(args) -> int:
     if cut is not None:
         resolved["cut"] = list(cut)
 
-    state_path = run_circuit(circuit)
-    traj = trajectory(state_path, measure, cut=cut,
-                      geo_restarts=geo_restarts)
+    values = trajectory(run_circuit(circuit), measure, cut=cut, geo_restarts=geo_restarts)
 
     out = _out_dir(args)
     save_circuit(circuit, out / "circuit.json")
-    export_trajectories([(run_id, traj)], out / "trajectory.csv")
-    summary = trajectory_summary(run_id, traj)
+    export_trajectory(run_id, measure, values, out / "trajectory.csv")
+    summary = trajectory_summary(run_id, measure, values)
     write_canonical_json(out / "summary.json", summary)
     _write_manifest(out, "simulate", resolved["seed"], resolved)
     print(f"simulate: R={circuit.num_gates} n={n} "

@@ -38,18 +38,8 @@ class ResourceCapError(RuntimeError):
     """An enumeration would exceed its configured cap."""
 
 
-def config_to_index(bits: Sequence[int]) -> int:
-    """Basis index for a bit configuration (qubit 0 = most significant bit)."""
-    index = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"configuration bits must be 0 or 1, got {b!r}")
-        index = (index << 1) | b
-    return index
-
-
 def basis_index(configuration, num_qubits: int) -> int:
-    """Basis index of a configuration given as an index or a bit sequence."""
+    """Basis index of a configuration: an index, or bits with qubit 0 most significant."""
     if isinstance(configuration, (int, np.integer)):
         index = int(configuration)
         if not 0 <= index < 2**num_qubits:
@@ -58,7 +48,12 @@ def basis_index(configuration, num_qubits: int) -> int:
     bits = tuple(configuration)
     if len(bits) != num_qubits:
         raise DimensionMismatchError(f"expected {num_qubits} bits, got {len(bits)}")
-    return config_to_index(bits)
+    index = 0
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"configuration bits must be 0 or 1, got {b!r}")
+        index = (index << 1) | b
+    return index
 
 
 def config_label(index: int, num_qubits: int) -> str:
@@ -123,8 +118,10 @@ def _unitary_4x4(matrix) -> np.ndarray:
     mat = np.array(matrix, dtype=np.complex128, copy=True)
     if mat.shape != (4, 4):
         raise DimensionMismatchError(f"gate matrix must be 4x4, got {mat.shape}")
+    if not np.isfinite(mat).all():  # before the product, which would warn on inf
+        raise ValueError("gate matrix is not a finite unitary (non-finite entries)")
     err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(4))))
-    if not err <= UNITARY_ATOL:  # a NaN or inf entry makes err NaN or inf
+    if not err <= UNITARY_ATOL:  # an overflowing product can still make err NaN
         raise ValueError(f"gate matrix is not a finite unitary (deviation {err:.3e})")
     return mat
 
@@ -246,17 +243,6 @@ def apply_gate_matrix(amplitudes: np.ndarray, matrix: np.ndarray,
     out = np.empty(2**num_qubits, dtype=np.complex128)
     out[ix] = matrix @ amplitudes[ix]
     return out
-
-
-def apply_gate(state: StateVector, gate: TwoQubitGate) -> StateVector:
-    """Apply a two-qubit gate; preserves the norm up to float error."""
-    j, k = gate.qubit_pair
-    if j >= state.num_qubits or k >= state.num_qubits:
-        raise DimensionMismatchError(
-            f"gate pair {gate.qubit_pair} out of range for {state.num_qubits} qubits"
-        )
-    amp = apply_gate_matrix(state.amplitudes, gate.matrix, gate.qubit_pair, state.num_qubits)
-    return StateVector(state.num_qubits, amp)
 
 
 def run_circuit(circuit: Circuit,

@@ -76,9 +76,8 @@ class PathFamilyRecord:
 def _record_from_circuit(record_id: str, circuit: Circuit, achieved: float, *,
                          r_star: int, measure: Measure, cut, geo_restarts: int,
                          delta_bin: float) -> PathFamilyRecord:
-    traj = trajectory(run_circuit(circuit), measure, cut=cut,
-                      geo_restarts=geo_restarts)
-    total = path_entanglement_sum(traj)
+    total = path_entanglement_sum(trajectory(run_circuit(circuit), measure, cut=cut,
+                                             geo_restarts=geo_restarts))
     return PathFamilyRecord(
         record_id=record_id,
         r=circuit.num_gates,

@@ -101,14 +101,6 @@ def _su4_batch(thetas: np.ndarray) -> np.ndarray:
     return _su4_eigh(thetas)[2]
 
 
-def su4_from_params(theta: Sequence[float]) -> np.ndarray:
-    """Map 15 real parameters onto an SU(4) matrix (surjective)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (NUM_GATE_PARAMS,):
-        raise DimensionMismatchError(f"expected {NUM_GATE_PARAMS} parameters, got {theta.shape}")
-    return _su4_batch(theta)
-
-
 def _seed_key(seed, *extra) -> tuple[int, ...]:
     if isinstance(seed, (int, np.integer)):
         base = (int(seed),)

@@ -1,18 +1,17 @@
 """Entanglement analytics along the state path a circuit produces.
 
 Evaluating a measure at every state psi_0 .. psi_R of a path (the tuple
-core.run_circuit returns) gives a trajectory of values e_0 .. e_R; its
-total variation sum(|e_k - e_{k-1}|) is the headline statistic of the
-synthesis experiments, and the largest single step is reported alongside
-it.  Every state of a path is scored in one batch (one product-state fit
-under the geometric measure, one SVD under von Neumann), so a trajectory
-costs one set-up, not one per state; a step whose geometric fit does not
+core.run_circuit returns) gives a trajectory: the plain tuple of values
+e_0 .. e_R.  Its total variation sum(|e_k - e_{k-1}|) is the headline
+statistic of the synthesis experiments; the run summary reports it with
+the largest single step, and export_trajectory writes the values as CSV.
+Every state of a path is scored in one batch (one product-state fit under
+the geometric measure, one SVD under von Neumann), so a trajectory costs
+one set-up, not one per state; a step whose geometric fit does not
 converge still fails as that step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -40,28 +39,6 @@ class TrajectoryMeasureError(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class EntanglementTrajectory:
-    """Per-step entanglement values e_0 .. e_R under one measure."""
-
-    measure: Measure
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        values = tuple(float(e) for e in self.values)
-        if not values:
-            raise ValueError("a trajectory needs at least one value")
-        for k, e in enumerate(values):
-            if not np.isfinite(e) or e < 0.0:
-                raise ValueError(f"entanglement value {e} at step {k} is invalid")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "measure", Measure(self.measure))
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.values) - 1
-
-
 def measure_state(state: StateVector, measure: Measure, *,
                   cut: Sequence[int] | None = None,
                   geo_restarts: int = GEO_RESTARTS) -> float:
@@ -74,7 +51,7 @@ def measure_state(state: StateVector, measure: Measure, *,
 
 def trajectory(path: Sequence[StateVector], measure: Measure = Measure.GEOMETRIC, *,
                cut: Sequence[int] | None = None,
-               geo_restarts: int = GEO_RESTARTS) -> EntanglementTrajectory:
+               geo_restarts: int = GEO_RESTARTS) -> tuple[float, ...]:
     """Evaluate a measure at every state of a path, including psi_0.
 
     Every state of the path goes into one batch, the product-state fit
@@ -98,71 +75,40 @@ def trajectory(path: Sequence[StateVector], measure: Measure = Measure.GEOMETRIC
             values = _entropies(amplitudes, path[0].num_qubits, cut)
     except Exception as exc:
         raise TrajectoryMeasureError(len(values), str(exc)) from exc
-    return EntanglementTrajectory(measure, tuple(values))
+    return tuple(values)
 
 
-def path_entanglement_sum(traj: EntanglementTrajectory) -> float:
-    """Total variation sum(|e_k - e_{k-1}|) over the trajectory.
+def path_entanglement_sum(values: Sequence[float]) -> float:
+    """Total variation sum(|e_k - e_{k-1}|) over a trajectory's values.
 
     Always >= |e_R - e_0|, with equality when the trajectory is monotone
     (the sum then telescopes); concatenating trajectories adds their sums.
     """
-    values = traj.values
-    return float(sum(abs(values[i] - values[i - 1]) for i in range(1, len(values))))
+    return float(sum(_steps(values)))
 
 
-def max_step_jump(traj: EntanglementTrajectory) -> float:
-    """Largest single-step change max_k |e_k - e_{k-1}|."""
-    values = traj.values
-    if len(values) < 2:
-        raise ValueError("max step jump needs a trajectory with at least 2 points")
-    return float(max(abs(values[i] - values[i - 1]) for i in range(1, len(values))))
+def _steps(values: Sequence[float]) -> list[float]:
+    """Step sizes |e_k - e_{k-1}| for k = 1 .. R, in order."""
+    return [abs(values[k] - values[k - 1]) for k in range(1, len(values))]
 
 
-def export_trajectories(named: Sequence[tuple[str, EntanglementTrajectory]], path) -> None:
-    """Write trajectories as CSV rows (run_id, k, entanglement, measure_tag).
+def export_trajectory(run_id: str, measure: Measure, values: Sequence[float], path) -> None:
+    """Write one trajectory as CSV rows (run_id, k, entanglement, measure_tag).
 
-    Floats carry 17 significant digits so reading the file back reproduces
-    the exact values.
+    Floats carry 17 significant digits, so parsing a cell back gives the
+    exact value.
     """
-    write_csv(path, _CSV_HEADER, [(run_id, k, value, traj.measure.value)
-                                 for run_id, traj in named
-                                 for k, value in enumerate(traj.values)])
+    write_csv(path, _CSV_HEADER, [(run_id, k, value, measure.value)
+                                 for k, value in enumerate(values)])
 
 
-def read_trajectories(path) -> list[tuple[str, EntanglementTrajectory]]:
-    """Inverse of export_trajectories (exact float round trip).
-
-    Raises ValueError when the header is missing, when a run mixes measure
-    tags, or when a run's steps k do not run 0..R in order.
-    """
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
-    if not lines or lines[0] != ",".join(_CSV_HEADER):
-        raise ValueError(f"trajectory CSV {path} does not start with the header "
-                         f"{','.join(_CSV_HEADER)!r}")
-    grouped: dict[str, list[tuple[int, float, str]]] = {}
-    for line in lines[1:]:
-        run_id, k, value, tag = line.split(",")
-        grouped.setdefault(run_id, []).append((int(k), float(value), tag))
-    result = []
-    for run_id, entries in grouped.items():
-        steps, values, tags = zip(*entries)
-        if steps != tuple(range(len(steps))):
-            raise ValueError(f"run {run_id} steps {list(steps)} do not run 0..R in order")
-        if len(set(tags)) != 1:
-            raise ValueError(f"run {run_id} mixes measure tags {set(tags)}")
-        result.append((run_id, EntanglementTrajectory(Measure(tags[0]), values)))
-    return result
-
-
-def trajectory_summary(run_id: str, traj: EntanglementTrajectory) -> dict:
-    """JSON-ready per-run summary of a trajectory."""
-    values = traj.values
+def trajectory_summary(run_id: str, measure: Measure, values: Sequence[float]) -> dict:
+    """JSON-ready per-run summary of a trajectory e_0 .. e_R."""
     return {
         "run_id": run_id,
-        "R": traj.num_steps,
-        "measure": traj.measure.value,
-        "sum": path_entanglement_sum(traj),
-        "max_jump": max_step_jump(traj) if traj.num_steps >= 1 else 0.0,
+        "R": len(values) - 1,
+        "measure": measure.value,
+        "sum": path_entanglement_sum(values),
+        "max_jump": float(max(_steps(values), default=0.0)),
         "final_entanglement": values[-1],
     }

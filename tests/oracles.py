@@ -392,7 +392,7 @@ def params_from_su4(matrix: np.ndarray) -> np.ndarray:
     """A parameter preimage of a special-unitary 4x4 matrix.
 
     Recovered through the principal matrix logarithm; the round trip
-    su4_from_params(params_from_su4(U)) equals U up to a global phase that
+    synthesis._su4_batch(params_from_su4(U)) equals U up to a global phase that
     is a 4th root of unity (the traceless projection of the log branch).
     """
     u = np.asarray(matrix, dtype=np.complex128)

@@ -23,8 +23,7 @@ from entpaths.harness import ExperimentConfig, report_to_dict
 from entpaths.paths import deutsch_path_table, enumerate_paths
 from entpaths.synthesis import (ComplexityEstimate, SynthesisProblem,
                                 estimate_state_complexity, sample_target)
-from entpaths.trajectories import (EntanglementTrajectory,
-                                   path_entanglement_sum, trajectory)
+from entpaths.trajectories import path_entanglement_sum, trajectory
 
 import oracles
 from conftest import random_product_state, random_state
@@ -175,17 +174,16 @@ def test_07_trajectory_sum_properties():
     for _ in range(1000):
         length = int(rng.integers(2, 9))
         values = rng.integers(0, 4097, size=length) / 1024.0
-        traj = EntanglementTrajectory(measure, tuple(values))
-        total = path_entanglement_sum(traj)
+        total = path_entanglement_sum(tuple(values))
         assert total >= abs(values[-1] - values[0])
 
         split = int(rng.integers(1, length))
-        left = EntanglementTrajectory(measure, tuple(values[:split + 1]))
-        right = EntanglementTrajectory(measure, tuple(values[split:]))
+        left = tuple(values[:split + 1])
+        right = tuple(values[split:])
         assert path_entanglement_sum(left) + path_entanglement_sum(right) == total
 
         ordered = np.sort(values)
-        mono = EntanglementTrajectory(measure, tuple(ordered))
+        mono = tuple(ordered)
         gap = float(ordered[-1] - ordered[0])
         assert abs(path_entanglement_sum(mono) - gap) < 1e-12
 
@@ -193,9 +191,8 @@ def test_07_trajectory_sum_properties():
     for seed in range(10):
         circuit = random_circuit(random_architecture(2, 1 + seed % 5, 700 + seed),
                                  900 + seed)
-        traj = trajectory(run_circuit(circuit), measure, geo_restarts=8)
-        values = traj.values
-        assert path_entanglement_sum(traj) >= abs(values[-1] - values[0]) - 1e-12
+        values = trajectory(run_circuit(circuit), measure, geo_restarts=8)
+        assert path_entanglement_sum(values) >= abs(values[-1] - values[0]) - 1e-12
     _report(7, "trajectory sum properties",
             "1000 exact dyadic trajectories + 10 measured ones")
 

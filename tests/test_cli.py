@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -7,7 +8,6 @@ from entpaths.canonical import write_canonical_json
 from entpaths.cli import main
 from entpaths.core import StateVector, load_circuit, save_state
 from entpaths.fixtures import fixture_state
-from entpaths.trajectories import read_trajectories
 
 
 def write_config(tmp_path, name, doc):
@@ -18,6 +18,11 @@ def write_config(tmp_path, name, doc):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def read_trajectory_rows(path):
+    with path.open(newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 def tree_bytes(root):
@@ -33,15 +38,25 @@ def test_simulate_writes_the_full_artifact_set(tmp_path):
     summary = read_json(out / "summary.json")
     assert summary["R"] == 3
     assert summary["measure"] == "geometric"
-    runs = read_trajectories(out / "trajectory.csv")
-    assert len(runs) == 1 and runs[0][0] == "run"
-    assert len(runs[0][1].values) == 4
+    rows = read_trajectory_rows(out / "trajectory.csv")
+    assert [(row["run_id"], row["k"]) for row in rows] == [("run", str(k)) for k in range(4)]
     circuit = load_circuit(out / "circuit.json")
     assert circuit.num_gates == 3
     manifest = read_json(out / "manifest.json")
     assert manifest["subcommand"] == "simulate"
     assert manifest["root_seed"] == 5
     assert manifest["config"]["n"] == 3
+
+
+def test_simulate_zero_gate_run_scores_the_initial_state_alone(tmp_path):
+    config = write_config(tmp_path, "sim.json", {"n": 3, "r": 0, "seed": 1})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    rows = read_trajectory_rows(out / "trajectory.csv")
+    assert rows == [{"run_id": "run", "k": "0", "entanglement": "0",
+                     "measure_tag": "geometric"}]
+    summary = read_json(out / "summary.json")
+    assert (summary["R"], summary["sum"], summary["max_jump"]) == (0, 0.0, 0.0)
 
 
 def test_simulate_entropy_measure_via_flags(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from entpaths.core import (Architecture, Circuit, DimensionMismatchError,
-                           StateVector, TwoQubitGate, all_pairs, apply_gate,
-                           apply_gate_matrix, config_label, config_to_index,
+                           StateVector, TwoQubitGate, all_pairs,
+                           apply_gate_matrix, basis_index, config_label,
                            fidelity, haar_random_su4,
                            load_circuit, load_state, random_architecture,
                            random_circuit, run_circuit, save_circuit,
@@ -21,8 +21,9 @@ CNOT = np.array([[1, 0, 0, 0],
 
 def test_qubit_zero_is_most_significant_bit():
     # |10> means qubit 0 set -> basis index 2
-    assert config_to_index((1, 0)) == 2
-    assert config_to_index((0, 1)) == 1
+    assert basis_index((1, 0), 2) == 2
+    assert basis_index((0, 1), 2) == 1
+    assert basis_index((1, 0, 1), 3) == 5
     assert config_label(2, 2) == "10"
     assert config_label(5, 3) == "101"
 
@@ -58,10 +59,12 @@ def test_gate_rejects_non_unitary_and_non_special():
         TwoQubitGate((0, 1), CNOT)  # det -1, must go through from_unitary
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_gate_rejects_non_finite_entries(bad):
     # a NaN deviation compares False with any tolerance, so a check written
-    # as `deviation > tol` lets a NaN or inf matrix through
+    # as `deviation > tol` lets a NaN or inf matrix through; an inf entry
+    # must be rejected before the unitarity product warns on it
     matrix = np.eye(4, dtype=complex)
     matrix[1, 2] = bad
     for build in (TwoQubitGate, TwoQubitGate.from_unitary):
@@ -85,7 +88,8 @@ def test_from_unitary_rescales_cnot_into_su4():
 
 def test_cnot_action_up_to_global_phase():
     gate = TwoQubitGate.from_unitary((0, 1), CNOT)
-    out = apply_gate(StateVector.basis_state(2, config_to_index((1, 0))), gate)
+    start = StateVector.basis_state(2, (1, 0))
+    out = StateVector(2, apply_gate_matrix(start.amplitudes, gate.matrix, gate.qubit_pair, 2))
     # |10> -> |11> as a ray
     assert np.isclose(abs(out.amplitudes[3]), 1.0)
     assert np.isclose(fidelity(out, StateVector.basis_state(2, 3)), 1.0)

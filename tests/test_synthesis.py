@@ -11,10 +11,9 @@ from entpaths.core import (Architecture, Circuit, ResourceCapError,
 from entpaths.synthesis import (ComplexityEstimate, ComplexityNotFound,
                                 GENERATORS, OptimizerBudget, SynthesisProblem,
                                 STOP_FIDELITY, _ascend, _fidelity_and_grad,
-                                enumerate_architectures,
+                                _su4_batch, enumerate_architectures,
                                 estimate_state_complexity, optimize_gates,
-                                optimize_gates_collect, sample_target,
-                                su4_from_params)
+                                optimize_gates_collect, sample_target)
 
 import oracles
 from conftest import random_state
@@ -38,13 +37,13 @@ def test_generators_form_an_orthogonal_traceless_basis():
 
 
 def test_zero_parameters_give_the_identity():
-    assert np.allclose(su4_from_params(np.zeros(15)), np.eye(4), atol=1e-12)
+    assert np.allclose(_su4_batch(np.zeros(15)), np.eye(4), atol=1e-12)
 
 
-def test_su4_from_params_lands_in_the_group():
+def test_su4_batch_lands_in_the_group():
     rng = np.random.default_rng(1)
     for _ in range(5):
-        u = su4_from_params(rng.normal(scale=0.8, size=15))
+        u = _su4_batch(rng.normal(scale=0.8, size=15))
         assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
         assert np.isclose(complex(np.linalg.det(u)), 1.0, atol=1e-10)
 
@@ -53,7 +52,7 @@ def test_params_round_trip_reproduces_the_matrix():
     rng = np.random.default_rng(2)
     for _ in range(5):
         u = haar_random_su4(rng)
-        rebuilt = su4_from_params(params_from_su4(u))
+        rebuilt = _su4_batch(params_from_su4(u))
         # the log is defined up to a fourth root of unity global phase
         overlap = abs(np.trace(rebuilt.conj().T @ u)) / 4.0
         assert np.isclose(overlap, 1.0, atol=1e-9)
@@ -108,7 +107,7 @@ def _dense_state(free, pairs, n):
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     for theta, pair in zip(free, pairs):
-        state = oracles.embed_gate(su4_from_params(theta), pair, n) @ state
+        state = oracles.embed_gate(_su4_batch(theta), pair, n) @ state
     return state
 
 
@@ -142,7 +141,7 @@ def test_kernel_fidelity_matches_circuit_run(n):
     target = random_state(n, seed=40 + n)
     value, _, last = _fidelity_and_grad(free, pairs, n, target.amplitudes)
     thetas = np.vstack([free, params_from_su4(last)])
-    circuit = Circuit.from_gates(n, [TwoQubitGate(pair, su4_from_params(theta))
+    circuit = Circuit.from_gates(n, [TwoQubitGate(pair, _su4_batch(theta))
                                      for pair, theta in zip(pairs, thetas)])
     slow = fidelity(run_circuit(circuit)[-1], target)
     assert abs(value - slow) <= 1e-12
@@ -167,7 +166,7 @@ def test_ascent_succeeds_at_least_as_often_as_the_full_gate_ascent():
                 last = last * np.exp(-0.25j * np.angle(np.linalg.det(last)))
                 theta = np.vstack([free, params_from_su4(last)])
                 circuit = Circuit.from_gates(n, [
-                    TwoQubitGate(pair, su4_from_params(t)) for pair, t in zip(pairs, theta)])
+                    TwoQubitGate(pair, _su4_batch(t)) for pair, t in zip(pairs, theta)])
                 replayed = fidelity(run_circuit(circuit)[-1], target)
                 assert abs(replayed - value) <= 1e-12
                 full_successes += full >= threshold

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -11,10 +12,8 @@ from entpaths.core import (Circuit, DimensionMismatchError, StateVector,
                            run_circuit)
 from entpaths.entanglement import (Measure, ProductFitConvergenceError,
                                    von_neumann_entropy)
-from entpaths.trajectories import (EntanglementTrajectory,
-                                   TrajectoryMeasureError, export_trajectories,
-                                   max_step_jump, measure_state,
-                                   path_entanglement_sum, read_trajectories,
+from entpaths.trajectories import (TrajectoryMeasureError, export_trajectory,
+                                   measure_state, path_entanglement_sum,
                                    trajectory, trajectory_summary)
 
 import oracles
@@ -34,31 +33,27 @@ def bell_prep_circuit():
     return Circuit.from_gates(2, [g1, g2])
 
 
-def _traj(values, measure=Measure.GEOMETRIC):
-    return EntanglementTrajectory(measure, tuple(float(v) for v in values))
-
-
 def test_trajectory_includes_the_initial_state():
     circuit = bell_prep_circuit()
-    traj = trajectory(run_circuit(circuit))
-    assert traj.num_steps == 2
-    assert len(traj.values) == 3
-    assert traj.values[0] == 0.0  # |00> is a product state
+    values = trajectory(run_circuit(circuit))
+    assert isinstance(values, tuple)
+    assert len(values) == 3
+    assert values[0] == 0.0  # |00> is a product state
 
 
 def test_bell_prep_trajectory_values():
     circuit = bell_prep_circuit()
-    traj = trajectory(run_circuit(circuit))
-    assert abs(traj.values[1]) < 1e-9          # still product after H
-    assert np.isclose(traj.values[2], 0.5, atol=1e-9)
-    assert np.isclose(path_entanglement_sum(traj), 0.5, atol=1e-9)
+    values = trajectory(run_circuit(circuit))
+    assert abs(values[1]) < 1e-9          # still product after H
+    assert np.isclose(values[2], 0.5, atol=1e-9)
+    assert np.isclose(path_entanglement_sum(values), 0.5, atol=1e-9)
 
 
 def test_bell_prep_trajectory_in_entropy_bits():
     circuit = bell_prep_circuit()
-    traj = trajectory(run_circuit(circuit), Measure.VON_NEUMANN_BITS, cut=[0])
-    assert np.isclose(traj.values[2], 1.0, atol=1e-9)
-    assert np.isclose(path_entanglement_sum(traj), 1.0, atol=1e-9)
+    values = trajectory(run_circuit(circuit), Measure.VON_NEUMANN_BITS, cut=[0])
+    assert np.isclose(values[2], 1.0, atol=1e-9)
+    assert np.isclose(path_entanglement_sum(values), 1.0, atol=1e-9)
 
 
 def test_round_trip_circuit_overshoots_the_endpoint_gap():
@@ -67,31 +62,12 @@ def test_round_trip_circuit_overshoots_the_endpoint_gap():
     g1 = TwoQubitGate.from_unitary((0, 1), H_KRON_I @ CNOT @ H_KRON_I)
     inverse = TwoQubitGate((0, 1), g1.matrix.conj().T)
     circuit = Circuit.from_gates(2, [g1, inverse])
-    traj = trajectory(run_circuit(circuit))
-    total = path_entanglement_sum(traj)
-    peak = traj.values[1]
+    values = trajectory(run_circuit(circuit))
+    total = path_entanglement_sum(values)
+    peak = values[1]
     assert peak > 0.1
     assert np.isclose(total, 2 * peak, atol=1e-9)
-    assert abs(traj.values[2] - traj.values[0]) < 1e-9
-
-
-def test_trajectory_validation(tmp_path):
-    gapped = tmp_path / "gapped.csv"
-    gapped.write_text("run_id,k,entanglement,measure_tag\n"
-                      "a,0,0,geometric\na,2,0.1,geometric\n")
-    with pytest.raises(ValueError, match="0..R"):
-        read_trajectories(gapped)
-    with pytest.raises(ValueError):
-        EntanglementTrajectory(Measure.GEOMETRIC, (-0.5,))
-    with pytest.raises(ValueError):
-        EntanglementTrajectory(Measure.GEOMETRIC, (math.nan,))
-
-
-def test_read_trajectories_rejects_a_file_without_header(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(ValueError, match="header"):
-        read_trajectories(empty)
+    assert abs(values[2] - values[0]) < 1e-9
 
 
 def test_measure_state_needs_cut_for_entropy(bell):
@@ -136,8 +112,8 @@ def _random_path(n, num_gates, seed):
 def test_batched_path_fit_matches_the_loop_oracle_state_by_state(n, restarts):
     for seed in range(3):
         path = _random_path(n, 2 + seed, (n, restarts, seed))
-        traj = trajectory(path, geo_restarts=restarts)
-        for state, value in zip(path, traj.values):
+        values = trajectory(path, geo_restarts=restarts)
+        for state, value in zip(path, values):
             reference, converged = oracles.geometric_entanglement_loop(
                 state.amplitudes, n, restarts=restarts)
             assert converged
@@ -149,9 +125,9 @@ def test_batched_path_entropies_match_each_state_and_the_oracle(n):
     cuts = {tuple(range(k)) for k in range(1, n)} | {(n - 1,), tuple(range(0, n, 2))}
     for seed, cut in enumerate(sorted(cuts)):
         path = _random_path(n, 2 + seed % 3, (n, seed))
-        traj = trajectory(path, Measure.VON_NEUMANN_BITS, cut=cut)
-        assert traj.values == tuple(von_neumann_entropy(state, cut) for state in path)
-        for state, value in zip(path, traj.values):
+        values = trajectory(path, Measure.VON_NEUMANN_BITS, cut=cut)
+        assert values == tuple(von_neumann_entropy(state, cut) for state in path)
+        for state, value in zip(path, values):
             reference = oracles.entropy_bits(oracles.reduced_rho(state.amplitudes, cut, n))
             assert abs(value - reference) <= 1e-12
 
@@ -185,8 +161,8 @@ def test_redrawn_sites_continue_each_restarts_generator(monkeypatch, restarts):
     amps[[3, 7]] = 0.0
     skewed = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
     path = (StateVector.zero_state(3), skewed)
-    traj = trajectory(path, geo_restarts=restarts)
-    for state, value in zip(path, traj.values):
+    values = trajectory(path, geo_restarts=restarts)
+    for state, value in zip(path, values):
         reference, converged = oracles.geometric_entanglement_loop(
             state.amplitudes, 3, restarts=restarts, start_vectors=starts)
         assert converged
@@ -206,8 +182,7 @@ def test_redrawn_sites_continue_each_restarts_generator(monkeypatch, restarts):
                 min_size=2, max_size=9))
 @settings(max_examples=120, deadline=None)
 def test_sum_dominates_endpoint_gap(values):
-    traj = _traj(values)
-    total = path_entanglement_sum(traj)
+    total = path_entanglement_sum(values)
     assert total >= abs(values[-1] - values[0]) - 1e-12
 
 
@@ -216,7 +191,7 @@ def test_sum_dominates_endpoint_gap(values):
 @settings(max_examples=120, deadline=None)
 def test_monotone_rearrangement_telescopes(values):
     ordered = sorted(values)
-    total = path_entanglement_sum(_traj(ordered))
+    total = path_entanglement_sum(ordered)
     assert np.isclose(total, ordered[-1] - ordered[0], atol=1e-12)
 
 
@@ -225,53 +200,59 @@ def test_segment_additivity_with_exact_arithmetic():
     rng = np.random.default_rng(123)
     for _ in range(50):
         values = rng.integers(0, 4096, size=7) / 1024.0
-        whole = path_entanglement_sum(_traj(values))
+        whole = path_entanglement_sum(values)
         cutpoint = int(rng.integers(1, 6))
-        left = path_entanglement_sum(_traj(values[:cutpoint + 1]))
-        right = path_entanglement_sum(_traj(values[cutpoint:]))
+        left = path_entanglement_sum(values[:cutpoint + 1])
+        right = path_entanglement_sum(values[cutpoint:])
         assert left + right == whole
 
 
-def test_max_step_jump():
-    traj = _traj([0.0, 0.3, 0.1, 0.6])
-    assert np.isclose(max_step_jump(traj), 0.5)
-    with pytest.raises(ValueError):
-        max_step_jump(_traj([0.25]))
-
-
 def test_single_point_trajectory_has_zero_sum():
-    assert path_entanglement_sum(_traj([0.7])) == 0.0
+    assert path_entanglement_sum((0.7,)) == 0.0
 
 
 def test_export_then_read_is_exact(tmp_path):
     rng = np.random.default_rng(9)
-    named = [
-        ("a", _traj(rng.random(4))),
-        ("b", _traj(rng.random(6), Measure.VON_NEUMANN_BITS)),
-    ]
-    out = tmp_path / "runs.csv"
-    export_trajectories(named, out)
-    back = read_trajectories(out)
-    assert [run_id for run_id, _ in back] == ["a", "b"]
-    for (_, original), (_, loaded) in zip(named, back):
-        assert loaded.measure == original.measure
-        assert loaded.values == original.values  # 17 digits: bit-exact
+    for measure, values in ((Measure.GEOMETRIC, rng.random(4)),
+                            (Measure.VON_NEUMANN_BITS, rng.random(6))):
+        values = tuple(float(v) for v in values)
+        out = tmp_path / f"{measure.value}.csv"
+        export_trajectory("a", measure, values, out)
+        with out.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["run_id"] for row in rows] == ["a"] * len(values)
+        assert [int(row["k"]) for row in rows] == list(range(len(values)))
+        assert {row["measure_tag"] for row in rows} == {measure.value}
+        # 17 significant digits: every value parses back bit-exactly
+        assert tuple(float(row["entanglement"]) for row in rows) == values
 
 
 def test_trajectory_summary_fields():
-    traj = _traj([0.0, 0.4, 0.1])
-    doc = trajectory_summary("demo", traj)
+    doc = trajectory_summary("demo", Measure.GEOMETRIC, (0.0, 0.4, 0.1))
     assert doc["run_id"] == "demo"
     assert doc["R"] == 2
     assert doc["measure"] == "geometric"
     assert np.isclose(doc["sum"], 0.7)
     assert np.isclose(doc["max_jump"], 0.4)
     assert np.isclose(doc["final_entanglement"], 0.1)
+    # a one-state path has no steps
+    doc = trajectory_summary("one", Measure.VON_NEUMANN_BITS, (0.25,))
+    assert (doc["R"], doc["sum"], doc["max_jump"]) == (0, 0.0, 0.0)
+    assert doc["measure"] == "vonneumann"
+
+
+def test_max_step_jump():
+    # the largest step, not the largest value or the endpoint gap
+    doc = trajectory_summary("demo", Measure.GEOMETRIC, (0.0, 0.3, 0.1, 0.6))
+    assert np.isclose(doc["max_jump"], 0.5)
+    # a one-state path has no steps, so no jump
+    doc = trajectory_summary("one", Measure.GEOMETRIC, (0.25,))
+    assert doc["max_jump"] == 0.0
 
 
 def test_trajectory_of_random_circuit_is_finite_and_nonnegative():
     rng = np.random.default_rng(31)
     circuit = random_circuit(random_architecture(3, 3, rng), rng)
-    traj = trajectory(run_circuit(circuit), geo_restarts=8)
-    assert all(0.0 <= v < 1.0 for v in traj.values)
-    assert path_entanglement_sum(traj) >= traj.values[-1] - 1e-12
+    values = trajectory(run_circuit(circuit), geo_restarts=8)
+    assert all(0.0 <= v < 1.0 for v in values)
+    assert path_entanglement_sum(values) >= values[-1] - 1e-12

@@ -1,12 +1,14 @@
 """Static checks on the source, with nothing but ast.
 
 No module of the package or its tests imports a name it never reads; no
-private top-level helper of the package is left unreferenced; every
+private top-level helper of the package is left unreferenced; no public
+top-level function or class is used by the tests alone; every
 geo_restarts default is entanglement.GEO_RESTARTS, written once; the
 search defaults of ExperimentConfig are read from the synthesis dataclasses;
 and scipy is imported only by synthesis, for its optimizer.
 """
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +65,39 @@ def test_every_private_helper_is_referenced():
              for path, tree in trees.items()
              for name in private_definitions(tree) if name not in used]
     assert not found, "private but never referenced in src/:\n" + "\n".join(found)
+
+
+# Public names that no module, README block or benchmark script uses, and why
+# each stays.
+UNCALLED_EXPORTS = {
+    # writes the target-state file format that `conjecture` reads through
+    # core.load_state, so a user can prepare targets of their own
+    "core.save_state",
+}
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "entpaths").glob("*.py"))
+               if path.name != "__init__.py"]
+    sources += re.findall(r"^```python\n(.*?)^```",
+                          (ROOT / "README.md").read_text(encoding="utf-8"),
+                          flags=re.DOTALL | re.MULTILINE)
+    used = set().union(*(referenced_names(ast.parse(source)) for source in sources))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # the tracer names the functions it wraps as strings
+        used |= referenced_names(tree) | {node.value for node in ast.walk(tree)
+                                          if isinstance(node, ast.Constant)
+                                          and isinstance(node.value, str)}
+    found = []
+    for path in sorted((ROOT / "src" / "entpaths").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(node, "name", "_")
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_")
+                    and name not in used and f"{path.stem}.{name}" not in UNCALLED_EXPORTS):
+                found.append(f"{path.relative_to(ROOT)} {name}")
+    assert not found, "public but used by the tests alone:\n" + "\n".join(found)
 
 
 def geo_restarts_defaults(tree):
