@@ -22,17 +22,25 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
+def _scalar(value) -> str | None:
+    """Text of a bool, integer or real (numpy scalars too); None otherwise."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return format_float(float(value))
+    return None
+
+
 def _encode(obj, indent: int) -> str:
-    if isinstance(obj, np.generic):
-        obj = obj.item()
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, numbers.Integral):
-        return str(int(obj))
-    if isinstance(obj, numbers.Real):
-        return format_float(float(obj))
+    text = _scalar(obj)
+    if text is not None:
+        return text
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=True)
     pad = " " * indent
@@ -65,14 +73,9 @@ def write_canonical_json(path, obj) -> None:
 
 
 def csv_cell(value) -> str:
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return format_float(float(value))
+    text = _scalar(value)
+    if text is not None:
+        return text
     if isinstance(value, str):
         if any(c in value for c in ',"\n\r'):
             raise ValueError(f"CSV cell {value!r} needs quoting; keep fields plain")

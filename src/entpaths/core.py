@@ -118,10 +118,12 @@ def _unitary_4x4(matrix) -> np.ndarray:
     mat = np.array(matrix, dtype=np.complex128, copy=True)
     if mat.shape != (4, 4):
         raise DimensionMismatchError(f"gate matrix must be 4x4, got {mat.shape}")
-    if not np.isfinite(mat).all():  # before the product, which would warn on inf
-        raise ValueError("gate matrix is not a finite unitary (non-finite entries)")
+    # every entry of a unitary has modulus <= 1; testing that before the
+    # product rejects inf, NaN and huge entries, which would overflow it
+    if not np.abs(mat).max() <= 1.0 + UNITARY_ATOL:
+        raise ValueError("gate matrix is not a finite unitary (entry modulus above 1)")
     err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(4))))
-    if not err <= UNITARY_ATOL:  # an overflowing product can still make err NaN
+    if not err <= UNITARY_ATOL:
         raise ValueError(f"gate matrix is not a finite unitary (deviation {err:.3e})")
     return mat
 

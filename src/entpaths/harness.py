@@ -1,8 +1,9 @@
 """Experiment harness: family collection and the minimum-sum success test.
 
-For each target state the harness estimates its minimum gate count, gathers
-successful synthesis solutions across gate counts, scores every solution by
-the total-variation sum of its entanglement trajectory, bins those sums,
+One ExperimentConfig carries every setting through the harness.  For each
+target state the harness estimates its minimum gate count r_star, gathers
+successful synthesis solutions at r_star and above, scores every solution
+by the total-variation sum of its entanglement trajectory, bins those sums,
 and marks the target a success iff some optimal-gate-count solution lands
 in the minimum observed bin.  Aggregates report the empirical success rate
 with a binomial confidence interval, plus a rank-correlation statistic
@@ -73,65 +74,54 @@ class PathFamilyRecord:
     architecture: tuple[tuple[int, int], ...]
 
 
-def _record_from_circuit(record_id: str, circuit: Circuit, achieved: float, *,
-                         r_star: int, measure: Measure, cut, geo_restarts: int,
-                         delta_bin: float) -> PathFamilyRecord:
-    total = path_entanglement_sum(trajectory(run_circuit(circuit), measure, cut=cut,
-                                             geo_restarts=geo_restarts))
+def _record_from_circuit(record_id: str, circuit: Circuit, achieved: float,
+                         r_star: int, config: ExperimentConfig) -> PathFamilyRecord:
+    total = path_entanglement_sum(trajectory(
+        run_circuit(circuit), config.measure, cut=config.cut,
+        geo_restarts=config.geo_restarts))
     return PathFamilyRecord(
         record_id=record_id,
         r=circuit.num_gates,
         sum_value=total,
-        family_bin=family_bin_of(total, delta_bin),
+        family_bin=family_bin_of(total, config.delta_bin),
         is_optimal_r=circuit.num_gates == r_star,
         achieved_fidelity=achieved,
         architecture=tuple(g.qubit_pair for g in circuit.gates),
     )
 
 
-def collect_families(target: StateVector, estimate: ComplexityEstimate, *,
-                     r_values: Sequence[int], samples_per_r: int,
-                     budget: OptimizerBudget, fidelity_tol: float,
-                     delta_bin: float = DELTA_BIN_DEFAULT, seed=0,
-                     measure: Measure = Measure.GEOMETRIC,
-                     cut: Sequence[int] | None = None,
-                     geo_restarts: int = GEO_RESTARTS,
-                     record_prefix: str = "t") -> list[PathFamilyRecord]:
-    """Gather successful synthesis solutions across gate counts.
+def collect_families(config: ExperimentConfig, target: StateVector,
+                     estimate: ComplexityEstimate, seed,
+                     target_id: str) -> list[PathFamilyRecord]:
+    """Gather successful synthesis solutions from r_star up to config.r_max.
 
-    The estimate's witness is always included as a record; at each r the
+    Every search and scoring setting (budget, fidelity_tol, samples_per_r,
+    delta_bin, measure, cut, geo_restarts) is read from `config`.  The
+    estimate's witness is always included as a record; at each r the
     irreducible canonical architectures are searched in order and every
     restart that reaches the fidelity threshold contributes a record (up to
     samples_per_r per r).  A gate count may give no records at all, e.g.
     when no irreducible layout of that length exists or none reaches the
-    target.  Gate counts below r_star are skipped: the exhaustive search
-    below r_star already failed, so they hold no solutions.
+    target.  Gate counts below r_star are not searched: the exhaustive
+    search below r_star already failed, so they hold no solutions.
     """
-    if samples_per_r < 0:
-        raise ValueError(f"samples_per_r must be >= 0, got {samples_per_r}")
-    threshold = 1.0 - fidelity_tol
+    threshold = 1.0 - config.fidelity_tol
     r_star = estimate.r_star
-    records = [_record_from_circuit(
-        f"{record_prefix}-r{r_star}-witness", estimate.witness,
-        estimate.achieved_fidelity, r_star=r_star, measure=measure, cut=cut,
-        geo_restarts=geo_restarts, delta_bin=delta_bin)]
-    for r in sorted(set(int(r) for r in r_values)):
-        if r < max(r_star, 1):
-            continue
+    records = [_record_from_circuit(f"{target_id}-r{r_star}-witness", estimate.witness,
+                                    estimate.achieved_fidelity, r_star, config)]
+    for r in range(max(r_star, 1), config.r_max + 1):
         collected_r = 0
         for ai, arch in enumerate(enumerate_architectures(target.num_qubits, r)):
-            if collected_r >= samples_per_r:
+            if collected_r >= config.samples_per_r:
                 break
             solutions = optimize_gates_collect(
-                arch, target, budget, _seed_key(seed, r, ai),
+                arch, target, config.budget, _seed_key(seed, r, ai),
                 success_fidelity=threshold,
-                max_collect=samples_per_r - collected_r)
+                max_collect=config.samples_per_r - collected_r)
             for result in solutions:
-                record_id = f"{record_prefix}-r{r}-a{ai:02d}-k{result.best_restart:02d}"
+                record_id = f"{target_id}-r{r}-a{ai:02d}-k{result.best_restart:02d}"
                 records.append(_record_from_circuit(
-                    record_id, result.circuit, result.achieved_fidelity,
-                    r_star=r_star, measure=measure, cut=cut,
-                    geo_restarts=geo_restarts, delta_bin=delta_bin))
+                    record_id, result.circuit, result.achieved_fidelity, r_star, config))
                 collected_r += 1
     return records
 
@@ -158,6 +148,10 @@ class ExperimentConfig:
     samples_per_r: int = 6
     geo_restarts: int = GEO_RESTARTS
     max_architectures: int = SynthesisProblem.max_architectures
+
+    @property
+    def budget(self) -> OptimizerBudget:
+        return OptimizerBudget(self.restarts, self.iterations)
 
     @property
     def num_targets(self) -> int:
@@ -333,8 +327,7 @@ def evaluate_target(config: ExperimentConfig, index: int) -> TargetOutcome:
     degenerate = entanglement < DEGENERATE_ENTANGLEMENT
     problem = SynthesisProblem(
         target, fidelity_tol=config.fidelity_tol, r_max=config.r_max,
-        budget=OptimizerBudget(config.restarts, config.iterations),
-        seed=_seed_key(config.seed, index, 2),
+        budget=config.budget, seed=_seed_key(config.seed, index, 2),
         max_architectures=config.max_architectures)
     estimate = estimate_state_complexity(problem)
     if isinstance(estimate, ComplexityNotFound):
@@ -342,19 +335,12 @@ def evaluate_target(config: ExperimentConfig, index: int) -> TargetOutcome:
             target_id=target_id, r_gen=r_gen, target_entanglement=entanglement,
             degenerate=degenerate,
             best_fidelity_per_r=tuple(sorted(estimate.best_fidelity_per_r.items())))
-    records = tuple(collect_families(
-        target, estimate,
-        r_values=range(estimate.r_star, config.r_max + 1),
-        samples_per_r=config.samples_per_r,
-        budget=OptimizerBudget(config.restarts, config.iterations),
-        fidelity_tol=config.fidelity_tol, delta_bin=config.delta_bin,
-        seed=_seed_key(config.seed, index, 3), measure=config.measure,
-        cut=config.cut, geo_restarts=config.geo_restarts,
-        record_prefix=target_id))
+    records = tuple(collect_families(config, target, estimate,
+                                     _seed_key(config.seed, index, 3), target_id))
     min_bin = min(rec.family_bin for rec in records)
-    optimal_bins = [rec.family_bin for rec in records if rec.is_optimal_r]
-    min_bin_optimal = min(optimal_bins) if optimal_bins else None
-    success = any(rec.is_optimal_r and rec.family_bin == min_bin for rec in records)
+    # the witness record has r == r_star, so this minimum is never empty
+    min_bin_optimal_r = min(rec.family_bin for rec in records if rec.is_optimal_r)
+    success = min_bin_optimal_r == min_bin
     spearman = spearman_rank_correlation(
         [float(rec.family_bin) for rec in records],
         [float(rec.r) for rec in records])
@@ -363,7 +349,7 @@ def evaluate_target(config: ExperimentConfig, index: int) -> TargetOutcome:
         exhaustiveness=estimate.exhaustiveness,
         witness_fidelity=estimate.achieved_fidelity,
         target_entanglement=entanglement, degenerate=degenerate,
-        records=records, min_bin=min_bin, min_bin_optimal_r=min_bin_optimal,
+        records=records, min_bin=min_bin, min_bin_optimal_r=min_bin_optimal_r,
         success=success, spearman_bin_vs_r=spearman)
 
 

@@ -60,11 +60,11 @@ def test_gate_rejects_non_unitary_and_non_special():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1e200, 1e200)])
 def test_gate_rejects_non_finite_entries(bad):
     # a NaN deviation compares False with any tolerance, so a check written
-    # as `deviation > tol` lets a NaN or inf matrix through; an inf entry
-    # must be rejected before the unitarity product warns on it
+    # as `deviation > tol` lets a NaN or inf matrix through; an inf or huge
+    # finite entry must be rejected before the unitarity product overflows
     matrix = np.eye(4, dtype=complex)
     matrix[1, 2] = bad
     for build in (TwoQubitGate, TwoQubitGate.from_unitary):

@@ -163,14 +163,21 @@ def test_config_resolves_file_targets_against_base_dir(tmp_path, bell):
 # --- family collection ----------------------------------------------------
 
 
+def family_config(num_qubits, r_max, samples_per_r):
+    """The search settings of the family tests: budget 8x500, fidelity_tol
+    1e-4 and delta_E_bin 1e-3."""
+    return ExperimentConfig.from_dict({
+        "n": num_qubits, "targets": {"count": 1, "r_gen": 1},
+        "budget": {"restarts": 8, "iters": 500}, "fidelity_tol": 1e-4,
+        "delta_E_bin": 1e-3, "r_max": r_max, "samples_per_r": samples_per_r})
+
+
 def test_collect_families_on_bell(bell):
     estimate = estimate_state_complexity(
         SynthesisProblem(bell, budget=OptimizerBudget(8, 500), seed=5))
     assert estimate.r_star == 1
-    records = collect_families(
-        bell, estimate, r_values=[1, 2], samples_per_r=3,
-        budget=OptimizerBudget(8, 500), fidelity_tol=1e-4, delta_bin=1e-3,
-        seed=9, record_prefix="bell")
+    records = collect_families(family_config(2, r_max=2, samples_per_r=3),
+                               bell, estimate, 9, "bell")
     assert records[0].record_id == "bell-r1-witness"
     # on two qubits every layout of two or more gates repeats the one pair,
     # so r = 2 has no irreducible layout and gives no records
@@ -191,10 +198,8 @@ def test_collect_families_above_r_star_uses_irreducible_layouts():
     estimate = estimate_state_complexity(
         SynthesisProblem(target, budget=OptimizerBudget(16, 800), seed=2))
     assert estimate.r_star == 2
-    records = collect_families(
-        target, estimate, r_values=[2, 3], samples_per_r=3,
-        budget=OptimizerBudget(8, 500), fidelity_tol=1e-4, delta_bin=1e-3,
-        seed=9, record_prefix="t")
+    records = collect_families(family_config(3, r_max=3, samples_per_r=3),
+                               target, estimate, 9, "t")
     assert records[0].record_id == "t-r2-witness"
     by_r = {}
     for rec in records:
@@ -209,11 +214,9 @@ def test_collect_families_above_r_star_uses_irreducible_layouts():
 def test_collect_families_is_deterministic(bell):
     estimate = estimate_state_complexity(
         SynthesisProblem(bell, budget=OptimizerBudget(8, 500), seed=5))
-    kwargs = dict(r_values=[1, 2], samples_per_r=2,
-                  budget=OptimizerBudget(8, 500), fidelity_tol=1e-4,
-                  delta_bin=1e-3, seed=9, record_prefix="x")
-    a = collect_families(bell, estimate, **kwargs)
-    b = collect_families(bell, estimate, **kwargs)
+    config = family_config(2, r_max=2, samples_per_r=2)
+    a = collect_families(config, bell, estimate, 9, "x")
+    b = collect_families(config, bell, estimate, 9, "x")
     assert [(r.record_id, r.sum_value, r.family_bin) for r in a] == \
            [(r.record_id, r.sum_value, r.family_bin) for r in b]
 
@@ -224,10 +227,8 @@ def test_collect_families_skips_r_below_r_star():
     estimate = estimate_state_complexity(
         SynthesisProblem(target, budget=OptimizerBudget(16, 800), seed=2))
     assert estimate.r_star == 2
-    records = collect_families(
-        target, estimate, r_values=[1, 2], samples_per_r=2,
-        budget=OptimizerBudget(8, 500), fidelity_tol=1e-4, delta_bin=1e-3,
-        seed=3, record_prefix="t")
+    records = collect_families(family_config(3, r_max=2, samples_per_r=2),
+                               target, estimate, 3, "t")
     assert all(rec.r >= 2 for rec in records)
 
 

@@ -124,8 +124,8 @@ def test_geo_restarts_defaults_are_the_entanglement_constant():
     defaults = [(path.name, node)
                 for path in sorted((ROOT / "src" / "entpaths").glob("*.py"))
                 for node in geo_restarts_defaults(ast.parse(path.read_text(encoding="utf-8")))]
-    # cli's config field, two harness defaults and two trajectories defaults,
-    # plus ExperimentConfig.from_dict reading its own field default
+    # cli's config field, the ExperimentConfig field and two trajectories
+    # defaults, plus ExperimentConfig.from_dict reading its own field default
     assert len(defaults) >= 5
     literal = [f"{name}:{node.lineno} {ast.unparse(node)}" for name, node in defaults
                if ast.unparse(node) not in ("GEO_RESTARTS", "cls.geo_restarts")]
