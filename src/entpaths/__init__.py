@@ -11,9 +11,9 @@ The top level exports what the README quick start uses; everything else is
 imported from its module (entpaths.core, entpaths.harness, ...).
 """
 
-from .core import StateVector, random_architecture, random_circuit, run_circuit
+from .core import (StateVector, fixture_state, random_architecture, random_circuit,
+                   run_circuit)
 from .entanglement import Measure, geometric_entanglement
-from .fixtures import fixture_state
 from .paths import enumerate_paths, transition_amplitude
 from .synthesis import SynthesisProblem, estimate_state_complexity
 from .trajectories import path_entanglement_sum, trajectory

@@ -29,11 +29,10 @@ import numpy as np
 from . import __version__
 from .canonical import write_canonical_json, write_csv
 from .core import (MAX_QUBITS, ResourceCapError, StateVector, config_label,
-                   load_circuit, random_architecture, random_circuit,
-                   run_circuit, save_circuit, haar_random_su4)
+                   fixture_state, load_circuit, random_architecture,
+                   random_circuit, run_circuit, save_circuit, haar_random_su4)
 from .entanglement import (GEO_RESTARTS, Measure, geometric_entanglement,
                            von_neumann_entropy)
-from .fixtures import fixture_state
 from .harness import (ExperimentConfig, report_to_dict, run_experiment,
                       write_records_csv)
 from .paths import (DEFAULT_PATH_CAP, DEUTSCH_VARIANTS, deutsch_path_table,
@@ -98,13 +97,15 @@ def _circuit_for(doc: dict, config_dir: Path):
             circuit = load_circuit(resolved)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"circuit_file: cannot load {resolved}: {exc}") from None
+        need(circuit.num_qubits >= 2, "circuit_file",
+             f"must hold a circuit on at least 2 qubits, as n must; got {circuit.num_qubits}")
         return circuit, {"circuit_file": resolved, "seed": seed}
     need("n" in doc, "n", "is required (or give circuit_file)")
     n = int_field(doc, "n", None, low=2, high=MAX_QUBITS)
     need("r" in doc, "r", "is required (or give circuit_file)")
     r = int_field(doc, "r", None, low=0)
     rng = np.random.default_rng(seed)
-    circuit = random_circuit(random_architecture(n, r, rng), rng)
+    circuit = random_circuit(n, random_architecture(n, r, rng), rng)
     return circuit, {"n": n, "r": r, "seed": seed}
 
 
@@ -301,7 +302,7 @@ def _selftest_checks() -> list[tuple[str, float, float, float]]:
 
     rng = np.random.default_rng(7)
     n, r = 3, 3
-    circuit = random_circuit(random_architecture(n, r, rng), rng)
+    circuit = random_circuit(n, random_architecture(n, r, rng), rng)
     sums, count = path_sums(circuit, 0)
     direct = run_circuit(circuit)[-1].amplitudes
     checks.append(("path count == 4^R", float(count), float(4**r), 0.0))

@@ -6,9 +6,11 @@ is |00>, |01>, |10>, |11>, so |10> is the state with qubit 0 set.  A
 two-qubit gate on the ordered pair (j, k) is a 4x4 matrix whose row/column
 index is 2*b_j + b_k.
 
-Provides normalized state vectors, special-unitary two-qubit gates, gate
-sequences over fixed qubit-pair layouts, Haar-random SU(4) sampling, and a
-bit-exact JSON round trip for circuits.
+Provides normalized state vectors, special-unitary two-qubit gates,
+circuits (a qubit count plus a gate sequence), Haar-random SU(4) sampling,
+the reference states bell, ghz3 and w3, and a bit-exact JSON round trip for
+circuits.  A layout, the ordered qubit pairs a circuit's gates act on, is a
+plain tuple of (j, k) pairs.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -56,6 +57,15 @@ def basis_index(configuration, num_qubits: int) -> int:
     return index
 
 
+def _checked_num_qubits(n) -> int:
+    """n as an int in [1, MAX_QUBITS]; a bool is not a qubit count."""
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or not 1 <= n <= MAX_QUBITS):
+        raise DimensionMismatchError(
+            f"num_qubits must be an int in [1, {MAX_QUBITS}], got {n!r}")
+    return int(n)
+
+
 def config_label(index: int, num_qubits: int) -> str:
     """Bitstring label such as '010' (qubit 0 first)."""
     if not 0 <= index < 2**num_qubits:
@@ -71,12 +81,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = self.num_qubits
-        if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_QUBITS:
-            raise DimensionMismatchError(
-                f"num_qubits must be an int in [1, {MAX_QUBITS}], got {n!r}"
-            )
-        object.__setattr__(self, "num_qubits", int(n))
+        object.__setattr__(self, "num_qubits", _checked_num_qubits(self.num_qubits))
         amp = np.array(self.amplitudes, dtype=np.complex128, copy=True)
         if amp.shape != (2**self.num_qubits,):
             raise DimensionMismatchError(
@@ -89,17 +94,6 @@ class StateVector:
             raise ValueError(f"state norm {norm} differs from 1 by more than {NORM_ATOL}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
-
-    @classmethod
-    def from_amplitudes(cls, amplitudes) -> "StateVector":
-        """Build a state from a length-2**n vector, inferring n."""
-        amp = np.asarray(amplitudes, dtype=np.complex128)
-        if amp.ndim != 1 or amp.size < 2:
-            raise DimensionMismatchError(f"expected a 1-d vector, got shape {amp.shape}")
-        n = int(amp.size).bit_length() - 1
-        if 2**n != amp.size:
-            raise DimensionMismatchError(f"vector length {amp.size} is not a power of two")
-        return cls(n, amp)
 
     @classmethod
     def basis_state(cls, num_qubits: int, configuration) -> "StateVector":
@@ -163,64 +157,26 @@ class TwoQubitGate:
         return cls(qubit_pair, mat / det**0.25)
 
 
-@dataclass(frozen=True)
-class Architecture:
-    """An ordered layout of two-qubit slots on an n-qubit register."""
-
-    num_qubits: int
-    gate_slots: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        n = self.num_qubits
-        if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_QUBITS:
-            raise DimensionMismatchError(
-                f"num_qubits must be an int in [1, {MAX_QUBITS}], got {n!r}")
-        object.__setattr__(self, "num_qubits", int(n))
-        slots = tuple(tuple(int(q) for q in slot) for slot in self.gate_slots)
-        for slot in slots:
-            if len(slot) != 2 or slot[0] == slot[1]:
-                raise ValueError(f"gate slot must hold two distinct qubits, got {slot}")
-            if not (0 <= slot[0] < n and 0 <= slot[1] < n):
-                raise DimensionMismatchError(f"gate slot {slot} out of range for n={n}")
-        object.__setattr__(self, "gate_slots", slots)
-
-    @property
-    def num_gates(self) -> int:
-        return len(self.gate_slots)
-
-
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """An architecture with one SU(4) gate assigned to every slot."""
+    """A sequence of SU(4) gates on an n-qubit register, applied in order."""
 
-    architecture: Architecture
+    num_qubits: int
     gates: tuple[TwoQubitGate, ...]
 
     def __post_init__(self):
+        n = _checked_num_qubits(self.num_qubits)
+        object.__setattr__(self, "num_qubits", n)
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
-        if len(gates) != self.architecture.num_gates:
-            raise DimensionMismatchError(
-                f"{len(gates)} gates assigned to {self.architecture.num_gates} slots"
-            )
-        for gate, slot in zip(gates, self.architecture.gate_slots):
-            if gate.qubit_pair != slot:
-                raise ValueError(
-                    f"gate on pair {gate.qubit_pair} assigned to slot {slot}"
-                )
-
-    @classmethod
-    def from_gates(cls, num_qubits: int, gates: Sequence[TwoQubitGate]) -> "Circuit":
-        arch = Architecture(num_qubits, tuple(g.qubit_pair for g in gates))
-        return cls(arch, tuple(gates))
-
-    @property
-    def num_qubits(self) -> int:
-        return self.architecture.num_qubits
+        for gate in gates:
+            if max(gate.qubit_pair) >= n:
+                raise DimensionMismatchError(
+                    f"gate pair {gate.qubit_pair} out of range for n={n}")
 
     @property
     def num_gates(self) -> int:
-        return self.architecture.num_gates
+        return len(self.gates)
 
 
 @functools.cache
@@ -305,25 +261,37 @@ def all_pairs(num_qubits: int) -> list[tuple[int, int]]:
     return [(j, k) for j in range(num_qubits) for k in range(j + 1, num_qubits)]
 
 
-def random_architecture(num_qubits: int, num_gates: int, seed) -> Architecture:
-    """Uniformly random slot sequence over the j < k pairs."""
+def random_architecture(num_qubits: int, num_gates: int,
+                        seed) -> tuple[tuple[int, int], ...]:
+    """Uniformly random layout: num_gates pairs drawn from the j < k pairs."""
     if num_qubits < 2:
         raise DimensionMismatchError("two-qubit slots need at least 2 qubits")
     if num_gates < 0:
         raise ValueError(f"num_gates must be >= 0, got {num_gates}")
     rng = _as_generator(seed)
     pairs = all_pairs(num_qubits)
-    slots = tuple(pairs[i] for i in rng.integers(0, len(pairs), size=num_gates))
-    return Architecture(num_qubits, slots)
+    return tuple(pairs[i] for i in rng.integers(0, len(pairs), size=num_gates))
 
 
-def random_circuit(architecture: Architecture, seed) -> Circuit:
-    """Instantiate every slot of an architecture with a Haar SU(4) gate."""
+def random_circuit(num_qubits: int, slots: tuple[tuple[int, int], ...], seed) -> Circuit:
+    """A circuit with one Haar SU(4) gate on each pair of a layout, in order."""
     rng = _as_generator(seed)
-    gates = tuple(
-        TwoQubitGate(slot, haar_random_su4(rng)) for slot in architecture.gate_slots
-    )
-    return Circuit(architecture, gates)
+    return Circuit(num_qubits, [TwoQubitGate(slot, haar_random_su4(rng)) for slot in slots])
+
+
+# name -> (qubit count, the basis indices sharing the amplitude)
+_FIXTURES = {"bell": (2, (0, 3)), "ghz3": (3, (0, 7)), "w3": (3, (1, 2, 4))}
+
+
+def fixture_state(name: str) -> StateVector:
+    """The reference state bell, ghz3 or w3: amplitude 1/sqrt(k) on each of
+    its k basis indices."""
+    if name not in _FIXTURES:
+        raise ValueError(f"unknown fixture {name!r}; choose one of {tuple(_FIXTURES)}")
+    n, support = _FIXTURES[name]
+    amp = np.zeros(2**n, dtype=np.complex128)
+    amp[list(support)] = 1 / math.sqrt(len(support))
+    return StateVector(n, amp)
 
 
 # --- circuit and state JSON (bit-exact round trip) -----------------------
@@ -362,7 +330,7 @@ def circuit_from_dict(doc: dict) -> Circuit:
         raise ValueError(f"circuit gates are malformed: {exc!r}") from None
     gates = [TwoQubitGate(pair, _from_floats(raw, f"gates[{i}].matrix").reshape(4, 4))
              for i, (pair, raw) in enumerate(entries)]
-    return Circuit.from_gates(doc["num_qubits"], gates)
+    return Circuit(doc["num_qubits"], gates)
 
 
 def save_circuit(circuit: Circuit, path) -> None:

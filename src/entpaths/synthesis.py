@@ -2,8 +2,9 @@
 
 Gates are parametrized by 15 real coefficients over a fixed traceless
 Hermitian generator basis, mapped onto SU(4) through the matrix
-exponential (a surjective, differentiable map).  For a fixed architecture
-the preparation fidelity |<target|U_R..U_1|0..0>|**2 is maximized in two
+exponential (a surjective, differentiable map).  For a fixed architecture,
+a layout given as the tuple of qubit pairs its gates act on in order, the
+preparation fidelity |<target|U_R..U_1|0..0>|**2 is maximized in two
 parts.  The last gate has a closed-form optimum: one 4x4 SVD of the
 overlap between the state before it and the target, gathered on its pair
 (von Neumann's trace inequality), so the fidelity becomes a function of
@@ -36,7 +37,6 @@ import numpy as np
 import scipy.optimize
 
 from .core import (
-    Architecture,
     Circuit,
     DimensionMismatchError,
     ResourceCapError,
@@ -241,7 +241,7 @@ class OptimizeResult:
     best_restart: int
 
 
-def _restarts(architecture: Architecture, target: StateVector,
+def _restarts(slots: Sequence[tuple[int, int]], target: StateVector,
               budget: OptimizerBudget, seed):
     """Run the restarts in order, yielding (k, theta, last, value) for each:
     the free gates' parameters, the raw closed-form last gate and the
@@ -250,90 +250,84 @@ def _restarts(architecture: Architecture, target: StateVector,
     Restart k starts its free gates from parameters drawn from a generator
     seeded by (seed, k).  With one gate nothing is free and every restart
     would give the same answer, so only restart 0 runs.  The consumer
-    decides when to stop and replays the restarts it keeps.
+    decides when to stop and replays the restarts it keeps.  An empty
+    layout has no last gate to solve for and raises ValueError, as does a
+    pair outside the target's register.
     """
-    pairs = architecture.gate_slots
-    num_free = len(pairs) - 1
+    if not slots:
+        raise ValueError("the search needs a layout of at least one gate")
+    if max(map(max, slots)) >= target.num_qubits:
+        raise DimensionMismatchError(
+            f"layout {tuple(slots)} reaches past the target's {target.num_qubits} qubits")
+    num_free = len(slots) - 1
     for k in range(budget.restarts if num_free else 1):
         rng = np.random.default_rng(_seed_key(seed, k))
         theta0 = rng.uniform(-math.pi, math.pi, size=(num_free, NUM_GATE_PARAMS))
-        theta, last, value = _ascend(theta0, pairs, architecture.num_qubits,
+        theta, last, value = _ascend(theta0, slots, target.num_qubits,
                                      target.amplitudes, budget.iterations)
         yield k, theta, last, value
 
 
-def _replay(architecture: Architecture, theta: np.ndarray, last: np.ndarray,
+def _replay(slots: Sequence[tuple[int, int]], theta: np.ndarray, last: np.ndarray,
             target: StateVector) -> tuple[Circuit, float]:
     """Rebuild the gates of a restart and the fidelity they reach when run.
 
     The free gates come from their parameters theta; the closed-form last
     gate is bound as it is, its global phase rescaled so that det = 1.
     """
-    *free_pairs, last_pair = architecture.gate_slots
+    *free_pairs, last_pair = slots
     gates = [TwoQubitGate(pair, m) for pair, m in zip(free_pairs, _su4_batch(theta))]
     gates.append(TwoQubitGate.from_unitary(last_pair, last))
-    circuit = Circuit(architecture, tuple(gates))
+    circuit = Circuit(target.num_qubits, gates)
     return circuit, fidelity(run_circuit(circuit)[-1], target)
 
 
-def optimize_gates(architecture: Architecture, target: StateVector,
+def optimize_gates(slots: Sequence[tuple[int, int]], target: StateVector,
                    budget: OptimizerBudget = OptimizerBudget(), seed=0, *,
                    success_fidelity: float | None = None) -> OptimizeResult:
-    """Maximize preparation fidelity over the gates of one architecture.
+    """Maximize preparation fidelity over the gates of one layout of the
+    target's register.
 
     The last gate is solved in closed form, so only the others are
     ascended.  Restart k draws their starting parameters from a generator
     seeded by (seed, k), so the search is deterministic; a one-gate
-    architecture has nothing free and runs a single restart, which is
+    layout has nothing free and runs a single restart, which is
     exact.  When success_fidelity is given, restarts stop at the first
     index reaching it; the result is the best over restarts 0..that index,
     which is independent of how restarts are scheduled.  Exhausting the
     budget below the threshold returns the best circuit found flagged
     converged=False.
     """
-    n = architecture.num_qubits
-    if target.num_qubits != n:
-        raise DimensionMismatchError(
-            f"target has {target.num_qubits} qubits, architecture has {n}"
-        )
     threshold = STOP_FIDELITY if success_fidelity is None else success_fidelity
-    if architecture.num_gates == 0:
-        circuit = Circuit(architecture, ())
-        value = fidelity(StateVector.zero_state(n), target)
-        return OptimizeResult(circuit, value, value >= threshold, 0, 0)
     best_value = -1.0
     best_gates = None
     best_restart = 0
     restarts_run = 0
-    for k, theta, last, value in _restarts(architecture, target, budget, seed):
+    for k, theta, last, value in _restarts(slots, target, budget, seed):
         restarts_run = k + 1
         if value > best_value:
             best_value, best_gates, best_restart = value, (theta, last), k
         if success_fidelity is not None and value >= success_fidelity:
             break
-    circuit, achieved = _replay(architecture, *best_gates, target)
+    circuit, achieved = _replay(slots, *best_gates, target)
     return OptimizeResult(circuit, achieved, achieved >= threshold,
                           restarts_run, best_restart)
 
 
-def optimize_gates_collect(architecture: Architecture, target: StateVector,
+def optimize_gates_collect(slots: Sequence[tuple[int, int]], target: StateVector,
                            budget: OptimizerBudget, seed, *,
                            success_fidelity: float,
                            max_collect: int | None = None) -> list[OptimizeResult]:
     """Run every restart in order, collecting each one that reaches the
     threshold as its own solution (up to max_collect).  A one-gate
-    architecture runs one restart, so it gives at most one solution."""
-    if architecture.num_gates == 0:
-        base = optimize_gates(architecture, target, budget, seed,
-                              success_fidelity=success_fidelity)
-        return [base] if base.converged else []
+    layout runs one restart, so it gives at most one solution."""
     collected: list[OptimizeResult] = []
     if max_collect is not None and max_collect <= 0:
         return collected
-    for k, theta, last, value in _restarts(architecture, target, budget, seed):
+    for k, theta, last, value in _restarts(slots, target, budget, seed):
         if value < success_fidelity:
             continue
-        circuit, achieved = _replay(architecture, theta, last, target)
+        circuit, achieved = _replay(slots, theta, last, target)
         if achieved >= success_fidelity:
             collected.append(OptimizeResult(circuit, achieved, True, k + 1, k))
             if max_collect is not None and len(collected) >= max_collect:
@@ -368,7 +362,8 @@ def _extends_normal_form(prefix: Sequence[tuple[int, int]], slot: tuple[int, int
 
 
 @functools.cache
-def _normal_forms(num_qubits: int, num_gates: int) -> tuple[Architecture, ...]:
+def _normal_forms(num_qubits: int,
+                  num_gates: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Every irreducible normal-form slot sequence of a length, in sorted
     order.
 
@@ -388,10 +383,11 @@ def _normal_forms(num_qubits: int, num_gates: int) -> tuple[Architecture, ...]:
                     f"more than {ARCH_SEQUENCE_CAP} architectures of {num_gates} gates"
                     f" on {num_qubits} qubits exceed the enumeration cap")
         sequences = extended
-    return tuple(Architecture(num_qubits, seq) for seq in sequences)
+    return tuple(sequences)
 
 
-def enumerate_architectures(num_qubits: int, num_gates: int) -> tuple[Architecture, ...]:
+def enumerate_architectures(num_qubits: int,
+                            num_gates: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All irreducible canonical slot sequences of a given length, sorted.
 
     Slots range over the j < k pairs; one sequence in commuting normal form
@@ -419,8 +415,7 @@ def sample_target(num_qubits: int, r_gen: int, seed) -> tuple[StateVector, Circu
     if r_gen < 1:
         raise ValueError(f"r_gen must be >= 1, got {r_gen}")
     rng = np.random.default_rng(_seed_key(seed))
-    arch = random_architecture(num_qubits, r_gen, rng)
-    circuit = random_circuit(arch, rng)
+    circuit = random_circuit(num_qubits, random_architecture(num_qubits, r_gen, rng), rng)
     return run_circuit(circuit)[-1], circuit
 
 
@@ -462,7 +457,7 @@ class ComplexityNotFound:
 
 
 def _architectures_for(num_qubits: int, r: int, seed,
-                       max_architectures: int) -> tuple[Sequence[Architecture], bool]:
+                       max_architectures: int) -> tuple[Sequence[tuple], bool]:
     """Canonical architectures at r, subsampled deterministically when too many."""
     archs = enumerate_architectures(num_qubits, r)
     if len(archs) <= max_architectures:
@@ -486,7 +481,7 @@ def estimate_state_complexity(problem: SynthesisProblem):
     threshold = 1.0 - problem.fidelity_tol
     zero_fidelity = fidelity(target, StateVector.zero_state(n))
     if zero_fidelity >= threshold:
-        empty = Circuit(Architecture(n, ()), ())
+        empty = Circuit(n, ())
         return ComplexityEstimate(0, empty, zero_fidelity, EXHAUSTIVE)
     exhaustive_below = True
     best_per_r: dict[int, float] = {}

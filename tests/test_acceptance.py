@@ -45,7 +45,7 @@ def test_01_path_sums_match_direct_simulation():
     for _ in range(100):
         n = int(rng.integers(2, 4))
         num_gates = int(rng.integers(1, 6))
-        circuit = random_circuit(random_architecture(n, num_gates, rng), rng)
+        circuit = random_circuit(n, random_architecture(n, num_gates, rng), rng)
         dim = 2 ** n
         endpoints = [(int(rng.integers(dim)), int(rng.integers(dim)))
                      for _ in range(20)]
@@ -72,7 +72,7 @@ def test_02_path_count_is_four_to_the_gate_count():
     checked = 0
     for n in (2, 3):
         for num_gates in range(1, 6):
-            circuit = random_circuit(random_architecture(n, num_gates, rng), rng)
+            circuit = random_circuit(n, random_architecture(n, num_gates, rng), rng)
             q0 = int(rng.integers(2 ** n))
             count = sum(1 for _ in enumerate_paths(circuit, q0))
             assert count == 4 ** num_gates
@@ -189,7 +189,7 @@ def test_07_trajectory_sum_properties():
 
     # The same bound on measured trajectories of actual circuits.
     for seed in range(10):
-        circuit = random_circuit(random_architecture(2, 1 + seed % 5, 700 + seed),
+        circuit = random_circuit(2, random_architecture(2, 1 + seed % 5, 700 + seed),
                                  900 + seed)
         values = trajectory(run_circuit(circuit), measure, geo_restarts=8)
         assert path_entanglement_sum(values) >= abs(values[-1] - values[0]) - 1e-12

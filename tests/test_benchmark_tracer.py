@@ -9,7 +9,6 @@ from pathlib import Path
 
 import scipy
 
-from entpaths.core import Architecture
 from entpaths.synthesis import OptimizerBudget, sample_target
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -29,7 +28,7 @@ def test_tracer_counts_the_ascents_of_a_two_gate_search():
     tracer = _load_tracer().Tracer(0.9999)
     tracer.install()
     try:
-        result = synthesis.optimize_gates(Architecture(3, ((0, 1), (1, 2))), target,
+        result = synthesis.optimize_gates(((0, 1), (1, 2)), target,
                                           OptimizerBudget(3, 200), seed=1,
                                           success_fidelity=0.9999)
     finally:

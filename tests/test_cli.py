@@ -6,8 +6,7 @@ import pytest
 
 from entpaths.canonical import write_canonical_json
 from entpaths.cli import main
-from entpaths.core import StateVector, load_circuit, save_state
-from entpaths.fixtures import fixture_state
+from entpaths.core import StateVector, fixture_state, load_circuit, save_state
 
 
 def write_config(tmp_path, name, doc):
@@ -191,7 +190,7 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
 
 
 def test_conjecture_file_targets_resolve_next_to_the_config(tmp_path):
-    state = StateVector.from_amplitudes(np.array([1, 0, 0, 1]) / np.sqrt(2))
+    state = StateVector(2, np.array([1, 0, 0, 1]) / np.sqrt(2))
     save_state(state, tmp_path / "bell.json")
     config = write_config(tmp_path, "c.json", {
         "n": 2, "targets": {"files": ["bell.json"], "seed": 1},
@@ -215,11 +214,15 @@ def test_corrupt_circuit_file_is_a_config_error(tmp_path, capsys):
     for doc in ({"num_qubits": 2, "gates": [{"pair": [0, 1], "matrix": [1.0, 0.0]}]},
                 {"num_qubits": 2, "gates": [{"pair": [0, 1], "matrix": [float("nan")] * 32}]},
                 {"num_qubits": 2, "gates": 5},
-                {"num_qubits": [2], "gates": []}):
+                {"num_qubits": [2], "gates": []},
+                # a circuit file obeys the bounds of n: at least 2 qubits
+                {"num_qubits": 1, "gates": []},
+                {"num_qubits": True, "gates": []}):
         (tmp_path / "c.json").write_text(json.dumps(doc))
         config = write_config(tmp_path, "sim.json", {"circuit_file": "c.json"})
-        assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 2
-        assert "circuit_file" in capsys.readouterr().err
+        for subcommand in ("simulate", "paths"):
+            assert main([subcommand, "--config", config, "--out", str(tmp_path / "o")]) == 2
+            assert "circuit_file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", [

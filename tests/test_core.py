@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entpaths.core import (Architecture, Circuit, DimensionMismatchError,
+from entpaths.core import (Circuit, DimensionMismatchError,
                            StateVector, TwoQubitGate, all_pairs,
                            apply_gate_matrix, basis_index, config_label,
                            fidelity, haar_random_su4,
@@ -30,14 +30,19 @@ def test_qubit_zero_is_most_significant_bit():
 
 def test_state_vector_requires_normalization():
     with pytest.raises(ValueError):
-        StateVector.from_amplitudes([1.0, 1.0])
+        StateVector(1, [1.0, 1.0])
     with pytest.raises(ValueError):
-        StateVector.from_amplitudes([0.0, 0.0, 0.0, 0.0])
+        StateVector(2, [0.0, 0.0, 0.0, 0.0])
 
 
 def test_state_vector_requires_power_of_two_length():
     with pytest.raises(DimensionMismatchError):
-        StateVector.from_amplitudes([1.0, 0.0, 0.0])
+        StateVector(2, [1.0, 0.0, 0.0])
+
+
+def test_state_vector_rejects_a_bool_qubit_count():
+    with pytest.raises(DimensionMismatchError):
+        StateVector(True, [1.0, 0.0])
 
 
 def test_state_vector_is_immutable():
@@ -112,7 +117,7 @@ def test_apply_gate_matches_dense_embedding(n, pair):
 
 def test_run_circuit_matches_dense_product_and_records_every_state():
     rng = np.random.default_rng(8)
-    circuit = random_circuit(random_architecture(3, 4, rng), rng)
+    circuit = random_circuit(3, random_architecture(3, 4, rng), rng)
     path = run_circuit(circuit)
     assert len(path) == 5
     unitary = oracles.circuit_unitary(circuit)
@@ -126,7 +131,7 @@ def test_run_circuit_matches_dense_product_and_records_every_state():
 
 def test_run_circuit_accepts_initial_state():
     rng = np.random.default_rng(9)
-    circuit = random_circuit(random_architecture(2, 2, rng), rng)
+    circuit = random_circuit(2, random_architecture(2, 2, rng), rng)
     start = StateVector.basis_state(2, 3)
     path = run_circuit(circuit, start)
     assert np.allclose(path[0].amplitudes, start.amplitudes)
@@ -136,7 +141,7 @@ def test_run_circuit_accepts_initial_state():
 
 def test_run_circuit_rejects_wrong_size_initial():
     rng = np.random.default_rng(10)
-    circuit = random_circuit(random_architecture(3, 1, rng), rng)
+    circuit = random_circuit(3, random_architecture(3, 1, rng), rng)
     with pytest.raises(DimensionMismatchError):
         run_circuit(circuit, StateVector.zero_state(2))
 
@@ -145,7 +150,7 @@ def test_fidelity_bounds_and_self():
     a = StateVector.zero_state(2)
     rng = np.random.default_rng(11)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-    b = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+    b = StateVector(2, amps / np.linalg.norm(amps))
     f = fidelity(a, b)
     assert 0.0 <= f <= 1.0
     assert np.isclose(fidelity(b, b), 1.0)
@@ -155,8 +160,8 @@ def test_fidelity_ignores_global_phase():
     rng = np.random.default_rng(12)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
-    a = StateVector.from_amplitudes(amps)
-    b = StateVector.from_amplitudes(amps * np.exp(0.7j))
+    a = StateVector(3, amps)
+    b = StateVector(3, amps * np.exp(0.7j))
     assert np.isclose(fidelity(a, b), 1.0)
 
 
@@ -180,35 +185,33 @@ def test_all_pairs_ordering():
 def test_random_architecture_and_circuit_deterministic():
     a1 = random_architecture(4, 6, 77)
     a2 = random_architecture(4, 6, 77)
-    assert a1.gate_slots == a2.gate_slots
-    c1 = random_circuit(a1, 78)
-    c2 = random_circuit(a2, 78)
+    assert a1 == a2
+    c1 = random_circuit(4, a1, 78)
+    c2 = random_circuit(4, a2, 78)
     for g1, g2 in zip(c1.gates, c2.gates):
         assert np.array_equal(g1.matrix, g2.matrix)
 
 
 def test_architecture_validates_slots():
-    with pytest.raises(ValueError):
-        Architecture(3, ((0, 0),))
-    with pytest.raises(DimensionMismatchError):
-        Architecture(3, ((0, 3),))
-
-
-def test_circuit_requires_matching_slots():
-    arch = Architecture(2, ((0, 1),))
     gate = TwoQubitGate((0, 1), np.eye(4))
-    assert Circuit(arch, (gate,)).num_gates == 1
+    assert Circuit(2, (gate,)).num_gates == 1
     with pytest.raises(ValueError):
-        Circuit(arch, (TwoQubitGate((1, 0), np.eye(4)),))
+        Circuit(3, (TwoQubitGate((0, 0), np.eye(4)),))
+    with pytest.raises(DimensionMismatchError):
+        Circuit(3, (TwoQubitGate((0, 3), np.eye(4)),))
+    for bad in (True, 2.0, "2", 0, 13):
+        with pytest.raises(DimensionMismatchError):
+            Circuit(bad, (gate,))
 
 
 def test_circuit_json_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
-    circuit = random_circuit(random_architecture(3, 3, rng), rng)
+    circuit = random_circuit(3, random_architecture(3, 3, rng), rng)
     out = tmp_path / "circuit.json"
     save_circuit(circuit, out)
     loaded = load_circuit(out)
-    assert loaded.architecture.gate_slots == circuit.architecture.gate_slots
+    assert loaded.num_qubits == circuit.num_qubits
+    assert [g.qubit_pair for g in loaded.gates] == [g.qubit_pair for g in circuit.gates]
     for g1, g2 in zip(loaded.gates, circuit.gates):
         assert np.array_equal(g1.matrix, g2.matrix)
 
@@ -216,7 +219,7 @@ def test_circuit_json_round_trip_is_bit_exact(tmp_path):
 def test_state_json_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(14)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+    state = StateVector(3, amps / np.linalg.norm(amps))
     out = tmp_path / "state.json"
     save_state(state, out)
     loaded = load_state(out)

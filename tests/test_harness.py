@@ -193,8 +193,8 @@ def test_collect_families_on_bell(bell):
 
 
 def test_collect_families_above_r_star_uses_irreducible_layouts():
-    target = StateVector.from_amplitudes(
-        np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
+    target = StateVector(
+        3, np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
     estimate = estimate_state_complexity(
         SynthesisProblem(target, budget=OptimizerBudget(16, 800), seed=2))
     assert estimate.r_star == 2
@@ -222,8 +222,8 @@ def test_collect_families_is_deterministic(bell):
 
 
 def test_collect_families_skips_r_below_r_star():
-    target = StateVector.from_amplitudes(
-        np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
+    target = StateVector(
+        3, np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
     estimate = estimate_state_complexity(
         SynthesisProblem(target, budget=OptimizerBudget(16, 800), seed=2))
     assert estimate.r_star == 2
@@ -267,8 +267,7 @@ def test_degenerate_targets_are_dual_reported(tmp_path, bell):
 
 def test_degenerate_uses_the_configured_measure(tmp_path, bell):
     # |0> (x) Bell is entangled, but not across the cut that keeps qubit 0
-    product_with_bell = StateVector.from_amplitudes(
-        np.kron([1.0, 0.0], bell.amplitudes))
+    product_with_bell = StateVector(3, np.kron([1.0, 0.0], bell.amplitudes))
     save_state(product_with_bell, tmp_path / "t.json")
     doc = {"n": 3, "targets": {"files": ["t.json"]}, **LEAN}
     by_measure = {}

@@ -19,7 +19,7 @@ CNOT = np.array([[1, 0, 0, 0],
 
 def _random_circuit(n, r, seed):
     rng = np.random.default_rng(seed)
-    return random_circuit(random_architecture(n, r, rng), rng)
+    return random_circuit(n, random_architecture(n, r, rng), rng)
 
 
 @pytest.mark.parametrize("n,r,seed", [(2, 1, 0), (2, 3, 1), (3, 2, 2), (3, 4, 3)])
@@ -32,7 +32,7 @@ def test_path_count_is_four_to_the_r(n, r, seed):
 def test_zero_amplitude_paths_are_still_counted():
     # a permutation gate zeroes 3 of every 4 branches but they stay structural
     gate = TwoQubitGate.from_unitary((0, 1), CNOT)
-    circuit = Circuit.from_gates(2, [gate, gate])
+    circuit = Circuit(2, [gate, gate])
     paths = list(enumerate_paths(circuit, 0))
     assert len(paths) == 16
     zero = [p for p in paths if p.amplitude == 0]
@@ -48,7 +48,7 @@ def test_each_path_has_r_plus_one_configurations():
 
 def test_only_the_acted_pair_changes_between_steps():
     circuit = _random_circuit(4, 3, 6)
-    slots = circuit.architecture.gate_slots
+    slots = [gate.qubit_pair for gate in circuit.gates]
     for path in enumerate_paths(circuit, 9):
         for step, (j, k) in enumerate(slots):
             changed = path.configs[step] ^ path.configs[step + 1]
@@ -160,7 +160,7 @@ def test_block_walk_matches_recursive_oracle_exactly(n, r):
 
 def test_block_walk_yields_zero_amplitude_branches_like_the_oracle():
     gate = TwoQubitGate.from_unitary((0, 1), CNOT)
-    circuit = Circuit.from_gates(2, [gate, gate])
+    circuit = Circuit(2, [gate, gate])
     for start in range(4):
         expected = list(oracles.walk_paths([gate.matrix] * 2, [(0, 1)] * 2, 2, start, None))
         got = list(enumerate_paths(circuit, start))

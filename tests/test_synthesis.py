@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 from entpaths import synthesis
-from entpaths.core import (Architecture, Circuit, ResourceCapError,
+from entpaths.core import (Circuit, DimensionMismatchError, ResourceCapError,
                            StateVector, TwoQubitGate, all_pairs, fidelity,
                            haar_random_su4, random_circuit, run_circuit)
 from entpaths.synthesis import (ComplexityEstimate, ComplexityNotFound,
@@ -141,8 +141,8 @@ def test_kernel_fidelity_matches_circuit_run(n):
     target = random_state(n, seed=40 + n)
     value, _, last = _fidelity_and_grad(free, pairs, n, target.amplitudes)
     thetas = np.vstack([free, params_from_su4(last)])
-    circuit = Circuit.from_gates(n, [TwoQubitGate(pair, _su4_batch(theta))
-                                     for pair, theta in zip(pairs, thetas)])
+    circuit = Circuit(n, [TwoQubitGate(pair, _su4_batch(theta))
+                          for pair, theta in zip(pairs, thetas)])
     slow = fidelity(run_circuit(circuit)[-1], target)
     assert abs(value - slow) <= 1e-12
 
@@ -157,7 +157,7 @@ def test_ascent_succeeds_at_least_as_often_as_the_full_gate_ascent():
         for num_gates in (1, 2, 3, 4):
             for seed in range(15):
                 target, generator = sample_target(n, num_gates, (n, num_gates, seed))
-                pairs = generator.architecture.gate_slots
+                pairs = tuple(g.qubit_pair for g in generator.gates)
                 rng = np.random.default_rng((n, num_gates, seed, 1))
                 theta0 = rng.uniform(-np.pi, np.pi, size=(num_gates, 15))
                 _, full = oracles.ascend_full_gates(theta0, pairs, n,
@@ -165,7 +165,7 @@ def test_ascent_succeeds_at_least_as_often_as_the_full_gate_ascent():
                 free, last, value = _ascend(theta0[:-1], pairs, n, target.amplitudes, 500)
                 last = last * np.exp(-0.25j * np.angle(np.linalg.det(last)))
                 theta = np.vstack([free, params_from_su4(last)])
-                circuit = Circuit.from_gates(n, [
+                circuit = Circuit(n, [
                     TwoQubitGate(pair, _su4_batch(t)) for pair, t in zip(pairs, theta)])
                 replayed = fidelity(run_circuit(circuit)[-1], target)
                 assert abs(replayed - value) <= 1e-12
@@ -204,7 +204,7 @@ def test_ascent_matches_the_ascent_that_always_calls_scipy(n, pairs, monkeypatch
         if seed % 2:
             target = random_state(n, seed=300 + seed)
         else:
-            target = run_circuit(random_circuit(Architecture(n, pairs),
+            target = run_circuit(random_circuit(n, pairs,
                                                 np.random.default_rng(seed)))[-1]
         rng = np.random.default_rng((n, len(pairs), seed))
         theta0 = rng.uniform(-np.pi, np.pi, size=(len(pairs) - 1, 15))
@@ -250,7 +250,7 @@ def test_stationary_start_never_enters_scipy(monkeypatch):
 
 def test_optimize_recovers_a_one_gate_preparation():
     target, _ = sample_target(2, 1, seed=3)
-    result = optimize_gates(Architecture(2, ((0, 1),)), target, SMALL, seed=0)
+    result = optimize_gates(((0, 1),), target, SMALL, seed=0)
     assert result.achieved_fidelity > 1.0 - 1e-6
     assert result.converged
     prepared = run_circuit(result.circuit)[-1]
@@ -263,23 +263,31 @@ def test_single_gate_optimum_matches_slice_norm_oracle(pair):
     # with one gate the best reachable fidelity has a closed form
     target = random_state(3, seed=100 + pair[0] * 3 + pair[1])
     bound = oracles.best_single_gate_fidelity(target.amplitudes, 3, pair)
-    result = optimize_gates(Architecture(3, (pair,)), target,
+    result = optimize_gates((pair,), target,
                             OptimizerBudget(restarts=16, iterations=600), seed=1)
     assert result.achieved_fidelity <= bound + 1e-9
     assert np.isclose(result.achieved_fidelity, bound, atol=1e-6)
 
 
 def test_optimize_zero_gates():
+    # an empty layout has no last gate to solve for; r* = 0 is settled
+    # before any search
     target = random_state(2, seed=4)
-    result = optimize_gates(Architecture(2, ()), target, SMALL)
-    expected = float(abs(target.amplitudes[0]) ** 2)
-    assert np.isclose(result.achieved_fidelity, expected, atol=1e-12)
-    assert result.circuit.num_gates == 0
+    with pytest.raises(ValueError):
+        optimize_gates((), target, SMALL)
+    with pytest.raises(ValueError):
+        optimize_gates_collect((), target, SMALL, 0, success_fidelity=0.0)
+
+
+def test_optimize_rejects_a_pair_outside_the_target():
+    target = random_state(2, seed=4)
+    with pytest.raises(DimensionMismatchError):
+        optimize_gates(((0, 1), (0, 2)), target, SMALL)
 
 
 def test_optimize_is_deterministic():
     target = random_state(2, seed=5)
-    arch = Architecture(2, ((0, 1),))
+    arch = ((0, 1),)
     a = optimize_gates(arch, target, SMALL, seed=9)
     b = optimize_gates(arch, target, SMALL, seed=9)
     assert a.achieved_fidelity == b.achieved_fidelity
@@ -292,7 +300,7 @@ def test_early_stop_result_is_schedule_independent():
     # with a success threshold the result is the best over restarts
     # 0..first-success, so it cannot depend on restart scheduling
     target = random_state(2, seed=6)
-    arch = Architecture(2, ((0, 1),))
+    arch = ((0, 1),)
     full = optimize_gates(arch, target, OptimizerBudget(8, 400), seed=2)
     stopped = optimize_gates(arch, target, OptimizerBudget(8, 400), seed=2,
                              success_fidelity=0.9)
@@ -303,7 +311,7 @@ def test_early_stop_result_is_schedule_independent():
 
 def test_optimize_collect_returns_every_passing_restart_in_order():
     target = random_state(3, seed=7)
-    arch = Architecture(3, ((0, 1), (1, 2)))
+    arch = ((0, 1), (1, 2))
     results = optimize_gates_collect(arch, target, OptimizerBudget(5, 300),
                                      seed=3, success_fidelity=0.0)
     assert len(results) == 5
@@ -315,7 +323,7 @@ def test_optimize_collect_returns_every_passing_restart_in_order():
 
 def test_optimize_collect_honors_threshold_and_cap():
     target = random_state(3, seed=7)
-    arch = Architecture(3, ((0, 1), (1, 2)))
+    arch = ((0, 1), (1, 2))
     none = optimize_gates_collect(arch, target, OptimizerBudget(3, 300),
                                   seed=3, success_fidelity=1.1)
     assert none == []
@@ -327,7 +335,7 @@ def test_optimize_collect_honors_threshold_and_cap():
 def test_one_gate_architecture_runs_one_exact_restart():
     # nothing is free with one gate, so more restarts could not differ
     target = random_state(3, seed=8)
-    arch = Architecture(3, ((0, 2),))
+    arch = ((0, 2),)
     result = optimize_gates(arch, target, OptimizerBudget(5, 300), seed=3)
     assert result.restarts_run == 1 and result.best_restart == 0
     bound = oracles.best_single_gate_fidelity(target.amplitudes, 3, (0, 2))
@@ -374,11 +382,10 @@ def test_architecture_enumeration_counts(n, r, count):
     assert len(archs) == count
     assert count == oracles.irreducible_class_count(n, r)
     # every entry is an irreducible normal form, listed in sorted order
-    slots = [a.gate_slots for a in archs]
-    assert slots == sorted(slots)
+    assert list(archs) == sorted(archs)
     for arch in archs:
-        assert commuting_normal_form(arch.gate_slots) == arch.gate_slots
-        assert not oracles.is_reducible(arch.gate_slots)
+        assert commuting_normal_form(arch) == arch
+        assert not oracles.is_reducible(arch)
 
 
 def test_normal_form_moves_a_slot_past_several_commuting_ones():
@@ -405,7 +412,7 @@ def test_enumeration_below_five_qubits_matches_adjacent_swap_sort(n):
         forms = {oracles.adjacent_swap_sort(seq)
                  for seq in itertools.product(pairs, repeat=r)}
         expected = sorted(seq for seq in forms if not oracles.is_reducible(seq))
-        assert [a.gate_slots for a in enumerate_architectures(n, r)] == expected
+        assert list(enumerate_architectures(n, r)) == expected
 
 
 def test_architecture_enumeration_is_cached_per_size():

@@ -30,7 +30,7 @@ def bell_prep_circuit():
     """Two gates on (0, 1): H on qubit 0, then CNOT; ends in a Bell state."""
     g1 = TwoQubitGate.from_unitary((0, 1), H_KRON_I)
     g2 = TwoQubitGate.from_unitary((0, 1), CNOT)
-    return Circuit.from_gates(2, [g1, g2])
+    return Circuit(2, [g1, g2])
 
 
 def test_trajectory_includes_the_initial_state():
@@ -61,7 +61,7 @@ def test_round_trip_circuit_overshoots_the_endpoint_gap():
     # difference sees none of them
     g1 = TwoQubitGate.from_unitary((0, 1), H_KRON_I @ CNOT @ H_KRON_I)
     inverse = TwoQubitGate((0, 1), g1.matrix.conj().T)
-    circuit = Circuit.from_gates(2, [g1, inverse])
+    circuit = Circuit(2, [g1, inverse])
     values = trajectory(run_circuit(circuit))
     total = path_entanglement_sum(values)
     peak = values[1]
@@ -93,7 +93,7 @@ def test_trajectory_wraps_an_unconverged_geometric_fit_at_step_zero(monkeypatch)
 
 
 def test_trajectory_rejects_a_one_qubit_geometric_path_at_step_zero():
-    plus = StateVector.from_amplitudes([1 / math.sqrt(2), 1 / math.sqrt(2)])
+    plus = StateVector(1, [1 / math.sqrt(2), 1 / math.sqrt(2)])
     with pytest.raises(TrajectoryMeasureError) as err:
         trajectory((StateVector.zero_state(1), plus))
     assert err.value.step == 0
@@ -104,7 +104,7 @@ def test_trajectory_rejects_a_one_qubit_geometric_path_at_step_zero():
 
 def _random_path(n, num_gates, seed):
     rng = np.random.default_rng(seed)
-    return run_circuit(random_circuit(random_architecture(n, num_gates, rng), rng))
+    return run_circuit(random_circuit(n, random_architecture(n, num_gates, rng), rng))
 
 
 @pytest.mark.parametrize("restarts", [1, 16])
@@ -159,7 +159,7 @@ def test_redrawn_sites_continue_each_restarts_generator(monkeypatch, restarts):
     monkeypatch.setattr(entanglement, "_start_vectors", lambda n, r: starts)
     amps = random_state(3, 12).amplitudes.copy()
     amps[[3, 7]] = 0.0
-    skewed = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+    skewed = StateVector(3, amps / np.linalg.norm(amps))
     path = (StateVector.zero_state(3), skewed)
     values = trajectory(path, geo_restarts=restarts)
     for state, value in zip(path, values):
@@ -252,7 +252,7 @@ def test_max_step_jump():
 
 def test_trajectory_of_random_circuit_is_finite_and_nonnegative():
     rng = np.random.default_rng(31)
-    circuit = random_circuit(random_architecture(3, 3, rng), rng)
+    circuit = random_circuit(3, random_architecture(3, 3, rng), rng)
     values = trajectory(run_circuit(circuit), geo_restarts=8)
     assert all(0.0 <= v < 1.0 for v in values)
     assert path_entanglement_sum(values) >= values[-1] - 1e-12

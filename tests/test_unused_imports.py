@@ -2,10 +2,11 @@
 
 No module of the package or its tests imports a name it never reads; no
 private top-level helper of the package is left unreferenced; no public
-top-level function or class is used by the tests alone; every
-geo_restarts default is entanglement.GEO_RESTARTS, written once; the
-search defaults of ExperimentConfig are read from the synthesis dataclasses;
-and scipy is imported only by synthesis, for its optimizer.
+top-level function, class or method of a top-level class is used by the
+tests alone; every geo_restarts default is entanglement.GEO_RESTARTS,
+written once; the search defaults of ExperimentConfig are read from the
+synthesis dataclasses; and scipy is imported only by synthesis, for its
+optimizer.
 """
 import ast
 import re
@@ -92,11 +93,18 @@ def test_every_public_definition_is_used_outside_the_tests():
                                           and isinstance(node.value, str)}
     found = []
     for path in sorted((ROOT / "src" / "entpaths").glob("*.py")):
+        definitions = []
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            name = getattr(node, "name", "_")
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_")
-                    and name not in used and f"{path.stem}.{name}" not in UNCALLED_EXPORTS):
-                found.append(f"{path.relative_to(ROOT)} {name}")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(f"{node.name}.{method.name}", method.name)
+                                for method in node.body
+                                if isinstance(method, ast.FunctionDef)]
+        for qualified, name in definitions:
+            if (not name.startswith("_") and name not in used
+                    and f"{path.stem}.{qualified}" not in UNCALLED_EXPORTS):
+                found.append(f"{path.relative_to(ROOT)} {qualified}")
     assert not found, "public but used by the tests alone:\n" + "\n".join(found)
 
 
