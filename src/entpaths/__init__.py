@@ -15,13 +15,13 @@ from .core import (StateVector, fixture_state, random_architecture, random_circu
                    run_circuit)
 from .entanglement import Measure, geometric_entanglement
 from .paths import enumerate_paths, transition_amplitude
-from .synthesis import SynthesisProblem, estimate_state_complexity
+from .synthesis import SearchSettings, estimate_state_complexity
 from .trajectories import path_entanglement_sum, trajectory
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Measure", "StateVector", "SynthesisProblem", "enumerate_paths",
+    "Measure", "SearchSettings", "StateVector", "enumerate_paths",
     "estimate_state_complexity", "fixture_state", "geometric_entanglement",
     "path_entanglement_sum", "random_architecture", "random_circuit",
     "run_circuit", "trajectory", "transition_amplitude",

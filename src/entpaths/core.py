@@ -302,14 +302,26 @@ def _to_floats(values: np.ndarray) -> list[float]:
     return np.asarray(values, dtype=np.complex128).ravel().view(np.float64).tolist()
 
 
-def _from_floats(raw, where: str) -> np.ndarray:
-    """Complex entries from a flat list of interleaved re/im floats."""
+def _is_int(value) -> bool:
+    """A JSON integer: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number that is a finite float: not a bool or a string, not
+    inf or nan, and not an int too large for a float."""
     try:
-        values = np.array(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where} must be a list of numbers: {exc}") from None
-    if values.ndim != 1 or values.size % 2:
-        raise ValueError(f"{where} must be a flat list of re/im pairs, got shape {values.shape}")
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _from_floats(raw, where: str) -> np.ndarray:
+    """Complex entries from a flat list of interleaved re/im numbers."""
+    if not (isinstance(raw, list) and len(raw) % 2 == 0
+            and all(map(_is_finite_number, raw))):
+        raise ValueError(f"{where} must be a flat list of finite re/im number pairs")
+    values = np.array(raw, dtype=np.float64)
     return values[0::2] + 1j * values[1::2]
 
 
@@ -324,11 +336,12 @@ def circuit_from_dict(doc: dict) -> Circuit:
     if not isinstance(doc, dict) or "num_qubits" not in doc or "gates" not in doc:
         raise ValueError("circuit document needs 'num_qubits' and 'gates'")
     try:
-        entries = [(tuple(int(q) for q in entry["pair"]), entry["matrix"])
-                   for entry in doc["gates"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        entries = [(entry["pair"], entry["matrix"]) for entry in doc["gates"]]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"circuit gates are malformed: {exc!r}") from None
-    gates = [TwoQubitGate(pair, _from_floats(raw, f"gates[{i}].matrix").reshape(4, 4))
+    if not all(isinstance(pair, list) and all(map(_is_int, pair)) for pair, _ in entries):
+        raise ValueError("circuit gate pairs must be lists of integer qubit indices")
+    gates = [TwoQubitGate(tuple(pair), _from_floats(raw, f"gates[{i}].matrix").reshape(4, 4))
              for i, (pair, raw) in enumerate(entries)]
     return Circuit(doc["num_qubits"], gates)
 

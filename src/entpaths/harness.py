@@ -1,7 +1,8 @@
 """Experiment harness: family collection and the minimum-sum success test.
 
-One ExperimentConfig carries every setting through the harness.  For each
-target state the harness estimates its minimum gate count r_star, gathers
+One ExperimentConfig carries every setting through the harness, and is
+itself the SearchSettings of every synthesis search.  For each target
+state the harness estimates its minimum gate count r_star, gathers
 successful synthesis solutions at r_star and above, scores every solution
 by the total-variation sum of its entanglement trajectory, bins those sums,
 and marks the target a success iff some optimal-gate-count solution lands
@@ -35,8 +36,7 @@ from .entanglement import GEO_RESTARTS, Measure
 from .synthesis import (
     ComplexityEstimate,
     ComplexityNotFound,
-    OptimizerBudget,
-    SynthesisProblem,
+    SearchSettings,
     _seed_key,
     enumerate_architectures,
     estimate_state_complexity,
@@ -52,7 +52,7 @@ DEGENERATE_ENTANGLEMENT = 1e-6
 WILSON_Z_95 = 1.959963984540054
 
 
-def family_bin_of(sum_value: float, delta_bin: float = DELTA_BIN_DEFAULT) -> int:
+def family_bin_of(sum_value: float, delta_bin: float) -> int:
     """Bin index floor(sum / delta) grouping trajectories into families."""
     if delta_bin <= 0.0:
         raise ValueError(f"delta_bin must be positive, got {delta_bin}")
@@ -95,7 +95,7 @@ def collect_families(config: ExperimentConfig, target: StateVector,
                      target_id: str) -> list[PathFamilyRecord]:
     """Gather successful synthesis solutions from r_star up to config.r_max.
 
-    Every search and scoring setting (budget, fidelity_tol, samples_per_r,
+    Every search and scoring setting (the search settings, samples_per_r,
     delta_bin, measure, cut, geo_restarts) is read from `config`.  The
     estimate's witness is always included as a record; at each r the
     irreducible canonical architectures are searched in order and every
@@ -105,7 +105,6 @@ def collect_families(config: ExperimentConfig, target: StateVector,
     target.  Gate counts below r_star are not searched: the exhaustive
     search below r_star already failed, so they hold no solutions.
     """
-    threshold = 1.0 - config.fidelity_tol
     r_star = estimate.r_star
     records = [_record_from_circuit(f"{target_id}-r{r_star}-witness", estimate.witness,
                                     estimate.achieved_fidelity, r_star, config)]
@@ -115,9 +114,8 @@ def collect_families(config: ExperimentConfig, target: StateVector,
             if collected_r >= config.samples_per_r:
                 break
             solutions = optimize_gates_collect(
-                arch, target, config.budget, _seed_key(seed, r, ai),
-                success_fidelity=threshold,
-                max_collect=config.samples_per_r - collected_r)
+                arch, target, config, _seed_key(seed, r, ai),
+                config.samples_per_r - collected_r)
             for result in solutions:
                 record_id = f"{target_id}-r{r}-a{ai:02d}-k{result.best_restart:02d}"
                 records.append(_record_from_circuit(
@@ -129,29 +127,21 @@ def collect_families(config: ExperimentConfig, target: StateVector,
 # --- experiment config ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved conjecture-experiment parameters (see from_dict for schema)."""
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(SearchSettings):
+    """Resolved conjecture-experiment parameters (see from_dict for schema);
+    the search settings and their defaults are inherited."""
 
     num_qubits: int
     target_count: int | None
     r_gen_max: int | None
     target_files: tuple[str, ...] | None
     seed: int
-    fidelity_tol: float = SynthesisProblem.fidelity_tol
-    r_max: int = SynthesisProblem.r_max
     delta_bin: float = DELTA_BIN_DEFAULT
     measure: Measure = Measure.GEOMETRIC
     cut: tuple[int, ...] | None = None
-    restarts: int = OptimizerBudget.restarts
-    iterations: int = OptimizerBudget.iterations
     samples_per_r: int = 6
     geo_restarts: int = GEO_RESTARTS
-    max_architectures: int = SynthesisProblem.max_architectures
-
-    @property
-    def budget(self) -> OptimizerBudget:
-        return OptimizerBudget(self.restarts, self.iterations)
 
     @property
     def num_targets(self) -> int:
@@ -290,9 +280,9 @@ def spearman_rank_correlation(xs: Sequence[float], ys: Sequence[float]) -> float
     return cov / math.sqrt(vx * vy)
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = WILSON_Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (contains the MLE)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion (contains the MLE)."""
+    z = WILSON_Z_95
     if trials <= 0:
         return (0.0, 1.0)
     phat = successes / trials
@@ -325,11 +315,7 @@ def evaluate_target(config: ExperimentConfig, index: int) -> TargetOutcome:
     entanglement = measure_state(target, config.measure, cut=config.cut,
                                  geo_restarts=config.geo_restarts)
     degenerate = entanglement < DEGENERATE_ENTANGLEMENT
-    problem = SynthesisProblem(
-        target, fidelity_tol=config.fidelity_tol, r_max=config.r_max,
-        budget=config.budget, seed=_seed_key(config.seed, index, 2),
-        max_architectures=config.max_architectures)
-    estimate = estimate_state_complexity(problem)
+    estimate = estimate_state_complexity(target, config, _seed_key(config.seed, index, 2))
     if isinstance(estimate, ComplexityNotFound):
         return TargetOutcome(
             target_id=target_id, r_gen=r_gen, target_entanglement=entanglement,

@@ -17,7 +17,8 @@ reaches the stopping fidelity nor is stationary (the test L-BFGS-B would
 make on it before any step).  The last gate of a kept restart stays the
 matrix the SVD gave, rescaled into SU(4).  The smallest gate count at
 which any canonical architecture reaches a fidelity tolerance estimates
-the target's exact-preparation complexity.
+the target's exact-preparation complexity.  One SearchSettings value
+carries that tolerance and the search caps down to each restart.
 
 Enumeration of architectures dedupes gate orderings that differ only by
 swapping adjacent slots on disjoint qubit pairs, which commute, keeping
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -221,15 +222,29 @@ def _ascend(theta0: np.ndarray, pairs: Sequence[tuple[int, int]], num_qubits: in
 
 
 @dataclass(frozen=True)
-class OptimizerBudget:
-    """Caps for the multi-start search."""
+class SearchSettings:
+    """A circuit prepares the target when its fidelity reaches
+    1 - fidelity_tol.  Gate counts 1..r_max are searched, up to
+    max_architectures layouts each, from `restarts` starts per layout of
+    at most `iterations` L-BFGS-B iterations each."""
 
+    fidelity_tol: float = 1e-4
+    r_max: int = 3
     restarts: int = 64
     iterations: int = 2000
+    max_architectures: int = 256
 
     def __post_init__(self):
-        if self.restarts < 1 or self.iterations < 1:
-            raise ValueError(f"budget must be positive, got {self}")
+        if not 0.0 < self.fidelity_tol < 1.0:
+            raise ValueError(f"fidelity_tol must be in (0, 1), got {self.fidelity_tol}")
+        for name in ("r_max", "restarts", "iterations", "max_architectures"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
+    @property
+    def threshold(self) -> float:
+        """The fidelity a circuit must reach to count as preparing the target."""
+        return 1.0 - self.fidelity_tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +257,7 @@ class OptimizeResult:
 
 
 def _restarts(slots: Sequence[tuple[int, int]], target: StateVector,
-              budget: OptimizerBudget, seed):
+              settings: SearchSettings, seed):
     """Run the restarts in order, yielding (k, theta, last, value) for each:
     the free gates' parameters, the raw closed-form last gate and the
     fidelity.
@@ -260,11 +275,11 @@ def _restarts(slots: Sequence[tuple[int, int]], target: StateVector,
         raise DimensionMismatchError(
             f"layout {tuple(slots)} reaches past the target's {target.num_qubits} qubits")
     num_free = len(slots) - 1
-    for k in range(budget.restarts if num_free else 1):
+    for k in range(settings.restarts if num_free else 1):
         rng = np.random.default_rng(_seed_key(seed, k))
         theta0 = rng.uniform(-math.pi, math.pi, size=(num_free, NUM_GATE_PARAMS))
         theta, last, value = _ascend(theta0, slots, target.num_qubits,
-                                     target.amplitudes, budget.iterations)
+                                     target.amplitudes, settings.iterations)
         yield k, theta, last, value
 
 
@@ -283,54 +298,48 @@ def _replay(slots: Sequence[tuple[int, int]], theta: np.ndarray, last: np.ndarra
 
 
 def optimize_gates(slots: Sequence[tuple[int, int]], target: StateVector,
-                   budget: OptimizerBudget = OptimizerBudget(), seed=0, *,
-                   success_fidelity: float | None = None) -> OptimizeResult:
+                   settings: SearchSettings, seed) -> OptimizeResult:
     """Maximize preparation fidelity over the gates of one layout of the
     target's register.
 
     The last gate is solved in closed form, so only the others are
     ascended.  Restart k draws their starting parameters from a generator
     seeded by (seed, k), so the search is deterministic; a one-gate
-    layout has nothing free and runs a single restart, which is
-    exact.  When success_fidelity is given, restarts stop at the first
-    index reaching it; the result is the best over restarts 0..that index,
-    which is independent of how restarts are scheduled.  Exhausting the
-    budget below the threshold returns the best circuit found flagged
-    converged=False.
+    layout has nothing free and runs a single restart, which is exact.
+    Restarts stop at the first index reaching settings.threshold; the
+    result is the best over restarts 0..that index, which is independent
+    of how restarts are scheduled.  Exhausting the restarts below the
+    threshold returns the best circuit found flagged converged=False.
     """
-    threshold = STOP_FIDELITY if success_fidelity is None else success_fidelity
+    threshold = settings.threshold
     best_value = -1.0
     best_gates = None
     best_restart = 0
-    restarts_run = 0
-    for k, theta, last, value in _restarts(slots, target, budget, seed):
-        restarts_run = k + 1
+    for k, theta, last, value in _restarts(slots, target, settings, seed):
         if value > best_value:
             best_value, best_gates, best_restart = value, (theta, last), k
-        if success_fidelity is not None and value >= success_fidelity:
+        if value >= threshold:
             break
     circuit, achieved = _replay(slots, *best_gates, target)
-    return OptimizeResult(circuit, achieved, achieved >= threshold,
-                          restarts_run, best_restart)
+    return OptimizeResult(circuit, achieved, achieved >= threshold, k + 1, best_restart)
 
 
 def optimize_gates_collect(slots: Sequence[tuple[int, int]], target: StateVector,
-                           budget: OptimizerBudget, seed, *,
-                           success_fidelity: float,
-                           max_collect: int | None = None) -> list[OptimizeResult]:
-    """Run every restart in order, collecting each one that reaches the
-    threshold as its own solution (up to max_collect).  A one-gate
-    layout runs one restart, so it gives at most one solution."""
+                           settings: SearchSettings, seed,
+                           max_collect: int) -> list[OptimizeResult]:
+    """Run the restarts in order, collecting each one that reaches
+    settings.threshold as its own solution, until max_collect (at least
+    one) are collected.  A one-gate layout runs one restart, so it gives
+    at most one solution."""
+    threshold = settings.threshold
     collected: list[OptimizeResult] = []
-    if max_collect is not None and max_collect <= 0:
-        return collected
-    for k, theta, last, value in _restarts(slots, target, budget, seed):
-        if value < success_fidelity:
+    for k, theta, last, value in _restarts(slots, target, settings, seed):
+        if value < threshold:
             continue
         circuit, achieved = _replay(slots, theta, last, target)
-        if achieved >= success_fidelity:
+        if achieved >= threshold:
             collected.append(OptimizeResult(circuit, achieved, True, k + 1, k))
-            if max_collect is not None and len(collected) >= max_collect:
+            if len(collected) >= max_collect:
                 break
     return collected
 
@@ -420,26 +429,6 @@ def sample_target(num_qubits: int, r_gen: int, seed) -> tuple[StateVector, Circu
 
 
 @dataclass(frozen=True, eq=False)
-class SynthesisProblem:
-    """A target state plus the search caps for complexity estimation."""
-
-    target: StateVector
-    fidelity_tol: float = 1e-4
-    r_max: int = 3
-    budget: OptimizerBudget = field(default_factory=OptimizerBudget)
-    seed: int = 0
-    max_architectures: int = 256
-
-    def __post_init__(self):
-        if not 0.0 < self.fidelity_tol < 1.0:
-            raise ValueError(f"fidelity_tol must be in (0, 1), got {self.fidelity_tol}")
-        if self.r_max < 1:
-            raise ValueError(f"r_max must be >= 1, got {self.r_max}")
-        if self.max_architectures < 1:
-            raise ValueError("max_architectures must be >= 1")
-
-
-@dataclass(frozen=True, eq=False)
 class ComplexityEstimate:
     """Smallest gate count found to prepare the target within tolerance."""
 
@@ -467,8 +456,8 @@ def _architectures_for(num_qubits: int, r: int, seed,
     return [archs[i] for i in chosen], False
 
 
-def estimate_state_complexity(problem: SynthesisProblem):
-    """Search r = 1..r_max for the smallest preparable gate count.
+def estimate_state_complexity(target: StateVector, settings: SearchSettings, seed):
+    """Search r = 1..settings.r_max for the smallest preparable gate count.
 
     Returns a ComplexityEstimate on success (tagged architecture-exhaustive
     when every canonical architecture at each r below the found r was
@@ -476,22 +465,18 @@ def estimate_state_complexity(problem: SynthesisProblem):
     the best fidelity seen at each r.  A target that is |0..0> within
     tolerance short-circuits to r_star = 0.
     """
-    target = problem.target
     n = target.num_qubits
-    threshold = 1.0 - problem.fidelity_tol
     zero_fidelity = fidelity(target, StateVector.zero_state(n))
-    if zero_fidelity >= threshold:
+    if zero_fidelity >= settings.threshold:
         empty = Circuit(n, ())
         return ComplexityEstimate(0, empty, zero_fidelity, EXHAUSTIVE)
     exhaustive_below = True
     best_per_r: dict[int, float] = {}
-    for r in range(1, problem.r_max + 1):
-        archs, full = _architectures_for(n, r, problem.seed, problem.max_architectures)
+    for r in range(1, settings.r_max + 1):
+        archs, full = _architectures_for(n, r, seed, settings.max_architectures)
         best_r = 0.0
         for ai, arch in enumerate(archs):
-            result = optimize_gates(arch, target, problem.budget,
-                                    seed=_seed_key(problem.seed, r, ai),
-                                    success_fidelity=threshold)
+            result = optimize_gates(arch, target, settings, _seed_key(seed, r, ai))
             best_r = max(best_r, result.achieved_fidelity)
             if result.converged:
                 tag = EXHAUSTIVE if exhaustive_below else SAMPLED

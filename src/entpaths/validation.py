@@ -7,8 +7,7 @@ reject bools, and numbers reject inf and nan.
 """
 from __future__ import annotations
 
-import math
-
+from .core import _is_finite_number, _is_int
 from .entanglement import Measure
 
 
@@ -23,10 +22,6 @@ def need(cond, field: str, message: str) -> None:
 
 def _name(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_fields(doc: dict, allowed, where: str = "") -> None:
@@ -52,11 +47,7 @@ def number_field(doc: dict, key: str, default: float, *, above: float,
                  below: float | None = None) -> float:
     """doc[key] as a finite float strictly inside (above, below)."""
     value = doc.get(key, default)
-    try:
-        ok = (_is_int(value) or isinstance(value, float)) and math.isfinite(value) \
-            and value > above and (below is None or value < below)
-    except OverflowError:  # an int too large for a float
-        ok = False
+    ok = _is_finite_number(value) and value > above and (below is None or value < below)
     span = f"> {above:g}" if below is None else f"in ({above:g}, {below:g})"
     need(ok, key, f"must be a finite number {span}")
     return float(value)

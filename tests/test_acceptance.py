@@ -21,7 +21,7 @@ from entpaths.entanglement import (Measure, geometric_entanglement,
                                    von_neumann_entropy)
 from entpaths.harness import ExperimentConfig, report_to_dict
 from entpaths.paths import deutsch_path_table, enumerate_paths
-from entpaths.synthesis import (ComplexityEstimate, SynthesisProblem,
+from entpaths.synthesis import (ComplexityEstimate, SearchSettings,
                                 estimate_state_complexity, sample_target)
 from entpaths.trajectories import path_entanglement_sum, trajectory
 
@@ -208,8 +208,7 @@ def test_08_synthesis_soundness():
     for i in range(25):
         r_gen = (i % 3) + 1
         target, _ = sample_target(3, r_gen, 900 + i)
-        estimate = estimate_state_complexity(
-            SynthesisProblem(target=target, seed=900 + i))
+        estimate = estimate_state_complexity(target, SearchSettings(), seed=900 + i)
         assert isinstance(estimate, ComplexityEstimate)
         assert estimate.r_star <= r_gen
         replayed = fidelity(run_circuit(estimate.witness)[-1], target)
@@ -217,8 +216,7 @@ def test_08_synthesis_soundness():
                            abs(replayed - estimate.achieved_fidelity))
     for i in range(5):
         target, _ = sample_target(2, (i % 3) + 1, 950 + i)
-        estimate = estimate_state_complexity(
-            SynthesisProblem(target=target, seed=950 + i))
+        estimate = estimate_state_complexity(target, SearchSettings(), seed=950 + i)
         assert isinstance(estimate, ComplexityEstimate)
         assert estimate.r_star == 1
     elapsed = time.perf_counter() - start

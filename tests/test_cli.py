@@ -211,13 +211,23 @@ def test_selftest_passes(capsys):
 
 
 def test_corrupt_circuit_file_is_a_config_error(tmp_path, capsys):
+    identity = np.eye(4, dtype=complex).ravel().view(float).tolist()
     for doc in ({"num_qubits": 2, "gates": [{"pair": [0, 1], "matrix": [1.0, 0.0]}]},
                 {"num_qubits": 2, "gates": [{"pair": [0, 1], "matrix": [float("nan")] * 32}]},
                 {"num_qubits": 2, "gates": 5},
                 {"num_qubits": [2], "gates": []},
                 # a circuit file obeys the bounds of n: at least 2 qubits
                 {"num_qubits": 1, "gates": []},
-                {"num_qubits": True, "gates": []}):
+                {"num_qubits": True, "gates": []},
+                # qubit indices are JSON integers and entries JSON numbers,
+                # though each of these reads as a valid gate when converted
+                {"num_qubits": 2, "gates": [{"pair": [0.4, 1.9], "matrix": identity}]},
+                {"num_qubits": 2, "gates": [{"pair": ["0", "1"], "matrix": identity}]},
+                {"num_qubits": 2, "gates": [{"pair": [False, True], "matrix": identity}]},
+                {"num_qubits": 2, "gates": [{"pair": [0, 1],
+                                             "matrix": [str(v) for v in identity]}]},
+                {"num_qubits": 2, "gates": [{"pair": [0, 1],
+                                             "matrix": [bool(v) for v in identity]}]}):
         (tmp_path / "c.json").write_text(json.dumps(doc))
         config = write_config(tmp_path, "sim.json", {"circuit_file": "c.json"})
         for subcommand in ("simulate", "paths"):
@@ -229,7 +239,11 @@ def test_corrupt_circuit_file_is_a_config_error(tmp_path, capsys):
     "not json {", None,
     pytest.param('{"num_qubits": 2, "amplitudes": 5}', id="amplitudes-not-a-list"),
     pytest.param('{"num_qubits": [2], "amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]}',
-                 id="num_qubits-a-list")])
+                 id="num_qubits-a-list"),
+    pytest.param('{"num_qubits": 2, "amplitudes": ["1", "0", "0", "0", "0", "0", "0", "0"]}',
+                 id="amplitudes-strings"),
+    pytest.param('{"num_qubits": 2, "amplitudes": [true, false, false, false, false, false,'
+                 ' false, false]}', id="amplitudes-bools")])
 def test_unreadable_target_file_is_a_config_error(tmp_path, capsys, content):
     if content is not None:
         (tmp_path / "t.json").write_text(content)

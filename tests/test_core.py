@@ -228,6 +228,12 @@ def test_state_json_round_trip_is_bit_exact(tmp_path):
 
 def test_load_state_rejects_corrupt_documents(tmp_path):
     out = tmp_path / "bad.json"
-    out.write_text('{"num_qubits": 2, "amplitudes": [1.0, 0.0]}')
-    with pytest.raises((ValueError, KeyError, DimensionMismatchError)):
-        load_state(out)
+    for text in ('{"num_qubits": 2, "amplitudes": [1.0, 0.0]}',
+                 # amplitudes are JSON numbers, not strings or bools, and
+                 # fit in a float
+                 '{"num_qubits": 1, "amplitudes": ["1", "0", "0", "0"]}',
+                 '{"num_qubits": 1, "amplitudes": [true, false, false, false]}',
+                 '{"num_qubits": 1, "amplitudes": [1' + '0' * 400 + ', 0, 0, 0]}'):
+        out.write_text(text)
+        with pytest.raises((ValueError, KeyError, DimensionMismatchError)):
+            load_state(out)

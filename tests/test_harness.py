@@ -14,8 +14,7 @@ from entpaths.harness import (ConfigError, ExperimentConfig, collect_families,
                               evaluate_target, family_bin_of, report_to_dict,
                               spearman_rank_correlation, wilson_interval,
                               write_records_csv)
-from entpaths.synthesis import (OptimizerBudget, SynthesisProblem,
-                                estimate_state_complexity)
+from entpaths.synthesis import SearchSettings, estimate_state_complexity
 
 import oracles
 
@@ -33,16 +32,16 @@ def lean_config(**overrides):
 
 
 def test_family_bin_floor_semantics():
-    assert family_bin_of(0.0) == 0
-    assert family_bin_of(0.0009999) == 0
-    assert family_bin_of(0.001) == 1
+    assert family_bin_of(0.0, 1e-3) == 0
+    assert family_bin_of(0.0009999, 1e-3) == 0
+    assert family_bin_of(0.001, 1e-3) == 1
     assert family_bin_of(0.2408, delta_bin=1e-3) == 240
     assert family_bin_of(0.75, delta_bin=0.5) == 1
 
 
 def test_family_bin_rejects_bad_input():
     with pytest.raises(ValueError):
-        family_bin_of(-0.5)
+        family_bin_of(-0.5, 1e-3)
     with pytest.raises(ValueError):
         family_bin_of(0.5, delta_bin=0.0)
 
@@ -174,7 +173,7 @@ def family_config(num_qubits, r_max, samples_per_r):
 
 def test_collect_families_on_bell(bell):
     estimate = estimate_state_complexity(
-        SynthesisProblem(bell, budget=OptimizerBudget(8, 500), seed=5))
+        bell, SearchSettings(restarts=8, iterations=500), seed=5)
     assert estimate.r_star == 1
     records = collect_families(family_config(2, r_max=2, samples_per_r=3),
                                bell, estimate, 9, "bell")
@@ -185,7 +184,7 @@ def test_collect_families_on_bell(bell):
     for rec in records:
         assert rec.achieved_fidelity > 1.0 - 1e-4
         assert rec.is_optimal_r
-        assert rec.family_bin == family_bin_of(rec.sum_value)
+        assert rec.family_bin == family_bin_of(rec.sum_value, 1e-3)
         # a two-qubit register has E_G <= 1/2, so any trajectory to a state
         # of maximal entanglement telescopes: the sum is forced to (almost)
         # 1/2, the tolerance window being the only slack
@@ -196,7 +195,7 @@ def test_collect_families_above_r_star_uses_irreducible_layouts():
     target = StateVector(
         3, np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
     estimate = estimate_state_complexity(
-        SynthesisProblem(target, budget=OptimizerBudget(16, 800), seed=2))
+        target, SearchSettings(restarts=16, iterations=800), seed=2)
     assert estimate.r_star == 2
     records = collect_families(family_config(3, r_max=3, samples_per_r=3),
                                target, estimate, 9, "t")
@@ -206,14 +205,14 @@ def test_collect_families_above_r_star_uses_irreducible_layouts():
         by_r.setdefault(rec.r, []).append(rec)
         assert rec.achieved_fidelity > 1.0 - 1e-4
         assert rec.is_optimal_r == (rec.r == 2)
-        assert rec.family_bin == family_bin_of(rec.sum_value)
+        assert rec.family_bin == family_bin_of(rec.sum_value, 1e-3)
         assert not oracles.is_reducible(rec.architecture)
     assert set(by_r) == {2, 3}
 
 
 def test_collect_families_is_deterministic(bell):
     estimate = estimate_state_complexity(
-        SynthesisProblem(bell, budget=OptimizerBudget(8, 500), seed=5))
+        bell, SearchSettings(restarts=8, iterations=500), seed=5)
     config = family_config(2, r_max=2, samples_per_r=2)
     a = collect_families(config, bell, estimate, 9, "x")
     b = collect_families(config, bell, estimate, 9, "x")
@@ -225,7 +224,7 @@ def test_collect_families_skips_r_below_r_star():
     target = StateVector(
         3, np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
     estimate = estimate_state_complexity(
-        SynthesisProblem(target, budget=OptimizerBudget(16, 800), seed=2))
+        target, SearchSettings(restarts=16, iterations=800), seed=2)
     assert estimate.r_star == 2
     records = collect_families(family_config(3, r_max=2, samples_per_r=2),
                                target, estimate, 3, "t")

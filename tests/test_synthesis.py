@@ -9,17 +9,19 @@ from entpaths.core import (Circuit, DimensionMismatchError, ResourceCapError,
                            StateVector, TwoQubitGate, all_pairs, fidelity,
                            haar_random_su4, random_circuit, run_circuit)
 from entpaths.synthesis import (ComplexityEstimate, ComplexityNotFound,
-                                GENERATORS, OptimizerBudget, SynthesisProblem,
-                                STOP_FIDELITY, _ascend, _fidelity_and_grad,
-                                _su4_batch, enumerate_architectures,
-                                estimate_state_complexity, optimize_gates,
-                                optimize_gates_collect, sample_target)
+                                GENERATORS, STOP_FIDELITY, SearchSettings,
+                                _ascend, _fidelity_and_grad, _su4_batch,
+                                enumerate_architectures, estimate_state_complexity,
+                                optimize_gates, optimize_gates_collect, sample_target)
 
 import oracles
 from conftest import random_state
 from oracles import commuting_normal_form, params_from_su4
 
-SMALL = OptimizerBudget(restarts=12, iterations=400)
+SMALL = SearchSettings(restarts=12, iterations=400)
+# a fidelity_tol whose threshold, 0.001, every restart passes on a layout
+# that reaches the target
+EVERY_RESTART = 0.999
 
 
 # --- the SU(4) chart ------------------------------------------------------
@@ -264,7 +266,7 @@ def test_single_gate_optimum_matches_slice_norm_oracle(pair):
     target = random_state(3, seed=100 + pair[0] * 3 + pair[1])
     bound = oracles.best_single_gate_fidelity(target.amplitudes, 3, pair)
     result = optimize_gates((pair,), target,
-                            OptimizerBudget(restarts=16, iterations=600), seed=1)
+                            SearchSettings(restarts=16, iterations=600), seed=1)
     assert result.achieved_fidelity <= bound + 1e-9
     assert np.isclose(result.achieved_fidelity, bound, atol=1e-6)
 
@@ -274,15 +276,15 @@ def test_optimize_zero_gates():
     # before any search
     target = random_state(2, seed=4)
     with pytest.raises(ValueError):
-        optimize_gates((), target, SMALL)
+        optimize_gates((), target, SMALL, 0)
     with pytest.raises(ValueError):
-        optimize_gates_collect((), target, SMALL, 0, success_fidelity=0.0)
+        optimize_gates_collect((), target, SMALL, 0, 1)
 
 
 def test_optimize_rejects_a_pair_outside_the_target():
     target = random_state(2, seed=4)
     with pytest.raises(DimensionMismatchError):
-        optimize_gates(((0, 1), (0, 2)), target, SMALL)
+        optimize_gates(((0, 1), (0, 2)), target, SMALL, 0)
 
 
 def test_optimize_is_deterministic():
@@ -301,9 +303,10 @@ def test_early_stop_result_is_schedule_independent():
     # 0..first-success, so it cannot depend on restart scheduling
     target = random_state(2, seed=6)
     arch = ((0, 1),)
-    full = optimize_gates(arch, target, OptimizerBudget(8, 400), seed=2)
-    stopped = optimize_gates(arch, target, OptimizerBudget(8, 400), seed=2,
-                             success_fidelity=0.9)
+    full = optimize_gates(arch, target,
+                          SearchSettings(fidelity_tol=1e-9, restarts=8, iterations=400), seed=2)
+    stopped = optimize_gates(arch, target,
+                             SearchSettings(fidelity_tol=0.1, restarts=8, iterations=400), seed=2)
     assert stopped.converged
     assert stopped.restarts_run <= full.restarts_run
     assert stopped.achieved_fidelity <= full.achieved_fidelity + 1e-15
@@ -312,11 +315,16 @@ def test_early_stop_result_is_schedule_independent():
 def test_optimize_collect_returns_every_passing_restart_in_order():
     target = random_state(3, seed=7)
     arch = ((0, 1), (1, 2))
-    results = optimize_gates_collect(arch, target, OptimizerBudget(5, 300),
-                                     seed=3, success_fidelity=0.0)
+    results = optimize_gates_collect(
+        arch, target, SearchSettings(fidelity_tol=EVERY_RESTART, restarts=5, iterations=300),
+        seed=3, max_collect=5)
     assert len(results) == 5
     assert [r.best_restart for r in results] == list(range(5))
-    best = optimize_gates(arch, target, OptimizerBudget(5, 300), seed=3)
+    # every ascent stops once it passes STOP_FIDELITY = 1 - 1e-9, and here
+    # none lands within 1e-15 of 1, so this search runs all five restarts
+    best = optimize_gates(arch, target,
+                          SearchSettings(fidelity_tol=1e-15, restarts=5, iterations=300), seed=3)
+    assert best.restarts_run == 5
     assert np.isclose(max(r.achieved_fidelity for r in results),
                       best.achieved_fidelity, atol=1e-12)
 
@@ -324,11 +332,16 @@ def test_optimize_collect_returns_every_passing_restart_in_order():
 def test_optimize_collect_honors_threshold_and_cap():
     target = random_state(3, seed=7)
     arch = ((0, 1), (1, 2))
-    none = optimize_gates_collect(arch, target, OptimizerBudget(3, 300),
-                                  seed=3, success_fidelity=1.1)
+    # two gates on pair (0, 1) never touch qubit 2, so no restart on this
+    # layout gets past the fidelity of the best single gate on that pair
+    uncrossed = ((0, 1), (0, 1))
+    strict = SearchSettings(restarts=3, iterations=300)
+    assert oracles.best_single_gate_fidelity(target.amplitudes, 3, (0, 1)) < strict.threshold
+    none = optimize_gates_collect(uncrossed, target, strict, seed=3, max_collect=3)
     assert none == []
-    capped = optimize_gates_collect(arch, target, OptimizerBudget(5, 300),
-                                    seed=3, success_fidelity=0.0, max_collect=2)
+    capped = optimize_gates_collect(
+        arch, target, SearchSettings(fidelity_tol=EVERY_RESTART, restarts=5, iterations=300),
+        seed=3, max_collect=2)
     assert len(capped) == 2
 
 
@@ -336,12 +349,13 @@ def test_one_gate_architecture_runs_one_exact_restart():
     # nothing is free with one gate, so more restarts could not differ
     target = random_state(3, seed=8)
     arch = ((0, 2),)
-    result = optimize_gates(arch, target, OptimizerBudget(5, 300), seed=3)
+    result = optimize_gates(arch, target, SearchSettings(restarts=5, iterations=300), seed=3)
     assert result.restarts_run == 1 and result.best_restart == 0
     bound = oracles.best_single_gate_fidelity(target.amplitudes, 3, (0, 2))
     assert abs(result.achieved_fidelity - bound) <= 1e-12
-    collected = optimize_gates_collect(arch, target, OptimizerBudget(5, 300),
-                                       seed=3, success_fidelity=0.0)
+    collected = optimize_gates_collect(
+        arch, target, SearchSettings(fidelity_tol=EVERY_RESTART, restarts=5, iterations=300),
+        seed=3, max_collect=5)
     assert len(collected) == 1
 
 
@@ -444,25 +458,30 @@ def test_sample_target_is_deterministic_and_normalized():
     assert np.isclose(fidelity(prepared, state1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [
+    {"fidelity_tol": 0.0}, {"fidelity_tol": 1.0}, {"r_max": 0}, {"restarts": 0},
+    {"iterations": 0}, {"max_architectures": 0}])
+def test_search_settings_reject_out_of_range_values(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        SearchSettings(**bad)
+
+
 def test_zero_state_has_complexity_zero():
-    problem = SynthesisProblem(StateVector.zero_state(3), budget=SMALL, seed=0)
-    estimate = estimate_state_complexity(problem)
+    estimate = estimate_state_complexity(StateVector.zero_state(3), SMALL, seed=0)
     assert isinstance(estimate, ComplexityEstimate)
     assert estimate.r_star == 0
     assert estimate.witness.num_gates == 0
 
 
 def test_one_gate_target_has_complexity_one(bell):
-    problem = SynthesisProblem(bell, budget=SMALL, seed=1)
-    estimate = estimate_state_complexity(problem)
+    estimate = estimate_state_complexity(bell, SMALL, seed=1)
     assert estimate.r_star == 1
     assert estimate.achieved_fidelity > 1.0 - 1e-4
 
 
 def test_witness_resimulates_to_recorded_fidelity():
     target, _ = sample_target(3, 2, seed=12)
-    problem = SynthesisProblem(target, budget=SMALL, seed=2, r_max=3)
-    estimate = estimate_state_complexity(problem)
+    estimate = estimate_state_complexity(target, SMALL, seed=2)
     assert isinstance(estimate, ComplexityEstimate)
     prepared = run_circuit(estimate.witness)[-1]
     assert abs(fidelity(prepared, target) - estimate.achieved_fidelity) < 1e-9
@@ -470,35 +489,31 @@ def test_witness_resimulates_to_recorded_fidelity():
 
 def test_complexity_not_found_reports_best_per_r():
     target = random_state(3, seed=13)  # generic: needs 2 gates
-    problem = SynthesisProblem(target, fidelity_tol=1e-9,
-                               budget=OptimizerBudget(2, 60), seed=3, r_max=1)
-    estimate = estimate_state_complexity(problem)
+    settings = SearchSettings(fidelity_tol=1e-9, restarts=2, iterations=60, r_max=1)
+    estimate = estimate_state_complexity(target, settings, seed=3)
     assert isinstance(estimate, ComplexityNotFound)
     assert set(estimate.best_fidelity_per_r) == {1}
     assert 0.0 < estimate.best_fidelity_per_r[1] < 1.0
 
 
 def test_exhaustiveness_tag_for_full_search(bell):
-    problem = SynthesisProblem(bell, budget=SMALL, seed=4)
-    estimate = estimate_state_complexity(problem)
+    estimate = estimate_state_complexity(bell, SMALL, seed=4)
     assert estimate.exhaustiveness == "architecture_exhaustive"
 
 
 def test_exhaustiveness_tag_when_subsampled():
     target, _ = sample_target(4, 2, seed=14)
-    problem = SynthesisProblem(target, budget=OptimizerBudget(6, 300), seed=5,
-                               r_max=2, max_architectures=3)
-    estimate = estimate_state_complexity(problem)
+    settings = SearchSettings(restarts=6, iterations=300, r_max=2, max_architectures=3)
+    estimate = estimate_state_complexity(target, settings, seed=5)
     if isinstance(estimate, ComplexityEstimate) and estimate.r_star > 1:
         assert estimate.exhaustiveness == "sampled"
 
 
 def test_architecture_subsampling_is_deterministic():
     target, _ = sample_target(4, 2, seed=15)
-    kwargs = dict(budget=OptimizerBudget(4, 200), seed=6, r_max=2,
-                  max_architectures=3)
-    e1 = estimate_state_complexity(SynthesisProblem(target, **kwargs))
-    e2 = estimate_state_complexity(SynthesisProblem(target, **kwargs))
+    settings = SearchSettings(restarts=4, iterations=200, r_max=2, max_architectures=3)
+    e1 = estimate_state_complexity(target, settings, seed=6)
+    e2 = estimate_state_complexity(target, settings, seed=6)
     assert type(e1) is type(e2)
     if isinstance(e1, ComplexityEstimate):
         assert e1.r_star == e2.r_star

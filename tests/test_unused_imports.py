@@ -4,9 +4,9 @@ No module of the package or its tests imports a name it never reads; no
 private top-level helper of the package is left unreferenced; no public
 top-level function, class or method of a top-level class is used by the
 tests alone; every geo_restarts default is entanglement.GEO_RESTARTS,
-written once; the search defaults of ExperimentConfig are read from the
-synthesis dataclasses; and scipy is imported only by synthesis, for its
-optimizer.
+written once; ExperimentConfig inherits the search settings from
+synthesis.SearchSettings and declares none of them again; and scipy is
+imported only by synthesis, for its optimizer.
 """
 import ast
 import re
@@ -140,23 +140,19 @@ def test_geo_restarts_defaults_are_the_entanglement_constant():
     assert not literal, "geo_restarts default is not GEO_RESTARTS:\n" + "\n".join(literal)
 
 
-# ExperimentConfig field -> the synthesis default it must be read from
-SEARCH_DEFAULTS = {
-    "fidelity_tol": "SynthesisProblem.fidelity_tol",
-    "r_max": "SynthesisProblem.r_max",
-    "max_architectures": "SynthesisProblem.max_architectures",
-    "restarts": "OptimizerBudget.restarts",
-    "iterations": "OptimizerBudget.iterations",
-}
-
-
 def test_experiment_config_reads_the_synthesis_defaults():
     tree = ast.parse((ROOT / "src" / "entpaths" / "harness.py").read_text(encoding="utf-8"))
     config = next(node for node in tree.body
                   if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
-    defaults = {node.target.id: ast.unparse(node.value) for node in config.body
-                if isinstance(node, ast.AnnAssign) and node.value is not None}
-    assert {name: defaults.get(name) for name in SEARCH_DEFAULTS} == SEARCH_DEFAULTS
+    assert [ast.unparse(base) for base in config.bases] == ["SearchSettings"]
+    settings = next(node for node in ast.parse(
+        (ROOT / "src" / "entpaths" / "synthesis.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef) and node.name == "SearchSettings")
+    search_fields = {node.target.id for node in settings.body if isinstance(node, ast.AnnAssign)}
+    assert search_fields == {"fidelity_tol", "r_max", "restarts", "iterations",
+                             "max_architectures"}
+    declared = {node.target.id for node in config.body if isinstance(node, ast.AnnAssign)}
+    assert not declared & search_fields
 
 
 def scipy_imports(tree):
