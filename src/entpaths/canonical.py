@@ -1,71 +1,37 @@
 """Deterministic text encodings for machine-readable outputs.
 
 Every JSON/CSV artifact written by this package must be byte-identical
-across runs with the same config and seed, so floats are rendered with 17
-significant digits (which round-trips any IEEE-754 double exactly), JSON
-keys are sorted, and line endings are fixed to "\\n".
+across runs with the same config and seed, so floats are rendered as
+Python's shortest round-trip text (`repr`, which parses back to the same
+IEEE-754 double), JSON keys are sorted, and line endings are fixed to "\\n".
 """
 from __future__ import annotations
 
 import json
-import numbers
+import math
 from pathlib import Path
 
 import numpy as np
 
 
 def format_float(value: float) -> str:
-    """Render a float with 17 significant digits; parses back bit-exactly."""
+    """Python's shortest text for a finite float; parses back bit-exactly."""
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"non-finite value {value!r} in canonical output")
-    return format(value, ".17g")
+    return repr(value)
 
 
-def _scalar(value) -> str | None:
-    """Text of a bool, integer or real (numpy scalars too); None otherwise."""
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return format_float(float(value))
-    return None
-
-
-def _encode(obj, indent: int) -> str:
-    if obj is None:
-        return "null"
-    text = _scalar(obj)
-    if text is not None:
-        return text
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    pad = " " * indent
-    child = " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if any(not isinstance(k, str) for k in obj):
-            raise TypeError("canonical JSON requires string keys")
-        items = [
-            f"{child}{json.dumps(k, ensure_ascii=True)}: {_encode(obj[k], indent + 2)}"
-            for k in sorted(obj)
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = [f"{child}{_encode(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+def _numpy_scalar(obj):
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"cannot canonically encode {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    """Sorted-key JSON text with fixed float formatting and trailing newline."""
-    return _encode(obj, 0) + "\n"
+    """Sorted-key, 2-space JSON text of finite values with a trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=_numpy_scalar) + "\n"
 
 
 def write_canonical_json(path, obj) -> None:
@@ -73,9 +39,14 @@ def write_canonical_json(path, obj) -> None:
 
 
 def csv_cell(value) -> str:
-    text = _scalar(value)
-    if text is not None:
-        return text
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(int(value))
+    if isinstance(value, float):
+        return format_float(value)
     if isinstance(value, str):
         if any(c in value for c in ',"\n\r'):
             raise ValueError(f"CSV cell {value!r} needs quoting; keep fields plain")

@@ -247,19 +247,10 @@ class TargetOutcome:
     best_fidelity_per_r: tuple[tuple[int, float], ...] = ()
 
 
-def _average_ranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        average = (i + j) / 2.0 + 1.0
-        for t in range(i, j + 1):
-            ranks[order[t]] = average
-        i = j + 1
-    return ranks
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman_rank_correlation(xs: Sequence[float], ys: Sequence[float]) -> float | None:
@@ -268,16 +259,7 @@ def spearman_rank_correlation(xs: Sequence[float], ys: Sequence[float]) -> float
         raise ValueError("rank correlation needs paired samples")
     if len(xs) < 2 or len(set(xs)) < 2 or len(set(ys)) < 2:
         return None
-    rx = _average_ranks(xs)
-    ry = _average_ranks(ys)
-    mx = sum(rx) / len(rx)
-    my = sum(ry) / len(ry)
-    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
-    vx = sum((a - mx) ** 2 for a in rx)
-    vy = sum((b - my) ** 2 for b in ry)
-    if vx == 0.0 or vy == 0.0:
-        return None
-    return cov / math.sqrt(vx * vy)
+    return float(np.corrcoef(_average_ranks(xs), _average_ranks(ys))[0, 1])
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

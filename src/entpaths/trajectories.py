@@ -95,8 +95,8 @@ def _steps(values: Sequence[float]) -> list[float]:
 def export_trajectory(run_id: str, measure: Measure, values: Sequence[float], path) -> None:
     """Write one trajectory as CSV rows (run_id, k, entanglement, measure_tag).
 
-    Floats carry 17 significant digits, so parsing a cell back gives the
-    exact value.
+    Floats are Python's shortest round-trip text, so parsing a cell back
+    gives the exact value.
     """
     write_csv(path, _CSV_HEADER, [(run_id, k, value, measure.value)
                                  for k, value in enumerate(values)])

@@ -8,7 +8,7 @@ reject bools, and numbers reject inf and nan.
 from __future__ import annotations
 
 from .core import _is_finite_number, _is_int
-from .entanglement import Measure
+from .entanglement import Measure, _checked_cut
 
 
 class ConfigError(ValueError):
@@ -54,14 +54,13 @@ def number_field(doc: dict, key: str, default: float, *, above: float,
 
 
 def cut_field(raw, n: int) -> tuple[int, ...]:
-    """Kept-qubit indices of a bipartition: a nonempty proper subset of 0..n-1."""
-    need(isinstance(raw, list) and raw and all(_is_int(q) for q in raw),
-         "cut", "must be a nonempty list of qubit indices")
-    cut = tuple(sorted(set(raw)))
-    need(len(cut) == len(raw), "cut", "must not repeat qubits")
-    need(0 <= cut[0] and cut[-1] < n and len(cut) < n,
-         "cut", f"must be a proper subset of 0..{n - 1}")
-    return cut
+    """Kept-qubit indices of a bipartition, checked by the entropy's cut rules."""
+    need(isinstance(raw, list) and all(_is_int(q) for q in raw),
+         "cut", "must be a list of integer qubit indices")
+    try:
+        return tuple(_checked_cut(raw, n))
+    except ValueError as exc:
+        raise ConfigError(f"cut: {exc}") from None
 
 
 def measure_field(raw, cut: tuple[int, ...] | None) -> Measure:

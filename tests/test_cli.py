@@ -52,7 +52,7 @@ def test_simulate_zero_gate_run_scores_the_initial_state_alone(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", config, "--out", str(out)]) == 0
     rows = read_trajectory_rows(out / "trajectory.csv")
-    assert rows == [{"run_id": "run", "k": "0", "entanglement": "0",
+    assert rows == [{"run_id": "run", "k": "0", "entanglement": "0.0",
                      "measure_tag": "geometric"}]
     summary = read_json(out / "summary.json")
     assert (summary["R"], summary["sum"], summary["max_jump"]) == (0, 0.0, 0.0)

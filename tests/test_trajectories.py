@@ -223,7 +223,7 @@ def test_export_then_read_is_exact(tmp_path):
         assert [row["run_id"] for row in rows] == ["a"] * len(values)
         assert [int(row["k"]) for row in rows] == list(range(len(values)))
         assert {row["measure_tag"] for row in rows} == {measure.value}
-        # 17 significant digits: every value parses back bit-exactly
+        # shortest round-trip floats: every value parses back bit-exactly
         assert tuple(float(row["entanglement"]) for row in rows) == values
 
 
