@@ -35,8 +35,7 @@ from .entanglement import (GEO_RESTARTS, Measure, geometric_entanglement,
                            von_neumann_entropy)
 from .harness import (ExperimentConfig, report_to_dict, run_experiment,
                       write_records_csv)
-from .paths import (DEFAULT_PATH_CAP, DEUTSCH_VARIANTS, deutsch_path_table,
-                    deutsch_report_to_dict, path_sums, write_interference_csv)
+from .paths import DEFAULT_PATH_CAP, DEUTSCH_VARIANTS, deutsch_path_table, path_sums
 from .trajectories import export_trajectory, trajectory, trajectory_summary
 from .validation import (ConfigError, check_fields, cut_field, int_field,
                          measure_field, need)
@@ -222,25 +221,23 @@ def cmd_paths(args) -> int:
 
 
 def cmd_deutsch(args) -> int:
-    variant = args.variant
-    if args.config is not None:
-        doc = _load_config(args.config, "deutsch")
-        check_fields(doc, {"variant"})
-        if variant is None:
-            variant = doc.get("variant")
-    if variant is None:
-        variant = "not_x"
-    need(variant in DEUTSCH_VARIANTS, "variant",
+    doc = {} if args.config is None else _load_config(args.config, "deutsch")
+    check_fields(doc, {"variant"})
+    variant = args.variant if args.variant is not None else doc.get("variant", "not_x")
+    need(isinstance(variant, str) and variant in DEUTSCH_VARIANTS, "variant",
          f"must be one of {sorted(DEUTSCH_VARIANTS)}")
 
     report = deutsch_path_table(variant)
     out = _out_dir(args)
-    write_interference_csv(report, out / "interference.csv")
-    write_canonical_json(out / "report.json", deutsch_report_to_dict(report))
+    write_csv(out / "interference.csv",
+              ("step", "configuration", "amplitude_re", "amplitude_im"),
+              [(step["step"], a["configuration"], a["re"], a["im"])
+               for step in report["steps"] for a in step["amplitudes"]])
+    write_canonical_json(out / "report.json", report)
     _write_manifest(out, "deutsch", 0, {"variant": variant})
-    kind = "balanced" if report.balanced else "constant"
-    print(f"deutsch: f is {kind}, first qubit -> {report.outcome_bit} "
-          f"(P={report.probability_first_qubit_one:.3g}) -> {out}")
+    kind = "balanced" if report["balanced"] else "constant"
+    print(f"deutsch: f is {kind}, first qubit -> {report['outcome_bit']} "
+          f"(P={report['probability_first_qubit_one']:.3g}) -> {out}")
     return 0
 
 
@@ -264,12 +261,12 @@ def cmd_conjecture(args) -> int:
         doc["cut"] = _cut_from_bitmask(args.cut, n)
 
     config = ExperimentConfig.from_dict(doc, base_dir=Path(args.config).resolve().parent)
-    report = run_experiment(config, jobs=args.jobs)
+    outcomes = run_experiment(config, jobs=args.jobs)
 
     out = _out_dir(args)
-    doc_out = report_to_dict(report)
+    doc_out = report_to_dict(config, outcomes)
     write_canonical_json(out / "report.json", doc_out)
-    write_records_csv(report, out / "records.csv")
+    write_records_csv(outcomes, out / "records.csv")
     _write_manifest(out, "conjecture", config.seed, config.to_dict())
     agg = doc_out["aggregate"]["all_targets"]
     line = f"conjecture: {doc_out['aggregate']['num_targets']} targets"

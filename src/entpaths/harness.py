@@ -324,17 +324,12 @@ def evaluate_target(config: ExperimentConfig, index: int) -> TargetOutcome:
 # --- the experiment -------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ConjectureReport:
-    config: ExperimentConfig
-    outcomes: tuple[TargetOutcome, ...]
-
-
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ConjectureReport:
-    """Run the whole experiment on up to `jobs` worker processes.
+def run_experiment(config: ExperimentConfig,
+                   jobs: int = 1) -> tuple[TargetOutcome, ...]:
+    """Every target's outcome, in index order, on up to `jobs` worker processes.
 
     Worker count never changes the result: each target is a pure function
-    of (config, index) and outcomes are aggregated in index order.
+    of (config, index) and outcomes are collected in index order.
     """
     indices = list(range(config.num_targets))
     if jobs <= 1 or len(indices) <= 1:
@@ -346,7 +341,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ConjectureReport:
             for future in concurrent.futures.as_completed(futures):
                 by_index[futures[future]] = future.result()
         outcomes = [by_index[i] for i in indices]
-    return ConjectureReport(config, tuple(outcomes))
+    return tuple(outcomes)
 
 
 def _rate_block(outcomes: Sequence[TargetOutcome]) -> dict:
@@ -368,27 +363,28 @@ def _rate_block(outcomes: Sequence[TargetOutcome]) -> dict:
     }
 
 
-def report_to_dict(report: ConjectureReport) -> dict:
+def report_to_dict(config: ExperimentConfig,
+                   outcomes: Sequence[TargetOutcome]) -> dict:
     """Canonical-JSON-ready report with aggregates and per-target detail.
 
     Each target entry holds its TargetOutcome's fields, with the records as
     a list and best_fidelity_per_r as a dict keyed by str(r).
     """
-    evaluated = [o for o in report.outcomes if o.r_star is not None]
-    failures = [o for o in report.outcomes if o.r_star is None]
+    evaluated = [o for o in outcomes if o.r_star is not None]
+    failures = [o for o in outcomes if o.r_star is None]
     nondegenerate = [o for o in evaluated if not o.degenerate]
     spearman_values = [o.spearman_bin_vs_r for o in evaluated
                       if o.spearman_bin_vs_r is not None]
     targets = []
-    for o in report.outcomes:
+    for o in outcomes:
         target = asdict(o)
         target["records"] = list(target["records"])
         target["best_fidelity_per_r"] = {str(r): f for r, f in o.best_fidelity_per_r}
         targets.append(target)
     return {
-        "config": report.config.to_dict(),
+        "config": config.to_dict(),
         "aggregate": {
-            "num_targets": len(report.outcomes),
+            "num_targets": len(outcomes),
             "num_synthesis_failures": len(failures),
             "num_degenerate": sum(1 for o in evaluated if o.degenerate),
             "all_targets": _rate_block(evaluated),
@@ -401,10 +397,10 @@ def report_to_dict(report: ConjectureReport) -> dict:
     }
 
 
-def write_records_csv(report: ConjectureReport, path) -> None:
+def write_records_csv(outcomes: Sequence[TargetOutcome], path) -> None:
     """Flat per-record table (one row per collected solution)."""
     rows = []
-    for outcome in report.outcomes:
+    for outcome in outcomes:
         for rec in outcome.records:
             arch = ";".join(f"{j}-{k}" for j, k in rec.architecture) or "-"
             rows.append((outcome.target_id, rec.record_id, rec.r,

@@ -12,23 +12,21 @@ into subtree roots, then branches each root's subtree over those last six
 gates with numpy, 4096 paths per block, in depth-first order (branches
 00, 01, 10, 11).  path_sums adds each block into the per-endpoint sums
 without building a Python object per path; enumerate_paths turns blocks
-into PathAmplitude tuples.  Amplitudes and sums are bit-identical to a
-recursive scalar walk (tests/oracles.walk_paths).
+into plain (configs, amplitude) pairs.  Amplitudes and sums are
+bit-identical to a recursive scalar walk (tests/oracles.walk_paths).
 
 Also includes the classic two-qubit balanced-vs-constant function tester
-(Deutsch's algorithm) as a worked interference example: its per-step
-amplitude tables and per-path contributions show sign cancellation killing
-the discarded outcomes.
+(Deutsch's algorithm) as a worked interference example: its report, a
+plain JSON-ready dict, tabulates the per-step amplitudes and per-path
+contributions that show sign cancellation killing the discarded outcomes.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .canonical import write_csv
 from .core import (
     Circuit,
     ResourceCapError,
@@ -38,18 +36,6 @@ from .core import (
 )
 
 DEFAULT_PATH_CAP = 4**12
-
-
-class PathAmplitude(NamedTuple):
-    """One configuration path and its complex amplitude.
-
-    configs holds the basis index at each step (length R+1, starting at the
-    initial configuration); amplitude is the product of the gate matrix
-    elements along the path.
-    """
-
-    configs: tuple[int, ...]
-    amplitude: complex
 
 
 # Paths are expanded with numpy this many gates deep at a time: 4**6 = 4096
@@ -122,19 +108,19 @@ def _circuit_blocks(circuit: Circuit, start: int,
                         circuit.num_qubits, start)
 
 
-def enumerate_paths(circuit: Circuit, initial_configuration,
-                    final_configuration=None, *,
-                    path_cap: int = DEFAULT_PATH_CAP) -> Iterator[PathAmplitude]:
+def enumerate_paths(circuit: Circuit, initial_configuration, *,
+                    path_cap: int = DEFAULT_PATH_CAP
+                    ) -> Iterator[tuple[tuple[int, ...], complex]]:
     """Stream every configuration path of a circuit from a basis start.
 
+    Each path is a (configs, amplitude) pair: configs holds the basis index
+    at each step (length R+1, starting at the initial configuration), and
+    amplitude is the product of the gate matrix elements along the path.
     Only the acted qubit pair branches at each step, giving exactly 4**R
-    paths for a fixed start; passing a final configuration filters the
-    stream to paths ending there.  Raises ResourceCapError before yielding
-    anything if 4**R exceeds path_cap.
+    paths.  Raises ResourceCapError before yielding anything if 4**R
+    exceeds path_cap.
     """
-    n = circuit.num_qubits
-    start = basis_index(initial_configuration, n)
-    final = None if final_configuration is None else basis_index(final_configuration, n)
+    start = basis_index(initial_configuration, circuit.num_qubits)
     blocks = _circuit_blocks(circuit, start, path_cap)
 
     def generate():
@@ -142,11 +128,7 @@ def enumerate_paths(circuit: Circuit, initial_configuration,
             size = len(amplitudes)
             trails = np.column_stack([np.repeat(layer, size // len(layer))
                                       for layer in layers])
-            if final is not None:
-                keep = trails[:, -1] == final
-                trails, amplitudes = trails[keep], amplitudes[keep]
-            for trail, amplitude in zip(trails.tolist(), amplitudes.tolist()):
-                yield PathAmplitude(tuple(trail), amplitude)
+            yield from zip(map(tuple, trails.tolist()), amplitudes.tolist())
 
     return generate()
 
@@ -170,16 +152,16 @@ def path_sums(circuit: Circuit, initial_configuration, *,
 
 
 def transition_amplitude(circuit: Circuit, initial_configuration,
-                         final_configuration, *,
+                         end_configuration, *,
                          path_cap: int = DEFAULT_PATH_CAP) -> complex:
     """Sum of all path amplitudes between two basis configurations.
 
     Agrees with the direct matrix-product amplitude of the circuit unitary;
     that identity is the core consistency check of the whole path picture.
     """
-    final = basis_index(final_configuration, circuit.num_qubits)
+    end = basis_index(end_configuration, circuit.num_qubits)
     sums, _ = path_sums(circuit, initial_configuration, path_cap=path_cap)
-    return complex(sums[final])
+    return complex(sums[end])
 
 
 # --- Deutsch's algorithm as an interference table -------------------------
@@ -220,92 +202,50 @@ def deutsch_step_matrices(variant: str) -> list[np.ndarray]:
             np.kron(_HADAMARD, np.eye(2))]
 
 
-@dataclass(frozen=True, eq=False)
-class DeutschReport:
-    """Step-by-step interference record of the function tester.
+def deutsch_path_table(variant: str) -> dict:
+    """Run the tester on oracle `variant` and tabulate its interference.
 
-    step_amplitudes[k][c] is the amplitude of basis configuration c after k
-    steps (k = 0 is the prepared |01> input).  final_path_contributions[c]
-    lists the signed amplitude of each of the 16 structural paths ending in
-    configuration c; for the discarded outcomes the positive and negative
-    contributions cancel exactly.
+    Returns the JSON-ready report: `steps[k]` lists the amplitude of each
+    basis configuration after k steps (k = 0 is the prepared |01> input),
+    and `final_path_contributions` lists, per final configuration, the
+    signed amplitudes of the 16 structural paths ending there; for the
+    discarded outcomes the positive and negative contributions cancel
+    exactly.
     """
-
-    variant: str
-    balanced: bool
-    step_amplitudes: tuple[tuple[complex, ...], ...]
-    final_path_contributions: tuple[tuple[complex, ...], ...]
-    probability_first_qubit_one: float
-
-    @property
-    def outcome_bit(self) -> int:
-        return 1 if self.probability_first_qubit_one > 0.5 else 0
-
-
-def deutsch_path_table(variant: str) -> DeutschReport:
-    """Run the tester on oracle `variant` and tabulate its interference."""
     matrices = deutsch_step_matrices(variant)
     pairs = [(0, 1)] * len(matrices)
     start = 1  # |01>: query qubit 0 in |0>, answer qubit 1 in |1>
     amplitudes = np.zeros(4, dtype=np.complex128)
     amplitudes[start] = 1.0
-    steps = [tuple(complex(a) for a in amplitudes)]
+    steps = [amplitudes]
     for matrix in matrices:
         amplitudes = apply_gate_matrix(amplitudes, matrix, (0, 1), 2)
-        steps.append(tuple(complex(a) for a in amplitudes))
+        steps.append(amplitudes)
     # three steps are fewer than _BLOCK_DEPTH: one block holds all 4**3 paths
     ((layers, path_amplitudes),) = _walk_blocks(matrices, pairs, 2, start)
-    contributions = [tuple(path_amplitudes[layers[-1] == config].tolist())
-                     for config in range(4)]
     probability = float(abs(amplitudes[2]) ** 2 + abs(amplitudes[3]) ** 2)
-    return DeutschReport(
-        variant=variant,
-        balanced=DEUTSCH_VARIANTS[variant][0] != DEUTSCH_VARIANTS[variant][1],
-        step_amplitudes=tuple(steps),
-        final_path_contributions=tuple(contributions),
-        probability_first_qubit_one=probability,
-    )
-
-
-def interference_csv_rows(report: DeutschReport) -> list[tuple[int, str, float, float]]:
-    """Rows (step, configuration bitstring, amplitude_re, amplitude_im)."""
-    rows = []
-    for k, amplitudes in enumerate(report.step_amplitudes):
-        for config, amplitude in enumerate(amplitudes):
-            rows.append((k, config_label(config, 2),
-                         float(amplitude.real), float(amplitude.imag)))
-    return rows
-
-
-def write_interference_csv(report: DeutschReport, path) -> None:
-    write_csv(path, ("step", "configuration", "amplitude_re", "amplitude_im"),
-              interference_csv_rows(report))
-
-
-def deutsch_report_to_dict(report: DeutschReport) -> dict:
-    """JSON-ready summary of a tester run."""
+    f0, f1 = DEUTSCH_VARIANTS[variant]
     return {
-        "variant": report.variant,
-        "balanced": report.balanced,
-        "outcome_bit": report.outcome_bit,
-        "probability_first_qubit_one": report.probability_first_qubit_one,
+        "variant": variant,
+        "balanced": f0 != f1,
+        "outcome_bit": 1 if probability > 0.5 else 0,
+        "probability_first_qubit_one": probability,
         "steps": [
             {
                 "step": k,
                 "amplitudes": [
-                    {"configuration": config_label(c, 2),
-                     "re": float(a.real), "im": float(a.imag)}
-                    for c, a in enumerate(amps)
+                    {"configuration": config_label(c, 2), "re": a.real, "im": a.imag}
+                    for c, a in enumerate(step.tolist())
                 ],
             }
-            for k, amps in enumerate(report.step_amplitudes)
+            for k, step in enumerate(steps)
         ],
         "final_path_contributions": [
             {
                 "configuration": config_label(c, 2),
-                "contributions_re": [float(a.real) for a in contribs],
-                "contributions_im": [float(a.imag) for a in contribs],
+                "contributions_re": path_amplitudes.real[layers[-1] == c].tolist(),
+                "contributions_im": path_amplitudes.imag[layers[-1] == c].tolist(),
             }
-            for c, contribs in enumerate(report.final_path_contributions)
+            for c in range(4)
         ],
     }

@@ -55,8 +55,8 @@ def test_01_path_sums_match_direct_simulation():
             initial = StateVector.basis_state(n, q0)
             direct[q0] = run_circuit(circuit, initial=initial)[-1].amplitudes
             sums = np.zeros(dim, dtype=np.complex128)
-            for path in enumerate_paths(circuit, q0):
-                sums[path.configs[-1]] += path.amplitude
+            for configs, amplitude in enumerate_paths(circuit, q0):
+                sums[configs[-1]] += amplitude
             summed[q0] = sums
         for q0, qf in endpoints:
             worst = max(worst, abs(summed[q0][qf] - direct[q0][qf]))
@@ -135,23 +135,25 @@ def test_05_haar_sampler_statistics():
 
 def test_06_function_tester_interference():
     balanced = deutsch_path_table("not_x")
-    assert balanced.outcome_bit == 1
-    assert abs(balanced.probability_first_qubit_one - 1.0) < 1e-12
+    assert balanced["outcome_bit"] == 1
+    assert abs(balanced["probability_first_qubit_one"] - 1.0) < 1e-12
     for variant in ("zero", "one"):
         constant = deutsch_path_table(variant)
-        assert constant.outcome_bit == 0
-        assert abs(constant.probability_first_qubit_one) < 1e-12
+        assert constant["outcome_bit"] == 0
+        assert abs(constant["probability_first_qubit_one"]) < 1e-12
 
     # Discarded outcomes cancel exactly: their 16 per-path contributions
     # sum to float zero with both signs present, not merely to something
     # small.
     cancelled = 0
     for report in (balanced, deutsch_path_table("zero")):
-        finals = report.step_amplitudes[-1]
+        finals = [complex(a["re"], a["im"]) for a in report["steps"][-1]["amplitudes"]]
         for config in range(4):
             if abs(finals[config]) > 1e-12:
                 continue
-            contribs = report.final_path_contributions[config]
+            entry = report["final_path_contributions"][config]
+            contribs = [complex(re, im) for re, im in zip(entry["contributions_re"],
+                                                          entry["contributions_im"])]
             total = sum(contribs)
             assert total == 0
             reals = [c.real for c in contribs if c.real != 0.0]
@@ -241,8 +243,8 @@ def test_09_experiment_run_is_deterministic_and_complete():
         "samples_per_r": 2,
         "geo_restarts": 8,
     })
-    serial = report_to_dict(harness.run_experiment(config, jobs=1))
-    parallel = report_to_dict(harness.run_experiment(config, jobs=2))
+    serial = report_to_dict(config, harness.run_experiment(config, jobs=1))
+    parallel = report_to_dict(config, harness.run_experiment(config, jobs=2))
     assert canonical_json(serial) == canonical_json(parallel)
 
     aggregate = serial["aggregate"]

@@ -7,6 +7,7 @@ import pytest
 from entpaths.canonical import write_canonical_json
 from entpaths.cli import main
 from entpaths.core import StateVector, fixture_state, load_circuit, save_state
+from entpaths.paths import deutsch_path_table
 
 
 def write_config(tmp_path, name, doc):
@@ -136,8 +137,19 @@ def test_deutsch_subcommand(tmp_path, variant, outcome):
     report = read_json(out / "report.json")
     assert report["variant"] == variant
     assert report["outcome_bit"] == outcome
+    assert report == deutsch_path_table(variant)
     lines = (out / "interference.csv").read_text().splitlines()
+    assert lines[0] == "step,configuration,amplitude_re,amplitude_im"
     assert len(lines) == 1 + 4 * 4  # header + 4 configurations x 4 snapshots
+
+
+@pytest.mark.parametrize("variant", [["x"], None, 3, "bogus"])
+def test_deutsch_config_variant_must_be_a_known_name(tmp_path, capsys, variant):
+    # only an absent variant defaults to not_x; null is not absent
+    config = write_config(tmp_path, "d.json", {"variant": variant})
+    assert main(["deutsch", "--config", config, "--out", str(tmp_path / "d")]) == 2
+    assert "config error: variant " in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_deutsch_defaults_to_not_x(tmp_path):

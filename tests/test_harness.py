@@ -249,8 +249,7 @@ def test_degenerate_targets_are_dual_reported(tmp_path, bell):
     config = ExperimentConfig.from_dict(
         {"n": 2, "targets": {"files": ["p.json", "b.json"], "seed": 3}, **LEAN},
         base_dir=tmp_path)
-    report = harness.run_experiment(config)
-    doc = report_to_dict(report)
+    doc = report_to_dict(config, harness.run_experiment(config))
     agg = doc["aggregate"]
     assert agg["num_targets"] == 2
     assert agg["num_degenerate"] == 1
@@ -289,8 +288,7 @@ def test_synthesis_failures_are_counted_not_fatal(tmp_path, ghz3):
     config = lean_config(fidelity_tol=1e-12,
                          budget={"restarts": 1, "iters": 3}, r_max=1,
                          targets={"files": files, "seed": 21})
-    report = harness.run_experiment(config)
-    doc = report_to_dict(report)
+    doc = report_to_dict(config, harness.run_experiment(config))
     assert doc["aggregate"]["num_synthesis_failures"] == 3
     for target in doc["targets"]:
         assert target["r_star"] is None
@@ -302,10 +300,11 @@ def test_synthesis_failures_are_counted_not_fatal(tmp_path, ghz3):
 def test_report_targets_hold_exactly_the_outcome_fields(tmp_path, ghz3):
     save_state(ghz3, tmp_path / "g.json")
     fields = {f.name for f in dataclasses.fields(harness.TargetOutcome)}
-    found = report_to_dict(harness.run_experiment(lean_config()))
-    not_found = report_to_dict(harness.run_experiment(lean_config(
-        budget={"restarts": 1, "iters": 3}, r_max=1,
-        targets={"files": [str(tmp_path / "g.json")], "seed": 21})))
+    config = lean_config()
+    found = report_to_dict(config, harness.run_experiment(config))
+    failing = lean_config(budget={"restarts": 1, "iters": 3}, r_max=1,
+                          targets={"files": [str(tmp_path / "g.json")], "seed": 21})
+    not_found = report_to_dict(failing, harness.run_experiment(failing))
     assert not_found["targets"][0]["r_star"] is None
     for target in found["targets"] + not_found["targets"]:
         assert set(target) == fields
@@ -313,14 +312,14 @@ def test_report_targets_hold_exactly_the_outcome_fields(tmp_path, ghz3):
 
 def test_conjecture_run_is_parallel_invariant():
     config = lean_config()
-    serial = report_to_dict(harness.run_experiment(config, jobs=1))
-    parallel = report_to_dict(harness.run_experiment(config, jobs=3))
+    serial = report_to_dict(config, harness.run_experiment(config, jobs=1))
+    parallel = report_to_dict(config, harness.run_experiment(config, jobs=3))
     assert canonical_json(serial) == canonical_json(parallel)
 
 
 def test_report_structure_and_internal_consistency():
     config = lean_config()
-    doc = report_to_dict(harness.run_experiment(config))
+    doc = report_to_dict(config, harness.run_experiment(config))
     assert doc["config"] == config.to_dict()
     agg = doc["aggregate"]
     evaluated = [t for t in doc["targets"] if t["success"] is not None]
@@ -348,14 +347,14 @@ def test_report_structure_and_internal_consistency():
 
 def test_records_csv_layout(tmp_path):
     config = lean_config(targets={"count": 2, "r_gen": 2, "seed": 8})
-    report = harness.run_experiment(config)
+    outcomes = harness.run_experiment(config)
     out = tmp_path / "records.csv"
-    write_records_csv(report, out)
+    write_records_csv(outcomes, out)
     lines = out.read_text().splitlines()
     header = ("target_id,record_id,r,is_optimal_r,sum_value,family_bin,"
               "achieved_fidelity,architecture")
     assert lines[0] == header
-    total_records = sum(len(o.records) for o in report.outcomes)
+    total_records = sum(len(o.records) for o in outcomes)
     assert len(lines) == 1 + total_records
     for line in lines[1:]:
         cells = line.split(",")

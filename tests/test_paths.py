@@ -4,10 +4,9 @@ import pytest
 from entpaths import paths as paths_module
 from entpaths.core import (Circuit, ResourceCapError, TwoQubitGate,
                            random_architecture, random_circuit, run_circuit)
-from entpaths.paths import (DEUTSCH_VARIANTS, deutsch_path_table, deutsch_report_to_dict,
-                            deutsch_step_matrices, enumerate_paths,
-                            interference_csv_rows, oracle_matrix, path_sums,
-                            transition_amplitude, write_interference_csv)
+from entpaths.paths import (DEUTSCH_VARIANTS, deutsch_path_table, deutsch_step_matrices,
+                            enumerate_paths, oracle_matrix, path_sums,
+                            transition_amplitude)
 
 import oracles
 
@@ -35,23 +34,23 @@ def test_zero_amplitude_paths_are_still_counted():
     circuit = Circuit(2, [gate, gate])
     paths = list(enumerate_paths(circuit, 0))
     assert len(paths) == 16
-    zero = [p for p in paths if p.amplitude == 0]
+    zero = [amplitude for _, amplitude in paths if amplitude == 0]
     assert len(zero) == 15
 
 
 def test_each_path_has_r_plus_one_configurations():
     circuit = _random_circuit(3, 3, 5)
-    for path in enumerate_paths(circuit, 2):
-        assert len(path.configs) == 4
-        assert path.configs[0] == 2
+    for configs, _ in enumerate_paths(circuit, 2):
+        assert len(configs) == 4
+        assert configs[0] == 2
 
 
 def test_only_the_acted_pair_changes_between_steps():
     circuit = _random_circuit(4, 3, 6)
     slots = [gate.qubit_pair for gate in circuit.gates]
-    for path in enumerate_paths(circuit, 9):
+    for configs, _ in enumerate_paths(circuit, 9):
         for step, (j, k) in enumerate(slots):
-            changed = path.configs[step] ^ path.configs[step + 1]
+            changed = configs[step] ^ configs[step + 1]
             untouched = ~((1 << (4 - 1 - j)) | (1 << (4 - 1 - k)))
             assert changed & untouched == 0
 
@@ -62,8 +61,8 @@ def test_path_sums_reproduce_every_matrix_element(n, r, seed):
     unitary = oracles.circuit_unitary(circuit)
     for q0 in range(2**n):
         sums = np.zeros(2**n, dtype=complex)
-        for path in enumerate_paths(circuit, q0):
-            sums[path.configs[-1]] += path.amplitude
+        for configs, amplitude in enumerate_paths(circuit, q0):
+            sums[configs[-1]] += amplitude
         assert np.allclose(sums, unitary[:, q0], atol=1e-9)
         shared, count = path_sums(circuit, q0)
         assert np.array_equal(shared, sums) and count == 4**r
@@ -77,16 +76,6 @@ def test_transition_amplitude_equals_unitary_entry():
         assert np.isclose(amp, unitary[qr, q0], atol=1e-12)
 
 
-def test_final_configuration_filter_consistent_with_full_enumeration():
-    circuit = _random_circuit(2, 3, 14)
-    everything = list(enumerate_paths(circuit, 1))
-    for qr in range(4):
-        filtered = list(enumerate_paths(circuit, 1, qr))
-        manual = [p for p in everything if p.configs[-1] == qr]
-        assert [p.configs for p in filtered] == [p.configs for p in manual]
-    assert sum(len(list(enumerate_paths(circuit, 1, qr))) for qr in range(4)) == 64
-
-
 def test_configurations_accept_bit_tuples():
     circuit = _random_circuit(2, 1, 15)
     by_index = transition_amplitude(circuit, 2, 3)
@@ -96,8 +85,8 @@ def test_configurations_accept_bit_tuples():
 
 def test_enumeration_order_is_deterministic():
     circuit = _random_circuit(3, 2, 16)
-    first = [p.configs for p in enumerate_paths(circuit, 0)]
-    second = [p.configs for p in enumerate_paths(circuit, 0)]
+    first = [configs for configs, _ in enumerate_paths(circuit, 0)]
+    second = [configs for configs, _ in enumerate_paths(circuit, 0)]
     assert first == second
 
 
@@ -141,12 +130,10 @@ def test_block_walk_matches_recursive_oracle_exactly(n, r):
     for start in starts:
         final = int(rng.integers(2**n))
         everything = list(oracles.walk_paths(matrices, pairs, n, start, None))
-        # the oracle's final-configuration filter keeps exactly these paths
         ending = [(trail, a) for trail, a in everything if trail[-1] == final]
-        for end, expected in ((None, everything), (final, ending)):
-            got = list(enumerate_paths(circuit, start, end))
-            assert [p.configs for p in got] == [trail for trail, _ in expected]
-            assert _exact(p.amplitude for p in got) == _exact(a for _, a in expected)
+        got = list(enumerate_paths(circuit, start))
+        assert [configs for configs, _ in got] == [trail for trail, _ in everything]
+        assert _exact(a for _, a in got) == _exact(a for _, a in everything)
         sums = np.zeros(2**n, dtype=complex)
         for trail, amplitude in everything:
             sums[trail[-1]] += amplitude
@@ -165,8 +152,8 @@ def test_block_walk_yields_zero_amplitude_branches_like_the_oracle():
         expected = list(oracles.walk_paths([gate.matrix] * 2, [(0, 1)] * 2, 2, start, None))
         got = list(enumerate_paths(circuit, start))
         assert len(got) == 16
-        assert [p.configs for p in got] == [trail for trail, _ in expected]
-        assert _exact(p.amplitude for p in got) == _exact(a for _, a in expected)
+        assert [configs for configs, _ in got] == [trail for trail, _ in expected]
+        assert _exact(a for _, a in got) == _exact(a for _, a in expected)
 
 
 def test_path_sums_at_the_benchmark_size():
@@ -189,45 +176,58 @@ def test_oracle_matrix_is_the_xor_permutation():
                 assert matrix[row, col] == 1.0
 
 
+def _step_amplitudes(report):
+    """report["steps"] as complex values: [k][c] is configuration c after k steps."""
+    return [[complex(a["re"], a["im"]) for a in step["amplitudes"]]
+            for step in report["steps"]]
+
+
+def _contributions(report):
+    """report["final_path_contributions"] as complex values, per configuration."""
+    return [[complex(re, im) for re, im in zip(entry["contributions_re"],
+                                               entry["contributions_im"])]
+            for entry in report["final_path_contributions"]]
+
+
 @pytest.mark.parametrize("variant", sorted(DEUTSCH_VARIANTS))
 def test_deutsch_final_state_matches_direct_products(variant):
     report = deutsch_path_table(variant)
     f0, f1 = DEUTSCH_VARIANTS[variant]
     expected = oracles.deutsch_direct(f0, f1)
-    assert np.allclose(report.step_amplitudes[-1], expected, atol=1e-12)
+    assert np.allclose(_step_amplitudes(report)[-1], expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", sorted(DEUTSCH_VARIANTS))
 def test_deutsch_contributions_match_recursive_oracle_exactly(variant):
-    report = deutsch_path_table(variant)
+    contributions = _contributions(deutsch_path_table(variant))
     matrices = deutsch_step_matrices(variant)
     for config in range(4):
         expected = [a for _, a in oracles.walk_paths(matrices, [(0, 1)] * 3, 2, 1, config)]
-        assert _exact(report.final_path_contributions[config]) == _exact(expected)
+        assert _exact(contributions[config]) == _exact(expected)
 
 
 def test_deutsch_balanced_oracles_give_outcome_one():
     for variant in ("not_x", "x"):
         report = deutsch_path_table(variant)
-        assert report.balanced
-        assert np.isclose(report.probability_first_qubit_one, 1.0, atol=1e-12)
-        assert report.outcome_bit == 1
+        assert report["balanced"]
+        assert np.isclose(report["probability_first_qubit_one"], 1.0, atol=1e-12)
+        assert report["outcome_bit"] == 1
 
 
 def test_deutsch_constant_oracles_give_outcome_zero():
     for variant in ("zero", "one"):
         report = deutsch_path_table(variant)
-        assert not report.balanced
-        assert report.probability_first_qubit_one < 1e-12
-        assert report.outcome_bit == 0
+        assert not report["balanced"]
+        assert report["probability_first_qubit_one"] < 1e-12
+        assert report["outcome_bit"] == 0
 
 
 def test_deutsch_discarded_configurations_cancel_exactly():
-    report = deutsch_path_table("not_x")
+    contributions = _contributions(deutsch_path_table("not_x"))
     # q0 = 0 outcomes are discarded: their 16 path contributions sum to zero
     # in exact float arithmetic, with genuinely nonzero terms on both signs
     for config in (0, 1):
-        contribs = report.final_path_contributions[config]
+        contribs = contributions[config]
         assert len(contribs) == 16
         assert sum(contribs) == 0
         positives = [c.real for c in contribs if c.real > 0]
@@ -239,9 +239,10 @@ def test_deutsch_discarded_configurations_cancel_exactly():
 def test_deutsch_contributions_sum_to_step_amplitudes():
     for variant in sorted(DEUTSCH_VARIANTS):
         report = deutsch_path_table(variant)
-        final = report.step_amplitudes[-1]
+        final = _step_amplitudes(report)[-1]
+        contributions = _contributions(report)
         for config in range(4):
-            total = sum(report.final_path_contributions[config])
+            total = sum(contributions[config])
             assert np.isclose(total, final[config], atol=1e-12)
 
 
@@ -251,24 +252,11 @@ def test_deutsch_steps_use_raw_matrices():
     for variant in sorted(DEUTSCH_VARIANTS):
         for matrix in deutsch_step_matrices(variant):
             assert np.allclose(matrix.imag, 0.0)
-        report = deutsch_path_table(variant)
-        for amplitudes in report.step_amplitudes:
+        for amplitudes in _step_amplitudes(deutsch_path_table(variant)):
             assert np.allclose(np.asarray(amplitudes).imag, 0.0, atol=1e-15)
-
-
-def test_interference_csv_rows_cover_all_steps(tmp_path):
-    report = deutsch_path_table("x")
-    rows = interference_csv_rows(report)
-    assert len(rows) == 4 * len(report.step_amplitudes)
-    out = tmp_path / "interference.csv"
-    write_interference_csv(report, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "step,configuration,amplitude_re,amplitude_im"
-    assert len(lines) == 1 + len(rows)
 
 
 def test_deutsch_report_dict_is_json_ready():
     from entpaths.canonical import canonical_json
-    doc = deutsch_report_to_dict(deutsch_path_table("one"))
-    text = canonical_json(doc)
+    text = canonical_json(deutsch_path_table("one"))
     assert '"variant"' in text and '"balanced"' in text

@@ -20,6 +20,8 @@ def test_readme_python_blocks_run_in_order():
     # the values the README's comments promise
     assert abs(namespace["geometric_entanglement"](namespace["bell"]) - 0.5) < 1e-6
     assert namespace["count"] == 4**namespace["circuit"].num_gates
+    assert len(namespace["configs"]) == namespace["circuit"].num_gates + 1
+    assert namespace["configs"][0] == 0 and isinstance(namespace["amplitude"], complex)
     assert namespace["estimate"].r_star == 1
 
 
