@@ -19,6 +19,10 @@ matrix the SVD gave, rescaled into SU(4).  The smallest gate count at
 which any canonical architecture reaches a fidelity tolerance estimates
 the target's exact-preparation complexity.  One SearchSettings value
 carries that tolerance and the search caps down to each restart.
+Only the scipy package itself is imported here; scipy loads its
+`optimize` submodule on first access, so that import happens on the first
+ascent that reaches L-BFGS-B, and a process that never ascends (every
+subcommand but `conjecture`) starts without it.
 
 Enumeration of architectures dedupes gate orderings that differ only by
 swapping adjacent slots on disjoint qubit pairs, which commute, keeping
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
+import scipy
 
 from .core import (
     Circuit,

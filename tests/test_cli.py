@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,3 +300,44 @@ def test_deutsch_takes_no_seed(tmp_path):
     with pytest.raises(SystemExit) as exit_info:
         main(["deutsch", "--seed", "3", "--out", str(tmp_path / "d")])
     assert exit_info.value.code == 2
+
+
+# Runs main in a fresh interpreter and reports, as its last stdout line,
+# whether scipy.optimize was ever imported.
+FRESH_MAIN = """
+import sys
+from entpaths.cli import main
+code = main(sys.argv[1:])
+print("scipy.optimize" in sys.modules)
+sys.exit(code)
+"""
+
+
+def run_fresh_main(argv, cwd):
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv], cwd=cwd,
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    ["paths", "--config", "p.json", "--out", "out"],
+    ["simulate", "--config", "s.json", "--out", "out"],
+    ["deutsch", "--out", "out"],
+    ["selftest"],
+], ids=lambda argv: argv[0])
+def test_subcommands_that_never_ascend_start_without_scipy_optimize(tmp_path, argv):
+    write_config(tmp_path, "p.json", {"n": 3, "r": 2, "seed": 3})
+    write_config(tmp_path, "s.json", {"n": 3, "r": 3, "seed": 5})
+    assert not run_fresh_main(argv, tmp_path)
+
+
+def test_conjecture_ascent_loads_scipy_optimize(tmp_path):
+    # two-gate targets on three qubits: some restart needs L-BFGS-B
+    config = write_config(tmp_path, "c.json", {
+        "n": 3, "targets": {"count": 1, "r_gen": 2, "seed": 1},
+        "budget": {"restarts": 2, "iters": 50}, "samples_per_r": 1,
+        "geo_restarts": 2, "r_max": 2})
+    assert run_fresh_main(["conjecture", "--config", config, "--out", "out"], tmp_path)

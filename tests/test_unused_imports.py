@@ -6,7 +6,8 @@ top-level function, class or method of a top-level class is used by the
 tests alone; every geo_restarts default is entanglement.GEO_RESTARTS,
 written once; ExperimentConfig inherits the search settings from
 synthesis.SearchSettings and declares none of them again; and scipy is
-imported only by synthesis, for its optimizer.
+imported only by synthesis, as the bare package, which reads nothing of
+it but scipy.optimize.minimize.
 """
 import ast
 import re
@@ -167,8 +168,28 @@ def scipy_imports(tree):
     return found
 
 
+def scipy_reads(tree):
+    """Every whole dotted name the source reads off scipy: a call of
+    scipy.optimize.minimize reads that name, not scipy.optimize, and a
+    bare scipy passed on reads scipy."""
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Attribute, ast.Name)) and id(node) not in inner:
+            names = []
+            while isinstance(node, ast.Attribute):
+                names.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id == "scipy":
+                reads.add(".".join(["scipy", *reversed(names)]))
+    return reads
+
+
 def test_only_synthesis_imports_scipy_and_only_its_optimizer():
-    found = {path.name: scipy_imports(ast.parse(path.read_text(encoding="utf-8")))
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src" / "entpaths").glob("*.py"))}
+    found = {name: scipy_imports(tree) for name, tree in trees.items()}
+    # the package alone, so that scipy.optimize loads on the first ascent
     assert {name: imports for name, imports in found.items() if imports} == {
-        "synthesis.py": {"scipy.optimize"}}
+        "synthesis.py": {"scipy"}}
+    assert scipy_reads(trees["synthesis.py"]) == {"scipy.optimize.minimize"}
