@@ -40,20 +40,27 @@ class ResourceCapError(RuntimeError):
 
 
 def basis_index(configuration, num_qubits: int) -> int:
-    """Basis index of a configuration: an index, or bits with qubit 0 most significant."""
-    if isinstance(configuration, (int, np.integer)):
+    """Basis index of a configuration: an index, or bits with qubit 0 most significant.
+
+    A bool is neither an index nor a bit; each bit must be an int 0 or 1.
+    """
+    if _is_int(configuration):
         index = int(configuration)
         if not 0 <= index < 2**num_qubits:
             raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
         return index
-    bits = tuple(configuration)
+    try:
+        bits = tuple(configuration)
+    except TypeError:  # a bool or a float, say
+        raise ValueError(
+            f"a configuration must be an index or bits, got {configuration!r}") from None
     if len(bits) != num_qubits:
         raise DimensionMismatchError(f"expected {num_qubits} bits, got {len(bits)}")
     index = 0
     for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"configuration bits must be 0 or 1, got {b!r}")
-        index = (index << 1) | b
+        if not (_is_int(b) and b in (0, 1)):
+            raise ValueError(f"configuration bits must be ints 0 or 1, got {b!r}")
+        index = (index << 1) | int(b)
     return index
 
 
@@ -303,8 +310,8 @@ def _to_floats(values: np.ndarray) -> list[float]:
 
 
 def _is_int(value) -> bool:
-    """A JSON integer: an int, and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An int (Python or numpy, so any JSON integer), and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_finite_number(value) -> bool:

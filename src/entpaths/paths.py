@@ -7,13 +7,14 @@ spawns 4**R structural paths.  Each path carries the product of its gate
 matrix elements; summing path amplitudes into a final configuration
 reproduces the transition amplitude of the full unitary.
 
-One walk serves every entry point.  It expands all but the last six gates
-into subtree roots, then branches each root's subtree over those last six
-gates with numpy, 4096 paths per block, in depth-first order (branches
-00, 01, 10, 11).  path_sums adds each block into the per-endpoint sums
-without building a Python object per path; enumerate_paths turns blocks
-into plain (configs, amplitude) pairs.  Amplitudes and sums are
-bit-identical to a recursive scalar walk (tests/oracles.walk_paths).
+One walk serves every entry point.  It branches the tree with numpy one
+gate at a time, in blocks of at most 4096 paths: a full block splits into
+its four quarters, walked in turn in depth-first order (branches 00, 01,
+10, 11), so below the sixth gate each block costs one gate step.
+path_sums adds each block into the per-endpoint sums without building a
+Python object per path; enumerate_paths turns blocks into plain
+(configs, amplitude) pairs.  Amplitudes and sums are bit-identical to a
+recursive scalar walk (tests/oracles.walk_paths).
 
 Also includes the classic two-qubit balanced-vs-constant function tester
 (Deutsch's algorithm) as a worked interference example: its report, a
@@ -38,38 +39,33 @@ from .core import (
 DEFAULT_PATH_CAP = 4**12
 
 
-# Paths are expanded with numpy this many gates deep at a time: 4**6 = 4096
-# paths per block keeps each block's arrays small.
-_BLOCK_DEPTH = 6
+# A block holds at most this many paths: 4**6 = 4096 keeps its arrays small.
+_BLOCK_PATHS = 4**6
 _OUT2 = np.arange(4)  # acted bit-pair values 00, 01, 10, 11
 
 
-def _branch(layers: list[np.ndarray], amplitudes: np.ndarray,
-            columns: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]],
-            num_qubits: int) -> np.ndarray:
-    """Branch every node four ways per gate, appending one config array each.
+def _branch(configs: np.ndarray, amplitudes: np.ndarray, column: np.ndarray,
+            pair: tuple[int, int], num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Branch every node four ways through one gate: (child configs, amplitudes).
 
-    columns[g][in2, out2] is gate g's matrix element [out2, in2].  Children
+    column[in2, out2] is the gate's matrix element [out2, in2].  Children
     of node i sit at 4*i + out2 (out2 = the acted bit-pair value 00, 01,
     10, 11), which keeps depth-first order.  Products are formed from real
     and imaginary parts separately, rounding as the scalar complex product
     does (numpy's vectorised complex multiply may differ in the last bit).
     """
-    configs = layers[-1]
-    for column, (j, k) in zip(columns, pairs):
-        shift_j = num_qubits - 1 - j
-        shift_k = num_qubits - 1 - k
-        in2 = (((configs >> shift_j) & 1) << 1) | ((configs >> shift_k) & 1)
-        base = configs & ~((1 << shift_j) | (1 << shift_k))
-        configs = (base[:, None] | ((_OUT2 >> 1) << shift_j)
-                   | ((_OUT2 & 1) << shift_k)).ravel()
-        entries = column.take(in2, axis=0).ravel()
-        parents = amplitudes.repeat(4)
-        amplitudes = np.empty(len(entries), dtype=complex)
-        amplitudes.real = parents.real * entries.real - parents.imag * entries.imag
-        amplitudes.imag = parents.real * entries.imag + parents.imag * entries.real
-        layers.append(configs)
-    return amplitudes
+    shift_j = num_qubits - 1 - pair[0]
+    shift_k = num_qubits - 1 - pair[1]
+    in2 = (((configs >> shift_j) & 1) << 1) | ((configs >> shift_k) & 1)
+    base = configs & ~((1 << shift_j) | (1 << shift_k))
+    children = (base[:, None] | ((_OUT2 >> 1) << shift_j)
+                | ((_OUT2 & 1) << shift_k)).ravel()
+    entries = column.take(in2, axis=0).ravel()
+    parents = amplitudes.repeat(4)
+    products = np.empty(len(entries), dtype=complex)
+    products.real = parents.real * entries.real - parents.imag * entries.imag
+    products.imag = parents.real * entries.imag + parents.imag * entries.real
+    return children, products
 
 
 def _walk_blocks(matrices: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]],
@@ -77,22 +73,36 @@ def _walk_blocks(matrices: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]
                  ) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
     """Every path of the branching tree, in depth-first blocks.
 
-    The first R - L gates (L = min(R, _BLOCK_DEPTH)) branch into 4**(R-L)
-    subtree roots; a block is one root's subtree over the last L gates, as
-    (layers, amplitudes): path i of the block passes through configuration
-    layers[d][i * len(layers[d]) // len(amplitudes)] at step d.  Paths of
-    amplitude exactly zero are structural branches and are included.
+    A block is a run of consecutive paths as (layers, amplitudes): path i
+    of the block passes through configuration
+    layers[d][i * len(layers[d]) // len(amplitudes)] at step d.  Starting
+    from the start configuration, a block branches one gate at a time
+    while it stays within _BLOCK_PATHS paths; when the next gate would
+    overflow it, it splits into its four aligned quarters (each layer of
+    more than one entry sliced, a one-entry layer shared), quarter 0 first.
+    Paths of amplitude exactly zero are structural branches and are
+    included.
     """
     columns = [np.asarray(matrix, dtype=complex).T for matrix in matrices]
-    split = max(len(columns) - _BLOCK_DEPTH, 0)
-    roots = [np.array([start_index])]
-    root_amplitudes = _branch(roots, np.array([1.0 + 0.0j]),
-                              columns[:split], pairs[:split], num_qubits)
-    for i in range(len(root_amplitudes)):
-        layers = [layer[[i >> 2 * (split - d)]] for d, layer in enumerate(roots)]
-        amplitudes = _branch(layers, root_amplitudes[i:i + 1],
-                             columns[split:], pairs[split:], num_qubits)
-        yield layers, amplitudes
+    stack = [([np.array([start_index])], np.array([1.0 + 0.0j]))]
+    while stack:
+        layers, amplitudes = stack.pop()
+        step = len(layers) - 1
+        while step < len(columns) and 4 * len(amplitudes) <= _BLOCK_PATHS:
+            configs, amplitudes = _branch(layers[-1], amplitudes, columns[step],
+                                          pairs[step], num_qubits)
+            layers.append(configs)
+            step += 1
+        if step == len(columns):
+            yield layers, amplitudes
+            continue
+        quarter = len(amplitudes) // 4
+        for q in reversed(range(4)):
+            stack.append((
+                [layer if len(layer) == 1
+                 else layer[q * len(layer) // 4:(q + 1) * len(layer) // 4]
+                 for layer in layers],
+                amplitudes[q * quarter:(q + 1) * quarter]))
 
 
 def _circuit_blocks(circuit: Circuit, start: int,
@@ -221,7 +231,7 @@ def deutsch_path_table(variant: str) -> dict:
     for matrix in matrices:
         amplitudes = apply_gate_matrix(amplitudes, matrix, (0, 1), 2)
         steps.append(amplitudes)
-    # three steps are fewer than _BLOCK_DEPTH: one block holds all 4**3 paths
+    # 4**3 paths fit within _BLOCK_PATHS: one block holds them all
     ((layers, path_amplitudes),) = _walk_blocks(matrices, pairs, 2, start)
     probability = float(abs(amplitudes[2]) ** 2 + abs(amplitudes[3]) ** 2)
     f0, f1 = DEUTSCH_VARIANTS[variant]

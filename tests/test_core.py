@@ -28,6 +28,32 @@ def test_qubit_zero_is_most_significant_bit():
     assert config_label(5, 3) == "101"
 
 
+@pytest.mark.parametrize("configuration,named", [
+    (True, "True"), (False, "False"), (np.True_, "True"), (2.0, "2.0"), (None, "None"),
+    ((True, False), "True"), ((1.0, 0), "1.0"), ((1, 0.0), "0.0"), ((0, 2), "2"),
+    (("1", "0"), "'1'"), ("10", "'1'"),
+])
+def test_basis_index_rejects_bools_and_non_int_bits(configuration, named):
+    with pytest.raises(ValueError, match=f"got .*{named}"):
+        basis_index(configuration, 2)
+
+
+def test_basis_index_bad_configurations_reach_every_caller():
+    from entpaths.paths import enumerate_paths, path_sums, transition_amplitude
+    circuit = random_circuit(2, [(0, 1)], np.random.default_rng(0))
+    for call in (lambda: StateVector.basis_state(2, True),
+                 lambda: enumerate_paths(circuit, (True, False)),
+                 lambda: path_sums(circuit, (1.0, 0)),
+                 lambda: transition_amplitude(circuit, 0, True)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_basis_index_accepts_numpy_ints():
+    assert basis_index(np.int64(3), 2) == 3
+    assert basis_index((np.int64(1), 0), 2) == 2
+
+
 def test_state_vector_requires_normalization():
     with pytest.raises(ValueError):
         StateVector(1, [1.0, 1.0])

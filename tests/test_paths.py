@@ -118,15 +118,10 @@ def _exact(amplitudes):
     return np.array(list(amplitudes), dtype=complex).tobytes()
 
 
-# block depth 6: R below, at and above it, including several root layers
-@pytest.mark.parametrize("r", [0, 1, 2, 5, 6, 7, 9])
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_block_walk_matches_recursive_oracle_exactly(n, r):
-    rng = np.random.default_rng(1000 * n + r)
-    circuit = _random_circuit(n, r, 1000 * n + r)
+def _assert_matches_recursive_oracle(circuit, starts, rng):
+    n, r = circuit.num_qubits, circuit.num_gates
     matrices = [gate.matrix for gate in circuit.gates]
     pairs = [gate.qubit_pair for gate in circuit.gates]
-    starts = [int(rng.integers(2**n))] if r == 9 else [0, 2**n - 1, int(rng.integers(2**n))]
     for start in starts:
         final = int(rng.integers(2**n))
         everything = list(oracles.walk_paths(matrices, pairs, n, start, None))
@@ -143,6 +138,48 @@ def test_block_walk_matches_recursive_oracle_exactly(n, r):
         for _, amplitude in ending:
             total += amplitude
         assert _exact([transition_amplitude(circuit, start, final)]) == _exact([total])
+
+
+# blocks of 4**6 paths: R below and at 6 (one block), and above it
+# (blocks split at each gate from the seventh on)
+@pytest.mark.parametrize("r", [0, 1, 2, 5, 6, 7, 9])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_block_walk_matches_recursive_oracle_exactly(n, r):
+    rng = np.random.default_rng(1000 * n + r)
+    circuit = _random_circuit(n, r, 1000 * n + r)
+    starts = [int(rng.integers(2**n))] if r == 9 else [0, 2**n - 1, int(rng.integers(2**n))]
+    _assert_matches_recursive_oracle(circuit, starts, rng)
+
+
+# shrunken blocks split at every depth from the first gate on, cheaply
+@pytest.mark.parametrize("block_paths", [4, 16])
+@pytest.mark.parametrize("r", range(7))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_small_block_walk_matches_recursive_oracle_exactly(monkeypatch, n, r, block_paths):
+    monkeypatch.setattr(paths_module, "_BLOCK_PATHS", block_paths)
+    rng = np.random.default_rng(100 * n + r)
+    circuit = _random_circuit(n, r, 100 * n + r)
+    _assert_matches_recursive_oracle(circuit, [0, 2**n - 1, int(rng.integers(2**n))], rng)
+
+
+def test_block_walk_takes_one_gate_step_per_block(monkeypatch):
+    # 6 steps fill the first 4**6-path block; at each of gates 7-10 every
+    # block splits and each quarter takes one step: 4, 16, 64, 256 steps
+    circuit = _random_circuit(4, 10, 19)
+    steps = 0
+    branch = paths_module._branch
+
+    def counting_branch(*args):
+        nonlocal steps
+        steps += 1
+        return branch(*args)
+
+    monkeypatch.setattr(paths_module, "_branch", counting_branch)
+    sizes = [len(amplitudes) for _, amplitudes in
+             paths_module._circuit_blocks(circuit, 0, paths_module.DEFAULT_PATH_CAP)]
+    assert max(sizes) <= paths_module._BLOCK_PATHS
+    assert sum(sizes) == 4**10
+    assert steps == 6 + 4 + 4**2 + 4**3 + 4**4 == 346
 
 
 def test_block_walk_yields_zero_amplitude_branches_like_the_oracle():
