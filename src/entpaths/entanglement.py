@@ -7,9 +7,11 @@
     computed by the alternating single-site fit of Wei & Goldbart (PRA 68,
     042307, 2003).  One private routine fits a whole stack of same-size
     states, every (state, restart) pair a row of one batch, from start
-    vectors cached per (n, restarts); geometric_entanglement fits one
-    state with it and trajectories.trajectory fits every state of a path in
-    one call.
+    vectors cached per (n, restarts); the rows still running are kept as
+    compacted arrays, and each row's value is the one it would get alone.
+    geometric_entanglement fits one state with it, and
+    trajectories.trajectory fits every state of a path in one call (the
+    harness lays all of a target's record paths end to end for that call).
 
 Measure names which of the two a trajectory or a config refers to.
 """
@@ -125,10 +127,13 @@ def _product_fit(amplitudes: np.ndarray, num_qubits: int,
     whether any of its restarts converged.  Every (state, restart) pair is
     one row of a single batch: one einsum per site updates every row still
     running, and each row stops on its own once a sweep moves its overlap
-    by less than GEO_TOL.  Row (s, k) starts from restart k's cached start
-    vectors; a site whose environment vanishes is re-drawn from restart k's
-    generator, continued past the start draw, so a state's value does not
-    depend on the other states in the stack.
+    by less than GEO_TOL.  The running rows' states, conjugated site
+    vectors, overlaps and row ids are compacted arrays updated in place;
+    after each sweep the rows that converged write their overlaps back and
+    leave them.  Row (s, k) starts from restart k's cached start vectors; a
+    site whose environment vanishes is re-drawn from restart k's generator,
+    continued past the start draw, so a state's value does not depend on
+    the other states in the stack.
     """
     n = num_qubits
     if n < 2:
@@ -137,35 +142,44 @@ def _product_fit(amplitudes: np.ndarray, num_qubits: int,
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     num_states = len(amplitudes)
     psi = np.asarray(amplitudes).reshape((num_states,) + (2,) * n)
-    vectors = np.tile(_start_vectors(n, restarts), (num_states, 1, 1))  # (row, site, 2)
-    overlap = np.zeros(num_states * restarts)
-    previous = np.full(overlap.size, -1.0)
-    active = np.arange(overlap.size)
+    stopped = np.zeros(num_states * restarts)  # each row's overlap, once it stops
+    rows = np.arange(stopped.size)
+    local = np.repeat(psi, restarts, axis=0)
+    conj = np.tile(_start_vectors(n, restarts), (num_states, 1, 1)).conj()  # (row, site, 2)
+    overlap = np.zeros(rows.size)
+    previous = np.full(rows.size, -1.0)
     redraw: dict[int, np.random.Generator] = {}
     for _ in range(GEO_MAX_SWEEPS):
-        local = psi[active // restarts]
         for site in range(n):
-            conj = vectors[active].conj()
             others = [operand for m in range(n) if m != site
                       for operand in (conj[:, m], [n, m])]
             w = np.einsum(local, [n, *range(n)], *others, [n, site])
             norm = np.linalg.norm(w, axis=1)
             fit = norm >= 1e-15
-            vectors[active[fit], site] = w[fit] / norm[fit, None]
-            overlap[active[fit]] = norm[fit]
-            for row in active[~fit]:
-                if row not in redraw:
-                    redraw[row] = _redraw_generator(n, row % restarts)
-                vectors[row, site] = _unit_draw(redraw[row], ())
-        done = np.abs(overlap[active] - previous[active]) < GEO_TOL
-        previous[active] = overlap[active]
-        active = active[~done]
-        if not active.size:
-            break
-    running = np.zeros(overlap.size, dtype=bool)
-    running[active] = True  # rows leave `active` only by converging
-    converged = ~running.reshape(num_states, restarts).all(axis=1)
-    best = overlap.reshape(num_states, restarts).max(axis=1)
+            if fit.all():
+                np.conjugate(w / norm[:, None], out=conj[:, site])
+            else:
+                conj[fit, site] = (w[fit] / norm[fit, None]).conj()
+                for i in np.flatnonzero(~fit):
+                    row = int(rows[i])
+                    if row not in redraw:
+                        redraw[row] = _redraw_generator(n, row % restarts)
+                    conj[i, site] = _unit_draw(redraw[row], ()).conj()
+            np.copyto(overlap, norm, where=fit)
+        done = np.abs(overlap - previous) < GEO_TOL
+        previous = overlap.copy()
+        if done.any():
+            stopped[rows[done]] = overlap[done]
+            running = ~done
+            local, conj, rows, overlap, previous = (
+                a[running] for a in (local, conj, rows, overlap, previous))
+            if not rows.size:
+                break
+    stopped[rows] = overlap
+    unconverged = np.zeros(stopped.size, dtype=bool)
+    unconverged[rows] = True  # rows leave the batch only by converging
+    converged = ~unconverged.reshape(num_states, restarts).all(axis=1)
+    best = stopped.reshape(num_states, restarts).max(axis=1)
     return [max(0.0, 1.0 - float(b) ** 2) for b in best], converged
 
 

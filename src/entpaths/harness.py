@@ -4,11 +4,13 @@ One ExperimentConfig carries every setting through the harness, and is
 itself the SearchSettings of every synthesis search.  For each target
 state the harness estimates its minimum gate count r_star, gathers
 successful synthesis solutions at r_star and above, scores every solution
-by the total-variation sum of its entanglement trajectory, bins those sums,
-and marks the target a success iff some optimal-gate-count solution lands
-in the minimum observed bin.  Aggregates report the empirical success rate
-with a binomial confidence interval, plus a rank-correlation statistic
-between bin and gate count (reported, never asserted).
+by the total-variation sum of its entanglement trajectory (all of a
+target's solutions in one trajectory call, their state paths laid end to
+end), bins those sums, and marks the target a success iff some
+optimal-gate-count solution lands in the minimum observed bin.  Aggregates
+report the empirical success rate with a binomial confidence interval, plus
+a rank-correlation statistic between bin and gate count (reported, never
+asserted).
 
 Everything is deterministic for a fixed config and seed: per-target seeds
 derive from (root seed, target index) and aggregation is by sorted target
@@ -25,13 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .canonical import write_csv
-from .core import (
-    MAX_QUBITS,
-    Circuit,
-    StateVector,
-    load_state,
-    run_circuit,
-)
+from .core import MAX_QUBITS, StateVector, load_state, run_circuit
 from .entanglement import GEO_RESTARTS, Measure
 from .synthesis import (
     ComplexityEstimate,
@@ -43,7 +39,8 @@ from .synthesis import (
     optimize_gates_collect,
     sample_target,
 )
-from .trajectories import measure_state, path_entanglement_sum, trajectory
+from .trajectories import (TrajectoryMeasureError, measure_state, path_entanglement_sum,
+                           trajectory)
 from .validation import (ConfigError, check_fields, cut_field, int_field,
                          measure_field, need, number_field)
 
@@ -74,22 +71,6 @@ class PathFamilyRecord:
     architecture: tuple[tuple[int, int], ...]
 
 
-def _record_from_circuit(record_id: str, circuit: Circuit, achieved: float,
-                         r_star: int, config: ExperimentConfig) -> PathFamilyRecord:
-    total = path_entanglement_sum(trajectory(
-        run_circuit(circuit), config.measure, cut=config.cut,
-        geo_restarts=config.geo_restarts))
-    return PathFamilyRecord(
-        record_id=record_id,
-        r=circuit.num_gates,
-        sum_value=total,
-        family_bin=family_bin_of(total, config.delta_bin),
-        is_optimal_r=circuit.num_gates == r_star,
-        achieved_fidelity=achieved,
-        architecture=tuple(g.qubit_pair for g in circuit.gates),
-    )
-
-
 def collect_families(config: ExperimentConfig, target: StateVector,
                      estimate: ComplexityEstimate, seed,
                      target_id: str) -> list[PathFamilyRecord]:
@@ -104,23 +85,49 @@ def collect_families(config: ExperimentConfig, target: StateVector,
     when no irreducible layout of that length exists or none reaches the
     target.  Gate counts below r_star are not searched: the exhaustive
     search below r_star already failed, so they hold no solutions.
+
+    Once every solution is collected, their state paths are laid end to end
+    and scored in one trajectory call, which gives each state the value it
+    would get alone; each record's sum is taken over its own slice.  A
+    scoring failure raises TrajectoryMeasureError at the step within the
+    failing record, naming its record id, chained to the measure's error.
     """
     r_star = estimate.r_star
-    records = [_record_from_circuit(f"{target_id}-r{r_star}-witness", estimate.witness,
-                                    estimate.achieved_fidelity, r_star, config)]
+    solutions = [(f"{target_id}-r{r_star}-witness", estimate.witness,
+                  estimate.achieved_fidelity)]
     for r in range(max(r_star, 1), config.r_max + 1):
         collected_r = 0
         for ai, arch in enumerate(enumerate_architectures(target.num_qubits, r)):
             if collected_r >= config.samples_per_r:
                 break
-            solutions = optimize_gates_collect(
-                arch, target, config, _seed_key(seed, r, ai),
-                config.samples_per_r - collected_r)
-            for result in solutions:
-                record_id = f"{target_id}-r{r}-a{ai:02d}-k{result.best_restart:02d}"
-                records.append(_record_from_circuit(
-                    record_id, result.circuit, result.achieved_fidelity, r_star, config))
+            for result in optimize_gates_collect(
+                    arch, target, config, _seed_key(seed, r, ai),
+                    config.samples_per_r - collected_r):
+                solutions.append((f"{target_id}-r{r}-a{ai:02d}-k{result.best_restart:02d}",
+                                  result.circuit, result.achieved_fidelity))
                 collected_r += 1
+    paths = [run_circuit(circuit) for _, circuit, _ in solutions]
+    starts = np.cumsum([0] + [len(path) for path in paths])
+    try:
+        values = trajectory([state for path in paths for state in path], config.measure,
+                            cut=config.cut, geo_restarts=config.geo_restarts)
+    except TrajectoryMeasureError as exc:
+        i = int(np.searchsorted(starts, exc.step, side="right")) - 1
+        raise TrajectoryMeasureError(
+            exc.step - int(starts[i]), f"record {solutions[i][0]}: {exc.__cause__}"
+        ) from exc.__cause__
+    records = []
+    for (record_id, circuit, achieved), begin, end in zip(solutions, starts, starts[1:]):
+        total = path_entanglement_sum(values[begin:end])
+        records.append(PathFamilyRecord(
+            record_id=record_id,
+            r=circuit.num_gates,
+            sum_value=total,
+            family_bin=family_bin_of(total, config.delta_bin),
+            is_optimal_r=circuit.num_gates == r_star,
+            achieved_fidelity=achieved,
+            architecture=tuple(g.qubit_pair for g in circuit.gates),
+        ))
     return records
 
 

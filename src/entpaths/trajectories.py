@@ -8,7 +8,9 @@ the largest single step, and export_trajectory writes the values as CSV.
 Every state of a path is scored in one batch (one product-state fit under
 the geometric measure, one SVD under von Neumann), so a trajectory costs
 one set-up, not one per state; a step whose geometric fit does not
-converge still fails as that step.
+converge still fails as that step.  Since each state is scored as if
+alone, several paths laid end to end score as each path alone, which is
+how the harness scores all of a target's records in one call.
 """
 from __future__ import annotations
 
@@ -57,9 +59,10 @@ def trajectory(path: Sequence[StateVector], measure: Measure = Measure.GEOMETRIC
     Every state of the path goes into one batch, the product-state fit
     under the geometric measure and the Schmidt-coefficient entropy under
     von Neumann, with the values that geometric_entanglement or
-    von_neumann_entropy give each state alone.  A failure raises
-    TrajectoryMeasureError for the first step that fails, chained to the
-    measure's own error.
+    von_neumann_entropy give each state alone.  So several paths laid end
+    to end in `path` get, slice by slice, the values each path gets alone.
+    A failure raises TrajectoryMeasureError for the first step that fails,
+    chained to the measure's own error.
     """
     values: list[float] = []
     try:

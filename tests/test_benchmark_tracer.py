@@ -5,7 +5,8 @@ recognises the ascent's early stop by its class name, so renaming either
 would break the traced benchmark runs; this check fails first.  It also
 wraps the package's layer functions by name, and a layer that the
 pipeline stops calling would read 0 in the per-layer metrics, so one
-target's evaluation must pass through each of them.
+target's evaluation must pass through each of them, and score all of its
+records in a single trajectory call.
 """
 import importlib.util
 from pathlib import Path
@@ -66,3 +67,6 @@ def test_one_target_passes_through_every_traced_layer():
                  "harness.evaluate_target", "harness.collect_families",
                  "trajectories.trajectory"):
         assert tracer.counters[name + ".calls"] >= 1, name
+    # the target's records are scored together, in one trajectory call
+    assert len(outcome.records) > 1
+    assert tracer.counters["trajectories.trajectory.calls"] == 1

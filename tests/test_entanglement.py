@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from entpaths import entanglement
-from entpaths.core import StateVector
+from entpaths.core import (StateVector, random_architecture, random_circuit,
+                           run_circuit)
 from entpaths.entanglement import (ProductFitConvergenceError,
                                    geometric_entanglement, von_neumann_entropy)
 
@@ -121,6 +122,36 @@ def test_batched_fit_matches_loop_oracle(name, restarts, seed, request, monkeypa
         state.amplitudes, state.num_qubits, restarts=restarts, start_vectors=starts)
     assert converged
     assert abs(value - reference) <= 1e-12
+
+
+def _vanishing_environment_state(restarts, k):
+    """|0> (x) u (x) |0>, u orthogonal to restart k's start vector on site 1:
+    the first environment of site 0 vanishes for restart k alone."""
+    v = entanglement._start_vectors(3, restarts)[k, 1]
+    u = np.array([-np.conj(v[1]), np.conj(v[0])])
+    return np.kron(np.kron([1.0, 0.0], u), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("sweeps", [1, 2, 3, 1000])
+def test_compacted_rows_fit_each_state_as_if_alone(monkeypatch, sweeps):
+    restarts = 4
+    rng = np.random.default_rng(17)
+    path = run_circuit(random_circuit(3, random_architecture(3, 3, rng), rng))
+    stack = np.stack([state.amplitudes for state in path[:2]]
+                     + [_vanishing_environment_state(restarts, 1)]
+                     + [state.amplitudes for state in path[2:]])
+    first_step = np.einsum("abc,b,c->a", stack[2].reshape(2, 2, 2),
+                           *entanglement._start_vectors(3, restarts)[1, 1:].conj())
+    assert np.linalg.norm(first_step) < 1e-15
+    monkeypatch.setattr(entanglement, "GEO_MAX_SWEEPS", sweeps)
+    values, converged = entanglement._product_fit(stack, 3, restarts)
+    for amplitudes, value, ok in zip(stack, values, converged):
+        alone, alone_ok = entanglement._product_fit(amplitudes[None], 3, restarts)
+        assert (value, ok) == (alone[0], alone_ok[0])
+        reference, reference_ok = oracles.geometric_entanglement_loop(
+            amplitudes, 3, restarts=restarts, max_sweeps=sweeps)
+        assert ok == reference_ok
+        assert abs(value - reference) <= 1e-12
 
 
 def test_unconverged_fit_raises_with_the_best_value(monkeypatch, w3):

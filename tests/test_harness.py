@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from entpaths import harness
+from entpaths import entanglement, harness
 from entpaths.canonical import canonical_json
-from entpaths.core import StateVector, save_state
-from entpaths.entanglement import Measure
-from entpaths.harness import (ConfigError, ExperimentConfig, collect_families,
-                              evaluate_target, family_bin_of, report_to_dict,
-                              spearman_rank_correlation, wilson_interval,
-                              write_records_csv)
-from entpaths.synthesis import SearchSettings, estimate_state_complexity
+from entpaths.core import StateVector, run_circuit, save_state
+from entpaths.entanglement import Measure, ProductFitConvergenceError
+from entpaths.harness import (ConfigError, ExperimentConfig, PathFamilyRecord,
+                              collect_families, evaluate_target, family_bin_of,
+                              report_to_dict, spearman_rank_correlation,
+                              wilson_interval, write_records_csv)
+from entpaths.synthesis import (SearchSettings, enumerate_architectures,
+                                estimate_state_complexity, optimize_gates_collect,
+                                sample_target)
+from entpaths.trajectories import (TrajectoryMeasureError, path_entanglement_sum,
+                                   trajectory)
 
 import oracles
 
@@ -229,6 +233,96 @@ def test_collect_families_skips_r_below_r_star():
     records = collect_families(family_config(3, r_max=2, samples_per_r=2),
                                target, estimate, 3, "t")
     assert all(rec.r >= 2 for rec in records)
+
+
+def _collect_scoring_each_record(config, target, estimate, seed, target_id):
+    """collect_families with one trajectory call per record: the slow path
+    the batched scoring replaces, kept as its reference."""
+    def record(record_id, circuit, achieved):
+        total = path_entanglement_sum(trajectory(
+            run_circuit(circuit), config.measure, cut=config.cut,
+            geo_restarts=config.geo_restarts))
+        return PathFamilyRecord(
+            record_id=record_id, r=circuit.num_gates, sum_value=total,
+            family_bin=family_bin_of(total, config.delta_bin),
+            is_optimal_r=circuit.num_gates == estimate.r_star,
+            achieved_fidelity=achieved,
+            architecture=tuple(g.qubit_pair for g in circuit.gates))
+
+    records = [record(f"{target_id}-r{estimate.r_star}-witness", estimate.witness,
+                      estimate.achieved_fidelity)]
+    for r in range(max(estimate.r_star, 1), config.r_max + 1):
+        collected = 0
+        for ai, arch in enumerate(enumerate_architectures(target.num_qubits, r)):
+            if collected >= config.samples_per_r:
+                break
+            for result in optimize_gates_collect(arch, target, config, (seed, r, ai),
+                                                 config.samples_per_r - collected):
+                records.append(record(f"{target_id}-r{r}-a{ai:02d}-k{result.best_restart:02d}",
+                                      result.circuit, result.achieved_fidelity))
+                collected += 1
+    return records
+
+
+def _family_case(num_qubits, measure, cut, key=35):
+    """A two-gate target, its estimate, and a config one gate past r_star."""
+    target, _ = sample_target(num_qubits, 2, (key, num_qubits))
+    search = SearchSettings(restarts=8, iterations=500)
+    estimate = estimate_state_complexity(target, search, seed=4)
+    doc = {"n": num_qubits, "targets": {"count": 1, "r_gen": 2},
+           "budget": {"restarts": 8, "iters": 500}, "r_max": estimate.r_star + 1,
+           "samples_per_r": 2, "geo_restarts": 8, "measure": measure}
+    if cut is not None:
+        doc["cut"] = list(cut)
+    return ExperimentConfig.from_dict(doc), target, estimate
+
+
+@pytest.mark.parametrize("num_qubits, measure, cut, key", [
+    (3, "geometric", None, 35), (3, "vonneumann", (1,), 35),
+    (4, "vonneumann", (0, 1), 32)])
+def test_batched_scoring_matches_one_trajectory_call_per_record(num_qubits, measure,
+                                                                cut, key):
+    config, target, estimate = _family_case(num_qubits, measure, cut, key)
+    assert estimate.r_star == 2
+    records = collect_families(config, target, estimate, 7, "t")
+    expected = _collect_scoring_each_record(config, target, estimate, 7, "t")
+    assert {rec.r for rec in records} == {2, 3}
+    assert all(rec.sum_value > 0.1 for rec in records)
+    # dataclass equality compares every field, the floats by ==
+    assert records == expected
+
+
+def test_a_record_that_fails_to_score_fails_as_that_record(monkeypatch):
+    config, target, estimate = _family_case(3, "geometric", None)
+    paths = []
+    monkeypatch.setattr(harness, "run_circuit",
+                        lambda circuit: paths.append(run_circuit(circuit)) or paths[-1])
+    records = collect_families(config, target, estimate, 7, "t")
+    assert len(paths) == len(records)
+    # the fewest sweeps at which some record after the first fails alone
+    for sweeps in range(2, 40):
+        monkeypatch.setattr(entanglement, "GEO_MAX_SWEEPS", sweeps)
+        alone = []
+        for path in paths:
+            try:
+                trajectory(path, geo_restarts=config.geo_restarts)
+            except TrajectoryMeasureError as exc:
+                alone.append(exc)
+                break
+            alone.append(None)
+        if alone[-1] is not None and len(alone) > 1:
+            break
+    else:
+        pytest.fail("no sweep count fails a record after the first")
+    failing, expected = len(alone) - 1, alone[-1]
+    with pytest.raises(TrajectoryMeasureError) as err:
+        collect_families(config, target, estimate, 7, "t")
+    # the step within the failing record, not an offset into the stacked states
+    assert err.value.step == expected.step
+    assert records[failing].record_id in str(err.value)
+    cause = err.value.__cause__
+    assert isinstance(cause, ProductFitConvergenceError)
+    assert cause.best_value == expected.__cause__.best_value
 
 
 # --- per-target evaluation and the full experiment ------------------------
