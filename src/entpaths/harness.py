@@ -3,7 +3,9 @@
 One ExperimentConfig carries every setting through the harness, and is
 itself the SearchSettings of every synthesis search.  For each target
 state the harness estimates its minimum gate count r_star, gathers
-successful synthesis solutions at r_star and above, scores every solution
+successful synthesis solutions at r_star and above from the estimate's
+seed (at r_star the walk resumes the search's layouts where it stopped, so
+the first solution there is the search's witness), scores every solution
 by the total-variation sum of its entanglement trajectory (all of a
 target's solutions in one trajectory call, their state paths laid end to
 end), bins those sums, and marks the target a success iff some
@@ -33,6 +35,7 @@ from .synthesis import (
     ComplexityEstimate,
     ComplexityNotFound,
     SearchSettings,
+    _architectures_for,
     _seed_key,
     enumerate_architectures,
     estimate_state_complexity,
@@ -77,14 +80,23 @@ def collect_families(config: ExperimentConfig, target: StateVector,
     """Gather successful synthesis solutions from r_star up to config.r_max.
 
     Every search and scoring setting (the search settings, samples_per_r,
-    delta_bin, measure, cut, geo_restarts) is read from `config`.  The
-    estimate's witness is always included as a record; at each r the
-    irreducible canonical architectures are searched in order and every
-    restart that reaches the fidelity threshold contributes a record (up to
-    samples_per_r per r).  A gate count may give no records at all, e.g.
-    when no irreducible layout of that length exists or none reaches the
-    target.  Gate counts below r_star are not searched: the exhaustive
-    search below r_star already failed, so they hold no solutions.
+    delta_bin, measure, cut, geo_restarts) is read from `config`; its search
+    settings and `seed` must be those `estimate` was searched with.  At each
+    gate count r a list of layouts is walked in order, layout i searched
+    from seed (seed, r, i), and every restart that reaches the fidelity
+    threshold contributes a record, up to samples_per_r per r.  At r_star
+    the list is the one the search walked there (subsampled to
+    max_architectures as it was) and the walk starts at the witness's
+    layout, so its first record is the witness, replayed from the restart
+    that found it; r_star keeps at least that record.  Above r_star, which
+    the search never reached, the list is every irreducible canonical
+    layout in sorted order, unsubsampled: a subsample would put a random
+    layout first, and one that cannot reach the target burns its whole
+    restart budget.  The empty witness of r_star = 0 has no layout and is
+    its own record.  A gate count may give no records at all, e.g. when no
+    irreducible layout of that length exists or none reaches the target.
+    Gate counts below r_star are not walked: the search found no solution
+    on the layouts it tried there.
 
     Once every solution is collected, their state paths are laid end to end
     and scored in one trajectory call, which gives each state the value it
@@ -93,16 +105,24 @@ def collect_families(config: ExperimentConfig, target: StateVector,
     failing record, naming its record id, chained to the measure's error.
     """
     r_star = estimate.r_star
-    solutions = [(f"{target_id}-r{r_star}-witness", estimate.witness,
-                  estimate.achieved_fidelity)]
+    solutions = []
+    if r_star == 0:
+        solutions.append((f"{target_id}-r0-witness", estimate.witness,
+                          estimate.achieved_fidelity))
     for r in range(max(r_star, 1), config.r_max + 1):
+        first, wanted = 0, config.samples_per_r
+        if r == r_star:
+            archs, _ = _architectures_for(target.num_qubits, r, seed, config.max_architectures)
+            first = archs.index(tuple(g.qubit_pair for g in estimate.witness.gates))
+            wanted = max(wanted, 1)
+        else:
+            archs = enumerate_architectures(target.num_qubits, r)
         collected_r = 0
-        for ai, arch in enumerate(enumerate_architectures(target.num_qubits, r)):
-            if collected_r >= config.samples_per_r:
+        for ai in range(first, len(archs)):
+            if collected_r >= wanted:
                 break
             for result in optimize_gates_collect(
-                    arch, target, config, _seed_key(seed, r, ai),
-                    config.samples_per_r - collected_r):
+                    archs[ai], target, config, _seed_key(seed, r, ai), wanted - collected_r):
                 solutions.append((f"{target_id}-r{r}-a{ai:02d}-k{result.best_restart:02d}",
                                   result.circuit, result.achieved_fidelity))
                 collected_r += 1
@@ -304,16 +324,16 @@ def evaluate_target(config: ExperimentConfig, index: int) -> TargetOutcome:
     entanglement = measure_state(target, config.measure, cut=config.cut,
                                  geo_restarts=config.geo_restarts)
     degenerate = entanglement < DEGENERATE_ENTANGLEMENT
-    estimate = estimate_state_complexity(target, config, _seed_key(config.seed, index, 2))
+    seed = _seed_key(config.seed, index, 2)
+    estimate = estimate_state_complexity(target, config, seed)
     if isinstance(estimate, ComplexityNotFound):
         return TargetOutcome(
             target_id=target_id, r_gen=r_gen, target_entanglement=entanglement,
             degenerate=degenerate,
             best_fidelity_per_r=tuple(sorted(estimate.best_fidelity_per_r.items())))
-    records = tuple(collect_families(config, target, estimate,
-                                     _seed_key(config.seed, index, 3), target_id))
+    records = tuple(collect_families(config, target, estimate, seed, target_id))
     min_bin = min(rec.family_bin for rec in records)
-    # the witness record has r == r_star, so this minimum is never empty
+    # r_star's first record is the witness, so this minimum is never empty
     min_bin_optimal_r = min(rec.family_bin for rec in records if rec.is_optimal_r)
     success = min_bin_optimal_r == min_bin
     spearman = spearman_rank_correlation(

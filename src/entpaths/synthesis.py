@@ -47,6 +47,7 @@ from .core import (
     ResourceCapError,
     StateVector,
     TwoQubitGate,
+    _is_int,
     all_pairs,
     fidelity,
     gather_index,
@@ -242,8 +243,11 @@ class SearchSettings:
         if not 0.0 < self.fidelity_tol < 1.0:
             raise ValueError(f"fidelity_tol must be in (0, 1), got {self.fidelity_tol}")
         for name in ("r_max", "restarts", "iterations", "max_architectures"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     @property
     def threshold(self) -> float:

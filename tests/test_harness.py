@@ -8,15 +8,15 @@ import scipy.stats
 
 from entpaths import entanglement, harness
 from entpaths.canonical import canonical_json
-from entpaths.core import StateVector, run_circuit, save_state
+from entpaths.core import StateVector, random_circuit, run_circuit, save_state
 from entpaths.entanglement import Measure, ProductFitConvergenceError
 from entpaths.harness import (ConfigError, ExperimentConfig, PathFamilyRecord,
                               collect_families, evaluate_target, family_bin_of,
                               report_to_dict, spearman_rank_correlation,
                               wilson_interval, write_records_csv)
-from entpaths.synthesis import (SearchSettings, enumerate_architectures,
-                                estimate_state_complexity, optimize_gates_collect,
-                                sample_target)
+from entpaths.synthesis import (SearchSettings, _architectures_for, _seed_key,
+                                enumerate_architectures, estimate_state_complexity,
+                                optimize_gates, optimize_gates_collect, sample_target)
 from entpaths.trajectories import (TrajectoryMeasureError, path_entanglement_sum,
                                    trajectory)
 
@@ -180,8 +180,10 @@ def test_collect_families_on_bell(bell):
         bell, SearchSettings(restarts=8, iterations=500), seed=5)
     assert estimate.r_star == 1
     records = collect_families(family_config(2, r_max=2, samples_per_r=3),
-                               bell, estimate, 9, "bell")
-    assert records[0].record_id == "bell-r1-witness"
+                               bell, estimate, 5, "bell")
+    # the one layout runs one restart, so r_star holds the witness alone
+    assert [rec.record_id for rec in records] == ["bell-r1-a00-k00"]
+    assert records[0].achieved_fidelity == estimate.achieved_fidelity
     # on two qubits every layout of two or more gates repeats the one pair,
     # so r = 2 has no irreducible layout and gives no records
     assert {rec.r for rec in records} == {1}
@@ -198,12 +200,11 @@ def test_collect_families_on_bell(bell):
 def test_collect_families_above_r_star_uses_irreducible_layouts():
     target = StateVector(
         3, np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
-    estimate = estimate_state_complexity(
-        target, SearchSettings(restarts=16, iterations=800), seed=2)
+    config = family_config(3, r_max=3, samples_per_r=3)
+    estimate = estimate_state_complexity(target, config, seed=2)
     assert estimate.r_star == 2
-    records = collect_families(family_config(3, r_max=3, samples_per_r=3),
-                               target, estimate, 9, "t")
-    assert records[0].record_id == "t-r2-witness"
+    records = collect_families(config, target, estimate, 2, "t")
+    assert records[0].record_id.startswith("t-r2-a")
     by_r = {}
     for rec in records:
         by_r.setdefault(rec.r, []).append(rec)
@@ -218,8 +219,8 @@ def test_collect_families_is_deterministic(bell):
     estimate = estimate_state_complexity(
         bell, SearchSettings(restarts=8, iterations=500), seed=5)
     config = family_config(2, r_max=2, samples_per_r=2)
-    a = collect_families(config, bell, estimate, 9, "x")
-    b = collect_families(config, bell, estimate, 9, "x")
+    a = collect_families(config, bell, estimate, 5, "x")
+    b = collect_families(config, bell, estimate, 5, "x")
     assert [(r.record_id, r.sum_value, r.family_bin) for r in a] == \
            [(r.record_id, r.sum_value, r.family_bin) for r in b]
 
@@ -227,11 +228,10 @@ def test_collect_families_is_deterministic(bell):
 def test_collect_families_skips_r_below_r_star():
     target = StateVector(
         3, np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
-    estimate = estimate_state_complexity(
-        target, SearchSettings(restarts=16, iterations=800), seed=2)
+    config = family_config(3, r_max=2, samples_per_r=2)
+    estimate = estimate_state_complexity(target, config, seed=3)
     assert estimate.r_star == 2
-    records = collect_families(family_config(3, r_max=2, samples_per_r=2),
-                               target, estimate, 3, "t")
+    records = collect_families(config, target, estimate, 3, "t")
     assert all(rec.r >= 2 for rec in records)
 
 
@@ -249,23 +249,122 @@ def _collect_scoring_each_record(config, target, estimate, seed, target_id):
             achieved_fidelity=achieved,
             architecture=tuple(g.qubit_pair for g in circuit.gates))
 
-    records = [record(f"{target_id}-r{estimate.r_star}-witness", estimate.witness,
-                      estimate.achieved_fidelity)]
+    records = []
+    if estimate.r_star == 0:
+        records.append(record(f"{target_id}-r0-witness", estimate.witness,
+                              estimate.achieved_fidelity))
+    witness_layout = tuple(g.qubit_pair for g in estimate.witness.gates)
     for r in range(max(estimate.r_star, 1), config.r_max + 1):
+        first, wanted = 0, config.samples_per_r
+        if r == estimate.r_star:
+            archs, _ = _architectures_for(target.num_qubits, r, seed, config.max_architectures)
+            first, wanted = archs.index(witness_layout), max(wanted, 1)
+        else:
+            archs = enumerate_architectures(target.num_qubits, r)
         collected = 0
-        for ai, arch in enumerate(enumerate_architectures(target.num_qubits, r)):
-            if collected >= config.samples_per_r:
+        for ai in range(first, len(archs)):
+            if collected >= wanted:
                 break
-            for result in optimize_gates_collect(arch, target, config, (seed, r, ai),
-                                                 config.samples_per_r - collected):
+            for result in optimize_gates_collect(archs[ai], target, config, (seed, r, ai),
+                                                 wanted - collected):
                 records.append(record(f"{target_id}-r{r}-a{ai:02d}-k{result.best_restart:02d}",
                                       result.circuit, result.achieved_fidelity))
                 collected += 1
     return records
 
 
+def _split_pairs_case(samples_per_r):
+    """A target made by gates on (0, 1) and then (2, 3): of the four-qubit
+    two-gate layouts only ((0, 1), (2, 3)) reaches it, and four precede it.
+    Returns the config (r_max one past r_star), target and estimate."""
+    rng = np.random.default_rng(61)
+    target = run_circuit(random_circuit(4, ((0, 1), (2, 3)), rng))[-1]
+    config = ExperimentConfig.from_dict({
+        "n": 4, "targets": {"count": 1, "r_gen": 2}, "budget": {"restarts": 4, "iters": 200},
+        "r_max": 3, "samples_per_r": samples_per_r, "geo_restarts": 8})
+    return config, target, estimate_state_complexity(target, config, 6)
+
+
+def test_the_first_r_star_record_is_the_witness_replayed():
+    config, target, estimate = _split_pairs_case(samples_per_r=2)
+    assert estimate.r_star == 2
+    layout = tuple(g.qubit_pair for g in estimate.witness.gates)
+    assert layout == ((0, 1), (2, 3))
+    archs, _ = _architectures_for(4, 2, 6, config.max_architectures)
+    ai = archs.index(layout)
+    assert ai == 4
+    k = optimize_gates(layout, target, config, _seed_key(6, 2, ai)).best_restart
+    records = collect_families(config, target, estimate, 6, "t")
+    first = records[0]
+    assert first.record_id == f"t-r2-a{ai:02d}-k{k:02d}"
+    assert first.architecture == layout
+    assert first.achieved_fidelity == estimate.achieved_fidelity
+    witness_sum = path_entanglement_sum(trajectory(
+        run_circuit(estimate.witness), config.measure, geo_restarts=config.geo_restarts))
+    assert first.sum_value == witness_sum
+    assert [rec.r for rec in records].count(2) == 2
+
+
+def test_collection_at_r_star_starts_at_the_witness_layout(monkeypatch):
+    config, target, estimate = _split_pairs_case(samples_per_r=2)
+    archs, _ = _architectures_for(4, estimate.r_star, 6, config.max_architectures)
+    witness_index = archs.index(tuple(g.qubit_pair for g in estimate.witness.gates))
+    searched = []
+
+    def spy(slots, *args):
+        searched.append(tuple(slots))
+        return optimize_gates_collect(slots, *args)
+
+    monkeypatch.setattr(harness, "optimize_gates_collect", spy)
+    collect_families(config, target, estimate, 6, "t")
+    at_r_star = [archs.index(slots) for slots in searched if len(slots) == estimate.r_star]
+    assert at_r_star[0] == witness_index
+    assert min(at_r_star) == witness_index
+    assert any(len(slots) == estimate.r_star + 1 for slots in searched)
+
+
+def test_no_samples_per_r_keeps_the_witness_alone():
+    config, target, estimate = _split_pairs_case(samples_per_r=0)
+    records = collect_families(config, target, estimate, 6, "t")
+    assert len(records) == 1
+    assert records[0].r == estimate.r_star and records[0].is_optimal_r
+    assert records[0].achieved_fidelity == estimate.achieved_fidelity
+
+
+def test_r_star_walks_the_search_subsample_and_above_it_every_layout():
+    target = StateVector(
+        3, np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
+    config = ExperimentConfig.from_dict({
+        "n": 3, "targets": {"count": 1, "r_gen": 1}, "budget": {"restarts": 8, "iters": 500},
+        "r_max": 3, "samples_per_r": 2, "max_architectures": 3})
+    estimate = estimate_state_complexity(target, config, seed=2)
+    assert estimate.r_star == 2
+    records = collect_families(config, target, estimate, 2, "t")
+    layout_lists = {2: _architectures_for(3, 2, 2, 3)[0], 3: enumerate_architectures(3, 3)}
+    assert len(layout_lists[2]) == 3 < len(enumerate_architectures(3, 2))
+    assert len(layout_lists[3]) > 3
+    index = [(rec.r, int(rec.record_id.split("-a")[1][:2])) for rec in records]
+    assert [r for r, _ in index] == [2, 2, 3, 3]
+    for rec, (r, ai) in zip(records, index):
+        assert layout_lists[r][ai] == rec.architecture
+    assert index[2] == (3, 0)
+
+
+def test_a_zero_gate_target_keeps_its_witness_record():
+    zero = StateVector.zero_state(2)
+    config = family_config(2, r_max=1, samples_per_r=1)
+    estimate = estimate_state_complexity(zero, config, seed=5)
+    assert estimate.r_star == 0
+    records = collect_families(config, zero, estimate, 5, "z")
+    assert records[0].record_id == "z-r0-witness"
+    assert records[0].r == 0 and records[0].is_optimal_r
+    assert records[0].achieved_fidelity == estimate.achieved_fidelity
+    assert [rec.r for rec in records[1:]] == [1]
+
+
 def _family_case(num_qubits, measure, cut, key=35):
-    """A two-gate target, its estimate, and a config one gate past r_star."""
+    """A two-gate target, its estimate (searched with seed 4), and a config
+    one gate past r_star."""
     target, _ = sample_target(num_qubits, 2, (key, num_qubits))
     search = SearchSettings(restarts=8, iterations=500)
     estimate = estimate_state_complexity(target, search, seed=4)
@@ -284,8 +383,8 @@ def test_batched_scoring_matches_one_trajectory_call_per_record(num_qubits, meas
                                                                 cut, key):
     config, target, estimate = _family_case(num_qubits, measure, cut, key)
     assert estimate.r_star == 2
-    records = collect_families(config, target, estimate, 7, "t")
-    expected = _collect_scoring_each_record(config, target, estimate, 7, "t")
+    records = collect_families(config, target, estimate, 4, "t")
+    expected = _collect_scoring_each_record(config, target, estimate, 4, "t")
     assert {rec.r for rec in records} == {2, 3}
     assert all(rec.sum_value > 0.1 for rec in records)
     # dataclass equality compares every field, the floats by ==
@@ -297,7 +396,7 @@ def test_a_record_that_fails_to_score_fails_as_that_record(monkeypatch):
     paths = []
     monkeypatch.setattr(harness, "run_circuit",
                         lambda circuit: paths.append(run_circuit(circuit)) or paths[-1])
-    records = collect_families(config, target, estimate, 7, "t")
+    records = collect_families(config, target, estimate, 4, "t")
     assert len(paths) == len(records)
     # the fewest sweeps at which some record after the first fails alone
     for sweeps in range(2, 40):
@@ -316,7 +415,7 @@ def test_a_record_that_fails_to_score_fails_as_that_record(monkeypatch):
         pytest.fail("no sweep count fails a record after the first")
     failing, expected = len(alone) - 1, alone[-1]
     with pytest.raises(TrajectoryMeasureError) as err:
-        collect_families(config, target, estimate, 7, "t")
+        collect_families(config, target, estimate, 4, "t")
     # the step within the failing record, not an offset into the stacked states
     assert err.value.step == expected.step
     assert records[failing].record_id in str(err.value)
@@ -436,6 +535,9 @@ def test_report_structure_and_internal_consistency():
                    if rec["is_optimal_r"]]
         assert target["min_bin_optimal_r"] == min(optimal)
         assert target["success"] == (target["min_bin_optimal_r"] == target["min_bin"])
+        # collection replays the search's witness, so it shares its seed
+        first_optimal = next(rec for rec in target["records"] if rec["is_optimal_r"])
+        assert first_optimal["achieved_fidelity"] == target["witness_fidelity"]
     json.loads(canonical_json(doc))  # canonical form is valid JSON
 
 

@@ -469,7 +469,9 @@ def test_sample_target_is_deterministic_and_normalized():
 
 @pytest.mark.parametrize("bad", [
     {"fidelity_tol": 0.0}, {"fidelity_tol": 1.0}, {"r_max": 0}, {"restarts": 0},
-    {"iterations": 0}, {"max_architectures": 0}])
+    {"iterations": 0}, {"max_architectures": 0}, {"r_max": 2.5},
+    {"max_architectures": 2.5}, {"restarts": True}, {"iterations": 8.0},
+    {"r_max": "3"}])
 def test_search_settings_reject_out_of_range_values(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         SearchSettings(**bad)
