@@ -66,8 +66,7 @@ def basis_index(configuration, num_qubits: int) -> int:
 
 def _checked_num_qubits(n) -> int:
     """n as an int in [1, MAX_QUBITS]; a bool is not a qubit count."""
-    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-            or not 1 <= n <= MAX_QUBITS):
+    if not (_is_int(n) and 1 <= n <= MAX_QUBITS):
         raise DimensionMismatchError(
             f"num_qubits must be an int in [1, {MAX_QUBITS}], got {n!r}")
     return int(n)
@@ -332,14 +331,16 @@ def _from_floats(raw, where: str) -> np.ndarray:
     return values[0::2] + 1j * values[1::2]
 
 
-def circuit_to_dict(circuit: Circuit) -> dict:
-    """JSON-ready dict: row-major 4x4 matrices as interleaved re/im floats."""
+def save_circuit(circuit: Circuit, path) -> None:
+    """Write the circuit as JSON: row-major 4x4 matrices as interleaved
+    re/im floats."""
     gates = [{"pair": list(gate.qubit_pair), "matrix": _to_floats(gate.matrix)}
              for gate in circuit.gates]
-    return {"num_qubits": circuit.num_qubits, "gates": gates}
+    write_canonical_json(path, {"num_qubits": circuit.num_qubits, "gates": gates})
 
 
-def circuit_from_dict(doc: dict) -> Circuit:
+def load_circuit(path) -> Circuit:
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or "num_qubits" not in doc or "gates" not in doc:
         raise ValueError("circuit document needs 'num_qubits' and 'gates'")
     try:
@@ -353,27 +354,13 @@ def circuit_from_dict(doc: dict) -> Circuit:
     return Circuit(doc["num_qubits"], gates)
 
 
-def save_circuit(circuit: Circuit, path) -> None:
-    write_canonical_json(path, circuit_to_dict(circuit))
-
-
-def load_circuit(path) -> Circuit:
-    return circuit_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def state_to_dict(state: StateVector) -> dict:
-    return {"num_qubits": state.num_qubits, "amplitudes": _to_floats(state.amplitudes)}
-
-
-def state_from_dict(doc: dict) -> StateVector:
-    if not isinstance(doc, dict) or "num_qubits" not in doc or "amplitudes" not in doc:
-        raise ValueError("state document needs 'num_qubits' and 'amplitudes'")
-    return StateVector(doc["num_qubits"], _from_floats(doc["amplitudes"], "amplitudes"))
-
-
 def save_state(state: StateVector, path) -> None:
-    write_canonical_json(path, state_to_dict(state))
+    write_canonical_json(path, {"num_qubits": state.num_qubits,
+                                "amplitudes": _to_floats(state.amplitudes)})
 
 
 def load_state(path) -> StateVector:
-    return state_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict) or "num_qubits" not in doc or "amplitudes" not in doc:
+        raise ValueError("state document needs 'num_qubits' and 'amplitudes'")
+    return StateVector(doc["num_qubits"], _from_floats(doc["amplitudes"], "amplitudes"))

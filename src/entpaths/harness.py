@@ -4,15 +4,17 @@ One ExperimentConfig carries every setting through the harness, and is
 itself the SearchSettings of every synthesis search.  For each target
 state the harness estimates its minimum gate count r_star, gathers
 successful synthesis solutions at r_star and above from the estimate's
-seed (at r_star the walk resumes the search's layouts where it stopped, so
-the first solution there is the search's witness), scores every solution
-by the total-variation sum of its entanglement trajectory (all of a
-target's solutions in one trajectory call, their state paths laid end to
-end), bins those sums, and marks the target a success iff some
-optimal-gate-count solution lands in the minimum observed bin.  Aggregates
-report the empirical success rate with a binomial confidence interval, plus
-a rank-correlation statistic between bin and gate count (reported, never
-asserted).
+seed, scores every solution by the total-variation sum of its
+entanglement trajectory (all of a target's solutions in one trajectory
+call, their state paths laid end to end), bins those sums, and marks the
+target a success iff some optimal-gate-count solution lands in the
+minimum observed bin.  At each gate count the solutions come from one
+list, every irreducible layout in sorted order, and a layout is known by
+its index there both in the search and in the record ids; at r_star the
+walk starts at the witness's index, so the first solution there is the
+search's witness.  Aggregates report the empirical success rate with a
+binomial confidence interval, plus a rank-correlation statistic between
+bin and gate count (reported, never asserted).
 
 Everything is deterministic for a fixed config and seed: per-target seeds
 derive from (root seed, target index) and aggregation is by sorted target
@@ -35,7 +37,6 @@ from .synthesis import (
     ComplexityEstimate,
     ComplexityNotFound,
     SearchSettings,
-    _architectures_for,
     _seed_key,
     enumerate_architectures,
     estimate_state_complexity,
@@ -82,21 +83,19 @@ def collect_families(config: ExperimentConfig, target: StateVector,
     Every search and scoring setting (the search settings, samples_per_r,
     delta_bin, measure, cut, geo_restarts) is read from `config`; its search
     settings and `seed` must be those `estimate` was searched with.  At each
-    gate count r a list of layouts is walked in order, layout i searched
-    from seed (seed, r, i), and every restart that reaches the fidelity
-    threshold contributes a record, up to samples_per_r per r.  At r_star
-    the list is the one the search walked there (subsampled to
-    max_architectures as it was) and the walk starts at the witness's
-    layout, so its first record is the witness, replayed from the restart
-    that found it; r_star keeps at least that record.  Above r_star, which
-    the search never reached, the list is every irreducible canonical
-    layout in sorted order, unsubsampled: a subsample would put a random
-    layout first, and one that cannot reach the target burns its whole
-    restart budget.  The empty witness of r_star = 0 has no layout and is
-    its own record.  A gate count may give no records at all, e.g. when no
-    irreducible layout of that length exists or none reaches the target.
-    Gate counts below r_star are not walked: the search found no solution
-    on the layouts it tried there.
+    gate count r the list enumerate_architectures(n, r), every irreducible
+    canonical layout in sorted order, is walked in order, layout ai
+    searched from seed (seed, r, ai) as in the search, and every restart
+    that reaches the fidelity threshold contributes a record, up to
+    samples_per_r per r.  The list is never subsampled: a subsample would
+    put a random layout first, and one that cannot reach the target burns
+    its whole restart budget.  At r_star the walk starts at the witness's
+    index, so its first record is the witness, replayed from the restart
+    that found it; r_star keeps at least that record.  The empty witness
+    of r_star = 0 has no layout and is its own record.  A gate count may
+    give no records at all, e.g. when no irreducible layout of that length
+    exists or none reaches the target.  Gate counts below r_star are not
+    walked: the search found no solution on the layouts it tried there.
 
     Once every solution is collected, their state paths are laid end to end
     and scored in one trajectory call, which gives each state the value it
@@ -110,13 +109,11 @@ def collect_families(config: ExperimentConfig, target: StateVector,
         solutions.append((f"{target_id}-r0-witness", estimate.witness,
                           estimate.achieved_fidelity))
     for r in range(max(r_star, 1), config.r_max + 1):
+        archs = enumerate_architectures(target.num_qubits, r)
         first, wanted = 0, config.samples_per_r
         if r == r_star:
-            archs, _ = _architectures_for(target.num_qubits, r, seed, config.max_architectures)
             first = archs.index(tuple(g.qubit_pair for g in estimate.witness.gates))
             wanted = max(wanted, 1)
-        else:
-            archs = enumerate_architectures(target.num_qubits, r)
         collected_r = 0
         for ai in range(first, len(archs)):
             if collected_r >= wanted:
@@ -211,13 +208,22 @@ class ExperimentConfig(SearchSettings):
         budget = doc.get("budget", {})
         need(isinstance(budget, dict), "budget", "must be an object")
         check_fields(budget, {"restarts", "iters"}, "budget")
+        r_max = int_field(doc, "r_max", cls.r_max, low=1)
+        delta_bin = number_field(doc, "delta_E_bin", cls.delta_bin, above=0.0)
+        # no trajectory sum exceeds r_max * n, so its bin index must be finite
+        try:
+            finite = math.isfinite(r_max * n / delta_bin)
+        except OverflowError:  # r_max * n is too large for a float
+            finite = False
+        need(finite, "delta_E_bin",
+             f"must leave r_max * n / delta_E_bin finite, got {delta_bin:g}")
         return cls(
             num_qubits=n, target_count=count, r_gen_max=r_gen,
             target_files=files, seed=seed,
             fidelity_tol=number_field(doc, "fidelity_tol", cls.fidelity_tol,
                                       above=0.0, below=1.0),
-            r_max=int_field(doc, "r_max", cls.r_max, low=1),
-            delta_bin=number_field(doc, "delta_E_bin", cls.delta_bin, above=0.0),
+            r_max=r_max,
+            delta_bin=delta_bin,
             measure=measure_field(doc.get("measure", cls.measure.value), cut),
             cut=cut,
             restarts=int_field(budget, "restarts", cls.restarts, low=1, where="budget"),

@@ -453,25 +453,19 @@ class ComplexityNotFound:
     best_fidelity_per_r: dict[int, float]
 
 
-def _architectures_for(num_qubits: int, r: int, seed,
-                       max_architectures: int) -> tuple[Sequence[tuple], bool]:
-    """Canonical architectures at r, subsampled deterministically when too many."""
-    archs = enumerate_architectures(num_qubits, r)
-    if len(archs) <= max_architectures:
-        return archs, True
-    rng = np.random.default_rng(_seed_key(seed, r, 777))
-    chosen = sorted(rng.choice(len(archs), size=max_architectures, replace=False))
-    return [archs[i] for i in chosen], False
-
-
 def estimate_state_complexity(target: StateVector, settings: SearchSettings, seed):
     """Search r = 1..settings.r_max for the smallest preparable gate count.
 
-    Returns a ComplexityEstimate on success (tagged architecture-exhaustive
-    when every canonical architecture at each r below the found r was
-    searched to the full restart budget) or a ComplexityNotFound carrying
-    the best fidelity seen at each r.  A target that is |0..0> within
-    tolerance short-circuits to r_star = 0.
+    Each layout is keyed by its index ai in enumerate_architectures(n, r)
+    and searched from seed (seed, r, ai).  The layouts of a gate count are
+    searched in that order; when there are more than max_architectures,
+    a sorted subsample of that many indices is drawn from seed
+    (seed, r, 777) and only those are searched.  Returns a
+    ComplexityEstimate on success (tagged architecture-exhaustive when
+    every canonical architecture at each r below the found r was searched
+    to the full restart budget) or a ComplexityNotFound carrying the best
+    fidelity seen at each r.  A target that is |0..0> within tolerance
+    short-circuits to r_star = 0.
     """
     n = target.num_qubits
     zero_fidelity = fidelity(target, StateVector.zero_state(n))
@@ -481,10 +475,16 @@ def estimate_state_complexity(target: StateVector, settings: SearchSettings, see
     exhaustive_below = True
     best_per_r: dict[int, float] = {}
     for r in range(1, settings.r_max + 1):
-        archs, full = _architectures_for(n, r, seed, settings.max_architectures)
+        archs = enumerate_architectures(n, r)
+        full = len(archs) <= settings.max_architectures
+        indices = range(len(archs))
+        if not full:
+            rng = np.random.default_rng(_seed_key(seed, r, 777))
+            indices = sorted(rng.choice(len(archs), size=settings.max_architectures,
+                                        replace=False))
         best_r = 0.0
-        for ai, arch in enumerate(archs):
-            result = optimize_gates(arch, target, settings, _seed_key(seed, r, ai))
+        for ai in indices:
+            result = optimize_gates(archs[ai], target, settings, _seed_key(seed, r, ai))
             best_r = max(best_r, result.achieved_fidelity)
             if result.converged:
                 tag = EXHAUSTIVE if exhaustive_below else SAMPLED

@@ -296,6 +296,16 @@ def test_jobs_below_one_is_a_config_error(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_a_delta_bin_too_small_to_bin_any_sum_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, "c.json", {
+        "n": 2, "targets": {"count": 1, "r_gen": 1, "seed": 1}, "delta_E_bin": 1e-310,
+        "budget": {"restarts": 2, "iters": 50}, "geo_restarts": 2, "r_max": 1})
+    out = tmp_path / "o"
+    assert main(["conjecture", "--config", config, "--out", str(out)]) == 2
+    assert "delta_E_bin" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_deutsch_takes_no_seed(tmp_path):
     with pytest.raises(SystemExit) as exit_info:
         main(["deutsch", "--seed", "3", "--out", str(tmp_path / "d")])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from entpaths import entanglement, harness
+from entpaths import entanglement, harness, synthesis
 from entpaths.canonical import canonical_json
 from entpaths.core import StateVector, random_circuit, run_circuit, save_state
 from entpaths.entanglement import Measure, ProductFitConvergenceError
@@ -14,9 +14,9 @@ from entpaths.harness import (ConfigError, ExperimentConfig, PathFamilyRecord,
                               collect_families, evaluate_target, family_bin_of,
                               report_to_dict, spearman_rank_correlation,
                               wilson_interval, write_records_csv)
-from entpaths.synthesis import (SearchSettings, _architectures_for, _seed_key,
-                                enumerate_architectures, estimate_state_complexity,
-                                optimize_gates, optimize_gates_collect, sample_target)
+from entpaths.synthesis import (SearchSettings, _seed_key, enumerate_architectures,
+                                estimate_state_complexity, optimize_gates,
+                                optimize_gates_collect, sample_target)
 from entpaths.trajectories import (TrajectoryMeasureError, path_entanglement_sum,
                                    trajectory)
 
@@ -136,6 +136,9 @@ def test_config_round_trips_through_its_echo():
      "delta_E_bin"),
     ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "delta_E_bin": 10**400},
      "delta_E_bin"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "delta_E_bin": 1e-310},
+     "delta_E_bin"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "r_max": 10**400}, "r_max * n"),
     ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "parallelism": 2},
      "parallelism"),
 ])
@@ -255,12 +258,10 @@ def _collect_scoring_each_record(config, target, estimate, seed, target_id):
                               estimate.achieved_fidelity))
     witness_layout = tuple(g.qubit_pair for g in estimate.witness.gates)
     for r in range(max(estimate.r_star, 1), config.r_max + 1):
+        archs = enumerate_architectures(target.num_qubits, r)
         first, wanted = 0, config.samples_per_r
         if r == estimate.r_star:
-            archs, _ = _architectures_for(target.num_qubits, r, seed, config.max_architectures)
             first, wanted = archs.index(witness_layout), max(wanted, 1)
-        else:
-            archs = enumerate_architectures(target.num_qubits, r)
         collected = 0
         for ai in range(first, len(archs)):
             if collected >= wanted:
@@ -290,8 +291,7 @@ def test_the_first_r_star_record_is_the_witness_replayed():
     assert estimate.r_star == 2
     layout = tuple(g.qubit_pair for g in estimate.witness.gates)
     assert layout == ((0, 1), (2, 3))
-    archs, _ = _architectures_for(4, 2, 6, config.max_architectures)
-    ai = archs.index(layout)
+    ai = enumerate_architectures(4, 2).index(layout)
     assert ai == 4
     k = optimize_gates(layout, target, config, _seed_key(6, 2, ai)).best_restart
     records = collect_families(config, target, estimate, 6, "t")
@@ -307,7 +307,7 @@ def test_the_first_r_star_record_is_the_witness_replayed():
 
 def test_collection_at_r_star_starts_at_the_witness_layout(monkeypatch):
     config, target, estimate = _split_pairs_case(samples_per_r=2)
-    archs, _ = _architectures_for(4, estimate.r_star, 6, config.max_architectures)
+    archs = enumerate_architectures(4, estimate.r_star)
     witness_index = archs.index(tuple(g.qubit_pair for g in estimate.witness.gates))
     searched = []
 
@@ -331,23 +331,61 @@ def test_no_samples_per_r_keeps_the_witness_alone():
     assert records[0].achieved_fidelity == estimate.achieved_fidelity
 
 
-def test_r_star_walks_the_search_subsample_and_above_it_every_layout():
+def _subsampled_case():
+    """A three-qubit target with r_star 2, searched from seed 2 with
+    max_architectures 3 of the six two-gate layouts; the witness is layout
+    2 of the full list and the first of the search's subsample."""
     target = StateVector(
         3, np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
     config = ExperimentConfig.from_dict({
         "n": 3, "targets": {"count": 1, "r_gen": 1}, "budget": {"restarts": 8, "iters": 500},
         "r_max": 3, "samples_per_r": 2, "max_architectures": 3})
-    estimate = estimate_state_complexity(target, config, seed=2)
+    return config, target, estimate_state_complexity(target, config, seed=2)
+
+
+def test_every_record_id_indexes_the_full_layout_list():
+    config, target, estimate = _subsampled_case()
     assert estimate.r_star == 2
+    assert len(enumerate_architectures(3, 2)) > config.max_architectures
     records = collect_families(config, target, estimate, 2, "t")
-    layout_lists = {2: _architectures_for(3, 2, 2, 3)[0], 3: enumerate_architectures(3, 3)}
-    assert len(layout_lists[2]) == 3 < len(enumerate_architectures(3, 2))
-    assert len(layout_lists[3]) > 3
     index = [(rec.r, int(rec.record_id.split("-a")[1][:2])) for rec in records]
     assert [r for r, _ in index] == [2, 2, 3, 3]
     for rec, (r, ai) in zip(records, index):
-        assert layout_lists[r][ai] == rec.architecture
+        assert enumerate_architectures(3, r)[ai] == rec.architecture
+    assert records[0].record_id == "t-r2-a02-k00"
     assert index[2] == (3, 0)
+
+
+def test_a_subsampled_search_seeds_each_layout_by_its_full_index():
+    config, target, estimate = _subsampled_case()
+    layout = tuple(g.qubit_pair for g in estimate.witness.gates)
+    assert enumerate_architectures(3, 2).index(layout) == 2
+    replayed = optimize_gates(layout, target, config, _seed_key(2, 2, 2))
+    assert replayed.achieved_fidelity == estimate.achieved_fidelity
+    first = collect_families(config, target, estimate, 2, "t")[0]
+    assert first.architecture == layout
+    assert first.achieved_fidelity == estimate.achieved_fidelity
+
+
+def test_a_subsampled_search_tries_the_drawn_layouts_only(monkeypatch):
+    searched = []
+
+    def spy(slots, *args):
+        searched.append(tuple(slots))
+        return optimize_gates(slots, *args)
+
+    monkeypatch.setattr(synthesis, "optimize_gates", spy)
+    # no layout of two gates reaches a generic four-qubit state
+    target, _ = sample_target(4, 8, 13)
+    settings = SearchSettings(r_max=2, restarts=2, iterations=50, max_architectures=4)
+    assert set(estimate_state_complexity(target, settings, 9).best_fidelity_per_r) == {1, 2}
+    for r in (1, 2):
+        archs = enumerate_architectures(4, r)
+        assert len(archs) > settings.max_architectures
+        rng = np.random.default_rng(_seed_key(9, r, 777))
+        drawn = sorted(rng.choice(len(archs), size=settings.max_architectures, replace=False))
+        assert [slots for slots in searched if len(slots) == r] == [archs[i] for i in drawn]
+    assert len(searched) == 2 * settings.max_architectures
 
 
 def test_a_zero_gate_target_keeps_its_witness_record():
