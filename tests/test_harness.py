@@ -136,11 +136,11 @@ def test_config_round_trips_through_its_echo():
      "delta_E_bin"),
     ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "delta_E_bin": 10**400},
      "delta_E_bin"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "parallelism": 2},
+     "parallelism"),
     ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "delta_E_bin": 1e-310},
      "delta_E_bin"),
     ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "r_max": 10**400}, "r_max * n"),
-    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "parallelism": 2},
-     "parallelism"),
 ])
 def test_config_errors_name_the_field(doc, fragment):
     with pytest.raises(ConfigError) as err:
