@@ -13,6 +13,10 @@
     trajectories.trajectory fits every state of a path in one call (the
     harness lays all of a target's record paths end to end for that call).
 
+cut_weights gives a state's largest squared Schmidt coefficient across
+every bipartition, from the same Schmidt blocks as the entropy; the
+synthesis search bounds what a layout can reach with them.
+
 Measure names which of the two a trajectory or a config refers to.
 """
 from __future__ import annotations
@@ -59,20 +63,25 @@ def _checked_cut(keep: Sequence[int] | None, n: int) -> list[int]:
     return kept
 
 
-def _entropies(amplitudes: np.ndarray, n: int, keep: Sequence[int] | None) -> list[float]:
-    """Entropy of the kept qubits, in bits, for every state of a (states, 2**n) stack.
-
-    Each state is reshaped to the (2**|keep|, 2**rest) block M of its
-    Schmidt decomposition; the squared singular values p of M are the
-    spectrum of the reduced density matrix M M^dagger, and the entropy is
-    -sum(p log2 p) over p > 0.  One batched SVD serves the whole stack.
-    """
-    kept = _checked_cut(keep, n)
+def _schmidt_blocks(amplitudes: np.ndarray, n: int, kept: list[int]) -> np.ndarray:
+    """Every state of a (states, 2**n) stack reshaped to the (2**|kept|,
+    2**rest) block M of its Schmidt decomposition across (kept | rest): the
+    singular values of M are the state's Schmidt coefficients there."""
     rest = [q for q in range(n) if q not in kept]
     num_states = len(amplitudes)
     psi = np.asarray(amplitudes).reshape((num_states,) + (2,) * n)
-    blocks = psi.transpose([0] + [q + 1 for q in kept + rest]).reshape(
+    return psi.transpose([0] + [q + 1 for q in kept + rest]).reshape(
         num_states, 2 ** len(kept), 2 ** len(rest))
+
+
+def _entropies(amplitudes: np.ndarray, n: int, keep: Sequence[int] | None) -> list[float]:
+    """Entropy of the kept qubits, in bits, for every state of a (states, 2**n) stack.
+
+    The squared singular values p of each state's Schmidt block M are the
+    spectrum of the reduced density matrix M M^dagger, and the entropy is
+    -sum(p log2 p) over p > 0.  One batched SVD serves the whole stack.
+    """
+    blocks = _schmidt_blocks(amplitudes, n, _checked_cut(keep, n))
     p = np.linalg.svd(blocks, compute_uv=False) ** 2
     log_p = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
     return [max(0.0, -float(h)) for h in (p * log_p).sum(axis=1)]
@@ -86,6 +95,27 @@ def von_neumann_entropy(state: StateVector, keep: Sequence[int]) -> float:
     below +0.0.
     """
     return _entropies(state.amplitudes[None], state.num_qubits, keep)[0]
+
+
+def cut_weights(state: StateVector) -> np.ndarray:
+    """The largest squared Schmidt coefficient of the state across each of
+    its bipartitions, as an array of 2**n entries indexed by qubit set.
+
+    Entry `mask` belongs to the cut between the qubits q with bit 1 << q set
+    in mask and the rest; it is the largest fidelity the state has with any
+    state that is a product across that cut.  A cut and its complement
+    share an entry, and the trivial entries 0 and 2**n - 1 read 1.0.  One
+    SVD per cut, 2**(n-1) - 1 of them, each with qubit 0 on the kept side.
+    """
+    n = state.num_qubits
+    everything = (1 << n) - 1
+    weights = np.ones(everything + 1)
+    for mask in range(1, everything, 2):
+        kept = [q for q in range(n) if mask >> q & 1]
+        block = _schmidt_blocks(state.amplitudes[None], n, kept)[0]
+        weights[mask] = weights[everything ^ mask] = np.linalg.svd(
+            block, compute_uv=False)[0] ** 2
+    return weights
 
 
 def _unit_draw(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -10,11 +10,13 @@ call, their state paths laid end to end), bins those sums, and marks the
 target a success iff some optimal-gate-count solution lands in the
 minimum observed bin.  At each gate count the solutions come from one
 list, every irreducible layout in sorted order, and a layout is known by
-its index there both in the search and in the record ids; at r_star the
-walk starts at the witness's index, so the first solution there is the
-search's witness.  Aggregates report the empirical success rate with a
-binomial confidence interval, plus a rank-correlation statistic between
-bin and gate count (reported, never asserted).
+its index there both in the search and in the record ids; layouts the
+target's cut spectra rule out are skipped.  At r_star the walk starts at
+the witness's index: the search's witness is the first solution there,
+and its layout resumes at the restart after the witness's.  Aggregates
+report the empirical success rate with a binomial confidence interval,
+plus a rank-correlation statistic between bin and gate count (reported,
+never asserted).
 
 Everything is deterministic for a fixed config and seed: per-target seeds
 derive from (root seed, target index) and aggregation is by sorted target
@@ -31,13 +33,14 @@ from typing import Sequence
 import numpy as np
 
 from .canonical import write_csv
-from .core import MAX_QUBITS, StateVector, load_state, run_circuit
+from .core import MAX_QUBITS, StateVector, load_state
 from .entanglement import GEO_RESTARTS, Measure
 from .synthesis import (
     ComplexityEstimate,
     ComplexityNotFound,
     SearchSettings,
     _seed_key,
+    can_reach,
     enumerate_architectures,
     estimate_state_complexity,
     optimize_gates_collect,
@@ -87,43 +90,52 @@ def collect_families(config: ExperimentConfig, target: StateVector,
     canonical layout in sorted order, is walked in order, layout ai
     searched from seed (seed, r, ai) as in the search, and every restart
     that reaches the fidelity threshold contributes a record, up to
-    samples_per_r per r.  The list is never subsampled: a subsample would
-    put a random layout first, and one that cannot reach the target burns
-    its whole restart budget.  At r_star the walk starts at the witness's
-    index, so its first record is the witness, replayed from the restart
-    that found it; r_star keeps at least that record.  The empty witness
-    of r_star = 0 has no layout and is its own record.  A gate count may
-    give no records at all, e.g. when no irreducible layout of that length
-    exists or none reaches the target.  Gate counts below r_star are not
-    walked: the search found no solution on the layouts it tried there.
+    samples_per_r per r.  A layout the estimate's cut weights rule out
+    (synthesis.can_reach) is skipped: no restart on it would reach the
+    threshold.  The list is never subsampled: a subsample would put a
+    random layout first, and one that cannot reach the target burns its
+    whole restart budget.  At r_star the walk starts at the witness's
+    index and its first record is the search's witness as it is, circuit
+    and states; the witness's layout then resumes at the restart after the
+    witness's, so no restart is ascended twice, and r_star keeps at least
+    the witness.  The empty witness of r_star = 0 has no layout and is its
+    own record.  A gate count may give no records at all, e.g. when no
+    irreducible layout of that length exists or none reaches the target.
+    Gate counts below r_star are not walked: the search found no solution
+    on the layouts it tried there.
 
-    Once every solution is collected, their state paths are laid end to end
-    and scored in one trajectory call, which gives each state the value it
-    would get alone; each record's sum is taken over its own slice.  A
-    scoring failure raises TrajectoryMeasureError at the step within the
-    failing record, naming its record id, chained to the measure's error.
+    Once every solution is collected, the state paths their searches ran
+    are laid end to end and scored in one trajectory call, which gives
+    each state the value it would get alone; each record's sum is taken
+    over its own slice.  A scoring failure raises TrajectoryMeasureError
+    at the step within the failing record, naming its record id, chained
+    to the measure's error.
     """
     r_star = estimate.r_star
+    witness = (estimate.witness, estimate.witness_path, estimate.achieved_fidelity)
     solutions = []
     if r_star == 0:
-        solutions.append((f"{target_id}-r0-witness", estimate.witness,
-                          estimate.achieved_fidelity))
+        solutions.append((f"{target_id}-r0-witness", *witness))
     for r in range(max(r_star, 1), config.r_max + 1):
         archs = enumerate_architectures(target.num_qubits, r)
-        first, wanted = 0, config.samples_per_r
+        first, resume, wanted, collected_r = 0, 0, config.samples_per_r, 0
         if r == r_star:
             first = archs.index(tuple(g.qubit_pair for g in estimate.witness.gates))
-            wanted = max(wanted, 1)
-        collected_r = 0
+            k = estimate.witness_restart
+            solutions.append((f"{target_id}-r{r}-a{first:02d}-k{k:02d}", *witness))
+            resume, collected_r = k + 1, 1
         for ai in range(first, len(archs)):
             if collected_r >= wanted:
                 break
+            if not can_reach(archs[ai], estimate.cut_weights, config.threshold):
+                continue
             for result in optimize_gates_collect(
-                    archs[ai], target, config, _seed_key(seed, r, ai), wanted - collected_r):
+                    archs[ai], target, config, _seed_key(seed, r, ai), wanted - collected_r,
+                    resume if ai == first else 0):
                 solutions.append((f"{target_id}-r{r}-a{ai:02d}-k{result.best_restart:02d}",
-                                  result.circuit, result.achieved_fidelity))
+                                  result.circuit, result.path, result.achieved_fidelity))
                 collected_r += 1
-    paths = [run_circuit(circuit) for _, circuit, _ in solutions]
+    paths = [path for _, _, path, _ in solutions]
     starts = np.cumsum([0] + [len(path) for path in paths])
     try:
         values = trajectory([state for path in paths for state in path], config.measure,
@@ -134,7 +146,7 @@ def collect_families(config: ExperimentConfig, target: StateVector,
             exc.step - int(starts[i]), f"record {solutions[i][0]}: {exc.__cause__}"
         ) from exc.__cause__
     records = []
-    for (record_id, circuit, achieved), begin, end in zip(solutions, starts, starts[1:]):
+    for (record_id, circuit, _, achieved), begin, end in zip(solutions, starts, starts[1:]):
         total = path_entanglement_sum(values[begin:end])
         records.append(PathFamilyRecord(
             record_id=record_id,

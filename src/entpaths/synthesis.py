@@ -24,6 +24,17 @@ Only the scipy package itself is imported here; scipy loads its
 ascent that reaches L-BFGS-B, and a process that never ascends (every
 subcommand but `conjecture`) starts without it.
 
+A layout whose gates leave some cut of the register uncrossed prepares
+only states that are products across it, so its fidelity is at most the
+target's largest squared Schmidt coefficient there.  The search reads
+those once per target (entanglement.cut_weights), draws its subsample
+first and then skips every layout whose least such bound is below the
+threshold; it searches the skipped ones only when no gate count is found,
+for the best fidelity per gate count.  The search keeps the restart that
+found its witness and the states the witness runs through, so the
+harness takes the witness as its first record and resumes its layout at
+the next restart.
+
 Enumeration of architectures dedupes gate orderings that differ only by
 swapping adjacent slots on disjoint qubit pairs, which commute, keeping
 the lexicographic normal form of each class.  It also drops reducible
@@ -55,11 +66,14 @@ from .core import (
     random_circuit,
     run_circuit,
 )
+from .entanglement import cut_weights
 
 NUM_GATE_PARAMS = 15
 STOP_FIDELITY = 1.0 - 1e-9
 LBFGS_GTOL = 1e-8
 ARCH_SEQUENCE_CAP = 200_000
+# round-off a layout's fidelity bound is allowed before it excludes the layout
+BOUND_MARGIN = 1e-12
 
 EXHAUSTIVE = "architecture_exhaustive"
 SAMPLED = "sampled"
@@ -257,7 +271,11 @@ class SearchSettings:
 
 @dataclass(frozen=True, eq=False)
 class OptimizeResult:
+    """A circuit a search kept, with the states it runs through (|0..0>
+    first) and the fidelity of the last of them."""
+
     circuit: Circuit
+    path: tuple[StateVector, ...]
     achieved_fidelity: float
     converged: bool
     restarts_run: int
@@ -265,17 +283,17 @@ class OptimizeResult:
 
 
 def _restarts(slots: Sequence[tuple[int, int]], target: StateVector,
-              settings: SearchSettings, seed):
-    """Run the restarts in order, yielding (k, theta, last, value) for each:
-    the free gates' parameters, the raw closed-form last gate and the
-    fidelity.
+              settings: SearchSettings, seed, first: int = 0):
+    """Run the restarts from index `first` on in order, yielding
+    (k, theta, last, value) for each: the free gates' parameters, the raw
+    closed-form last gate and the fidelity.
 
     Restart k starts its free gates from parameters drawn from a generator
-    seeded by (seed, k).  With one gate nothing is free and every restart
-    would give the same answer, so only restart 0 runs.  The consumer
-    decides when to stop and replays the restarts it keeps.  An empty
-    layout has no last gate to solve for and raises ValueError, as does a
-    pair outside the target's register.
+    seeded by (seed, k), whichever restart came before it.  With one gate
+    nothing is free and every restart would give the same answer, so only
+    restart 0 runs.  The consumer decides when to stop and replays the
+    restarts it keeps.  An empty layout has no last gate to solve for and
+    raises ValueError, as does a pair outside the target's register.
     """
     if not slots:
         raise ValueError("the search needs a layout of at least one gate")
@@ -283,7 +301,7 @@ def _restarts(slots: Sequence[tuple[int, int]], target: StateVector,
         raise DimensionMismatchError(
             f"layout {tuple(slots)} reaches past the target's {target.num_qubits} qubits")
     num_free = len(slots) - 1
-    for k in range(settings.restarts if num_free else 1):
+    for k in range(first, settings.restarts if num_free else 1):
         rng = np.random.default_rng(_seed_key(seed, k))
         theta0 = rng.uniform(-math.pi, math.pi, size=(num_free, NUM_GATE_PARAMS))
         theta, last, value = _ascend(theta0, slots, target.num_qubits,
@@ -292,8 +310,9 @@ def _restarts(slots: Sequence[tuple[int, int]], target: StateVector,
 
 
 def _replay(slots: Sequence[tuple[int, int]], theta: np.ndarray, last: np.ndarray,
-            target: StateVector) -> tuple[Circuit, float]:
-    """Rebuild the gates of a restart and the fidelity they reach when run.
+            target: StateVector) -> tuple[Circuit, tuple[StateVector, ...], float]:
+    """Rebuild the gates of a restart, the state path they run through and
+    the fidelity they reach.
 
     The free gates come from their parameters theta; the closed-form last
     gate is bound as it is, its global phase rescaled so that det = 1.
@@ -302,7 +321,8 @@ def _replay(slots: Sequence[tuple[int, int]], theta: np.ndarray, last: np.ndarra
     gates = [TwoQubitGate(pair, m) for pair, m in zip(free_pairs, _su4_batch(theta))]
     gates.append(TwoQubitGate.from_unitary(last_pair, last))
     circuit = Circuit(target.num_qubits, gates)
-    return circuit, fidelity(run_circuit(circuit)[-1], target)
+    path = run_circuit(circuit)
+    return circuit, path, fidelity(path[-1], target)
 
 
 def optimize_gates(slots: Sequence[tuple[int, int]], target: StateVector,
@@ -328,25 +348,27 @@ def optimize_gates(slots: Sequence[tuple[int, int]], target: StateVector,
             best_value, best_gates, best_restart = value, (theta, last), k
         if value >= threshold:
             break
-    circuit, achieved = _replay(slots, *best_gates, target)
-    return OptimizeResult(circuit, achieved, achieved >= threshold, k + 1, best_restart)
+    circuit, path, achieved = _replay(slots, *best_gates, target)
+    return OptimizeResult(circuit, path, achieved, achieved >= threshold, k + 1, best_restart)
 
 
 def optimize_gates_collect(slots: Sequence[tuple[int, int]], target: StateVector,
-                           settings: SearchSettings, seed,
-                           max_collect: int) -> list[OptimizeResult]:
-    """Run the restarts in order, collecting each one that reaches
-    settings.threshold as its own solution, until max_collect (at least
-    one) are collected.  A one-gate layout runs one restart, so it gives
-    at most one solution."""
+                           settings: SearchSettings, seed, max_collect: int,
+                           first_restart: int = 0) -> list[OptimizeResult]:
+    """Run the restarts in order from first_restart on, collecting each one
+    that reaches settings.threshold as its own solution, until max_collect
+    (at least one) are collected.  Restart k is seeded as in
+    optimize_gates, so a search that found its solution at restart k
+    resumes here at k + 1.  A one-gate layout runs restart 0 alone, so it
+    gives at most one solution."""
     threshold = settings.threshold
     collected: list[OptimizeResult] = []
-    for k, theta, last, value in _restarts(slots, target, settings, seed):
+    for k, theta, last, value in _restarts(slots, target, settings, seed, first_restart):
         if value < threshold:
             continue
-        circuit, achieved = _replay(slots, theta, last, target)
+        circuit, path, achieved = _replay(slots, theta, last, target)
         if achieved >= threshold:
-            collected.append(OptimizeResult(circuit, achieved, True, k + 1, k))
+            collected.append(OptimizeResult(circuit, path, achieved, True, k + 1, k))
             if len(collected) >= max_collect:
                 break
     return collected
@@ -420,6 +442,53 @@ def enumerate_architectures(num_qubits: int,
     return _normal_forms(num_qubits, num_gates)
 
 
+# --- layouts the target rules out -----------------------------------------
+
+
+def layout_bound(slots: Sequence[tuple[int, int]], weights: np.ndarray) -> float:
+    """An upper bound on the fidelity any circuit on a layout reaches, from
+    the target's cut weights (entanglement.cut_weights).
+
+    The layout's gates join the qubits into connected components (a
+    union-find over its pairs).  A circuit on it prepares a state that is
+    a product across every union of components set against the rest, so
+    its fidelity with the target is at most the target's largest squared
+    Schmidt coefficient across that cut.  The bound is the least of those;
+    1.0 when the gates join every qubit.
+    """
+    num_qubits = weights.size.bit_length() - 1
+    parent = list(range(num_qubits))
+
+    def root(q: int) -> int:
+        while parent[q] != q:
+            parent[q] = q = parent[parent[q]]
+        return q
+
+    for a, b in slots:
+        parent[root(a)] = root(b)
+    members: dict[int, int] = {}
+    for q in range(num_qubits):
+        members[root(q)] = members.get(root(q), 0) | 1 << q
+    components = list(members.values())
+    bound = 1.0
+    # a union and its complement are one cut, so take the unions holding
+    # the first component: the odd choices
+    for choice in range(1, (1 << len(components)) - 1, 2):
+        union = 0
+        for i, mask in enumerate(components):
+            if choice >> i & 1:
+                union |= mask
+        bound = min(bound, float(weights[union]))
+    return bound
+
+
+def can_reach(slots: Sequence[tuple[int, int]], weights: np.ndarray,
+              threshold: float) -> bool:
+    """False when the layout's bound keeps it below threshold by more than
+    BOUND_MARGIN of round-off: no search on it can reach the target."""
+    return layout_bound(slots, weights) >= threshold - BOUND_MARGIN
+
+
 # --- targets and complexity estimation ------------------------------------
 
 
@@ -438,12 +507,20 @@ def sample_target(num_qubits: int, r_gen: int, seed) -> tuple[StateVector, Circu
 
 @dataclass(frozen=True, eq=False)
 class ComplexityEstimate:
-    """Smallest gate count found to prepare the target within tolerance."""
+    """Smallest gate count found to prepare the target within tolerance.
+
+    The witness is the circuit the search stopped at, found by restart
+    witness_restart of its layout; witness_path holds the states it runs
+    through, and cut_weights the target's (entanglement.cut_weights).
+    """
 
     r_star: int
     witness: Circuit
     achieved_fidelity: float
     exhaustiveness: str
+    witness_restart: int
+    witness_path: tuple[StateVector, ...]
+    cut_weights: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,20 +537,27 @@ def estimate_state_complexity(target: StateVector, settings: SearchSettings, see
     and searched from seed (seed, r, ai).  The layouts of a gate count are
     searched in that order; when there are more than max_architectures,
     a sorted subsample of that many indices is drawn from seed
-    (seed, r, 777) and only those are searched.  Returns a
+    (seed, r, 777) and only those are searched.  The subsample is drawn
+    first; a layout of it that can_reach rules out is then deferred, not
+    searched, since no circuit on it reaches the threshold.  Returns a
     ComplexityEstimate on success (tagged architecture-exhaustive when
     every canonical architecture at each r below the found r was searched
-    to the full restart budget) or a ComplexityNotFound carrying the best
-    fidelity seen at each r.  A target that is |0..0> within tolerance
-    short-circuits to r_star = 0.
+    to the full restart budget or ruled out) and never searches the
+    deferred layouts.  Otherwise it searches them, in their original
+    order, and returns a ComplexityNotFound carrying the best fidelity
+    seen at each r over the whole subsample.  A target that is |0..0>
+    within tolerance short-circuits to r_star = 0.
     """
     n = target.num_qubits
-    zero_fidelity = fidelity(target, StateVector.zero_state(n))
+    weights = cut_weights(target)
+    zero = StateVector.zero_state(n)
+    zero_fidelity = fidelity(target, zero)
     if zero_fidelity >= settings.threshold:
-        empty = Circuit(n, ())
-        return ComplexityEstimate(0, empty, zero_fidelity, EXHAUSTIVE)
+        return ComplexityEstimate(0, Circuit(n, ()), zero_fidelity, EXHAUSTIVE, 0,
+                                  (zero,), weights)
     exhaustive_below = True
     best_per_r: dict[int, float] = {}
+    deferred = []
     for r in range(1, settings.r_max + 1):
         archs = enumerate_architectures(n, r)
         full = len(archs) <= settings.max_architectures
@@ -484,12 +568,18 @@ def estimate_state_complexity(target: StateVector, settings: SearchSettings, see
                                         replace=False))
         best_r = 0.0
         for ai in indices:
+            if not can_reach(archs[ai], weights, settings.threshold):
+                deferred.append((r, archs[ai], ai))
+                continue
             result = optimize_gates(archs[ai], target, settings, _seed_key(seed, r, ai))
             best_r = max(best_r, result.achieved_fidelity)
             if result.converged:
                 tag = EXHAUSTIVE if exhaustive_below else SAMPLED
-                return ComplexityEstimate(r, result.circuit,
-                                          result.achieved_fidelity, tag)
+                return ComplexityEstimate(r, result.circuit, result.achieved_fidelity, tag,
+                                          result.best_restart, result.path, weights)
         best_per_r[r] = best_r
         exhaustive_below = exhaustive_below and full
+    for r, slots, ai in deferred:
+        result = optimize_gates(slots, target, settings, _seed_key(seed, r, ai))
+        best_per_r[r] = max(best_per_r[r], result.achieved_fidelity)
     return ComplexityNotFound(best_per_r)

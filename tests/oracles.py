@@ -5,9 +5,11 @@ explicit loops over basis indices, dense matrices, exhaustive search — and
 shares no code path with the package, so agreement is meaningful.  The
 exceptions are params_from_su4, which inverts the package's gate chart
 through a matrix logarithm so tests can build parameters from a matrix,
-and the two ascents at the end, kept as baselines of the
-package's earlier ascents: the full-gate one runs on the package's gate
-chart, and the closed-form one on the package's fidelity kernel.
+the two ascents, kept as baselines of the package's earlier ascents (the
+full-gate one runs on the package's gate chart, and the closed-form one on
+the package's fidelity kernel), and the gate-count search at the end: it
+walks every layout the way the search did before layouts were ruled out,
+through the package's own per-layout search.
 """
 
 import cmath
@@ -15,15 +17,18 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.linalg
 from scipy.linalg import expm, expm_frechet
 from scipy.optimize import minimize
 
-from entpaths.core import DimensionMismatchError, gather_index
-from entpaths.synthesis import (GENERATORS, LBFGS_GTOL, NUM_GATE_PARAMS,
-                                STOP_FIDELITY, _GENERATOR_ROWS,
-                                _fidelity_and_grad, _su4_eigh)
+from entpaths.core import Circuit, DimensionMismatchError, StateVector, fidelity, gather_index
+from entpaths.synthesis import (EXHAUSTIVE, GENERATORS, LBFGS_GTOL, NUM_GATE_PARAMS,
+                                SAMPLED, STOP_FIDELITY, _GENERATOR_ROWS,
+                                _fidelity_and_grad, _seed_key, _su4_eigh,
+                                enumerate_architectures, optimize_gates)
 
 
 def embed_gate(matrix, pair, num_qubits):
@@ -93,6 +98,23 @@ def entropy_bits(rho):
         if lam > 1e-15:
             total -= lam * math.log2(lam)
     return total
+
+
+def largest_reduced_eigenvalues(amplitudes, num_qubits):
+    """The largest eigenvalue of the reduced density matrix of every
+    nonempty proper subset of the qubits, keyed by the sorted subset, with
+    partial traces taken by loops."""
+    return {side: float(np.linalg.eigvalsh(reduced_rho(amplitudes, side, num_qubits))[-1])
+            for size in range(1, num_qubits)
+            for side in itertools.combinations(range(num_qubits), size)}
+
+
+def uncrossed_cut_bound(slots, eigenvalues):
+    """The least of `eigenvalues` (largest_reduced_eigenvalues) over every
+    subset that no gate of the layout crosses, tried subset by subset; 1.0
+    if there is none."""
+    return min([value for side, value in eigenvalues.items()
+                if all((a in side) == (b in side) for a, b in slots)], default=1.0)
 
 
 def _bloch(theta, phi):
@@ -525,3 +547,38 @@ def ascend_always_scipy(theta0, pairs, num_qubits, target_amp, iterations):
     except _EarlyStop:
         pass
     return best["theta"], best["last"], best["f"]
+
+
+def search_every_layout(target, settings, seed):
+    """The gate-count search with no layout ruled out: at each r, every
+    layout of the subsample (drawn as the package draws it) is searched by
+    optimize_gates in index order until one converges.  Returns a namespace
+    with the fields of a ComplexityEstimate that outputs read (r_star None
+    when no gate count is found) and best_fidelity_per_r."""
+    n = target.num_qubits
+    zero_fidelity = fidelity(target, StateVector.zero_state(n))
+    if zero_fidelity >= settings.threshold:
+        return SimpleNamespace(r_star=0, witness=Circuit(n, ()), witness_restart=0,
+                               achieved_fidelity=zero_fidelity, exhaustiveness=EXHAUSTIVE,
+                               best_fidelity_per_r={})
+    best_per_r = {}
+    exhaustive_below = True
+    for r in range(1, settings.r_max + 1):
+        archs = enumerate_architectures(n, r)
+        indices = list(range(len(archs)))
+        if len(archs) > settings.max_architectures:
+            rng = np.random.default_rng(_seed_key(seed, r, 777))
+            indices = sorted(rng.choice(len(archs), size=settings.max_architectures,
+                                        replace=False))
+        best_per_r[r] = 0.0
+        for ai in indices:
+            result = optimize_gates(archs[ai], target, settings, _seed_key(seed, r, ai))
+            best_per_r[r] = max(best_per_r[r], result.achieved_fidelity)
+            if result.converged:
+                return SimpleNamespace(
+                    r_star=r, witness=result.circuit, witness_restart=result.best_restart,
+                    achieved_fidelity=result.achieved_fidelity,
+                    exhaustiveness=EXHAUSTIVE if exhaustive_below else SAMPLED,
+                    best_fidelity_per_r={})
+        exhaustive_below = exhaustive_below and len(indices) == len(archs)
+    return SimpleNamespace(r_star=None, best_fidelity_per_r=best_per_r)

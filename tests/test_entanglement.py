@@ -6,7 +6,7 @@ import pytest
 from entpaths import entanglement
 from entpaths.core import (StateVector, random_architecture, random_circuit,
                            run_circuit)
-from entpaths.entanglement import (ProductFitConvergenceError,
+from entpaths.entanglement import (ProductFitConvergenceError, cut_weights,
                                    geometric_entanglement, von_neumann_entropy)
 
 import oracles
@@ -172,3 +172,24 @@ def test_more_restarts_never_hurt():
     few = geometric_entanglement(state, restarts=1)
     many = geometric_entanglement(state, restarts=32)
     assert many <= few + 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cut_weights_are_the_largest_reduced_eigenvalues(n):
+    state = random_state(n, seed=40 + n)
+    weights = cut_weights(state)
+    assert weights.shape == (2**n,)
+    assert weights[0] == weights[-1] == 1.0
+    for side, value in oracles.largest_reduced_eigenvalues(state.amplitudes, n).items():
+        mask = sum(1 << q for q in side)
+        assert abs(weights[mask] - value) <= 1e-12
+
+
+def test_cut_weights_read_one_across_a_product_cut():
+    # qubits 0 and 2 against 1 and 3, each pair in a state of its own
+    rng = np.random.default_rng(44)
+    state = run_circuit(random_circuit(4, ((0, 2), (1, 3)), rng))[-1]
+    weights = cut_weights(state)
+    assert abs(weights[0b0101] - 1.0) <= 1e-12
+    assert weights[0b0011] < 0.99
+

@@ -14,9 +14,9 @@ from entpaths.harness import (ConfigError, ExperimentConfig, PathFamilyRecord,
                               collect_families, evaluate_target, family_bin_of,
                               report_to_dict, spearman_rank_correlation,
                               wilson_interval, write_records_csv)
-from entpaths.synthesis import (SearchSettings, _seed_key, enumerate_architectures,
-                                estimate_state_complexity, optimize_gates,
-                                optimize_gates_collect, sample_target)
+from entpaths.synthesis import (ComplexityNotFound, SearchSettings, _seed_key, can_reach,
+                                enumerate_architectures, estimate_state_complexity,
+                                optimize_gates, optimize_gates_collect, sample_target)
 from entpaths.trajectories import (TrajectoryMeasureError, path_entanglement_sum,
                                    trajectory)
 
@@ -400,6 +400,80 @@ def test_a_zero_gate_target_keeps_its_witness_record():
     assert [rec.r for rec in records[1:]] == [1]
 
 
+# --- ruled-out layouts and the resumed witness, against the full walk -----
+
+
+def _three_iteration_case(num_qubits, key, **overrides):
+    """A two-gate target searched with three L-BFGS-B iterations a restart,
+    so that a layout often converges only at a restart past 0.  The cut
+    stays when an override picks the geometric measure, which ignores it."""
+    target, _ = sample_target(num_qubits, 2, (key, num_qubits))
+    doc = {"n": num_qubits, "targets": {"count": 1, "r_gen": 2}, "fidelity_tol": 2e-3,
+           "budget": {"restarts": 8, "iters": 3}, "r_max": 3, "samples_per_r": 2,
+           "geo_restarts": 8, "measure": "vonneumann", "cut": [0, 1], **overrides}
+    return ExperimentConfig.from_dict(doc), target
+
+
+@pytest.mark.parametrize("num_qubits, key, overrides", [
+    (3, 10, {}), (4, 4, {}), (4, 1, {"measure": "geometric"}),
+    (3, 2, {"samples_per_r": 0}), (4, 5, {"samples_per_r": 0}),
+    (4, 8, {"max_architectures": 12})])
+def test_skipping_and_resuming_match_the_walk_over_every_layout(num_qubits, key, overrides):
+    config, target = _three_iteration_case(num_qubits, key, **overrides)
+    expected = oracles.search_every_layout(target, config, 4)
+    estimate = estimate_state_complexity(target, config, 4)
+    assert estimate.witness_restart == expected.witness_restart > 0
+    assert estimate.r_star == expected.r_star
+    assert estimate.achieved_fidelity == expected.achieved_fidelity
+    assert estimate.exhaustiveness == expected.exhaustiveness
+    for got, want in zip(estimate.witness.gates, expected.witness.gates, strict=True):
+        assert got.qubit_pair == want.qubit_pair
+        assert np.array_equal(got.matrix, want.matrix)
+    for got, want in zip(estimate.witness_path, run_circuit(expected.witness), strict=True):
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+    # the search skipped some layout
+    assert not all(can_reach(slots, estimate.cut_weights, config.threshold)
+                   for r in range(1, estimate.r_star + 1)
+                   for slots in enumerate_architectures(num_qubits, r))
+    records = collect_families(config, target, estimate, 4, "t")
+    assert records == _collect_scoring_each_record(config, target, expected, 4, "t")
+    at_r_star = [rec for rec in records if rec.is_optimal_r]
+    assert len(at_r_star) == max(config.samples_per_r, 1)
+
+
+def test_a_target_not_found_keeps_the_best_fidelity_over_every_layout():
+    config, target = _three_iteration_case(4, 3, r_max=2)
+    estimate = estimate_state_complexity(target, config, 4)
+    assert isinstance(estimate, ComplexityNotFound)
+    expected = oracles.search_every_layout(target, config, 4)
+    assert expected.r_star is None
+    assert estimate.best_fidelity_per_r == expected.best_fidelity_per_r
+    assert set(estimate.best_fidelity_per_r) == {1, 2}
+    # no one-gate layout can reach this target, and some two-gate ones can:
+    # the search defers the others past them
+    weights = entanglement.cut_weights(target)
+    reach = [[can_reach(slots, weights, config.threshold)
+              for slots in enumerate_architectures(4, r)] for r in (1, 2)]
+    assert not any(reach[0])
+    assert any(reach[1]) and not all(reach[1])
+
+
+def test_resumed_witnesses_give_one_report_for_any_jobs():
+    config = ExperimentConfig.from_dict({
+        "n": 4, "targets": {"count": 3, "r_gen": 2, "seed": 0}, "fidelity_tol": 2e-3,
+        "budget": {"restarts": 8, "iters": 3}, "r_max": 3, "samples_per_r": 2,
+        "geo_restarts": 8, "measure": "vonneumann", "cut": [0, 1]})
+    serial = harness.run_experiment(config, jobs=1)
+    parallel = harness.run_experiment(config, jobs=2)
+    assert (canonical_json(report_to_dict(config, serial))
+            == canonical_json(report_to_dict(config, parallel)))
+    # every witness here was found past restart 0, and its layout resumed
+    for outcome in serial:
+        first, second = outcome.records[:2]
+        assert not first.record_id.endswith("-k00")
+        assert first.architecture == second.architecture
+
+
 def _family_case(num_qubits, measure, cut, key=35):
     """A two-gate target, its estimate (searched with seed 4), and a config
     one gate past r_star."""
@@ -431,11 +505,15 @@ def test_batched_scoring_matches_one_trajectory_call_per_record(num_qubits, meas
 
 def test_a_record_that_fails_to_score_fails_as_that_record(monkeypatch):
     config, target, estimate = _family_case(3, "geometric", None)
-    paths = []
-    monkeypatch.setattr(harness, "run_circuit",
-                        lambda circuit: paths.append(run_circuit(circuit)) or paths[-1])
+    # the record paths, laid end to end in the one trajectory call
+    stacked = []
+    monkeypatch.setattr(harness, "trajectory",
+                        lambda states, *args, **kwargs: stacked.append(list(states))
+                        or trajectory(states, *args, **kwargs))
     records = collect_families(config, target, estimate, 4, "t")
-    assert len(paths) == len(records)
+    ends = np.cumsum([rec.r + 1 for rec in records])
+    assert ends[-1] == len(stacked[0])
+    paths = [stacked[0][begin:end] for begin, end in zip([0, *ends], ends)]
     # the fewest sweeps at which some record after the first fails alone
     for sweeps in range(2, 40):
         monkeypatch.setattr(entanglement, "GEO_MAX_SWEEPS", sweeps)

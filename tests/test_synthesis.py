@@ -7,12 +7,15 @@ import scipy.optimize
 from entpaths import synthesis
 from entpaths.core import (Circuit, DimensionMismatchError, ResourceCapError,
                            StateVector, TwoQubitGate, all_pairs, fidelity,
-                           haar_random_su4, random_circuit, run_circuit)
+                           haar_random_su4, random_architecture, random_circuit,
+                           run_circuit)
+from entpaths.entanglement import cut_weights
 from entpaths.synthesis import (ComplexityEstimate, ComplexityNotFound,
                                 GENERATORS, STOP_FIDELITY, SearchSettings,
-                                _ascend, _fidelity_and_grad, _su4_batch,
+                                _ascend, _fidelity_and_grad, _su4_batch, can_reach,
                                 enumerate_architectures, estimate_state_complexity,
-                                optimize_gates, optimize_gates_collect, sample_target)
+                                layout_bound, optimize_gates, optimize_gates_collect,
+                                sample_target)
 
 import oracles
 from conftest import random_state
@@ -529,3 +532,68 @@ def test_architecture_subsampling_is_deterministic():
     if isinstance(e1, ComplexityEstimate):
         assert e1.r_star == e2.r_star
         assert e1.achieved_fidelity == e2.achieved_fidelity
+
+
+# --- layouts the target rules out ------------------------------------------
+
+
+def _bound_targets(num_qubits):
+    """A generic target and one made by two gates, which is a product
+    across some cut when it has four or more qubits."""
+    return [random_state(num_qubits, seed=700 + num_qubits),
+            sample_target(num_qubits, 2, seed=(710, num_qubits))[0]]
+
+
+@pytest.mark.parametrize("num_qubits", [3, 4, 5])
+def test_layout_bound_is_the_least_weight_over_uncrossed_cuts(num_qubits):
+    layouts = [slots for r in (1, 2, 3) for slots in enumerate_architectures(num_qubits, r)]
+    for target in _bound_targets(num_qubits):
+        weights = cut_weights(target)
+        eigenvalues = oracles.largest_reduced_eigenvalues(target.amplitudes, num_qubits)
+        for slots in layouts:
+            expected = oracles.uncrossed_cut_bound(slots, eigenvalues)
+            assert abs(layout_bound(slots, weights) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("num_qubits", [3, 4, 5])
+def test_no_ruled_out_layout_reaches_the_threshold(num_qubits):
+    settings = SearchSettings(restarts=2, iterations=100)
+    ruled_out = 0
+    for target in _bound_targets(num_qubits):
+        weights = cut_weights(target)
+        for r in (1, 2):
+            for ai, slots in enumerate(enumerate_architectures(num_qubits, r)):
+                result = optimize_gates(slots, target, settings, seed=(r, ai))
+                # the bound holds on every layout, in reach or not
+                assert result.achieved_fidelity <= layout_bound(slots, weights) + 1e-12
+                if not can_reach(slots, weights, settings.threshold):
+                    ruled_out += 1
+                    assert not result.converged
+    # the generic target rules out at least its one-gate layouts
+    assert ruled_out >= num_qubits
+
+
+def test_the_split_layout_reaches_its_cut_weight():
+    # ((0, 1), (2, 3)) prepares exactly the products across {0, 1} | {2, 3},
+    # so its best fidelity is the target's largest squared Schmidt
+    # coefficient there: the bound is tight
+    target, _ = sample_target(4, 6, seed=(70, 0))
+    weight = cut_weights(target)[0b0011]
+    result = optimize_gates(((0, 1), (2, 3)), target,
+                            SearchSettings(fidelity_tol=1e-12, restarts=3, iterations=2000),
+                            seed=1)
+    assert abs(result.achieved_fidelity - weight) <= 2e-15
+
+
+@pytest.mark.parametrize("num_qubits", [3, 4, 5])
+def test_a_target_made_on_a_layout_never_rules_it_out(num_qubits):
+    # a target prepared on a layout is a product across each cut the layout
+    # leaves uncrossed, however tight the tolerance
+    rng = np.random.default_rng(720 + num_qubits)
+    settings = SearchSettings(fidelity_tol=1e-12)
+    for r in (1, 2, 3):
+        for _ in range(4):
+            slots = random_architecture(num_qubits, r, rng)
+            target = run_circuit(random_circuit(num_qubits, slots, rng))[-1]
+            assert can_reach(slots, cut_weights(target), settings.threshold)
+
