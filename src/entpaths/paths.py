@@ -10,7 +10,12 @@ reproduces the transition amplitude of the full unitary.
 One walk serves every entry point.  It branches the tree with numpy one
 gate at a time, in blocks of at most 4096 paths: a full block splits into
 its four quarters, walked in turn in depth-first order (branches 00, 01,
-10, 11), so below the sixth gate each block costs one gate step.
+10, 11), so below the sixth gate each block costs one gate step.  Each
+gate is tabulated once per walk, one row per configuration of the
+register: the four child configurations and the real and imaginary parts
+of the matrix element each child is weighted by.  A gate step is then
+three table lookups and four float products, with a block's amplitudes
+kept as separate real and imaginary arrays until it is yielded.
 path_sums adds each block into the per-endpoint sums without building a
 Python object per path; enumerate_paths turns blocks into plain
 (configs, amplitude) pairs.  Amplitudes and sums are bit-identical to a
@@ -44,28 +49,44 @@ _BLOCK_PATHS = 4**6
 _OUT2 = np.arange(4)  # acted bit-pair values 00, 01, 10, 11
 
 
-def _branch(configs: np.ndarray, amplitudes: np.ndarray, column: np.ndarray,
-            pair: tuple[int, int], num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Branch every node four ways through one gate: (child configs, amplitudes).
+def _gate_table(matrix: np.ndarray, pair: tuple[int, int], num_qubits: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One gate's step for every parent configuration c, as three tables of
+    2**num_qubits rows: (child configs, real parts, imaginary parts).
 
-    column[in2, out2] is the gate's matrix element [out2, in2].  Children
-    of node i sit at 4*i + out2 (out2 = the acted bit-pair value 00, 01,
-    10, 11), which keeps depth-first order.  Products are formed from real
-    and imaginary parts separately, rounding as the scalar complex product
-    does (numpy's vectorised complex multiply may differ in the last bit).
+    Row c holds the four children of c, the acted bit pair set to out2 =
+    00, 01, 10, 11, and the real and imaginary parts of the matrix element
+    [out2, in2(c)] each child's amplitude is multiplied by.
     """
+    configs = np.arange(2**num_qubits)
     shift_j = num_qubits - 1 - pair[0]
     shift_k = num_qubits - 1 - pair[1]
     in2 = (((configs >> shift_j) & 1) << 1) | ((configs >> shift_k) & 1)
     base = configs & ~((1 << shift_j) | (1 << shift_k))
-    children = (base[:, None] | ((_OUT2 >> 1) << shift_j)
-                | ((_OUT2 & 1) << shift_k)).ravel()
-    entries = column.take(in2, axis=0).ravel()
-    parents = amplitudes.repeat(4)
-    products = np.empty(len(entries), dtype=complex)
-    products.real = parents.real * entries.real - parents.imag * entries.imag
-    products.imag = parents.real * entries.imag + parents.imag * entries.real
-    return children, products
+    children = base[:, None] | ((_OUT2 >> 1) << shift_j) | ((_OUT2 & 1) << shift_k)
+    entries = np.asarray(matrix, dtype=complex).T.take(in2, axis=0)
+    return children, np.ascontiguousarray(entries.real), np.ascontiguousarray(entries.imag)
+
+
+def _branch(configs: np.ndarray, re: np.ndarray, im: np.ndarray,
+            table: tuple[np.ndarray, np.ndarray, np.ndarray]
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Branch every node four ways through one gate: (child configs, real
+    parts, imaginary parts of the child amplitudes).
+
+    table is the gate's _gate_table, read at each parent's row.  Children
+    of node i sit at 4*i + out2, which keeps depth-first order.  Products
+    are formed from real and imaginary parts separately, rounding as the
+    scalar complex product does (numpy's vectorised complex multiply may
+    differ in the last bit).
+    """
+    children, table_re, table_im = table
+    er = table_re.take(configs, axis=0).ravel()
+    ei = table_im.take(configs, axis=0).ravel()
+    # repeated, not broadcast: numpy loops over a broadcast (m, 4) product
+    # four elements at a time, which costs more than the copy
+    re, im = re.repeat(4), im.repeat(4)
+    return (children.take(configs, axis=0).ravel(), re * er - im * ei, re * ei + im * er)
 
 
 def _walk_blocks(matrices: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]],
@@ -75,34 +96,39 @@ def _walk_blocks(matrices: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]
 
     A block is a run of consecutive paths as (layers, amplitudes): path i
     of the block passes through configuration
-    layers[d][i * len(layers[d]) // len(amplitudes)] at step d.  Starting
-    from the start configuration, a block branches one gate at a time
-    while it stays within _BLOCK_PATHS paths; when the next gate would
-    overflow it, it splits into its four aligned quarters (each layer of
-    more than one entry sliced, a one-entry layer shared), quarter 0 first.
-    Paths of amplitude exactly zero are structural branches and are
-    included.
+    layers[d][i * len(layers[d]) // len(amplitudes)] at step d.  Each
+    gate's _gate_table is built once, up front.  Starting from the start
+    configuration, a block branches one gate at a time while it stays
+    within _BLOCK_PATHS paths, carrying its amplitudes as separate real and
+    imaginary arrays; when the next gate would overflow it, it splits into
+    its four aligned quarters (each layer of more than one entry sliced, a
+    one-entry layer shared), quarter 0 first.  The complex amplitudes are
+    assembled only when a block is yielded.  Paths of amplitude exactly
+    zero are structural branches and are included.
     """
-    columns = [np.asarray(matrix, dtype=complex).T for matrix in matrices]
-    stack = [([np.array([start_index])], np.array([1.0 + 0.0j]))]
+    tables = [_gate_table(matrix, pair, num_qubits)
+              for matrix, pair in zip(matrices, pairs)]
+    stack = [([np.array([start_index])], np.array([1.0]), np.array([0.0]))]
     while stack:
-        layers, amplitudes = stack.pop()
+        layers, re, im = stack.pop()
         step = len(layers) - 1
-        while step < len(columns) and 4 * len(amplitudes) <= _BLOCK_PATHS:
-            configs, amplitudes = _branch(layers[-1], amplitudes, columns[step],
-                                          pairs[step], num_qubits)
+        while step < len(tables) and 4 * len(re) <= _BLOCK_PATHS:
+            configs, re, im = _branch(layers[-1], re, im, tables[step])
             layers.append(configs)
             step += 1
-        if step == len(columns):
+        if step == len(tables):
+            amplitudes = np.empty(len(re), dtype=complex)
+            amplitudes.real = re
+            amplitudes.imag = im
             yield layers, amplitudes
             continue
-        quarter = len(amplitudes) // 4
+        quarter = len(re) // 4
         for q in reversed(range(4)):
             stack.append((
                 [layer if len(layer) == 1
                  else layer[q * len(layer) // 4:(q + 1) * len(layer) // 4]
                  for layer in layers],
-                amplitudes[q * quarter:(q + 1) * quarter]))
+                re[q * quarter:(q + 1) * quarter], im[q * quarter:(q + 1) * quarter]))
 
 
 def _circuit_blocks(circuit: Circuit, start: int,

@@ -544,9 +544,11 @@ def estimate_state_complexity(target: StateVector, settings: SearchSettings, see
     every canonical architecture at each r below the found r was searched
     to the full restart budget or ruled out) and never searches the
     deferred layouts.  Otherwise it searches them, in their original
-    order, and returns a ComplexityNotFound carrying the best fidelity
-    seen at each r over the whole subsample.  A target that is |0..0>
-    within tolerance short-circuits to r_star = 0.
+    order, skipping each whose layout_bound is below the best fidelity
+    seen at its r by more than BOUND_MARGIN, and returns a
+    ComplexityNotFound carrying the best fidelity at each r over the whole
+    subsample.  A target that is |0..0> within tolerance short-circuits to
+    r_star = 0.
     """
     n = target.num_qubits
     weights = cut_weights(target)
@@ -580,6 +582,9 @@ def estimate_state_complexity(target: StateVector, settings: SearchSettings, see
         best_per_r[r] = best_r
         exhaustive_below = exhaustive_below and full
     for r, slots, ai in deferred:
+        # a layout bounded below the best fidelity already seen cannot raise it
+        if layout_bound(slots, weights) + BOUND_MARGIN < best_per_r[r]:
+            continue
         result = optimize_gates(slots, target, settings, _seed_key(seed, r, ai))
         best_per_r[r] = max(best_per_r[r], result.achieved_fidelity)
     return ComplexityNotFound(best_per_r)

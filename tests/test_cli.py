@@ -10,7 +10,8 @@ import pytest
 
 from entpaths.canonical import write_canonical_json
 from entpaths.cli import main
-from entpaths.core import StateVector, fixture_state, load_circuit, save_state
+from entpaths.core import (StateVector, fixture_state, load_circuit, random_circuit,
+                           save_circuit, save_state)
 from entpaths.paths import deutsch_path_table
 
 
@@ -123,6 +124,18 @@ def test_paths_residuals_are_tiny(tmp_path):
     assert lines[0] == ("configuration,direct_re,direct_im,"
                        "path_sum_re,path_sum_im,abs_residual")
     assert len(lines) == 1 + 8
+
+
+def test_paths_from_a_circuit_file_with_reversed_pairs(tmp_path):
+    slots = ((2, 0), (3, 1), (0, 1), (3, 2))
+    save_circuit(random_circuit(4, slots, 8), tmp_path / "c.json")
+    config = write_config(tmp_path, "p.json", {"circuit_file": "c.json", "q0": "0110"})
+    out = tmp_path / "out"
+    assert main(["paths", "--config", config, "--out", str(out)]) == 0
+    summary = read_json(out / "summary.json")
+    assert summary["num_paths"] == 4**4
+    assert summary["max_abs_residual"] < 1e-9
+    assert [gate.qubit_pair for gate in load_circuit(out / "circuit.json").gates] == list(slots)
 
 
 def test_paths_resource_cap_exit_code(tmp_path, capsys):

@@ -403,12 +403,13 @@ def test_a_zero_gate_target_keeps_its_witness_record():
 # --- ruled-out layouts and the resumed witness, against the full walk -----
 
 
-def _three_iteration_case(num_qubits, key, **overrides):
-    """A two-gate target searched with three L-BFGS-B iterations a restart,
-    so that a layout often converges only at a restart past 0.  The cut
-    stays when an override picks the geometric measure, which ignores it."""
-    target, _ = sample_target(num_qubits, 2, (key, num_qubits))
-    doc = {"n": num_qubits, "targets": {"count": 1, "r_gen": 2}, "fidelity_tol": 2e-3,
+def _three_iteration_case(num_qubits, key, r_gen=2, **overrides):
+    """A target (two gates by default) searched with three L-BFGS-B
+    iterations a restart, so that a layout often converges only at a
+    restart past 0.  The cut stays when an override picks the geometric
+    measure, which ignores it."""
+    target, _ = sample_target(num_qubits, r_gen, (key, num_qubits))
+    doc = {"n": num_qubits, "targets": {"count": 1, "r_gen": r_gen}, "fidelity_tol": 2e-3,
            "budget": {"restarts": 8, "iters": 3}, "r_max": 3, "samples_per_r": 2,
            "geo_restarts": 8, "measure": "vonneumann", "cut": [0, 1], **overrides}
     return ExperimentConfig.from_dict(doc), target
@@ -456,6 +457,33 @@ def test_a_target_not_found_keeps_the_best_fidelity_over_every_layout():
               for slots in enumerate_architectures(4, r)] for r in (1, 2)]
     assert not any(reach[0])
     assert any(reach[1]) and not all(reach[1])
+
+
+# the second case searches a subsample of 12 of the three-gate layouts
+@pytest.mark.parametrize("key, overrides", [
+    (3, {"r_max": 2}),
+    (1, {"r_gen": 8, "r_max": 3, "max_architectures": 12,
+         "budget": {"restarts": 4, "iters": 20}})])
+def test_a_target_not_found_skips_ruled_out_layouts_that_cannot_raise_its_best(
+        monkeypatch, key, overrides):
+    config, target = _three_iteration_case(4, key, **overrides)
+    assert len(enumerate_architectures(4, 3)) > 12
+    calls = {"search": 0, "oracle": 0}
+    search = synthesis.optimize_gates
+
+    def counted(name):
+        def optimize(*args):
+            calls[name] += 1
+            return search(*args)
+        return optimize
+
+    monkeypatch.setattr(synthesis, "optimize_gates", counted("search"))
+    monkeypatch.setattr(oracles, "optimize_gates", counted("oracle"))
+    estimate = estimate_state_complexity(target, config, 4)
+    expected = oracles.search_every_layout(target, config, 4)
+    assert isinstance(estimate, ComplexityNotFound) and expected.r_star is None
+    assert estimate.best_fidelity_per_r == expected.best_fidelity_per_r
+    assert calls["search"] < calls["oracle"]
 
 
 def test_resumed_witnesses_give_one_report_for_any_jobs():

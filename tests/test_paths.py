@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entpaths import paths as paths_module
-from entpaths.core import (Circuit, ResourceCapError, TwoQubitGate,
+from entpaths.core import (MAX_QUBITS, Circuit, ResourceCapError, TwoQubitGate,
                            random_architecture, random_circuit, run_circuit)
 from entpaths.paths import (DEUTSCH_VARIANTS, deutsch_path_table, deutsch_step_matrices,
                             enumerate_paths, oracle_matrix, path_sums,
@@ -160,6 +160,26 @@ def test_small_block_walk_matches_recursive_oracle_exactly(monkeypatch, n, r, bl
     rng = np.random.default_rng(100 * n + r)
     circuit = _random_circuit(n, r, 100 * n + r)
     _assert_matches_recursive_oracle(circuit, [0, 2**n - 1, int(rng.integers(2**n))], rng)
+
+
+# random_architecture draws pairs (j, k) with j < k; a loaded circuit may
+# act on (k, j), which swaps the roles of the two bits of each element
+@pytest.mark.parametrize("r", [3, 7])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_block_walk_on_reversed_pairs_matches_recursive_oracle_exactly(n, r):
+    rng = np.random.default_rng(3000 + 10 * n + r)
+    slots = tuple((k, j) for j, k in random_architecture(n, r, rng))
+    circuit = random_circuit(n, slots, rng)
+    starts = [int(rng.integers(2**n))] if r == 7 else [0, 2**n - 1, int(rng.integers(2**n))]
+    _assert_matches_recursive_oracle(circuit, starts, rng)
+
+
+def test_block_walk_at_the_largest_register_matches_recursive_oracle_exactly():
+    # MAX_QUBITS = 12: every gate table has 4096 rows
+    n = MAX_QUBITS
+    rng = np.random.default_rng(12)
+    circuit = _random_circuit(n, 3, 12)
+    _assert_matches_recursive_oracle(circuit, [2**n - 1], rng)
 
 
 def test_block_walk_takes_one_gate_step_per_block(monkeypatch):
