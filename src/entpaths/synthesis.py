@@ -14,8 +14,12 @@ with the exact gradient of each gate's exponential taken in its
 eigenbasis; a one-gate search is a single exact evaluation.  Each ascent
 evaluates its start once and calls L-BFGS-B only when that start neither
 reaches the stopping fidelity nor is stationary (the test L-BFGS-B would
-make on it before any step).  The last gate of a kept restart stays the
-matrix the SVD gave, rescaled into SU(4).  The smallest gate count at
+make on it before any step).  Whatever does not depend on the restart
+(the gather indices, the target gathered on the last pair, |0..0> on the
+first, scratch state vectors) is built once per layout and target, which
+also checks the layout before any ascent.  A kept restart binds the
+matrices its best evaluation built for the free gates, and the last gate
+the SVD gave there, rescaled into SU(4).  The smallest gate count at
 which any canonical architecture reaches a fidelity tolerance estimates
 the target's exact-preparation complexity.  One SearchSettings value
 carries that tolerance and the search caps down to each restart.
@@ -102,6 +106,8 @@ def _build_generators() -> np.ndarray:
 
 GENERATORS = _build_generators()
 _GENERATOR_ROWS = GENERATORS.reshape(NUM_GATE_PARAMS, 16)
+# what np.sinc puts in place of a zero argument
+_EPS = np.finfo(np.float64).eps
 
 
 def _su4_eigh(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,11 +122,6 @@ def _su4_eigh(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return eigenvalues, vecs, mats
 
 
-def _su4_batch(thetas: np.ndarray) -> np.ndarray:
-    """exp(-i sum theta_a G_a) for a (..., 15) parameter array -> (..., 4, 4)."""
-    return _su4_eigh(thetas)[2]
-
-
 def _seed_key(seed, *extra) -> tuple[int, ...]:
     if isinstance(seed, (int, np.integer)):
         base = (int(seed),)
@@ -132,19 +133,57 @@ def _seed_key(seed, *extra) -> tuple[int, ...]:
 # --- fidelity ascent ------------------------------------------------------
 
 
-def _fidelity_and_grad(thetas: np.ndarray, pairs: Sequence[tuple[int, int]],
-                       num_qubits: int, target_amp: np.ndarray
-                       ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Best fidelity over the last gate, its gradient in the other gates,
-    and the best last gate.
+class _LayoutPlan:
+    """What the fidelity kernel reads of one layout and target, built once
+    for every restart on it: the gather index of each slot, the target
+    gathered on the last pair and its conjugate transpose, and |0..0>
+    gathered on the first pair.  Two state vectors and the free gates'
+    environments are scratch space that each kernel call overwrites before
+    reading, so the plan holds nothing of any one restart.
 
-    thetas holds the R-1 free gates of the R slots in pairs.  With phi the
-    state before the last gate, gathered on its pair as Phi = phi[ix] and
-    the target as T = t[ix], the amplitude is a = tr(U K) for K = Phi T^+,
-    so by the von Neumann trace inequality max_U |a| = sum of the singular
-    values of K, reached at U* = V W^+ where K = W S V^+.  Since U* is
-    optimal, the gradient in the free gates is that of |a|**2 at U* held
-    fixed (Danskin): the backward pass starts from (U*^+ (x) I) t.
+    Raises ValueError for an empty layout or a slot that is not two
+    distinct int indices >= 0, and DimensionMismatchError for a slot past
+    the register.
+    """
+
+    __slots__ = ("index", "last_target", "last_target_h", "start", "psi", "back", "env")
+
+    def __init__(self, slots: Sequence[tuple[int, int]], num_qubits: int,
+                 target_amp: np.ndarray):
+        if not slots:
+            raise ValueError("the search needs a layout of at least one gate")
+        for pair in slots:
+            if (len(pair) != 2 or not all(map(_is_int, pair)) or min(pair) < 0
+                    or pair[0] == pair[1]):
+                raise ValueError(
+                    f"layout slot {tuple(pair)} is not two distinct qubit indices >= 0")
+            if max(pair) >= num_qubits:
+                raise DimensionMismatchError(
+                    f"layout {tuple(slots)} reaches past the target's {num_qubits} qubits")
+        self.index = [gather_index(pair, num_qubits) for pair in slots]
+        self.last_target = target_amp[self.index[-1]]
+        self.last_target_h = self.last_target.conj().T
+        zero = np.zeros(target_amp.size, dtype=np.complex128)
+        zero[0] = 1.0
+        self.start = zero[self.index[0]]
+        self.psi = np.empty_like(zero)
+        self.back = np.empty_like(target_amp)
+        self.env = np.empty((len(slots) - 1, 4, 4), dtype=np.complex128)
+
+
+def _fidelity_and_grad(thetas: np.ndarray, plan: _LayoutPlan
+                       ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Best fidelity over the last gate, its gradient in the other gates,
+    the best last gate and the other gates' matrices.
+
+    thetas holds the R-1 free gates of the R slots the plan was built on.
+    With phi the state before the last gate, gathered on its pair as
+    Phi = phi[ix] and the target as T = t[ix], the amplitude is
+    a = tr(U K) for K = Phi T^+, so by the von Neumann trace inequality
+    max_U |a| = sum of the singular values of K, reached at U* = V W^+
+    where K = W S V^+.  Since U* is optimal, the gradient in the free gates
+    is that of |a|**2 at U* held fixed (Danskin): the backward pass starts
+    from (U*^+ (x) I) t.
 
     The amplitude is linear in each free gate: a = sum(E_g * U_g) with E_g
     built from the state before gate g and the target propagated back to
@@ -155,51 +194,53 @@ def _fidelity_and_grad(thetas: np.ndarray, pairs: Sequence[tuple[int, int]],
     with M = (V^T E conj(V)) * L.  One batched eigh serves the gates and the
     gradient.
     """
-    num_free = len(pairs) - 1
+    num_free = len(thetas)
     eigenvalues, vecs, mats = _su4_eigh(thetas)
-    index = [gather_index(pair, num_qubits) for pair in pairs]
-    psi = np.zeros(target_amp.size, dtype=np.complex128)
-    psi[0] = 1.0
+    index = plan.index
+    psi = plan.psi
+    local = plan.start
     before = []  # the state before gate g, gathered for its pair
-    for u, ix in zip(mats, index):
-        local = psi[ix]
+    for g in range(num_free):
         before.append(local)
-        psi = np.empty_like(psi)
-        psi[ix] = u @ local
-    last_target = target_amp[index[-1]]
-    w, sigma, vh = np.linalg.svd(psi[index[-1]] @ last_target.conj().T)
+        psi[index[g]] = mats[g] @ local
+        local = psi[index[g + 1]]
+    w, sigma, vh = np.linalg.svd(local @ plan.last_target_h)
     last = vh.conj().T @ w.conj().T
     amp = float(sigma.sum())  # tr(U* K), real and nonnegative
-    env = np.empty((num_free, 4, 4), dtype=np.complex128)
-    back = np.empty_like(target_amp)
-    back[index[-1]] = last.conj().T @ last_target
+    env = plan.env
+    back = plan.back
+    back[index[-1]] = last.conj().T @ plan.last_target
     for g in range(num_free - 1, -1, -1):
         local = back[index[g]]
         env[g] = local.conj() @ before[g].T
         if g:  # nothing reads the target propagated to before gate 0
-            back = np.empty_like(back)
             back[index[g]] = mats[g].conj().T @ local
     # divided differences of exp(-ix), in a form that stays exact as
-    # eigenvalues meet: L_jk = -i exp(-i(l_j+l_k)/2) sinc((l_j-l_k)/2)
+    # eigenvalues meet: L_jk = -i exp(-i(l_j+l_k)/2) sinc((l_j-l_k)/2),
+    # with np.sinc written out as numpy computes it
     total = eigenvalues[:, :, None] + eigenvalues[:, None, :]
     diff = eigenvalues[:, :, None] - eigenvalues[:, None, :]
-    divided = -1.0j * np.exp(-0.5j * total) * np.sinc(diff / (2.0 * math.pi))
-    inner = (np.swapaxes(vecs, -1, -2) @ env @ vecs.conj()) * divided
-    outer = vecs.conj() @ inner @ np.swapaxes(vecs, -1, -2)
+    x = math.pi * (diff / (2.0 * math.pi))
+    y = np.where(x, x, _EPS)
+    divided = -1.0j * np.exp(-0.5j * total) * (np.sin(y) / y)
+    vecs_conj = vecs.conj()
+    vecs_t = np.swapaxes(vecs, -1, -2)
+    inner = (vecs_t @ env @ vecs_conj) * divided
+    outer = vecs_conj @ inner @ vecs_t
     damp = outer.reshape(num_free, 16) @ _GENERATOR_ROWS.T
     grad = 2.0 * amp * damp.real
-    return amp * amp, grad, last
+    return amp * amp, grad, last, mats
 
 
 class _EarlyStop(Exception):
     pass
 
 
-def _ascend(theta0: np.ndarray, pairs: Sequence[tuple[int, int]], num_qubits: int,
-            target_amp: np.ndarray, iterations: int
-            ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One local ascent over the free gates theta0 (every slot but the
-    last); returns the best free gates seen, the closed-form last gate
+def _ascend(theta0: np.ndarray, plan: _LayoutPlan, iterations: int
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """One local ascent over the free gates theta0 (every slot of the
+    plan's layout but the last); returns the best free gates seen, as
+    parameters and as the kernel's matrices, the closed-form last gate
     there (its phase not yet fixed) and their fidelity.
 
     The start is evaluated once.  It is the answer, and L-BFGS-B is not
@@ -213,9 +254,9 @@ def _ascend(theta0: np.ndarray, pairs: Sequence[tuple[int, int]], num_qubits: in
 
     def negative(x: np.ndarray):
         theta = x.reshape(theta0.shape)
-        value, grad, last = _fidelity_and_grad(theta, pairs, num_qubits, target_amp)
+        value, grad, last, mats = _fidelity_and_grad(theta, plan)
         if value > best["f"]:
-            best.update(f=value, theta=theta.copy(), last=last)
+            best.update(f=value, theta=theta.copy(), mats=mats, last=last)
             if value >= STOP_FIDELITY:
                 raise _EarlyStop
         return -value, -grad.reshape(-1)
@@ -237,7 +278,7 @@ def _ascend(theta0: np.ndarray, pairs: Sequence[tuple[int, int]], num_qubits: in
             )
     except _EarlyStop:
         pass
-    return best["theta"], best["last"], best["f"]
+    return best["theta"], best["mats"], best["last"], best["f"]
 
 
 @dataclass(frozen=True)
@@ -285,40 +326,40 @@ class OptimizeResult:
 def _restarts(slots: Sequence[tuple[int, int]], target: StateVector,
               settings: SearchSettings, seed, first: int = 0):
     """Run the restarts from index `first` on in order, yielding
-    (k, theta, last, value) for each: the free gates' parameters, the raw
+    (k, mats, last, value) for each: the free gates' matrices, the raw
     closed-form last gate and the fidelity.
 
-    Restart k starts its free gates from parameters drawn from a generator
-    seeded by (seed, k), whichever restart came before it.  With one gate
-    nothing is free and every restart would give the same answer, so only
-    restart 0 runs.  The consumer decides when to stop and replays the
-    restarts it keeps.  An empty layout has no last gate to solve for and
-    raises ValueError, as does a pair outside the target's register.
+    One _LayoutPlan of the layout and target serves every restart; building
+    it validates the layout before any ascent, so an empty layout (no last
+    gate to solve for) or a slot that is not two distinct qubits raises
+    ValueError, and a slot outside the target's register
+    DimensionMismatchError.  Restart k starts its free gates from
+    parameters drawn from a generator seeded by (seed, k), whichever
+    restart came before it.  With one gate nothing is free and every
+    restart would give the same answer, so only restart 0 runs.  The
+    consumer decides when to stop and replays the restarts it keeps.
     """
-    if not slots:
-        raise ValueError("the search needs a layout of at least one gate")
-    if max(map(max, slots)) >= target.num_qubits:
-        raise DimensionMismatchError(
-            f"layout {tuple(slots)} reaches past the target's {target.num_qubits} qubits")
+    plan = _LayoutPlan(slots, target.num_qubits, target.amplitudes)
     num_free = len(slots) - 1
     for k in range(first, settings.restarts if num_free else 1):
         rng = np.random.default_rng(_seed_key(seed, k))
         theta0 = rng.uniform(-math.pi, math.pi, size=(num_free, NUM_GATE_PARAMS))
-        theta, last, value = _ascend(theta0, slots, target.num_qubits,
-                                     target.amplitudes, settings.iterations)
-        yield k, theta, last, value
+        _, mats, last, value = _ascend(theta0, plan, settings.iterations)
+        yield k, mats, last, value
 
 
-def _replay(slots: Sequence[tuple[int, int]], theta: np.ndarray, last: np.ndarray,
+def _replay(slots: Sequence[tuple[int, int]], mats: np.ndarray, last: np.ndarray,
             target: StateVector) -> tuple[Circuit, tuple[StateVector, ...], float]:
-    """Rebuild the gates of a restart, the state path they run through and
-    the fidelity they reach.
+    """Bind the gates of a restart, and give the state path they run
+    through and the fidelity they reach.
 
-    The free gates come from their parameters theta; the closed-form last
-    gate is bound as it is, its global phase rescaled so that det = 1.
+    The free gates are the matrices the kernel built from their parameters
+    at the restart's best point, so the exponential map is not run again;
+    the closed-form last gate is bound as it is, its global phase rescaled
+    so that det = 1.
     """
     *free_pairs, last_pair = slots
-    gates = [TwoQubitGate(pair, m) for pair, m in zip(free_pairs, _su4_batch(theta))]
+    gates = [TwoQubitGate(pair, m) for pair, m in zip(free_pairs, mats)]
     gates.append(TwoQubitGate.from_unitary(last_pair, last))
     circuit = Circuit(target.num_qubits, gates)
     path = run_circuit(circuit)
@@ -343,9 +384,9 @@ def optimize_gates(slots: Sequence[tuple[int, int]], target: StateVector,
     best_value = -1.0
     best_gates = None
     best_restart = 0
-    for k, theta, last, value in _restarts(slots, target, settings, seed):
+    for k, mats, last, value in _restarts(slots, target, settings, seed):
         if value > best_value:
-            best_value, best_gates, best_restart = value, (theta, last), k
+            best_value, best_gates, best_restart = value, (mats, last), k
         if value >= threshold:
             break
     circuit, path, achieved = _replay(slots, *best_gates, target)
@@ -363,10 +404,10 @@ def optimize_gates_collect(slots: Sequence[tuple[int, int]], target: StateVector
     gives at most one solution."""
     threshold = settings.threshold
     collected: list[OptimizeResult] = []
-    for k, theta, last, value in _restarts(slots, target, settings, seed, first_restart):
+    for k, mats, last, value in _restarts(slots, target, settings, seed, first_restart):
         if value < threshold:
             continue
-        circuit, path, achieved = _replay(slots, theta, last, target)
+        circuit, path, achieved = _replay(slots, mats, last, target)
         if achieved >= threshold:
             collected.append(OptimizeResult(circuit, path, achieved, True, k + 1, k))
             if len(collected) >= max_collect:

@@ -7,9 +7,11 @@ exceptions are params_from_su4, which inverts the package's gate chart
 through a matrix logarithm so tests can build parameters from a matrix,
 the two ascents, kept as baselines of the package's earlier ascents (the
 full-gate one runs on the package's gate chart, and the closed-form one on
-the package's fidelity kernel), and the gate-count search at the end: it
-walks every layout the way the search did before layouts were ruled out,
-through the package's own per-layout search.
+the package's fidelity kernel), the closed-form kernel as it was before its
+per-layout constants moved into a plan (on the package's gate chart and
+gather index), and the gate-count search at the end: it walks every layout
+the way the search did before layouts were ruled out, through the
+package's own per-layout search.
 """
 
 import cmath
@@ -414,7 +416,7 @@ def params_from_su4(matrix: np.ndarray) -> np.ndarray:
     """A parameter preimage of a special-unitary 4x4 matrix.
 
     Recovered through the principal matrix logarithm; the round trip
-    synthesis._su4_batch(params_from_su4(U)) equals U up to a global phase that
+    synthesis._su4_eigh(params_from_su4(U))[2] equals U up to a global phase that
     is a 4th root of unity (the traceless projection of the log branch).
     """
     u = np.asarray(matrix, dtype=np.complex128)
@@ -492,6 +494,51 @@ def fidelity_and_grad_full(thetas, pairs, num_qubits, target_amp):
     return float(abs(amp) ** 2), grad
 
 
+def fidelity_and_grad_per_call(thetas, pairs, num_qubits, target_amp):
+    """Best fidelity over the last gate, its gradient in the other gates,
+    and the best last gate.
+
+    The package's closed-form kernel before it read its per-layout
+    constants from a plan, kept verbatim: every call gathers the target,
+    builds |0..0> and allocates its state vectors.  The package's kernel
+    must match it bit for bit.
+    """
+    num_free = len(pairs) - 1
+    eigenvalues, vecs, mats = _su4_eigh(thetas)
+    index = [gather_index(pair, num_qubits) for pair in pairs]
+    psi = np.zeros(target_amp.size, dtype=np.complex128)
+    psi[0] = 1.0
+    before = []  # the state before gate g, gathered for its pair
+    for u, ix in zip(mats, index):
+        local = psi[ix]
+        before.append(local)
+        psi = np.empty_like(psi)
+        psi[ix] = u @ local
+    last_target = target_amp[index[-1]]
+    w, sigma, vh = np.linalg.svd(psi[index[-1]] @ last_target.conj().T)
+    last = vh.conj().T @ w.conj().T
+    amp = float(sigma.sum())  # tr(U* K), real and nonnegative
+    env = np.empty((num_free, 4, 4), dtype=np.complex128)
+    back = np.empty_like(target_amp)
+    back[index[-1]] = last.conj().T @ last_target
+    for g in range(num_free - 1, -1, -1):
+        local = back[index[g]]
+        env[g] = local.conj() @ before[g].T
+        if g:  # nothing reads the target propagated to before gate 0
+            back = np.empty_like(back)
+            back[index[g]] = mats[g].conj().T @ local
+    # divided differences of exp(-ix), in a form that stays exact as
+    # eigenvalues meet: L_jk = -i exp(-i(l_j+l_k)/2) sinc((l_j-l_k)/2)
+    total = eigenvalues[:, :, None] + eigenvalues[:, None, :]
+    diff = eigenvalues[:, :, None] - eigenvalues[:, None, :]
+    divided = -1.0j * np.exp(-0.5j * total) * np.sinc(diff / (2.0 * math.pi))
+    inner = (np.swapaxes(vecs, -1, -2) @ env @ vecs.conj()) * divided
+    outer = vecs.conj() @ inner @ np.swapaxes(vecs, -1, -2)
+    damp = outer.reshape(num_free, 16) @ _GENERATOR_ROWS.T
+    grad = 2.0 * amp * damp.real
+    return amp * amp, grad, last
+
+
 class _EarlyStop(Exception):
     pass
 
@@ -523,18 +570,19 @@ def ascend_full_gates(theta0, pairs, num_qubits, target_amp, iterations):
     return best["theta"], best["f"]
 
 
-def ascend_always_scipy(theta0, pairs, num_qubits, target_amp, iterations):
-    """The closed-form ascent with L-BFGS-B always called: returns the best
-    free gates seen, the raw last gate there and their fidelity.  The
-    reference for the package's ascent, which skips the call on a start
-    that early-stops or is stationary."""
+def ascend_always_scipy(theta0, plan, iterations):
+    """The closed-form ascent with L-BFGS-B always called, on the package's
+    kernel and a plan of its layout and target: returns the best free gates
+    seen, as parameters and as matrices, the raw last gate there and their
+    fidelity.  The reference for the package's ascent, which skips the call
+    on a start that early-stops or is stationary."""
     best = {"f": -1.0}
 
     def negative(x: np.ndarray):
         theta = x.reshape(theta0.shape)
-        value, grad, last = _fidelity_and_grad(theta, pairs, num_qubits, target_amp)
+        value, grad, last, mats = _fidelity_and_grad(theta, plan)
         if value > best["f"]:
-            best.update(f=value, theta=theta.copy(), last=last)
+            best.update(f=value, theta=theta.copy(), mats=mats, last=last)
             if value >= STOP_FIDELITY:
                 raise _EarlyStop
         return -value, -grad.reshape(-1)
@@ -546,7 +594,7 @@ def ascend_always_scipy(theta0, pairs, num_qubits, target_amp, iterations):
         )
     except _EarlyStop:
         pass
-    return best["theta"], best["last"], best["f"]
+    return best["theta"], best["mats"], best["last"], best["f"]
 
 
 def search_every_layout(target, settings, seed):

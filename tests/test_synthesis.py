@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from entpaths.core import (Circuit, DimensionMismatchError, ResourceCapError,
 from entpaths.entanglement import cut_weights
 from entpaths.synthesis import (ComplexityEstimate, ComplexityNotFound,
                                 GENERATORS, STOP_FIDELITY, SearchSettings,
-                                _ascend, _fidelity_and_grad, _su4_batch, can_reach,
-                                enumerate_architectures, estimate_state_complexity,
-                                layout_bound, optimize_gates, optimize_gates_collect,
-                                sample_target)
+                                _LayoutPlan, _ascend, _fidelity_and_grad, _su4_eigh,
+                                can_reach, enumerate_architectures,
+                                estimate_state_complexity, layout_bound, optimize_gates,
+                                optimize_gates_collect, sample_target)
 
 import oracles
 from conftest import random_state
@@ -42,13 +43,13 @@ def test_generators_form_an_orthogonal_traceless_basis():
 
 
 def test_zero_parameters_give_the_identity():
-    assert np.allclose(_su4_batch(np.zeros(15)), np.eye(4), atol=1e-12)
+    assert np.allclose(_su4_eigh(np.zeros(15))[2], np.eye(4), atol=1e-12)
 
 
-def test_su4_batch_lands_in_the_group():
+def test_su4_exponential_lands_in_the_group():
     rng = np.random.default_rng(1)
     for _ in range(5):
-        u = _su4_batch(rng.normal(scale=0.8, size=15))
+        u = _su4_eigh(rng.normal(scale=0.8, size=15))[2]
         assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
         assert np.isclose(complex(np.linalg.det(u)), 1.0, atol=1e-10)
 
@@ -57,7 +58,7 @@ def test_params_round_trip_reproduces_the_matrix():
     rng = np.random.default_rng(2)
     for _ in range(5):
         u = haar_random_su4(rng)
-        rebuilt = _su4_batch(params_from_su4(u))
+        rebuilt = _su4_eigh(params_from_su4(u))[2]
         # the log is defined up to a fourth root of unity global phase
         overlap = abs(np.trace(rebuilt.conj().T @ u)) / 4.0
         assert np.isclose(overlap, 1.0, atol=1e-9)
@@ -76,7 +77,7 @@ def _check_against_expm_oracle(free, pairs, n, target):
     # the reduced gradient is the full gradient at the closed-form last
     # gate, restricted to the free gates; at that optimum the full
     # gradient on the last gate vanishes
-    value, grad, last = _fidelity_and_grad(free, pairs, n, target)
+    value, grad, last, _ = _fidelity_and_grad(free, _LayoutPlan(pairs, n, target))
     thetas = np.vstack([free, params_from_su4(last)])
     ref_value, ref_grad = oracles.fidelity_and_gradient_expm(
         thetas, GENERATORS, pairs, n, target)
@@ -112,7 +113,7 @@ def _dense_state(free, pairs, n):
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     for theta, pair in zip(free, pairs):
-        state = oracles.embed_gate(_su4_batch(theta), pair, n) @ state
+        state = oracles.embed_gate(_su4_eigh(theta)[2], pair, n) @ state
     return state
 
 
@@ -123,7 +124,7 @@ def test_closed_form_last_gate_matches_trace_norm_oracle(n, num_gates):
     pairs = _random_pairs(n, num_gates, rng)
     target = random_state(n, seed=70 + 10 * n + num_gates).amplitudes
     free = rng.uniform(-np.pi, np.pi, size=(num_gates - 1, 15))
-    value, _, last = _fidelity_and_grad(free, pairs, n, target)
+    value, _, last, _ = _fidelity_and_grad(free, _LayoutPlan(pairs, n, target))
     before = _dense_state(free, pairs, n)
     bound = oracles.best_last_gate_fidelity(before, target, n, pairs[-1])
     # K is rank-deficient on two qubits and after one gate from |0..0>;
@@ -144,9 +145,9 @@ def test_kernel_fidelity_matches_circuit_run(n):
     pairs = _random_pairs(n, 4, rng)
     free = rng.uniform(-np.pi, np.pi, size=(3, 15))
     target = random_state(n, seed=40 + n)
-    value, _, last = _fidelity_and_grad(free, pairs, n, target.amplitudes)
+    value, _, last, _ = _fidelity_and_grad(free, _LayoutPlan(pairs, n, target.amplitudes))
     thetas = np.vstack([free, params_from_su4(last)])
-    circuit = Circuit(n, [TwoQubitGate(pair, _su4_batch(theta))
+    circuit = Circuit(n, [TwoQubitGate(pair, _su4_eigh(theta)[2])
                           for pair, theta in zip(pairs, thetas)])
     slow = fidelity(run_circuit(circuit)[-1], target)
     assert abs(value - slow) <= 1e-12
@@ -167,11 +168,12 @@ def test_ascent_succeeds_at_least_as_often_as_the_full_gate_ascent():
                 theta0 = rng.uniform(-np.pi, np.pi, size=(num_gates, 15))
                 _, full = oracles.ascend_full_gates(theta0, pairs, n,
                                                     target.amplitudes, 500)
-                free, last, value = _ascend(theta0[:-1], pairs, n, target.amplitudes, 500)
+                plan = _LayoutPlan(pairs, n, target.amplitudes)
+                free, _, last, value = _ascend(theta0[:-1], plan, 500)
                 last = last * np.exp(-0.25j * np.angle(np.linalg.det(last)))
                 theta = np.vstack([free, params_from_su4(last)])
                 circuit = Circuit(n, [
-                    TwoQubitGate(pair, _su4_batch(t)) for pair, t in zip(pairs, theta)])
+                    TwoQubitGate(pair, _su4_eigh(t)[2]) for pair, t in zip(pairs, theta)])
                 replayed = fidelity(run_circuit(circuit)[-1], target)
                 assert abs(replayed - value) <= 1e-12
                 full_successes += full >= threshold
@@ -213,11 +215,13 @@ def test_ascent_matches_the_ascent_that_always_calls_scipy(n, pairs, monkeypatch
                                                 np.random.default_rng(seed)))[-1]
         rng = np.random.default_rng((n, len(pairs), seed))
         theta0 = rng.uniform(-np.pi, np.pi, size=(len(pairs) - 1, 15))
+        plan = _LayoutPlan(pairs, n, target.amplitudes)
         for _ in range(2):
-            theta, last, value = _ascend(theta0, pairs, n, target.amplitudes, 300)
-            ref_theta, ref_last, ref_value = oracles.ascend_always_scipy(
-                theta0, pairs, n, target.amplitudes, 300)
+            theta, mats, last, value = _ascend(theta0, plan, 300)
+            ref_theta, ref_mats, ref_last, ref_value = oracles.ascend_always_scipy(
+                theta0, plan, 300)
             assert np.array_equal(theta, ref_theta)
+            assert np.array_equal(mats, ref_mats)
             assert np.array_equal(last, ref_last)
             assert value == ref_value
             if value >= STOP_FIDELITY:
@@ -239,15 +243,138 @@ def test_stationary_start_never_enters_scipy(monkeypatch):
     rng = np.random.default_rng(4)
     for seed in range(5):
         target = random_state(3, seed=310 + seed)
-        theta, _, value = _ascend(rng.uniform(-np.pi, np.pi, size=(1, 15)), pairs, 3,
-                                  target.amplitudes, 300)
+        theta, _, _, value = _ascend(rng.uniform(-np.pi, np.pi, size=(1, 15)),
+                                     _LayoutPlan(pairs, 3, target.amplitudes), 300)
         # any first gate is absorbed, so the start already holds the optimum
         bound = oracles.best_single_gate_fidelity(target.amplitudes, 3, (0, 1))
         assert abs(value - bound) <= 1e-12
     assert calls == []
-    _ascend(rng.uniform(-np.pi, np.pi, size=(1, 15)), ((0, 1), (1, 2)), 3,
-            random_state(3, seed=320).amplitudes, 300)
+    _ascend(rng.uniform(-np.pi, np.pi, size=(1, 15)),
+            _LayoutPlan(((0, 1), (1, 2)), 3, random_state(3, seed=320).amplitudes), 300)
     assert calls == [1]
+
+
+def _kernel_cases(n, num_gates, rng):
+    """Layouts and free-gate rows for the kernel's bitwise checks: random
+    ordered pairs, the same pairs with every slot reversed (k > j first),
+    and rows whose spectra are degenerate: all-zero rows (the identity,
+    one eigenvalue four times) and rows on the diagonal generators alone."""
+    pairs = _random_pairs(n, num_gates, rng)
+    reversed_pairs = [tuple(sorted(pair, reverse=True)) for pair in pairs]
+    free = rng.uniform(-np.pi, np.pi, size=(num_gates - 1, 15))
+    degenerate = free.copy()
+    degenerate[::2] = 0.0
+    degenerate[1::2, :12] = 0.0
+    return [(pairs, free), (reversed_pairs, free), (pairs, degenerate),
+            (reversed_pairs, np.zeros_like(free))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("num_gates", [1, 2, 3, 4, 5, 6])
+def test_kernel_matches_the_per_call_kernel_bit_for_bit(n, num_gates):
+    rng = np.random.default_rng(500 + 10 * n + num_gates)
+    target = random_state(n, seed=510 + 10 * n + num_gates).amplitudes
+    for pairs, free in _kernel_cases(n, num_gates, rng):
+        value, grad, last, mats = _fidelity_and_grad(free, _LayoutPlan(pairs, n, target))
+        ref_value, ref_grad, ref_last = oracles.fidelity_and_grad_per_call(
+            free, pairs, n, target)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(last, ref_last)
+        assert np.array_equal(mats, _su4_eigh(free)[2])
+
+
+def test_a_plan_gives_the_same_bits_whatever_it_evaluated_before():
+    # the plan's scratch vectors are overwritten by every call, so
+    # evaluating A, then B, then A again gives A's bits both times
+    rng = np.random.default_rng(530)
+    pairs = [(0, 1), (2, 1), (1, 3), (3, 0)]
+    plan = _LayoutPlan(pairs, 4, random_state(4, seed=531).amplitudes)
+    a, b = rng.uniform(-np.pi, np.pi, size=(2, 3, 15))
+    first = _fidelity_and_grad(a, plan)
+    _fidelity_and_grad(b, plan)
+    again = _fidelity_and_grad(a, plan)
+    assert first[0] == again[0]
+    for x, y in zip(first[1:], again[1:]):
+        assert np.array_equal(x, y)
+
+
+BAD_LAYOUTS = [
+    (((-1, 0), (0, 1), (1, 2)), ValueError, "(-1, 0)"),
+    (((0, 1), (0, 0)), ValueError, "(0, 0)"),
+    (((2, 2),), ValueError, "(2, 2)"),
+    (((0, 1), (1, 2.0)), ValueError, "(1, 2.0)"),
+    (((0, 1), (1, 3), (0, 2)), DimensionMismatchError, "3 qubits"),
+]
+
+
+@pytest.mark.parametrize("slots,error,named", BAD_LAYOUTS)
+def test_a_bad_layout_raises_before_any_kernel_call(slots, error, named, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _fidelity_and_grad(*args)
+
+    monkeypatch.setattr(synthesis, "_fidelity_and_grad", counted)
+    target = random_state(3, seed=540)
+    with pytest.raises(error, match=re.escape(named)):
+        optimize_gates(slots, target, SMALL, 0)
+    with pytest.raises(error, match=re.escape(named)):
+        optimize_gates_collect(slots, target, SMALL, 0, 2)
+    if error is ValueError:  # not the register-size error
+        with pytest.raises(ValueError) as raised:
+            optimize_gates(slots, target, SMALL, 0)
+        assert not isinstance(raised.value, DimensionMismatchError)
+    assert calls == []
+
+
+def _replayed_from_parameters(slots, theta, last, target):
+    """The replay before it bound the kernel's matrices: each free gate
+    rebuilt from its parameters by the exponential map."""
+    gates = [TwoQubitGate(pair, m) for pair, m in zip(slots[:-1], _su4_eigh(theta)[2])]
+    gates.append(TwoQubitGate.from_unitary(slots[-1], last))
+    path = run_circuit(Circuit(target.num_qubits, gates))
+    return path, fidelity(path[-1], target)
+
+
+@pytest.mark.parametrize("collect", [False, True])
+@pytest.mark.parametrize("reachable", [False, True])
+def test_kept_restarts_replay_the_kernels_gates(collect, reachable, monkeypatch):
+    # every restart's best point is recorded, so a kept one can be
+    # replayed the old way, from its parameters, and compared bit for bit
+    ascents = []
+
+    def recorded(*args):
+        out = _ascend(*args)
+        ascents.append(out)
+        return out
+
+    monkeypatch.setattr(synthesis, "_ascend", recorded)
+    n, slots = 4, ((0, 1), (2, 3), (1, 2))
+    if reachable:
+        target = run_circuit(random_circuit(n, slots, np.random.default_rng(550)))[-1]
+    else:
+        target = random_state(n, seed=551)
+    settings = SearchSettings(fidelity_tol=EVERY_RESTART, restarts=4, iterations=200)
+    if collect:
+        results = optimize_gates_collect(slots, target, settings, 7, 3, first_restart=1)
+        first = 1
+        assert len(results) == 3
+    else:
+        # short of the target, every restart runs and the best is kept
+        results = [optimize_gates(slots, target, SMALL, 7)]
+        first = 0
+    for result in results:
+        theta, mats, last, value = ascents[result.best_restart - first]
+        expected = _su4_eigh(theta)[2]
+        for g, gate in enumerate(result.circuit.gates[:-1]):
+            assert np.array_equal(gate.matrix, expected[g])
+        path, achieved = _replayed_from_parameters(slots, theta, last, target)
+        assert result.achieved_fidelity == achieved
+        assert len(result.path) == len(path)
+        for state, ref in zip(result.path, path):
+            assert np.array_equal(state.amplitudes, ref.amplitudes)
 
 
 # --- single-architecture optimization ------------------------------------
