@@ -11,6 +11,12 @@ circuits (a qubit count plus a gate sequence), Haar-random SU(4) sampling,
 the reference states bell, ghz3 and w3, and a bit-exact JSON round trip for
 circuits.  A layout, the ordered qubit pairs a circuit's gates act on, is a
 plain tuple of (j, k) pairs.
+
+This module is also the one place that calls LAPACK past numpy.linalg's
+wrappers.  The synthesis kernel's eigh and SVD and each gate's determinant
+run on 4x4 matrices, where the wrappers' argument and type dispatch costs
+about a third of the call; _eigh, _svd and _det run the same gufuncs with
+the same signatures, so each result is numpy's bit for bit.
 """
 from __future__ import annotations
 
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .canonical import write_canonical_json
 
@@ -29,6 +36,7 @@ MAX_QUBITS = 12  # dense vectors only; experiments in this package run at n <= 5
 NORM_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
 DET_ATOL = 1e-9
+_IDENTITY = np.eye(4)
 
 
 class DimensionMismatchError(ValueError):
@@ -93,9 +101,14 @@ class StateVector:
             raise DimensionMismatchError(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amp.shape}"
             )
-        if not (np.all(np.isfinite(amp.real)) and np.all(np.isfinite(amp.imag))):
+        if not np.isfinite(amp).all():  # a complex entry is finite when both parts are
             raise ValueError("state amplitudes must be finite")
-        norm = float(np.linalg.norm(amp))
+        # no entry of a unit vector has modulus above 1; testing that before
+        # the norm rejects huge entries, whose squares would overflow it
+        if not np.abs(amp).max() <= 1.0 + NORM_ATOL:
+            raise ValueError("state amplitudes are not normalized (entry modulus above 1)")
+        real, imag = amp.real, amp.imag
+        norm = math.sqrt(real.dot(real) + imag.dot(imag))  # as np.linalg.norm sums it
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {norm} differs from 1 by more than {NORM_ATOL}")
         amp.flags.writeable = False
@@ -122,10 +135,49 @@ def _unitary_4x4(matrix) -> np.ndarray:
     # product rejects inf, NaN and huge entries, which would overflow it
     if not np.abs(mat).max() <= 1.0 + UNITARY_ATOL:
         raise ValueError("gate matrix is not a finite unitary (entry modulus above 1)")
-    err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(4))))
+    err = float(np.max(np.abs(mat.conj().T @ mat - _IDENTITY)))
     if not err <= UNITARY_ATOL:
         raise ValueError(f"gate matrix is not a finite unitary (deviation {err:.3e})")
     return mat
+
+
+# --- LAPACK without numpy.linalg's wrappers --------------------------------
+# Each takes complex128 input, as the wrappers would convert it.  eigh and
+# svd run under the errstate numpy's wrappers set, so LAPACK's failure to
+# converge raises LinAlgError with numpy's message, never a RuntimeWarning.
+
+# numpy 2 names the full-matrices SVD svd_f; numpy 1.x picks svd_n_f for
+# square input (and svd_m_f for wide input, which nothing here passes)
+_SVD_FULL = getattr(_umath_linalg, "svd_f", None) or _umath_linalg.svd_n_f
+
+
+def _eigenvalues_did_not_converge(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _svd_did_not_converge(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a (..., m, m) Hermitian stack: ascending
+    eigenvalues and the eigenvectors as columns, from the lower triangle."""
+    with np.errstate(call=_eigenvalues_did_not_converge, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.eigh_lo(h, signature="D->dD")
+
+
+def _svd(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.svd of a (..., m, m) square stack: u, the descending
+    singular values, vh."""
+    with np.errstate(call=_svd_did_not_converge, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _SVD_FULL(k, signature="D->DdD")
+
+
+def _det(mat: np.ndarray):
+    """np.linalg.det of a (..., m, m) stack."""
+    return _umath_linalg.det(mat, signature="D->D")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +193,7 @@ class TwoQubitGate:
             raise ValueError(f"qubit pair must be two distinct indices >= 0, got {pair}")
         object.__setattr__(self, "qubit_pair", pair)
         mat = _unitary_4x4(self.matrix)
-        det = complex(np.linalg.det(mat))
+        det = complex(_det(mat))
         if abs(det - 1.0) > DET_ATOL:
             raise ValueError(
                 f"gate determinant {det} is not 1; use TwoQubitGate.from_unitary "
@@ -159,7 +211,7 @@ class TwoQubitGate:
         which leaves all fidelities and measurement statistics unchanged.
         """
         mat = _unitary_4x4(matrix)
-        det = complex(np.linalg.det(mat))
+        det = complex(_det(mat))
         return cls(qubit_pair, mat / det**0.25)
 
 

@@ -11,7 +11,11 @@ overlap between the state before it and the target, gathered on its pair
 the other R-1 gates alone (variable projection, Golub & Pereyra 1973).
 That function is maximized by L-BFGS-B from many seeded random starts,
 with the exact gradient of each gate's exponential taken in its
-eigenbasis; a one-gate search is a single exact evaluation.  Each ascent
+eigenbasis; a one-gate search is a single exact evaluation.  The kernel's
+one batched eigh and one SVD per evaluation call LAPACK through core's
+_eigh and _svd, past numpy.linalg's wrappers, whose dispatch costs about a
+third of each call on 4x4 matrices; their results are numpy's bit for
+bit.  Each ascent
 evaluates its start once and calls L-BFGS-B only when that start neither
 reaches the stopping fidelity nor is stationary (the test L-BFGS-B would
 make on it before any step).  Whatever does not depend on the restart
@@ -62,7 +66,9 @@ from .core import (
     ResourceCapError,
     StateVector,
     TwoQubitGate,
+    _eigh,
     _is_int,
+    _svd,
     all_pairs,
     fidelity,
     gather_index,
@@ -110,16 +116,18 @@ _GENERATOR_ROWS = GENERATORS.reshape(NUM_GATE_PARAMS, 16)
 _EPS = np.finfo(np.float64).eps
 
 
-def _su4_eigh(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _su4_eigh(thetas: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For a (..., 15) parameter array, H = sum theta_a G_a = V diag(lam) V^+.
 
-    Returns (lam, V, U) with U = exp(-iH) of shape (..., 4, 4).
+    Returns (lam, V, U, conj(V)) with U = exp(-iH) of shape (..., 4, 4).
     """
     h = (thetas @ _GENERATOR_ROWS).reshape(thetas.shape[:-1] + (4, 4))
-    eigenvalues, vecs = np.linalg.eigh(h)
+    eigenvalues, vecs = _eigh(h)
     phases = np.exp(-1.0j * eigenvalues)
-    mats = (vecs * phases[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-    return eigenvalues, vecs, mats
+    vecs_conj = vecs.conj()
+    mats = (vecs * phases[..., None, :]) @ np.swapaxes(vecs_conj, -1, -2)
+    return eigenvalues, vecs, mats, vecs_conj
 
 
 def _seed_key(seed, *extra) -> tuple[int, ...]:
@@ -195,7 +203,7 @@ def _fidelity_and_grad(thetas: np.ndarray, plan: _LayoutPlan
     gradient.
     """
     num_free = len(thetas)
-    eigenvalues, vecs, mats = _su4_eigh(thetas)
+    eigenvalues, vecs, mats, vecs_conj = _su4_eigh(thetas)
     index = plan.index
     psi = plan.psi
     local = plan.start
@@ -204,7 +212,7 @@ def _fidelity_and_grad(thetas: np.ndarray, plan: _LayoutPlan
         before.append(local)
         psi[index[g]] = mats[g] @ local
         local = psi[index[g + 1]]
-    w, sigma, vh = np.linalg.svd(local @ plan.last_target_h)
+    w, sigma, vh = _svd(local @ plan.last_target_h)
     last = vh.conj().T @ w.conj().T
     amp = float(sigma.sum())  # tr(U* K), real and nonnegative
     env = plan.env
@@ -223,7 +231,6 @@ def _fidelity_and_grad(thetas: np.ndarray, plan: _LayoutPlan
     x = math.pi * (diff / (2.0 * math.pi))
     y = np.where(x, x, _EPS)
     divided = -1.0j * np.exp(-0.5j * total) * (np.sin(y) / y)
-    vecs_conj = vecs.conj()
     vecs_t = np.swapaxes(vecs, -1, -2)
     inner = (vecs_t @ env @ vecs_conj) * divided
     outer = vecs_conj @ inner @ vecs_t

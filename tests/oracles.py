@@ -7,11 +7,12 @@ exceptions are params_from_su4, which inverts the package's gate chart
 through a matrix logarithm so tests can build parameters from a matrix,
 the two ascents, kept as baselines of the package's earlier ascents (the
 full-gate one runs on the package's gate chart, and the closed-form one on
-the package's fidelity kernel), the closed-form kernel as it was before its
-per-layout constants moved into a plan (on the package's gate chart and
-gather index), and the gate-count search at the end: it walks every layout
-the way the search did before layouts were ruled out, through the
-package's own per-layout search.
+the package's fidelity kernel), the gate chart's exponential map as it was
+before it called LAPACK past np.linalg.eigh (on the package's generators),
+the closed-form kernel as it was before its per-layout constants moved into
+a plan (on that map and the package's gather index), and the gate-count
+search at the end: it walks every layout the way the search did before
+layouts were ruled out, through the package's own per-layout search.
 """
 
 import cmath
@@ -29,7 +30,7 @@ from scipy.optimize import minimize
 from entpaths.core import Circuit, DimensionMismatchError, StateVector, fidelity, gather_index
 from entpaths.synthesis import (EXHAUSTIVE, GENERATORS, LBFGS_GTOL, NUM_GATE_PARAMS,
                                 SAMPLED, STOP_FIDELITY, _GENERATOR_ROWS,
-                                _fidelity_and_grad, _seed_key, _su4_eigh,
+                                _fidelity_and_grad, _seed_key,
                                 enumerate_architectures, optimize_gates)
 
 
@@ -455,15 +456,29 @@ def best_last_gate_fidelity(before, target, num_qubits, pair):
     return sum(math.sqrt(max(float(e), 0.0)) for e in eigenvalues) ** 2
 
 
+def su4_eigh(thetas):
+    """For a (..., 15) parameter array, H = sum theta_a G_a = V diag(lam) V^+.
+
+    Returns (lam, V, U) with U = exp(-iH) of shape (..., 4, 4).  The
+    package's synthesis._su4_eigh before it called LAPACK past
+    np.linalg.eigh, kept verbatim; the package's must match it bit for bit.
+    """
+    h = (thetas @ _GENERATOR_ROWS).reshape(thetas.shape[:-1] + (4, 4))
+    eigenvalues, vecs = np.linalg.eigh(h)
+    phases = np.exp(-1.0j * eigenvalues)
+    mats = (vecs * phases[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    return eigenvalues, vecs, mats
+
+
 def fidelity_and_grad_full(thetas, pairs, num_qubits, target_amp):
     """Preparation fidelity from |0..0> and its exact gradient in every gate.
 
     The package's kernel before the last gate was solved in closed form,
-    kept verbatim (on the package's gate chart and gather index) for the
+    kept verbatim (on su4_eigh and the package's gather index) for the
     full-gate ascent below.
     """
     num_gates = len(pairs)
-    eigenvalues, vecs, mats = _su4_eigh(thetas)
+    eigenvalues, vecs, mats = su4_eigh(thetas)
     index = [gather_index(pair, num_qubits) for pair in pairs]
     psi = np.zeros(target_amp.size, dtype=np.complex128)
     psi[0] = 1.0
@@ -501,10 +516,11 @@ def fidelity_and_grad_per_call(thetas, pairs, num_qubits, target_amp):
     The package's closed-form kernel before it read its per-layout
     constants from a plan, kept verbatim: every call gathers the target,
     builds |0..0> and allocates its state vectors.  The package's kernel
-    must match it bit for bit.
+    must match it bit for bit.  Its exponential map is su4_eigh, and its
+    SVD np.linalg.svd.
     """
     num_free = len(pairs) - 1
-    eigenvalues, vecs, mats = _su4_eigh(thetas)
+    eigenvalues, vecs, mats = su4_eigh(thetas)
     index = [gather_index(pair, num_qubits) for pair in pairs]
     psi = np.zeros(target_amp.size, dtype=np.complex128)
     psi[0] = 1.0

@@ -283,6 +283,19 @@ def test_unreadable_target_file_is_a_config_error(tmp_path, capsys, content):
     assert "targets.files[0]" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_target_amplitudes_are_a_config_error_without_a_warning(tmp_path, capsys):
+    # the norm of such a state would overflow; the entry is rejected first
+    (tmp_path / "t.json").write_text(
+        '{"num_qubits": 2, "amplitudes": [1e200, 0, 0, 0, 0, 0, 0, 0]}')
+    config = write_config(tmp_path, "c.json", {
+        "n": 2, "targets": {"files": ["t.json"], "seed": 1},
+        "budget": {"restarts": 2, "iters": 50}, "geo_restarts": 4, "r_max": 1})
+    assert main(["conjecture", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "targets.files[0]" in err and "Warning" not in err
+
+
 def test_conjecture_with_no_target_found_prints_no_rate(tmp_path, capsys):
     # no single gate prepares GHZ3, so with r_max 1 no target is evaluated
     save_state(fixture_state("ghz3"), tmp_path / "ghz3.json")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from entpaths.core import (Circuit, DimensionMismatchError,
-                           StateVector, TwoQubitGate, all_pairs,
+from entpaths.core import (NORM_ATOL, Circuit, DimensionMismatchError,
+                           StateVector, TwoQubitGate, _det, _eigh, _svd, all_pairs,
                            apply_gate_matrix, basis_index, config_label,
                            fidelity, haar_random_su4,
                            load_circuit, load_state, random_architecture,
@@ -59,6 +59,25 @@ def test_state_vector_requires_normalization():
         StateVector(1, [1.0, 1.0])
     with pytest.raises(ValueError):
         StateVector(2, [0.0, 0.0, 0.0, 0.0])
+    # every entry has modulus below 1, so the norm test alone decides
+    entry = math.sqrt(0.5)
+    StateVector(1, [entry * (1.0 + 0.5 * NORM_ATOL)] * 2)
+    for excess in (-2.0, 2.0):
+        with pytest.raises(ValueError, match="state norm"):
+            StateVector(1, [entry * (1.0 + excess * NORM_ATOL)] * 2)
+
+
+@pytest.mark.parametrize("bad", [complex(0, math.nan), complex(1, math.inf)])
+def test_state_vector_rejects_a_non_finite_imaginary_part(bad):
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(1, [bad, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("huge", [1e200, complex(1e200, 1e200)])
+def test_state_vector_rejects_a_huge_entry_before_its_norm_overflows(huge):
+    with pytest.raises(ValueError, match="modulus above 1"):
+        StateVector(1, [huge, 0.0])
 
 
 def test_state_vector_requires_power_of_two_length():
@@ -88,6 +107,11 @@ def test_gate_rejects_non_unitary_and_non_special():
         TwoQubitGate((0, 1), np.ones((4, 4)))
     with pytest.raises(ValueError):
         TwoQubitGate((0, 1), CNOT)  # det -1, must go through from_unitary
+    # from_unitary's rescale by det**(-1/4) would undo a scale, so only the
+    # check on the matrix as given can reject it
+    for scale in (2.0, 0.5):
+        with pytest.raises(ValueError, match="not a finite unitary"):
+            TwoQubitGate.from_unitary((0, 1), scale * CNOT)
 
 
 @pytest.mark.filterwarnings("error")
@@ -263,3 +287,35 @@ def test_load_state_rejects_corrupt_documents(tmp_path):
         out.write_text(text)
         with pytest.raises((ValueError, KeyError, DimensionMismatchError)):
             load_state(out)
+
+
+# --- LAPACK past numpy.linalg's wrappers ----------------------------------
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (2, 2), (2, 5, 8, 8)])
+def test_lapack_helpers_match_numpy_linalg_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    hermitian = stack + np.swapaxes(stack.conj(), -1, -2)
+    for got, want in ((_eigh(hermitian), np.linalg.eigh(hermitian)),
+                      (_svd(stack), np.linalg.svd(stack))):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    det = _det(stack)
+    assert np.array_equal(det, np.linalg.det(stack))
+    assert np.asarray(det).dtype == np.complex128
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("helper, wrapper", [(_eigh, np.linalg.eigh), (_svd, np.linalg.svd)],
+                         ids=["eigh", "svd"])
+def test_lapack_helpers_raise_numpys_error_on_nan(helper, wrapper):
+    nan = np.full((2, 4, 4), complex(math.nan, 0.0))
+    before = np.geterr(), np.geterrcall()
+    with pytest.raises(np.linalg.LinAlgError) as expected:
+        wrapper(nan)
+    with pytest.raises(np.linalg.LinAlgError) as raised:
+        helper(nan)
+    assert str(raised.value) == str(expected.value)
+    assert (np.geterr(), np.geterrcall()) == before

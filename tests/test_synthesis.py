@@ -54,6 +54,26 @@ def test_su4_exponential_lands_in_the_group():
         assert np.isclose(complex(np.linalg.det(u)), 1.0, atol=1e-10)
 
 
+def test_su4_eigh_matches_numpy_eigh_bit_for_bit():
+    # the package calls LAPACK past np.linalg.eigh; the oracle keeps the
+    # exponential map as it was on np.linalg.eigh
+    rng = np.random.default_rng(3)
+    thetas = rng.uniform(-np.pi, np.pi, size=(7, 15))
+    thetas[1] = 0.0  # H = 0: one eigenvalue, four times over
+    thetas[2] = 0.0
+    thetas[2, 14] = 1.3  # the last diagonal generator: a threefold eigenvalue
+    thetas[3] = 0.0
+    thetas[3, 12] = 0.7  # diag(1, -1, 0, 0): a twofold zero
+    thetas[4] = 0.0
+    thetas[4, 0] = -2.1  # an off-diagonal generator: eigenvalues +-2.1, 0, 0
+    for batch in (thetas, thetas[0], thetas[1], thetas[2:5]):
+        eigenvalues, vecs, mats, vecs_conj = _su4_eigh(batch)
+        expected = oracles.su4_eigh(batch)
+        for got, want in zip((eigenvalues, vecs, mats), expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(vecs_conj, expected[1].conj())
+
+
 def test_params_round_trip_reproduces_the_matrix():
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -281,7 +301,7 @@ def test_kernel_matches_the_per_call_kernel_bit_for_bit(n, num_gates):
         assert value == ref_value
         assert np.array_equal(grad, ref_grad)
         assert np.array_equal(last, ref_last)
-        assert np.array_equal(mats, _su4_eigh(free)[2])
+        assert np.array_equal(mats, oracles.su4_eigh(free)[2])
 
 
 def test_a_plan_gives_the_same_bits_whatever_it_evaluated_before():

@@ -5,9 +5,10 @@ private top-level helper of the package is left unreferenced; no public
 top-level function, class or method of a top-level class is used by the
 tests alone; every geo_restarts default is entanglement.GEO_RESTARTS,
 written once; ExperimentConfig inherits the search settings from
-synthesis.SearchSettings and declares none of them again; and scipy is
+synthesis.SearchSettings and declares none of them again; scipy is
 imported only by synthesis, as the bare package, which reads nothing of
-it but scipy.optimize.minimize.
+it but scipy.optimize.minimize; and core is the one module that reaches
+numpy's LAPACK gufuncs past numpy.linalg's wrappers.
 """
 import ast
 import re
@@ -193,3 +194,26 @@ def test_only_synthesis_imports_scipy_and_only_its_optimizer():
     assert {name: imports for name, imports in found.items() if imports} == {
         "synthesis.py": {"scipy"}}
     assert scipy_reads(trees["synthesis.py"]) == {"scipy.optimize.minimize"}
+
+
+def reaches_umath_linalg(tree):
+    """Whether a source imports numpy.linalg._umath_linalg, or reads it
+    off numpy.linalg as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.startswith("numpy.linalg._umath_linalg") for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("numpy.linalg._umath_linalg") or (
+                    node.module == "numpy.linalg"
+                    and any(alias.name == "_umath_linalg" for alias in node.names)):
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr == "_umath_linalg":
+            return True
+    return False
+
+
+def test_only_core_reaches_numpys_lapack_gufuncs():
+    found = [path.name for path in sorted((ROOT / "src" / "entpaths").glob("*.py"))
+             if reaches_umath_linalg(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == ["core.py"]
