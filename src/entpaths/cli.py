@@ -128,8 +128,6 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    if args.config is None:
-        raise ConfigError("simulate needs --config")
     doc = _load_config(args.config, "simulate")
     check_fields(doc, {"n", "r", "seed", "circuit_file", "measure", "cut",
                        "run_id", "geo_restarts"})
@@ -173,8 +171,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    if args.config is None:
-        raise ConfigError("paths needs --config")
     doc = _load_config(args.config, "paths")
     check_fields(doc, {"n", "r", "seed", "circuit_file", "q0", "path_cap"})
     doc = dict(doc)
@@ -245,8 +241,6 @@ def cmd_deutsch(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    if args.config is None:
-        raise ConfigError("conjecture needs --config")
     need(args.jobs >= 1, "--jobs", f"must be >= 1, got {args.jobs}")
     doc = _load_config(args.config, "conjecture")
     doc = dict(doc)
@@ -349,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "minimum-entanglement-path experiment.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, seed=True, jobs=False, measure=False):
-        p.add_argument("--config", metavar="PATH",
+    def common(p, *, seed=True, jobs=False, measure=False, config_required=True):
+        p.add_argument("--config", metavar="PATH", required=config_required,
                        help="JSON config (a manifest.json also works)")
         if seed:
             p.add_argument("--seed", type=int, metavar="U64",
@@ -359,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: current directory)")
         if jobs:
             p.add_argument("--jobs", type=int, metavar="N", default=1,
-                           help="worker processes (default 1); never "
-                                "changes the outputs")
+                           help="worker processes (default 1), at most one "
+                                "worker per target; never changes the outputs")
         if measure:
             p.add_argument("--measure", choices=[m.value for m in Measure],
                            help="override the config entanglement measure")
@@ -377,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("deutsch", help="oracle interference table")
-    common(p, seed=False)
+    common(p, seed=False, config_required=False)
     p.add_argument("--variant", choices=sorted(DEUTSCH_VARIANTS),
                    help="oracle choice (default not_x)")
     p.set_defaults(func=cmd_deutsch)

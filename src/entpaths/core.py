@@ -80,6 +80,33 @@ def _checked_num_qubits(n) -> int:
     return int(n)
 
 
+def _checked_qubits(qubits, num_qubits: int | None = None,
+                    name: str = "qubits") -> tuple[int, ...]:
+    """qubits, read once, as distinct ints >= 0, each below num_qubits when
+    given; a bool, float or string is no qubit index, a numpy int is.  The
+    rule for every pair and cut: DimensionMismatchError past the register,
+    else ValueError, naming `name`."""
+    try:
+        indices = tuple(qubits)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of qubit indices, got {qubits!r}") from None
+    if not all(_is_int(q) and q >= 0 for q in indices):
+        raise ValueError(f"{name} {indices} must be int qubit indices >= 0")
+    if len(set(indices)) < len(indices):
+        raise ValueError(f"{name} {indices} contains duplicates")
+    if num_qubits is not None and indices and max(indices) >= num_qubits:
+        raise DimensionMismatchError(f"{name} {indices} out of range for {num_qubits} qubits")
+    return tuple(map(int, indices))
+
+
+def _checked_count(value, floor: int, name: str) -> int:
+    """value as an int >= floor; a bool, float or string is not a count, a
+    numpy int is.  Raises ValueError naming `name`."""
+    if not (_is_int(value) and value >= floor):
+        raise ValueError(f"{name} must be an int >= {floor}, got {value!r}")
+    return int(value)
+
+
 def config_label(index: int, num_qubits: int) -> str:
     """Bitstring label such as '010' (qubit 0 first)."""
     if not 0 <= index < 2**num_qubits:
@@ -188,9 +215,9 @@ class TwoQubitGate:
     matrix: np.ndarray
 
     def __post_init__(self):
-        pair = tuple(int(q) for q in self.qubit_pair)
-        if len(pair) != 2 or pair[0] < 0 or pair[1] < 0 or pair[0] == pair[1]:
-            raise ValueError(f"qubit pair must be two distinct indices >= 0, got {pair}")
+        pair = _checked_qubits(self.qubit_pair, name="qubit pair")
+        if len(pair) != 2:
+            raise ValueError(f"qubit pair {pair} must hold two qubit indices")
         object.__setattr__(self, "qubit_pair", pair)
         mat = _unitary_4x4(self.matrix)
         det = complex(_det(mat))
@@ -228,9 +255,7 @@ class Circuit:
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
         for gate in gates:
-            if max(gate.qubit_pair) >= n:
-                raise DimensionMismatchError(
-                    f"gate pair {gate.qubit_pair} out of range for n={n}")
+            _checked_qubits(gate.qubit_pair, n, "gate pair")
 
     @property
     def num_gates(self) -> int:
@@ -324,8 +349,7 @@ def random_architecture(num_qubits: int, num_gates: int,
     """Uniformly random layout: num_gates pairs drawn from the j < k pairs."""
     if num_qubits < 2:
         raise DimensionMismatchError("two-qubit slots need at least 2 qubits")
-    if num_gates < 0:
-        raise ValueError(f"num_gates must be >= 0, got {num_gates}")
+    num_gates = _checked_count(num_gates, 0, "num_gates")
     rng = _as_generator(seed)
     pairs = all_pairs(num_qubits)
     return tuple(pairs[i] for i in rng.integers(0, len(pairs), size=num_gates))
@@ -399,9 +423,7 @@ def load_circuit(path) -> Circuit:
         entries = [(entry["pair"], entry["matrix"]) for entry in doc["gates"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"circuit gates are malformed: {exc!r}") from None
-    if not all(isinstance(pair, list) and all(map(_is_int, pair)) for pair, _ in entries):
-        raise ValueError("circuit gate pairs must be lists of integer qubit indices")
-    gates = [TwoQubitGate(tuple(pair), _from_floats(raw, f"gates[{i}].matrix").reshape(4, 4))
+    gates = [TwoQubitGate(pair, _from_floats(raw, f"gates[{i}].matrix").reshape(4, 4))
              for i, (pair, raw) in enumerate(entries)]
     return Circuit(doc["num_qubits"], gates)
 

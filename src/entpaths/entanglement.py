@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DimensionMismatchError, StateVector
+from .core import DimensionMismatchError, StateVector, _checked_count, _checked_qubits
 
 GEO_RESTARTS = 32
 GEO_TOL = 1e-9
@@ -50,16 +50,12 @@ class Measure(str, enum.Enum):
 
 
 def _checked_cut(keep: Sequence[int] | None, n: int) -> list[int]:
-    """The kept qubits of a cut in ascending order, checked against n qubits."""
+    """The kept qubits of a cut in ascending order, by core's qubit rule."""
     if keep is None:
         raise ValueError("the von Neumann measure needs a cut (qubits to keep)")
-    kept = sorted(set(int(q) for q in keep))
-    if len(kept) != len(list(keep)):
-        raise ValueError(f"keep list {list(keep)} contains duplicates")
+    kept = sorted(_checked_qubits(keep, n, "keep"))
     if not kept or len(kept) >= n:
         raise ValueError(f"keep must be a nonempty proper subset of 0..{n - 1}")
-    if kept[0] < 0 or kept[-1] >= n:
-        raise DimensionMismatchError(f"keep {kept} out of range for {n} qubits")
     return kept
 
 
@@ -168,8 +164,7 @@ def _product_fit(amplitudes: np.ndarray, num_qubits: int,
     n = num_qubits
     if n < 2:
         raise DimensionMismatchError("geometric entanglement needs at least 2 qubits")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    restarts = _checked_count(restarts, 1, "restarts")
     num_states = len(amplitudes)
     psi = np.asarray(amplitudes).reshape((num_states,) + (2,) * n)
     stopped = np.zeros(num_states * restarts)  # each row's overlap, once it stops

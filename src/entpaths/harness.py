@@ -320,19 +320,25 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def _load_target(config: ExperimentConfig, index: int) -> StateVector:
+    """Target file `index`, checked against the config's qubit count."""
+    try:
+        target = load_state(config.target_files[index])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"targets.files[{index}]: cannot load "
+                          f"{config.target_files[index]}: {exc}") from None
+    if target.num_qubits != config.num_qubits:
+        raise ConfigError(
+            f"targets.files[{index}] has {target.num_qubits} qubits, config n={config.num_qubits}"
+        )
+    return target
+
+
 def evaluate_target(config: ExperimentConfig, index: int) -> TargetOutcome:
     """Full pipeline for target `index`: sample/load, estimate, collect, score."""
     target_id = f"t{index:03d}"
     if config.target_files is not None:
-        try:
-            target = load_state(config.target_files[index])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"targets.files[{index}]: cannot load "
-                              f"{config.target_files[index]}: {exc}") from None
-        if target.num_qubits != config.num_qubits:
-            raise ConfigError(
-                f"targets.files[{index}] has {target.num_qubits} qubits, config n={config.num_qubits}"
-            )
+        target = _load_target(config, index)
         r_gen: int | None = None
     else:
         rng = np.random.default_rng(_seed_key(config.seed, index, 0))
@@ -371,16 +377,23 @@ def evaluate_target(config: ExperimentConfig, index: int) -> TargetOutcome:
 
 def run_experiment(config: ExperimentConfig,
                    jobs: int = 1) -> tuple[TargetOutcome, ...]:
-    """Every target's outcome, in index order, on up to `jobs` worker processes.
+    """Every target's outcome, in index order, on up to `jobs` worker
+    processes and at most one worker per target.
 
-    Worker count never changes the result: each target is a pure function
-    of (config, index) and outcomes are collected in index order.
+    Every target file is loaded and checked before the first search, so a
+    bad one fails the run before any work is spent.  Worker count never
+    changes the result: each target is a pure function of (config, index)
+    and outcomes are collected in index order.
     """
     indices = list(range(config.num_targets))
-    if jobs <= 1 or len(indices) <= 1:
+    if config.target_files is not None:
+        for i in indices:
+            _load_target(config, i)
+    workers = min(jobs, len(indices))
+    if workers <= 1:
         outcomes = [evaluate_target(config, i) for i in indices]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(evaluate_target, config, i): i for i in indices}
             by_index: dict[int, TargetOutcome] = {}
             for future in concurrent.futures.as_completed(futures):

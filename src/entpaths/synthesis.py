@@ -66,8 +66,9 @@ from .core import (
     ResourceCapError,
     StateVector,
     TwoQubitGate,
+    _checked_count,
+    _checked_qubits,
     _eigh,
-    _is_int,
     _svd,
     all_pairs,
     fidelity,
@@ -149,9 +150,8 @@ class _LayoutPlan:
     environments are scratch space that each kernel call overwrites before
     reading, so the plan holds nothing of any one restart.
 
-    Raises ValueError for an empty layout or a slot that is not two
-    distinct int indices >= 0, and DimensionMismatchError for a slot past
-    the register.
+    An empty layout raises ValueError; each slot must be a qubit pair by
+    core's rule (_checked_qubits).
     """
 
     __slots__ = ("index", "last_target", "last_target_h", "start", "psi", "back", "env")
@@ -161,13 +161,8 @@ class _LayoutPlan:
         if not slots:
             raise ValueError("the search needs a layout of at least one gate")
         for pair in slots:
-            if (len(pair) != 2 or not all(map(_is_int, pair)) or min(pair) < 0
-                    or pair[0] == pair[1]):
-                raise ValueError(
-                    f"layout slot {tuple(pair)} is not two distinct qubit indices >= 0")
-            if max(pair) >= num_qubits:
-                raise DimensionMismatchError(
-                    f"layout {tuple(slots)} reaches past the target's {num_qubits} qubits")
+            if len(_checked_qubits(pair, num_qubits, "layout slot")) != 2:
+                raise ValueError(f"layout slot {tuple(pair)} is not a qubit pair")
         self.index = [gather_index(pair, num_qubits) for pair in slots]
         self.last_target = target_amp[self.index[-1]]
         self.last_target_h = self.last_target.conj().T
@@ -305,11 +300,7 @@ class SearchSettings:
         if not 0.0 < self.fidelity_tol < 1.0:
             raise ValueError(f"fidelity_tol must be in (0, 1), got {self.fidelity_tol}")
         for name in ("r_max", "restarts", "iterations", "max_architectures"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            _checked_count(getattr(self, name), 1, name)
 
     @property
     def threshold(self) -> float:
@@ -337,12 +328,9 @@ def _restarts(slots: Sequence[tuple[int, int]], target: StateVector,
     closed-form last gate and the fidelity.
 
     One _LayoutPlan of the layout and target serves every restart; building
-    it validates the layout before any ascent, so an empty layout (no last
-    gate to solve for) or a slot that is not two distinct qubits raises
-    ValueError, and a slot outside the target's register
-    DimensionMismatchError.  Restart k starts its free gates from
-    parameters drawn from a generator seeded by (seed, k), whichever
-    restart came before it.  With one gate nothing is free and every
+    it checks the layout before any ascent (_LayoutPlan).  Restart k starts
+    its free gates from parameters drawn from a generator seeded by
+    (seed, k), whichever restart came before it.  With one gate nothing is free and every
     restart would give the same answer, so only restart 0 runs.  The
     consumer decides when to stop and replays the restarts it keeps.
     """
@@ -485,9 +473,7 @@ def enumerate_architectures(num_qubits: int,
     """
     if num_qubits < 2:
         raise DimensionMismatchError("two-qubit slots need at least 2 qubits")
-    if num_gates < 0:
-        raise ValueError(f"num_gates must be >= 0, got {num_gates}")
-    return _normal_forms(num_qubits, num_gates)
+    return _normal_forms(num_qubits, _checked_count(num_gates, 0, "num_gates"))
 
 
 # --- layouts the target rules out -----------------------------------------
@@ -546,8 +532,7 @@ def sample_target(num_qubits: int, r_gen: int, seed) -> tuple[StateVector, Circu
     Returns the prepared state together with the generating circuit.
     r_gen must be >= 1: a zero-gate draw would only ever produce |0..0>.
     """
-    if r_gen < 1:
-        raise ValueError(f"r_gen must be >= 1, got {r_gen}")
+    _checked_count(r_gen, 1, "r_gen")
     rng = np.random.default_rng(_seed_key(seed))
     circuit = random_circuit(num_qubits, random_architecture(num_qubits, r_gen, rng), rng)
     return run_circuit(circuit)[-1], circuit

@@ -55,8 +55,6 @@ def number_field(doc: dict, key: str, default: float, *, above: float,
 
 def cut_field(raw, n: int) -> tuple[int, ...]:
     """Kept-qubit indices of a bipartition, checked by the entropy's cut rules."""
-    need(isinstance(raw, list) and all(_is_int(q) for q in raw),
-         "cut", "must be a list of integer qubit indices")
     try:
         return tuple(_checked_cut(raw, n))
     except ValueError as exc:

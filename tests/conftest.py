@@ -1,8 +1,11 @@
+import concurrent.futures
 import math
+import types
 
 import numpy as np
 import pytest
 
+from entpaths import harness
 from entpaths.core import StateVector
 
 _S2 = 1.0 / math.sqrt(2.0)
@@ -42,3 +45,31 @@ def random_product_state(num_qubits, seed):
         single = rng.normal(size=2) + 1j * rng.normal(size=2)
         amps = np.kron(amps, single / np.linalg.norm(single))
     return StateVector(num_qubits, amps)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stand in for the harness's process pool: each pool built records its
+    max_workers in the returned list and runs every task at submit, in
+    this process, so a test starts no worker."""
+    built = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    futures = types.SimpleNamespace(ProcessPoolExecutor=InlinePool,
+                                    as_completed=concurrent.futures.as_completed)
+    monkeypatch.setattr(harness, "concurrent", types.SimpleNamespace(futures=futures))
+    return built

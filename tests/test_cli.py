@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entpaths import harness
 from entpaths.canonical import write_canonical_json
 from entpaths.cli import main
 from entpaths.core import (StateVector, fixture_state, load_circuit, random_circuit,
                            save_circuit, save_state)
 from entpaths.paths import deutsch_path_table
+from entpaths.synthesis import ComplexityNotFound
 
 
 def write_config(tmp_path, name, doc):
@@ -253,6 +255,12 @@ def test_corrupt_circuit_file_is_a_config_error(tmp_path, capsys):
                 {"num_qubits": 2, "gates": [{"pair": [0.4, 1.9], "matrix": identity}]},
                 {"num_qubits": 2, "gates": [{"pair": ["0", "1"], "matrix": identity}]},
                 {"num_qubits": 2, "gates": [{"pair": [False, True], "matrix": identity}]},
+                {"num_qubits": 2, "gates": [{"pair": [-1, 0], "matrix": identity}]},
+                {"num_qubits": 2, "gates": [{"pair": [1, 1], "matrix": identity}]},
+                {"num_qubits": 2, "gates": [{"pair": [0, 2], "matrix": identity}]},
+                {"num_qubits": 2, "gates": [{"pair": [0, 1, 0], "matrix": identity}]},
+                {"num_qubits": 2, "gates": [{"pair": 1, "matrix": identity}]},
+                {"num_qubits": 2, "gates": [{"pair": "01", "matrix": identity}]},
                 {"num_qubits": 2, "gates": [{"pair": [0, 1],
                                              "matrix": [str(v) for v in identity]}]},
                 {"num_qubits": 2, "gates": [{"pair": [0, 1],
@@ -281,6 +289,31 @@ def test_unreadable_target_file_is_a_config_error(tmp_path, capsys, content):
         "budget": {"restarts": 2, "iters": 50}, "geo_restarts": 4, "r_max": 1})
     assert main(["conjecture", "--config", config, "--out", str(tmp_path / "o")]) == 2
     assert "targets.files[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("bad", ["missing", "malformed", "three-qubit"])
+def test_a_bad_target_file_fails_before_any_search(tmp_path, capsys, monkeypatch,
+                                                   inline_pool, jobs, bad):
+    save_state(fixture_state("bell"), tmp_path / "good.json")
+    if bad == "malformed":
+        (tmp_path / "bad.json").write_text("not json {")
+    elif bad == "three-qubit":
+        save_state(fixture_state("w3"), tmp_path / "bad.json")
+    searches = []
+
+    def search(*args):
+        searches.append(args)
+        return ComplexityNotFound({1: 0.0})
+
+    monkeypatch.setattr(harness, "estimate_state_complexity", search)
+    config = write_config(tmp_path, "c.json", {
+        "n": 2, "targets": {"files": ["good.json", "bad.json"], "seed": 1},
+        "budget": {"restarts": 2, "iters": 50}, "geo_restarts": 4, "r_max": 1})
+    out = tmp_path / "o"
+    assert main(["conjecture", "--config", config, "--out", str(out), "--jobs", jobs]) == 2
+    assert "targets.files[1]" in capsys.readouterr().err
+    assert searches == [] and inline_pool == [] and not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -330,6 +363,15 @@ def test_a_delta_bin_too_small_to_bin_any_sum_is_a_config_error(tmp_path, capsys
     assert main(["conjecture", "--config", config, "--out", str(out)]) == 2
     assert "delta_E_bin" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "paths", "conjecture"])
+def test_simulate_paths_and_conjecture_require_config(tmp_path, capsys, subcommand):
+    with pytest.raises(SystemExit) as exit_info:
+        main([subcommand, "--out", str(tmp_path / "o")])
+    assert exit_info.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_deutsch_takes_no_seed(tmp_path):

@@ -252,6 +252,15 @@ def test_architecture_validates_slots():
     for bad in (True, 2.0, "2", 0, 13):
         with pytest.raises(DimensionMismatchError):
             Circuit(bad, (gate,))
+    # a pair is two distinct ints >= 0: no bool, float or string is bound
+    for pair in ((0.9, True), ("1", 2.7), (0, True), (1.0, 2), ("0", "1"), "01",
+                 (-1, 0), (2, 2), (0, 1, 2), (1,), 5):
+        with pytest.raises(ValueError, match="qubit pair") as raised:
+            TwoQubitGate(pair, np.eye(4))
+        assert not isinstance(raised.value, DimensionMismatchError)
+    numpy_pair = TwoQubitGate((np.int64(2), np.int32(0)), np.eye(4)).qubit_pair
+    assert numpy_pair == (2, 0) and all(type(q) is int for q in numpy_pair)
+    assert Circuit(3, (TwoQubitGate(numpy_pair, np.eye(4)),)).num_gates == 1
 
 
 def test_circuit_json_round_trip_is_bit_exact(tmp_path):

@@ -38,6 +38,11 @@ def test_reduced_density_matrix_requires_proper_subset(bell, w3):
         von_neumann_entropy(w3, [1, 1])
     with pytest.raises(ValueError, match="needs a cut"):
         von_neumann_entropy(w3, None)
+    for keep in ([0.5], [True], ["0"], "0", [-1], 5):
+        with pytest.raises(ValueError, match="qubit indices"):
+            von_neumann_entropy(w3, keep)
+    # a cut is read once, so a generator is a cut
+    assert von_neumann_entropy(w3, (q for q in [0])) == von_neumann_entropy(w3, [0])
 
 
 def test_entropy_of_bell_marginal_is_one_bit(bell):

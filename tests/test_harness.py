@@ -141,6 +141,13 @@ def test_config_round_trips_through_its_echo():
     ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "delta_E_bin": 1e-310},
      "delta_E_bin"),
     ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "r_max": 10**400}, "r_max * n"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "cut": [0.5]}, "cut"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "cut": [True]}, "cut"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "cut": ["0"]}, "cut"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "cut": "0"}, "cut"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "cut": 0}, "cut"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "cut": [-1]}, "cut"),
+    ({"n": 3, "targets": {"count": 2, "r_gen": 1}, "cut": [3]}, "cut"),
 ])
 def test_config_errors_name_the_field(doc, fragment):
     with pytest.raises(ConfigError) as err:
@@ -652,6 +659,13 @@ def test_conjecture_run_is_parallel_invariant():
     serial = report_to_dict(config, harness.run_experiment(config, jobs=1))
     parallel = report_to_dict(config, harness.run_experiment(config, jobs=3))
     assert canonical_json(serial) == canonical_json(parallel)
+
+
+@pytest.mark.parametrize("jobs,pools", [(1, []), (2, [2]), (3, [3]), (64, [3])])
+def test_the_pool_has_at_most_one_worker_per_target(monkeypatch, inline_pool, jobs, pools):
+    monkeypatch.setattr(harness, "evaluate_target", lambda config, index: index)
+    assert harness.run_experiment(lean_config(), jobs=jobs) == (0, 1, 2)
+    assert inline_pool == pools
 
 
 def test_report_structure_and_internal_consistency():

@@ -10,7 +10,7 @@ from entpaths.core import (Circuit, DimensionMismatchError, ResourceCapError,
                            StateVector, TwoQubitGate, all_pairs, fidelity,
                            haar_random_su4, random_architecture, random_circuit,
                            run_circuit)
-from entpaths.entanglement import cut_weights
+from entpaths.entanglement import cut_weights, geometric_entanglement
 from entpaths.synthesis import (ComplexityEstimate, ComplexityNotFound,
                                 GENERATORS, STOP_FIDELITY, SearchSettings,
                                 _LayoutPlan, _ascend, _fidelity_and_grad, _su4_eigh,
@@ -325,6 +325,10 @@ BAD_LAYOUTS = [
     (((2, 2),), ValueError, "(2, 2)"),
     (((0, 1), (1, 2.0)), ValueError, "(1, 2.0)"),
     (((0, 1), (1, 3), (0, 2)), DimensionMismatchError, "3 qubits"),
+    (((0, 1), (True, 2)), ValueError, "(True, 2)"),
+    (((0, 1), ("1", 2)), ValueError, "('1', 2)"),
+    (((0, 2), (1, 0, 2)), ValueError, "(1, 0, 2)"),
+    (((0, 1), (5, 0)), DimensionMismatchError, "3 qubits"),
 ]
 
 
@@ -621,10 +625,26 @@ def test_sample_target_is_deterministic_and_normalized():
     {"fidelity_tol": 0.0}, {"fidelity_tol": 1.0}, {"r_max": 0}, {"restarts": 0},
     {"iterations": 0}, {"max_architectures": 0}, {"r_max": 2.5},
     {"max_architectures": 2.5}, {"restarts": True}, {"iterations": 8.0},
-    {"r_max": "3"}])
+    {"r_max": "3"}, {"restarts": -1}, {"max_architectures": np.True_},
+    {"iterations": "8"}, {"r_max": np.float64(2.0)}])
 def test_search_settings_reject_out_of_range_values(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         SearchSettings(**bad)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("num_gates", lambda count: random_architecture(3, count, 0)),
+    ("num_gates", lambda count: enumerate_architectures(3, count)),
+    ("r_gen", lambda count: sample_target(3, count, 0)),
+    ("restarts", lambda count: geometric_entanglement(random_state(3, seed=7),
+                                                      restarts=count)),
+], ids=["random_architecture", "enumerate_architectures", "sample_target",
+        "geometric_entanglement"])
+def test_counts_reject_bools_floats_strings_and_values_below_the_floor(name, call):
+    for bad in (True, 2.0, "2", -1):
+        with pytest.raises(ValueError, match=name):
+            call(bad)
+    call(np.int64(2))  # a numpy int is a count
 
 
 def test_zero_state_has_complexity_zero():

@@ -7,8 +7,10 @@ tests alone; every geo_restarts default is entanglement.GEO_RESTARTS,
 written once; ExperimentConfig inherits the search settings from
 synthesis.SearchSettings and declares none of them again; scipy is
 imported only by synthesis, as the bare package, which reads nothing of
-it but scipy.optimize.minimize; and core is the one module that reaches
-numpy's LAPACK gufuncs past numpy.linalg's wrappers.
+it but scipy.optimize.minimize; core is the one module that reaches
+numpy's LAPACK gufuncs past numpy.linalg's wrappers; and outside core only
+validation reads core's _is_int, since every other module checks qubit
+indices and counts through core's _checked_qubits and _checked_count.
 """
 import ast
 import re
@@ -217,3 +219,18 @@ def test_only_core_reaches_numpys_lapack_gufuncs():
     found = [path.name for path in sorted((ROOT / "src" / "entpaths").glob("*.py"))
              if reaches_umath_linalg(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == ["core.py"]
+
+
+def reads_name(tree, name):
+    """Whether a source imports `name` or reads it as a bare name."""
+    return any((isinstance(node, ast.Name) and node.id == name)
+               or (isinstance(node, ast.ImportFrom)
+                   and any(alias.name == name for alias in node.names))
+               for node in ast.walk(tree))
+
+
+def test_outside_core_only_validation_reads_is_int():
+    found = [path.name for path in sorted((ROOT / "src" / "entpaths").glob("*.py"))
+             if path.name != "core.py"
+             and reads_name(ast.parse(path.read_text(encoding="utf-8")), "_is_int")]
+    assert found == ["validation.py"]
