@@ -10,7 +10,7 @@ Provides normalized state vectors, special-unitary two-qubit gates,
 circuits (a qubit count plus a gate sequence), Haar-random SU(4) sampling,
 the reference states bell, ghz3 and w3, and a bit-exact JSON round trip for
 circuits.  A layout, the ordered qubit pairs a circuit's gates act on, is a
-plain tuple of (j, k) pairs.
+sequence of (j, k) pairs; a pair may be any two-element sequence.
 
 This module is also the one place that calls LAPACK past numpy.linalg's
 wrappers.  The synthesis kernel's eigh and SVD and each gate's determinant
@@ -72,11 +72,14 @@ def basis_index(configuration, num_qubits: int) -> int:
     return index
 
 
-def _checked_num_qubits(n) -> int:
-    """n as an int in [1, MAX_QUBITS]; a bool is not a qubit count."""
-    if not (_is_int(n) and 1 <= n <= MAX_QUBITS):
+def _checked_num_qubits(n, floor: int = 1) -> int:
+    """n as an int in [floor, MAX_QUBITS]: the register rule.  A state or
+    circuit has floor 1, a layout of two-qubit slots floor 2; a bool, float
+    or string is no qubit count, a numpy int is.  Raises
+    DimensionMismatchError naming num_qubits."""
+    if not (_is_int(n) and floor <= n <= MAX_QUBITS):
         raise DimensionMismatchError(
-            f"num_qubits must be an int in [1, {MAX_QUBITS}], got {n!r}")
+            f"num_qubits must be an int in [{floor}, {MAX_QUBITS}], got {n!r}")
     return int(n)
 
 
@@ -97,6 +100,16 @@ def _checked_qubits(qubits, num_qubits: int | None = None,
     if num_qubits is not None and indices and max(indices) >= num_qubits:
         raise DimensionMismatchError(f"{name} {indices} out of range for {num_qubits} qubits")
     return tuple(map(int, indices))
+
+
+def _checked_pair(pair, num_qubits: int | None = None,
+                  name: str = "qubit pair") -> tuple[int, int]:
+    """pair, any two-element sequence, as a tuple of two qubit indices by
+    _checked_qubits: the rule for a gate's pair and a layout's slot."""
+    indices = _checked_qubits(pair, num_qubits, name)
+    if len(indices) != 2:
+        raise ValueError(f"{name} {indices} must hold two qubit indices")
+    return indices
 
 
 def _checked_count(value, floor: int, name: str) -> int:
@@ -215,10 +228,7 @@ class TwoQubitGate:
     matrix: np.ndarray
 
     def __post_init__(self):
-        pair = _checked_qubits(self.qubit_pair, name="qubit pair")
-        if len(pair) != 2:
-            raise ValueError(f"qubit pair {pair} must hold two qubit indices")
-        object.__setattr__(self, "qubit_pair", pair)
+        object.__setattr__(self, "qubit_pair", _checked_pair(self.qubit_pair))
         mat = _unitary_4x4(self.matrix)
         det = complex(_det(mat))
         if abs(det - 1.0) > DET_ATOL:
@@ -347,11 +357,9 @@ def all_pairs(num_qubits: int) -> list[tuple[int, int]]:
 def random_architecture(num_qubits: int, num_gates: int,
                         seed) -> tuple[tuple[int, int], ...]:
     """Uniformly random layout: num_gates pairs drawn from the j < k pairs."""
-    if num_qubits < 2:
-        raise DimensionMismatchError("two-qubit slots need at least 2 qubits")
+    pairs = all_pairs(_checked_num_qubits(num_qubits, 2))
     num_gates = _checked_count(num_gates, 0, "num_gates")
     rng = _as_generator(seed)
-    pairs = all_pairs(num_qubits)
     return tuple(pairs[i] for i in rng.integers(0, len(pairs), size=num_gates))
 
 

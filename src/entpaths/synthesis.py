@@ -62,12 +62,12 @@ import scipy
 
 from .core import (
     Circuit,
-    DimensionMismatchError,
     ResourceCapError,
     StateVector,
     TwoQubitGate,
     _checked_count,
-    _checked_qubits,
+    _checked_num_qubits,
+    _checked_pair,
     _eigh,
     _svd,
     all_pairs,
@@ -151,7 +151,7 @@ class _LayoutPlan:
     reading, so the plan holds nothing of any one restart.
 
     An empty layout raises ValueError; each slot must be a qubit pair by
-    core's rule (_checked_qubits).
+    core's rule (_checked_pair), any two-element sequence of indices.
     """
 
     __slots__ = ("index", "last_target", "last_target_h", "start", "psi", "back", "env")
@@ -160,10 +160,8 @@ class _LayoutPlan:
                  target_amp: np.ndarray):
         if not slots:
             raise ValueError("the search needs a layout of at least one gate")
-        for pair in slots:
-            if len(_checked_qubits(pair, num_qubits, "layout slot")) != 2:
-                raise ValueError(f"layout slot {tuple(pair)} is not a qubit pair")
-        self.index = [gather_index(pair, num_qubits) for pair in slots]
+        pairs = [_checked_pair(pair, num_qubits, "layout slot") for pair in slots]
+        self.index = [gather_index(pair, num_qubits) for pair in pairs]
         self.last_target = target_amp[self.index[-1]]
         self.last_target_h = self.last_target.conj().T
         zero = np.zeros(target_amp.size, dtype=np.complex128)
@@ -468,12 +466,13 @@ def enumerate_architectures(num_qubits: int,
     Slots range over the j < k pairs; one sequence in commuting normal form
     stands for each class, and classes in which two gates on one pair meet
     with only disjoint gates between them are left out.  The tuple is
-    cached per (num_qubits, num_gates) and shared between callers.  Raises
-    ResourceCapError when there are more than ARCH_SEQUENCE_CAP of them.
+    cached per (num_qubits, num_gates) and shared between callers; both
+    are checked first, since a float count would share an int's cache
+    entry.  Raises ResourceCapError when there are more than
+    ARCH_SEQUENCE_CAP of them.
     """
-    if num_qubits < 2:
-        raise DimensionMismatchError("two-qubit slots need at least 2 qubits")
-    return _normal_forms(num_qubits, _checked_count(num_gates, 0, "num_gates"))
+    return _normal_forms(_checked_num_qubits(num_qubits, 2),
+                         _checked_count(num_gates, 0, "num_gates"))
 
 
 # --- layouts the target rules out -----------------------------------------
@@ -483,37 +482,18 @@ def layout_bound(slots: Sequence[tuple[int, int]], weights: np.ndarray) -> float
     """An upper bound on the fidelity any circuit on a layout reaches, from
     the target's cut weights (entanglement.cut_weights).
 
-    The layout's gates join the qubits into connected components (a
-    union-find over its pairs).  A circuit on it prepares a state that is
-    a product across every union of components set against the rest, so
-    its fidelity with the target is at most the target's largest squared
-    Schmidt coefficient across that cut.  The bound is the least of those;
-    1.0 when the gates join every qubit.
+    A slot crosses a cut when its two qubits lie on either side.  A circuit
+    on the layout prepares a state that is a product across every cut no
+    slot crosses, so its fidelity with the target is at most the target's
+    largest squared Schmidt coefficient across that cut.  The bound is the
+    least of 1.0 and those weights over the uncrossed cuts, each read once
+    from its side holding qubit 0 (the odd masks, the entries cut_weights
+    fills): 1.0 when every cut is crossed, as when the gates connect every
+    qubit, and never a product cut's weight rounded above 1.0.
     """
     num_qubits = weights.size.bit_length() - 1
-    parent = list(range(num_qubits))
-
-    def root(q: int) -> int:
-        while parent[q] != q:
-            parent[q] = q = parent[parent[q]]
-        return q
-
-    for a, b in slots:
-        parent[root(a)] = root(b)
-    members: dict[int, int] = {}
-    for q in range(num_qubits):
-        members[root(q)] = members.get(root(q), 0) | 1 << q
-    components = list(members.values())
-    bound = 1.0
-    # a union and its complement are one cut, so take the unions holding
-    # the first component: the odd choices
-    for choice in range(1, (1 << len(components)) - 1, 2):
-        union = 0
-        for i, mask in enumerate(components):
-            if choice >> i & 1:
-                union |= mask
-        bound = min(bound, float(weights[union]))
-    return bound
+    return min([1.0, *(float(weights[mask]) for mask in range(1, 2**num_qubits - 1, 2)
+                       if all(mask >> a & 1 == mask >> b & 1 for a, b in slots))])
 
 
 def can_reach(slots: Sequence[tuple[int, int]], weights: np.ndarray,

@@ -120,6 +120,17 @@ def uncrossed_cut_bound(slots, eigenvalues):
                 if all((a in side) == (b in side) for a, b in slots)], default=1.0)
 
 
+def connects_every_qubit(slots, num_qubits):
+    """Whether the gates of a layout join all its qubits, found by flooding
+    out from qubit 0 along the slots."""
+    reached = {0}
+    while True:
+        joined = reached.union(*(pair for pair in slots if reached & set(pair)))
+        if joined == reached:
+            return len(reached) == num_qubits
+        reached = joined
+
+
 def _bloch(theta, phi):
     return np.array([math.cos(theta / 2.0),
                      cmath.rect(math.sin(theta / 2.0), phi)])

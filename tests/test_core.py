@@ -260,6 +260,9 @@ def test_architecture_validates_slots():
         assert not isinstance(raised.value, DimensionMismatchError)
     numpy_pair = TwoQubitGate((np.int64(2), np.int32(0)), np.eye(4)).qubit_pair
     assert numpy_pair == (2, 0) and all(type(q) is int for q in numpy_pair)
+    # a pair may be any two-element sequence, bound as a tuple
+    for pair in ([2, 0], np.array([2, 0]), range(2, -1, -2)):
+        assert TwoQubitGate(pair, np.eye(4)).qubit_pair == (2, 0)
     assert Circuit(3, (TwoQubitGate(numpy_pair, np.eye(4)),)).num_gates == 1
 
 

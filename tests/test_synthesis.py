@@ -353,6 +353,34 @@ def test_a_bad_layout_raises_before_any_kernel_call(slots, error, named, monkeyp
     assert calls == []
 
 
+def _assert_same_result(result, ref):
+    """Two OptimizeResults agree bit for bit."""
+    assert (result.achieved_fidelity, result.converged, result.restarts_run,
+            result.best_restart) == (ref.achieved_fidelity, ref.converged,
+                                     ref.restarts_run, ref.best_restart)
+    assert ([g.qubit_pair for g in result.circuit.gates]
+            == [g.qubit_pair for g in ref.circuit.gates])
+    for gate, ref_gate in zip(result.circuit.gates, ref.circuit.gates, strict=True):
+        assert gate.matrix.tobytes() == ref_gate.matrix.tobytes()
+    for state, ref_state in zip(result.path, ref.path, strict=True):
+        assert state.amplitudes.tobytes() == ref_state.amplitudes.tobytes()
+
+
+def test_a_layout_of_lists_searches_as_its_tuples():
+    # a pair may be any two-element sequence; the plan hands gather_index's
+    # cache the checked tuple, so a list slot reaches it hashable
+    slots, listed = ((0, 1), (1, 2), (0, 1)), [[0, 1], [1, 2], [0, 1]]
+    target = random_state(3, seed=560)
+    settings = SearchSettings(fidelity_tol=EVERY_RESTART, restarts=4, iterations=200)
+    _assert_same_result(optimize_gates(listed, target, SMALL, 5),
+                        optimize_gates(slots, target, SMALL, 5))
+    collected = optimize_gates_collect(listed, target, settings, 5, 3, first_restart=1)
+    expected = optimize_gates_collect(slots, target, settings, 5, 3, first_restart=1)
+    assert len(collected) == len(expected) == 3
+    for result, ref in zip(collected, expected):
+        _assert_same_result(result, ref)
+
+
 def _replayed_from_parameters(slots, theta, last, target):
     """The replay before it bound the kernel's matrices: each free gate
     rebuilt from its parameters by the exponential map."""
@@ -647,6 +675,30 @@ def test_counts_reject_bools_floats_strings_and_values_below_the_floor(name, cal
     call(np.int64(2))  # a numpy int is a count
 
 
+@pytest.mark.parametrize("call", [
+    lambda n: random_architecture(n, 1, 0),
+    lambda n: sample_target(n, 1, 0),
+    lambda n: enumerate_architectures(n, 1),
+], ids=["random_architecture", "sample_target", "enumerate_architectures"])
+def test_layout_registers_take_the_register_rule_with_floor_two(call):
+    # a layout's register holds 2..MAX_QUBITS qubits; a float no longer
+    # reaches range(), a bool is no count, one qubit has no pair
+    for bad in (2.5, 2.0, 3.0, True, 1, 13, "3"):
+        with pytest.raises(DimensionMismatchError, match="num_qubits"):
+            call(bad)
+    call(np.int64(3))  # a numpy int is a qubit count
+
+
+def test_a_float_register_is_refused_whether_or_not_its_layouts_are_cached():
+    # 3.0 hashes like 3, so the register is checked before the cache is read
+    synthesis._normal_forms.cache_clear()
+    with pytest.raises(DimensionMismatchError, match="num_qubits"):
+        enumerate_architectures(3.0, 2)
+    assert len(enumerate_architectures(3, 2)) == 6
+    with pytest.raises(DimensionMismatchError, match="num_qubits"):
+        enumerate_architectures(3.0, 2)
+
+
 def test_zero_state_has_complexity_zero():
     estimate = estimate_state_complexity(StateVector.zero_state(3), SMALL, seed=0)
     assert isinstance(estimate, ComplexityEstimate)
@@ -713,13 +765,22 @@ def _bound_targets(num_qubits):
 
 @pytest.mark.parametrize("num_qubits", [3, 4, 5])
 def test_layout_bound_is_the_least_weight_over_uncrossed_cuts(num_qubits):
-    layouts = [slots for r in (1, 2, 3) for slots in enumerate_architectures(num_qubits, r)]
+    r_top = 3 if num_qubits == 5 else 4
+    layouts = [slots for r in range(1, r_top + 1)
+               for slots in enumerate_architectures(num_qubits, r)]
+    connected = 0
     for target in _bound_targets(num_qubits):
         weights = cut_weights(target)
         eigenvalues = oracles.largest_reduced_eigenvalues(target.amplitudes, num_qubits)
         for slots in layouts:
             expected = oracles.uncrossed_cut_bound(slots, eigenvalues)
-            assert abs(layout_bound(slots, weights) - expected) <= 1e-12
+            bound = layout_bound(slots, weights)
+            assert abs(bound - expected) <= 1e-12
+            if oracles.connects_every_qubit(slots, num_qubits):
+                connected += 1
+                assert bound == 1.0
+    # n - 1 gates are the fewest that connect n qubits
+    assert (connected > 0) == (r_top >= num_qubits - 1)
 
 
 @pytest.mark.parametrize("num_qubits", [3, 4, 5])

@@ -9,8 +9,9 @@ synthesis.SearchSettings and declares none of them again; scipy is
 imported only by synthesis, as the bare package, which reads nothing of
 it but scipy.optimize.minimize; core is the one module that reaches
 numpy's LAPACK gufuncs past numpy.linalg's wrappers; and outside core only
-validation reads core's _is_int, since every other module checks qubit
-indices and counts through core's _checked_qubits and _checked_count.
+validation reads core's _is_int, since every other module checks register
+sizes, qubit indices, pairs and counts through core's _checked_num_qubits,
+_checked_qubits, _checked_pair and _checked_count.
 """
 import ast
 import re
