@@ -99,9 +99,10 @@ def cut_weights(state: StateVector) -> np.ndarray:
 
     Entry `mask` belongs to the cut between the qubits q with bit 1 << q set
     in mask and the rest; it is the largest fidelity the state has with any
-    state that is a product across that cut.  A cut and its complement
-    share an entry, and the trivial entries 0 and 2**n - 1 read 1.0.  One
-    SVD per cut, 2**(n-1) - 1 of them, each with qubit 0 on the kept side.
+    state that is a product across that cut, so at most 1.0 even where a
+    product cut's SVD rounds above it.  A cut and its complement share an
+    entry, and the trivial entries 0 and 2**n - 1 read 1.0.  One SVD per
+    cut, 2**(n-1) - 1 of them, each with qubit 0 on the kept side.
     """
     n = state.num_qubits
     everything = (1 << n) - 1
@@ -109,8 +110,8 @@ def cut_weights(state: StateVector) -> np.ndarray:
     for mask in range(1, everything, 2):
         kept = [q for q in range(n) if mask >> q & 1]
         block = _schmidt_blocks(state.amplitudes[None], n, kept)[0]
-        weights[mask] = weights[everything ^ mask] = np.linalg.svd(
-            block, compute_uv=False)[0] ** 2
+        weights[mask] = weights[everything ^ mask] = min(
+            1.0, np.linalg.svd(block, compute_uv=False)[0] ** 2)
     return weights
 
 

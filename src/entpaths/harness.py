@@ -275,7 +275,7 @@ class ExperimentConfig(SearchSettings):
 @dataclass(frozen=True)
 class TargetOutcome:
     """Everything the report keeps about one target; a target whose gate
-    count was not found keeps the defaults and its best fidelity per r."""
+    count was not found keeps the defaults and its fidelities per r."""
 
     target_id: str
     r_gen: int | None
@@ -290,6 +290,7 @@ class TargetOutcome:
     success: bool | None = None
     spearman_bin_vs_r: float | None = None
     best_fidelity_per_r: tuple[tuple[int, float], ...] = ()
+    fidelity_bound_per_r: tuple[tuple[int, float], ...] = ()
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
@@ -354,7 +355,8 @@ def evaluate_target(config: ExperimentConfig, index: int) -> TargetOutcome:
         return TargetOutcome(
             target_id=target_id, r_gen=r_gen, target_entanglement=entanglement,
             degenerate=degenerate,
-            best_fidelity_per_r=tuple(sorted(estimate.best_fidelity_per_r.items())))
+            best_fidelity_per_r=tuple(sorted(estimate.best_fidelity_per_r.items())),
+            fidelity_bound_per_r=tuple(sorted(estimate.fidelity_bound_per_r.items())))
     records = tuple(collect_families(config, target, estimate, seed, target_id))
     min_bin = min(rec.family_bin for rec in records)
     # r_star's first record is the witness, so this minimum is never empty
@@ -426,7 +428,7 @@ def report_to_dict(config: ExperimentConfig,
     """Canonical-JSON-ready report with aggregates and per-target detail.
 
     Each target entry holds its TargetOutcome's fields, with the records as
-    a list and best_fidelity_per_r as a dict keyed by str(r).
+    a list and each per-r table of fidelities as a dict keyed by str(r).
     """
     evaluated = [o for o in outcomes if o.r_star is not None]
     failures = [o for o in outcomes if o.r_star is None]
@@ -438,6 +440,7 @@ def report_to_dict(config: ExperimentConfig,
         target = asdict(o)
         target["records"] = list(target["records"])
         target["best_fidelity_per_r"] = {str(r): f for r, f in o.best_fidelity_per_r}
+        target["fidelity_bound_per_r"] = {str(r): f for r, f in o.fidelity_bound_per_r}
         targets.append(target)
     return {
         "config": config.to_dict(),

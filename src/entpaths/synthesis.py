@@ -37,11 +37,11 @@ only states that are products across it, so its fidelity is at most the
 target's largest squared Schmidt coefficient there.  The search reads
 those once per target (entanglement.cut_weights), draws its subsample
 first and then skips every layout whose least such bound is below the
-threshold; it searches the skipped ones only when no gate count is found,
-for the best fidelity per gate count.  The search keeps the restart that
-found its witness and the states the witness runs through, so the
-harness takes the witness as its first record and resumes its layout at
-the next restart.
+threshold.  When no gate count is found, the largest bound over all the
+layouts of a gate count is reported as a ceiling no circuit of that many
+gates beats.  The search keeps the restart that found its witness and the
+states the witness runs through, so the harness takes the witness as its
+first record and resumes its layout at the next restart.
 
 Enumeration of architectures dedupes gate orderings that differ only by
 swapping adjacent slots on disjoint qubit pairs, which commute, keeping
@@ -486,14 +486,13 @@ def layout_bound(slots: Sequence[tuple[int, int]], weights: np.ndarray) -> float
     on the layout prepares a state that is a product across every cut no
     slot crosses, so its fidelity with the target is at most the target's
     largest squared Schmidt coefficient across that cut.  The bound is the
-    least of 1.0 and those weights over the uncrossed cuts, each read once
-    from its side holding qubit 0 (the odd masks, the entries cut_weights
-    fills): 1.0 when every cut is crossed, as when the gates connect every
-    qubit, and never a product cut's weight rounded above 1.0.
+    least of those weights over the uncrossed cuts, each read once from its
+    side holding qubit 0 (the odd masks, the entries cut_weights fills), and
+    1.0 when every cut is crossed, as when the gates connect every qubit.
     """
     num_qubits = weights.size.bit_length() - 1
-    return min([1.0, *(float(weights[mask]) for mask in range(1, 2**num_qubits - 1, 2)
-                       if all(mask >> a & 1 == mask >> b & 1 for a, b in slots))])
+    return min((float(weights[mask]) for mask in range(1, 2**num_qubits - 1, 2)
+                if all(mask >> a & 1 == mask >> b & 1 for a, b in slots)), default=1.0)
 
 
 def can_reach(slots: Sequence[tuple[int, int]], weights: np.ndarray,
@@ -538,9 +537,13 @@ class ComplexityEstimate:
 
 @dataclass(frozen=True, eq=False)
 class ComplexityNotFound:
-    """No gate count up to r_max reached the tolerance."""
+    """No gate count up to r_max reached the tolerance: the best fidelity
+    searched at each r (none where every layout was ruled out), and at
+    every r the largest layout_bound over all its layouts, subsample or
+    not, which no circuit of r gates beats."""
 
     best_fidelity_per_r: dict[int, float]
+    fidelity_bound_per_r: dict[int, float]
 
 
 def estimate_state_complexity(target: StateVector, settings: SearchSettings, seed):
@@ -551,17 +554,14 @@ def estimate_state_complexity(target: StateVector, settings: SearchSettings, see
     searched in that order; when there are more than max_architectures,
     a sorted subsample of that many indices is drawn from seed
     (seed, r, 777) and only those are searched.  The subsample is drawn
-    first; a layout of it that can_reach rules out is then deferred, not
-    searched, since no circuit on it reaches the threshold.  Returns a
-    ComplexityEstimate on success (tagged architecture-exhaustive when
-    every canonical architecture at each r below the found r was searched
-    to the full restart budget or ruled out) and never searches the
-    deferred layouts.  Otherwise it searches them, in their original
-    order, skipping each whose layout_bound is below the best fidelity
-    seen at its r by more than BOUND_MARGIN, and returns a
-    ComplexityNotFound carrying the best fidelity at each r over the whole
-    subsample.  A target that is |0..0> within tolerance short-circuits to
-    r_star = 0.
+    first; a layout of it that can_reach rules out is then skipped, since
+    no circuit on it reaches the threshold.  Returns a ComplexityEstimate
+    on success (tagged architecture-exhaustive when every canonical
+    architecture at each r below the found r was searched to the full
+    restart budget or ruled out).  Otherwise it returns a
+    ComplexityNotFound with the best fidelity searched at each r and the
+    ceiling the layout bounds put on it.  A target that is |0..0> within
+    tolerance short-circuits to r_star = 0.
     """
     n = target.num_qubits
     weights = cut_weights(target)
@@ -572,7 +572,6 @@ def estimate_state_complexity(target: StateVector, settings: SearchSettings, see
                                   (zero,), weights)
     exhaustive_below = True
     best_per_r: dict[int, float] = {}
-    deferred = []
     for r in range(1, settings.r_max + 1):
         archs = enumerate_architectures(n, r)
         full = len(archs) <= settings.max_architectures
@@ -581,23 +580,18 @@ def estimate_state_complexity(target: StateVector, settings: SearchSettings, see
             rng = np.random.default_rng(_seed_key(seed, r, 777))
             indices = sorted(rng.choice(len(archs), size=settings.max_architectures,
                                         replace=False))
-        best_r = 0.0
         for ai in indices:
             if not can_reach(archs[ai], weights, settings.threshold):
-                deferred.append((r, archs[ai], ai))
                 continue
             result = optimize_gates(archs[ai], target, settings, _seed_key(seed, r, ai))
-            best_r = max(best_r, result.achieved_fidelity)
+            best_per_r[r] = max(best_per_r.get(r, 0.0), result.achieved_fidelity)
             if result.converged:
                 tag = EXHAUSTIVE if exhaustive_below else SAMPLED
                 return ComplexityEstimate(r, result.circuit, result.achieved_fidelity, tag,
                                           result.best_restart, result.path, weights)
-        best_per_r[r] = best_r
         exhaustive_below = exhaustive_below and full
-    for r, slots, ai in deferred:
-        # a layout bounded below the best fidelity already seen cannot raise it
-        if layout_bound(slots, weights) + BOUND_MARGIN < best_per_r[r]:
-            continue
-        result = optimize_gates(slots, target, settings, _seed_key(seed, r, ai))
-        best_per_r[r] = max(best_per_r[r], result.achieved_fidelity)
-    return ComplexityNotFound(best_per_r)
+    # two qubits have no layout past r = 1, whose one gate reaches every state
+    ceiling = {r: max((layout_bound(slots, weights) for slots in enumerate_architectures(n, r)),
+                      default=1.0)
+               for r in range(1, settings.r_max + 1)}
+    return ComplexityNotFound(best_per_r, ceiling)

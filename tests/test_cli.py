@@ -304,7 +304,7 @@ def test_a_bad_target_file_fails_before_any_search(tmp_path, capsys, monkeypatch
 
     def search(*args):
         searches.append(args)
-        return ComplexityNotFound({1: 0.0})
+        return ComplexityNotFound({1: 0.0}, {1: 1.0})
 
     monkeypatch.setattr(harness, "estimate_state_complexity", search)
     config = write_config(tmp_path, "c.json", {

@@ -8,6 +8,7 @@ from entpaths.core import (StateVector, random_architecture, random_circuit,
                            run_circuit)
 from entpaths.entanglement import (ProductFitConvergenceError, cut_weights,
                                    geometric_entanglement, von_neumann_entropy)
+from entpaths.synthesis import sample_target
 
 import oracles
 from conftest import random_product_state, random_state
@@ -197,4 +198,22 @@ def test_cut_weights_read_one_across_a_product_cut():
     weights = cut_weights(state)
     assert abs(weights[0b0101] - 1.0) <= 1e-12
     assert weights[0b0011] < 0.99
+
+
+def test_cut_weights_never_exceed_one_on_a_one_gate_target():
+    # qubit 2 stays |0>, and the SVD across that cut rounds above 1.0
+    state, _ = sample_target(3, 1, seed=(3, 1))
+    assert cut_weights(state).max() <= 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cut_weights_never_exceed_one_across_a_product_split(n):
+    # the first k qubits against the rest, each side in a random state
+    for k in range(1, n):
+        for seed in range(6):
+            amps = np.kron(random_state(k, seed).amplitudes,
+                           random_state(n - k, 50 + seed).amplitudes)
+            weights = cut_weights(StateVector(n, amps))
+            assert weights.max() <= 1.0
+            assert abs(weights[(1 << k) - 1] - 1.0) <= 1e-12
 

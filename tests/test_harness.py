@@ -14,8 +14,8 @@ from entpaths.harness import (ConfigError, ExperimentConfig, PathFamilyRecord,
                               collect_families, evaluate_target, family_bin_of,
                               report_to_dict, spearman_rank_correlation,
                               wilson_interval, write_records_csv)
-from entpaths.synthesis import (ComplexityNotFound, SearchSettings, _seed_key, can_reach,
-                                enumerate_architectures, estimate_state_complexity,
+from entpaths.synthesis import (BOUND_MARGIN, ComplexityNotFound, SearchSettings, _seed_key,
+                                can_reach, enumerate_architectures, estimate_state_complexity,
                                 optimize_gates, optimize_gates_collect, sample_target)
 from entpaths.trajectories import (TrajectoryMeasureError, path_entanglement_sum,
                                    trajectory)
@@ -374,25 +374,40 @@ def test_a_subsampled_search_seeds_each_layout_by_its_full_index():
     assert first.achieved_fidelity == estimate.achieved_fidelity
 
 
-def test_a_subsampled_search_tries_the_drawn_layouts_only(monkeypatch):
-    searched = []
+def _spy_on_the_search(monkeypatch):
+    """Record the layouts the search asks can_reach about, with each answer,
+    and the layouts it searches, in call order."""
+    asked, searched = [], []
 
-    def spy(slots, *args):
+    def reach(slots, *args):
+        asked.append((tuple(slots), can_reach(slots, *args)))
+        return asked[-1][1]
+
+    def search(slots, *args):
         searched.append(tuple(slots))
         return optimize_gates(slots, *args)
 
-    monkeypatch.setattr(synthesis, "optimize_gates", spy)
+    monkeypatch.setattr(synthesis, "can_reach", reach)
+    monkeypatch.setattr(synthesis, "optimize_gates", search)
+    return asked, searched
+
+
+def test_a_subsampled_search_tries_the_drawn_layouts_only(monkeypatch):
+    asked, searched = _spy_on_the_search(monkeypatch)
     # no layout of two gates reaches a generic four-qubit state
     target, _ = sample_target(4, 8, 13)
     settings = SearchSettings(r_max=2, restarts=2, iterations=50, max_architectures=4)
-    assert set(estimate_state_complexity(target, settings, 9).best_fidelity_per_r) == {1, 2}
+    estimate = estimate_state_complexity(target, settings, 9)
+    assert isinstance(estimate, ComplexityNotFound)
+    assert set(estimate.fidelity_bound_per_r) == {1, 2}
     for r in (1, 2):
         archs = enumerate_architectures(4, r)
         assert len(archs) > settings.max_architectures
         rng = np.random.default_rng(_seed_key(9, r, 777))
         drawn = sorted(rng.choice(len(archs), size=settings.max_architectures, replace=False))
-        assert [slots for slots in searched if len(slots) == r] == [archs[i] for i in drawn]
-    assert len(searched) == 2 * settings.max_architectures
+        assert [slots for slots, _ in asked if len(slots) == r] == [archs[i] for i in drawn]
+    assert len(asked) == 2 * settings.max_architectures
+    assert searched == [slots for slots, reach in asked if reach]
 
 
 def test_a_zero_gate_target_keeps_its_witness_record():
@@ -449,21 +464,27 @@ def test_skipping_and_resuming_match_the_walk_over_every_layout(num_qubits, key,
     assert len(at_r_star) == max(config.samples_per_r, 1)
 
 
-def test_a_target_not_found_keeps_the_best_fidelity_over_every_layout():
+def test_a_target_not_found_keeps_the_best_fidelity_over_the_layouts_searched():
     config, target = _three_iteration_case(4, 3, r_max=2)
     estimate = estimate_state_complexity(target, config, 4)
     assert isinstance(estimate, ComplexityNotFound)
-    expected = oracles.search_every_layout(target, config, 4)
-    assert expected.r_star is None
-    assert estimate.best_fidelity_per_r == expected.best_fidelity_per_r
-    assert set(estimate.best_fidelity_per_r) == {1, 2}
-    # no one-gate layout can reach this target, and some two-gate ones can:
-    # the search defers the others past them
+    # no one-gate layout can reach this target, and some two-gate ones can
     weights = entanglement.cut_weights(target)
     reach = [[can_reach(slots, weights, config.threshold)
               for slots in enumerate_architectures(4, r)] for r in (1, 2)]
     assert not any(reach[0])
     assert any(reach[1]) and not all(reach[1])
+    archs = enumerate_architectures(4, 2)
+    assert len(archs) <= config.max_architectures
+    best = max(optimize_gates(slots, target, config, _seed_key(4, 2, ai)).achieved_fidelity
+               for ai, slots in enumerate(archs) if reach[1][ai])
+    assert estimate.best_fidelity_per_r == {2: best}
+    # the walk over every layout, ruled out or not, stays under the ceiling
+    expected = oracles.search_every_layout(target, config, 4)
+    assert expected.r_star is None
+    assert set(expected.best_fidelity_per_r) == set(estimate.fidelity_bound_per_r) == {1, 2}
+    for r, walked in expected.best_fidelity_per_r.items():
+        assert walked <= estimate.fidelity_bound_per_r[r] + BOUND_MARGIN
 
 
 # the second case searches a subsample of 12 of the three-gate layouts
@@ -471,26 +492,17 @@ def test_a_target_not_found_keeps_the_best_fidelity_over_every_layout():
     (3, {"r_max": 2}),
     (1, {"r_gen": 8, "r_max": 3, "max_architectures": 12,
          "budget": {"restarts": 4, "iters": 20}})])
-def test_a_target_not_found_skips_ruled_out_layouts_that_cannot_raise_its_best(
+def test_a_not_found_search_runs_no_layout_that_can_reach_rules_out(
         monkeypatch, key, overrides):
     config, target = _three_iteration_case(4, key, **overrides)
     assert len(enumerate_architectures(4, 3)) > 12
-    calls = {"search": 0, "oracle": 0}
-    search = synthesis.optimize_gates
-
-    def counted(name):
-        def optimize(*args):
-            calls[name] += 1
-            return search(*args)
-        return optimize
-
-    monkeypatch.setattr(synthesis, "optimize_gates", counted("search"))
-    monkeypatch.setattr(oracles, "optimize_gates", counted("oracle"))
+    asked, searched = _spy_on_the_search(monkeypatch)
     estimate = estimate_state_complexity(target, config, 4)
-    expected = oracles.search_every_layout(target, config, 4)
-    assert isinstance(estimate, ComplexityNotFound) and expected.r_star is None
-    assert estimate.best_fidelity_per_r == expected.best_fidelity_per_r
-    assert calls["search"] < calls["oracle"]
+    assert isinstance(estimate, ComplexityNotFound)
+    assert searched == [slots for slots, reach in asked if reach]
+    # some layout was ruled out, and every r up to r_max has a ceiling
+    assert len(searched) < len(asked)
+    assert set(estimate.fidelity_bound_per_r) == set(range(1, config.r_max + 1))
 
 
 def test_resumed_witnesses_give_one_report_for_any_jobs():
@@ -498,15 +510,25 @@ def test_resumed_witnesses_give_one_report_for_any_jobs():
         "n": 4, "targets": {"count": 3, "r_gen": 2, "seed": 0}, "fidelity_tol": 2e-3,
         "budget": {"restarts": 8, "iters": 3}, "r_max": 3, "samples_per_r": 2,
         "geo_restarts": 8, "measure": "vonneumann", "cut": [0, 1]})
-    serial = harness.run_experiment(config, jobs=1)
-    parallel = harness.run_experiment(config, jobs=2)
-    assert (canonical_json(report_to_dict(config, serial))
-            == canonical_json(report_to_dict(config, parallel)))
+    # no gate count up to r_max is found for either target of this one
+    not_found = ExperimentConfig.from_dict({
+        "n": 4, "targets": {"count": 2, "r_gen": 8, "seed": 3}, "r_max": 2,
+        "budget": {"restarts": 2, "iters": 20}, "geo_restarts": 4})
+    reports = {}
+    for name, run in (("found", config), ("not found", not_found)):
+        serial = harness.run_experiment(run, jobs=1)
+        parallel = harness.run_experiment(run, jobs=2)
+        reports[name] = serial
+        assert (canonical_json(report_to_dict(run, serial))
+                == canonical_json(report_to_dict(run, parallel)))
     # every witness here was found past restart 0, and its layout resumed
-    for outcome in serial:
+    for outcome in reports["found"]:
         first, second = outcome.records[:2]
         assert not first.record_id.endswith("-k00")
         assert first.architecture == second.architecture
+    for outcome in reports["not found"]:
+        assert outcome.r_star is None
+        assert [r for r, _ in outcome.fidelity_bound_per_r] == [1, 2]
 
 
 def _family_case(num_qubits, measure, cut, key=35):
@@ -638,7 +660,11 @@ def test_synthesis_failures_are_counted_not_fatal(tmp_path, ghz3):
         assert target["r_star"] is None
         assert target["success"] is None
         assert target["records"] == []
-        assert target["best_fidelity_per_r"]
+        # one gate leaves a qubit of GHZ3 alone, which rules it out: no
+        # layout is searched, and the ceiling is the weight of any cut
+        assert target["best_fidelity_per_r"] == {}
+        assert set(target["fidelity_bound_per_r"]) == {"1"}
+        assert abs(target["fidelity_bound_per_r"]["1"] - 0.5) <= 1e-12
 
 
 def test_report_targets_hold_exactly_the_outcome_fields(tmp_path, ghz3):

@@ -11,7 +11,7 @@ from entpaths.core import (Circuit, DimensionMismatchError, ResourceCapError,
                            haar_random_su4, random_architecture, random_circuit,
                            run_circuit)
 from entpaths.entanglement import cut_weights, geometric_entanglement
-from entpaths.synthesis import (ComplexityEstimate, ComplexityNotFound,
+from entpaths.synthesis import (BOUND_MARGIN, ComplexityEstimate, ComplexityNotFound,
                                 GENERATORS, STOP_FIDELITY, SearchSettings,
                                 _LayoutPlan, _ascend, _fidelity_and_grad, _su4_eigh,
                                 can_reach, enumerate_architectures,
@@ -725,8 +725,15 @@ def test_complexity_not_found_reports_best_per_r():
     settings = SearchSettings(fidelity_tol=1e-9, restarts=2, iterations=60, r_max=1)
     estimate = estimate_state_complexity(target, settings, seed=3)
     assert isinstance(estimate, ComplexityNotFound)
-    assert set(estimate.best_fidelity_per_r) == {1}
-    assert 0.0 < estimate.best_fidelity_per_r[1] < 1.0
+    # one gate leaves a qubit alone, which rules out every one-gate layout
+    # of a target entangled across every cut: none is searched
+    assert estimate.best_fidelity_per_r == {}
+    assert set(estimate.fidelity_bound_per_r) == {1}
+    ceiling = estimate.fidelity_bound_per_r[1]
+    assert 0.0 < ceiling < settings.threshold
+    for ai, slots in enumerate(enumerate_architectures(3, 1)):
+        searched = optimize_gates(slots, target, settings, seed=(3, 1, ai))
+        assert 0.0 < searched.achieved_fidelity <= ceiling
 
 
 def test_exhaustiveness_tag_for_full_search(bell):
@@ -811,6 +818,42 @@ def test_the_split_layout_reaches_its_cut_weight():
                             SearchSettings(fidelity_tol=1e-12, restarts=3, iterations=2000),
                             seed=1)
     assert abs(result.achieved_fidelity - weight) <= 2e-15
+
+
+@pytest.mark.parametrize("num_qubits, r_max, max_architectures",
+                         [(3, 1, 256), (4, 3, 12), (5, 3, 8)])
+def test_the_ceiling_is_the_largest_layout_bound_and_no_layout_beats_it(
+        num_qubits, r_max, max_architectures):
+    settings = SearchSettings(r_max=r_max, restarts=2, iterations=20,
+                              max_architectures=max_architectures)
+    for key in range(3):
+        target, _ = sample_target(num_qubits, 8, (40 + key, num_qubits))
+        estimate = estimate_state_complexity(target, settings, key)
+        assert isinstance(estimate, ComplexityNotFound)
+        # the walk searches every layout of the subsample, none ruled out
+        walk = oracles.search_every_layout(target, settings, key)
+        assert walk.r_star is None
+        ceilings = estimate.fidelity_bound_per_r
+        assert set(ceilings) == set(walk.best_fidelity_per_r) == set(range(1, r_max + 1))
+        eigenvalues = oracles.largest_reduced_eigenvalues(target.amplitudes, num_qubits)
+        for r, ceiling in ceilings.items():
+            expected = max(oracles.uncrossed_cut_bound(slots, eigenvalues)
+                           for slots in enumerate_architectures(num_qubits, r))
+            assert abs(ceiling - expected) <= 1e-12
+            assert walk.best_fidelity_per_r[r] <= ceiling + BOUND_MARGIN
+            assert estimate.best_fidelity_per_r.get(r, 0.0) <= ceiling + BOUND_MARGIN
+
+
+def test_two_qubits_have_a_ceiling_of_one_past_their_one_layout():
+    # one exact gate lands a hair below a threshold of 1 - 1e-16; two
+    # qubits have no irreducible layout of two gates, and the one-gate
+    # layout already reaches every state
+    settings = SearchSettings(fidelity_tol=1e-16, r_max=2, restarts=1, iterations=5)
+    estimate = estimate_state_complexity(random_state(2, seed=3), settings, seed=0)
+    assert isinstance(estimate, ComplexityNotFound)
+    assert enumerate_architectures(2, 2) == ()
+    assert estimate.fidelity_bound_per_r == {1: 1.0, 2: 1.0}
+    assert set(estimate.best_fidelity_per_r) == {1}
 
 
 @pytest.mark.parametrize("num_qubits", [3, 4, 5])
