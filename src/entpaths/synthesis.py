@@ -9,28 +9,31 @@ parts.  The last gate has a closed-form optimum: one 4x4 SVD of the
 overlap between the state before it and the target, gathered on its pair
 (von Neumann's trace inequality), so the fidelity becomes a function of
 the other R-1 gates alone (variable projection, Golub & Pereyra 1973).
-That function is maximized by L-BFGS-B from many seeded random starts,
-with the exact gradient of each gate's exponential taken in its
-eigenbasis; a one-gate search is a single exact evaluation.  The kernel's
-one batched eigh and one SVD per evaluation call LAPACK through core's
-_eigh and _svd, past numpy.linalg's wrappers, whose dispatch costs about a
-third of each call on 4x4 matrices; their results are numpy's bit for
-bit.  Each ascent
-evaluates its start once and calls L-BFGS-B only when that start neither
-reaches the stopping fidelity nor is stationary (the test L-BFGS-B would
-make on it before any step).  Whatever does not depend on the restart
-(the gather indices, the target gathered on the last pair, |0..0> on the
-first, scratch state vectors) is built once per layout and target, which
-also checks the layout before any ascent.  A kept restart binds the
-matrices its best evaluation built for the free gates, and the last gate
-the SVD gave there, rescaled into SU(4).  The smallest gate count at
-which any canonical architecture reaches a fidelity tolerance estimates
-the target's exact-preparation complexity.  One SearchSettings value
+That function is maximized from many seeded random starts by _bfgs, a
+dense BFGS with Armijo backtracking that stops on L-BFGS-B's tests, with
+the exact gradient of each gate's exponential taken in its eigenbasis; a
+one-gate search is a single exact evaluation.  With at most a few
+hundred free parameters the dense update costs a fixed handful of numpy
+calls a step, less than scipy's L-BFGS-B spent on its bookkeeping.  The
+kernel's one batched eigh and one SVD per evaluation call LAPACK through
+core's _eigh and _svd, past numpy.linalg's wrappers, whose dispatch costs
+about a third of each call on 4x4 matrices; their results are numpy's bit
+for bit.  Each ascent evaluates its start once and calls _bfgs only when
+that start neither reaches the stopping fidelity nor is stationary (the
+test _bfgs would make on it before any step).  Whatever does not depend
+on the restart (the gather indices, the target gathered on the last pair,
+|0..0> on the first, scratch state vectors) is built once per layout and
+target, which also checks the layout before any ascent.  A kept restart
+binds the matrices its best evaluation built for the free gates, and the
+last gate the SVD gave there, rescaled into SU(4).  The smallest gate
+count at which any canonical architecture reaches a fidelity tolerance
+estimates the target's exact-preparation complexity.  One SearchSettings value
 carries that tolerance and the search caps down to each restart.
-Only the scipy package itself is imported here; scipy loads its
-`optimize` submodule on first access, so that import happens on the first
-ascent that reaches L-BFGS-B, and a process that never ascends (every
-subcommand but `conjecture`) starts without it.
+_bfgs is handed to scipy.optimize.minimize as its method, the one name
+read off scipy.  Only the scipy package itself is imported here; scipy
+loads its `optimize` submodule on first access, so that import happens on
+the first ascent that reaches _bfgs, and a process that never ascends
+(every subcommand but `conjecture`) starts without it.
 
 A layout whose gates leave some cut of the register uncrossed prepares
 only states that are products across it, so its fidelity is at most the
@@ -236,6 +239,68 @@ class _EarlyStop(Exception):
     pass
 
 
+def _bfgs(fun, x0: np.ndarray, *, maxiter: int, ftol: float, gtol: float, **_
+          ) -> tuple[np.ndarray, float, np.ndarray]:
+    """Minimize fun, which returns (value, gradient), from x0 by BFGS on a
+    dense inverse Hessian (Nocedal & Wright, Numerical Optimization, 6.1);
+    a method for scipy.optimize.minimize, which passes its options as
+    keywords.  Returns the last point accepted, its value and gradient.
+
+    The first step, and any step whose quasi-Newton direction is not a
+    descent direction, goes along -g/|g|.  Each step starts at length 1
+    and halves until the Armijo condition holds (c1 = 1e-4), at most 20
+    times; when none holds the search stops.  After the first accepted
+    step the inverse Hessian starts as (s.y / y.y) I.  Backtracking does
+    not enforce curvature, as L-BFGS-B's Wolfe line search does, so a step
+    updates H only when s.y > 0.01 * (-g.s), when the slope along it rose
+    by more than 1% (Wolfe's curvature condition with c2 = 0.99): with
+    L-BFGS-B's own test, s.y > eps * (-g.s), a first unit step along which
+    the slope hardly changed scaled H far too large.  It stops as L-BFGS-B
+    does: when max |g| <= gtol, when a step lowers the value by at most
+    ftol * max(|f|, |f_new|, 1), or after maxiter steps.
+    """
+    x = x0
+    f, g = fun(x)
+    h = None  # the inverse Hessian, once a step has scaled it
+    for _ in range(maxiter):
+        if np.abs(g).max() <= gtol:
+            break
+        if h is not None:
+            d = -(h @ g)
+            if g @ d >= 0.0:
+                h = None
+        if h is None:
+            d = g / -math.sqrt(g @ g)
+        slope = g @ d
+        step = 1.0
+        for _ in range(20):
+            x_new = x + step * d
+            f_new, g_new = fun(x_new)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        s = x_new - x
+        y = g_new - g
+        sy = s @ y
+        if sy > 0.01 * -step * slope:
+            if h is None:
+                h = np.eye(x.size) * (sy / (y @ y))
+            # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, as H + s w^T + w s^T
+            hy = h @ y
+            rho = 1.0 / sy
+            w = (0.5 * rho * (1.0 + rho * (y @ hy))) * s - rho * hy
+            update = np.outer(s, w)
+            h += update
+            h += update.T
+        converged = f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if converged:
+            break
+    return x, f, g
+
+
 def _ascend(theta0: np.ndarray, plan: _LayoutPlan, iterations: int
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """One local ascent over the free gates theta0 (every slot of the
@@ -243,11 +308,12 @@ def _ascend(theta0: np.ndarray, plan: _LayoutPlan, iterations: int
     parameters and as the kernel's matrices, the closed-form last gate
     there (its phase not yet fixed) and their fidelity.
 
-    The start is evaluated once.  It is the answer, and L-BFGS-B is not
+    The start is evaluated once.  It is the answer, and _bfgs is not
     called, when nothing is free, when it already reaches STOP_FIDELITY, or
-    when it is stationary: max |grad| <= LBFGS_GTOL is the test L-BFGS-B
+    when it is stationary: max |grad| <= LBFGS_GTOL is the test _bfgs
     applies to its first evaluation before taking any step, so the call
-    would return at once.  Otherwise L-BFGS-B starts from it and is handed
+    would return at once.  Otherwise _bfgs starts from it through
+    scipy.optimize.minimize, which takes it as a method, and is handed
     that evaluation, so no point is evaluated twice.
     """
     best = {"f": -1.0}
@@ -268,12 +334,12 @@ def _ascend(theta0: np.ndarray, plan: _LayoutPlan, iterations: int
             pending = [start]
 
             def objective(x: np.ndarray):
-                if pending and np.array_equal(x, x0):  # L-BFGS-B's first call
+                if pending and np.array_equal(x, x0):  # _bfgs's first call
                     return pending.pop()
                 return negative(x)
 
             scipy.optimize.minimize(
-                objective, x0, jac=True, method="L-BFGS-B",
+                objective, x0, method=_bfgs,
                 options={"maxiter": iterations, "ftol": 1e-12, "gtol": LBFGS_GTOL},
             )
     except _EarlyStop:
@@ -286,7 +352,7 @@ class SearchSettings:
     """A circuit prepares the target when its fidelity reaches
     1 - fidelity_tol.  Gate counts 1..r_max are searched, up to
     max_architectures layouts each, from `restarts` starts per layout of
-    at most `iterations` L-BFGS-B iterations each."""
+    at most `iterations` BFGS iterations (_bfgs) each."""
 
     fidelity_tol: float = 1e-4
     r_max: int = 3

@@ -6,13 +6,15 @@ shares no code path with the package, so agreement is meaningful.  The
 exceptions are params_from_su4, which inverts the package's gate chart
 through a matrix logarithm so tests can build parameters from a matrix,
 the two ascents, kept as baselines of the package's earlier ascents (the
-full-gate one runs on the package's gate chart, and the closed-form one on
-the package's fidelity kernel), the gate chart's exponential map as it was
-before it called LAPACK past np.linalg.eigh (on the package's generators),
-the closed-form kernel as it was before its per-layout constants moved into
-a plan (on that map and the package's gather index), and the gate-count
-search at the end: it walks every layout the way the search did before
-layouts were ruled out, through the package's own per-layout search.
+full-gate one runs on the package's gate chart and scipy's L-BFGS-B, and
+the closed-form one on the package's fidelity kernel and either the
+package's optimizer or L-BFGS-B, the optimizer it replaced), the gate
+chart's exponential map as it was before it called LAPACK past
+np.linalg.eigh (on the package's generators), the closed-form kernel as
+it was before its per-layout constants moved into a plan (on that map and
+the package's gather index), and the gate-count search at the end: it
+walks every layout the way the search did before layouts were ruled out,
+through the package's own per-layout search.
 """
 
 import cmath
@@ -29,7 +31,7 @@ from scipy.optimize import minimize
 
 from entpaths.core import Circuit, DimensionMismatchError, StateVector, fidelity, gather_index
 from entpaths.synthesis import (EXHAUSTIVE, GENERATORS, LBFGS_GTOL, NUM_GATE_PARAMS,
-                                SAMPLED, STOP_FIDELITY, _GENERATOR_ROWS,
+                                SAMPLED, STOP_FIDELITY, _GENERATOR_ROWS, _bfgs,
                                 _fidelity_and_grad, _seed_key,
                                 enumerate_architectures, optimize_gates)
 
@@ -597,12 +599,14 @@ def ascend_full_gates(theta0, pairs, num_qubits, target_amp, iterations):
     return best["theta"], best["f"]
 
 
-def ascend_always_scipy(theta0, plan, iterations):
-    """The closed-form ascent with L-BFGS-B always called, on the package's
-    kernel and a plan of its layout and target: returns the best free gates
-    seen, as parameters and as matrices, the raw last gate there and their
-    fidelity.  The reference for the package's ascent, which skips the call
-    on a start that early-stops or is stationary."""
+def ascend_always_scipy(theta0, plan, iterations, method=_bfgs):
+    """The closed-form ascent with scipy.optimize.minimize always called, on
+    the package's kernel and a plan of its layout and target: returns the
+    best free gates seen, as parameters and as matrices, the raw last gate
+    there and their fidelity.  With the package's _bfgs as the method it is
+    the reference for the package's ascent, which skips the call on a
+    start that early-stops or is stationary; with "L-BFGS-B" it is the
+    ascent the package ran before it had an optimizer of its own."""
     best = {"f": -1.0}
 
     def negative(x: np.ndarray):
@@ -616,7 +620,8 @@ def ascend_always_scipy(theta0, plan, iterations):
 
     try:
         minimize(
-            negative, theta0.reshape(-1), jac=True, method="L-BFGS-B",
+            negative, theta0.reshape(-1), method=method,
+            jac=None if callable(method) else True,
             options={"maxiter": iterations, "ftol": 1e-12, "gtol": LBFGS_GTOL},
         )
     except _EarlyStop:

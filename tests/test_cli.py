@@ -413,7 +413,8 @@ def test_subcommands_that_never_ascend_start_without_scipy_optimize(tmp_path, ar
 
 
 def test_conjecture_ascent_loads_scipy_optimize(tmp_path):
-    # two-gate targets on three qubits: some restart needs L-BFGS-B
+    # two-gate targets on three qubits: some restart passes _bfgs to
+    # scipy.optimize.minimize
     config = write_config(tmp_path, "c.json", {
         "n": 3, "targets": {"count": 1, "r_gen": 2, "seed": 1},
         "budget": {"restarts": 2, "iters": 50}, "samples_per_r": 1,

@@ -426,7 +426,7 @@ def test_a_zero_gate_target_keeps_its_witness_record():
 
 
 def _three_iteration_case(num_qubits, key, r_gen=2, **overrides):
-    """A target (two gates by default) searched with three L-BFGS-B
+    """A target (two gates by default) searched with three BFGS
     iterations a restart, so that a layout often converges only at a
     restart past 0.  The cut stays when an override picks the geometric
     measure, which ignores it."""
@@ -438,7 +438,7 @@ def _three_iteration_case(num_qubits, key, r_gen=2, **overrides):
 
 
 @pytest.mark.parametrize("num_qubits, key, overrides", [
-    (3, 10, {}), (4, 4, {}), (4, 1, {"measure": "geometric"}),
+    (3, 4, {}), (4, 4, {}), (4, 1, {"measure": "geometric"}),
     (3, 2, {"samples_per_r": 0}), (4, 5, {"samples_per_r": 0}),
     (4, 8, {"max_architectures": 12})])
 def test_skipping_and_resuming_match_the_walk_over_every_layout(num_qubits, key, overrides):

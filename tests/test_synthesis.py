@@ -13,7 +13,7 @@ from entpaths.core import (Circuit, DimensionMismatchError, ResourceCapError,
 from entpaths.entanglement import cut_weights, geometric_entanglement
 from entpaths.synthesis import (BOUND_MARGIN, ComplexityEstimate, ComplexityNotFound,
                                 GENERATORS, STOP_FIDELITY, SearchSettings,
-                                _LayoutPlan, _ascend, _fidelity_and_grad, _su4_eigh,
+                                _LayoutPlan, _ascend, _bfgs, _fidelity_and_grad, _su4_eigh,
                                 can_reach, enumerate_architectures,
                                 estimate_state_complexity, layout_bound, optimize_gates,
                                 optimize_gates_collect, sample_target)
@@ -272,6 +272,82 @@ def test_stationary_start_never_enters_scipy(monkeypatch):
     _ascend(rng.uniform(-np.pi, np.pi, size=(1, 15)),
             _LayoutPlan(((0, 1), (1, 2)), 3, random_state(3, seed=320).amplitudes), 300)
     assert calls == [1]
+
+
+# --- the optimizer, against scipy's L-BFGS-B -------------------------------
+
+# a connected layout of R gates on n qubits, for n = 3..5 and R = 2..4
+GRID_LAYOUTS = {
+    (3, 2): ((0, 1), (1, 2)),
+    (3, 3): ((0, 1), (1, 2), (0, 2)),
+    (3, 4): ((0, 1), (1, 2), (0, 2), (0, 1)),
+    (4, 2): ((0, 1), (2, 3)),
+    (4, 3): ((0, 1), (2, 3), (1, 2)),
+    (4, 4): ((0, 1), (2, 3), (1, 2), (0, 3)),
+    (5, 2): ((0, 1), (1, 2)),
+    (5, 3): ((0, 1), (2, 3), (1, 4)),
+    (5, 4): ((0, 1), (2, 3), (1, 2), (3, 4)),
+}
+
+
+@pytest.mark.parametrize("n,num_gates", sorted(GRID_LAYOUTS))
+def test_bfgs_ascent_matches_lbfgsb_in_successes_and_best_fidelity(n, num_gates):
+    # a target made on the layout, which every start can reach, and a Haar
+    # state, which at n >= 4 none can; 16 seeded starts of 500 iterations
+    pairs = GRID_LAYOUTS[n, num_gates]
+    threshold = SearchSettings().threshold
+    targets = [run_circuit(random_circuit(n, pairs, np.random.default_rng((n, num_gates))))[-1],
+               random_state(n, seed=100 * n + num_gates)]
+    for target in targets:
+        plan = _LayoutPlan(pairs, n, target.amplitudes)
+        ours, theirs = [], []
+        for k in range(16):
+            theta0 = np.random.default_rng((n, num_gates, k)).uniform(
+                -np.pi, np.pi, size=(num_gates - 1, 15))
+            ours.append(_ascend(theta0, plan, 500)[3])
+            theirs.append(oracles.ascend_always_scipy(theta0, plan, 500, "L-BFGS-B")[3])
+        ours, theirs = np.array(ours), np.array(theirs)
+        assert (ours >= threshold).sum() == (theirs >= threshold).sum()
+        assert abs(ours.max() - theirs.max()) <= 1e-9
+
+
+def test_bfgs_meets_gtol_on_a_strictly_convex_quadratic():
+    # condition number 100 in 30 dimensions, minimum 0 at x_star; with the
+    # decrease test off, only the gradient test or maxiter can end it
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+    hessian = (q * np.geomspace(0.1, 10.0, 30)) @ q.T
+    x_star = rng.normal(size=30)
+    calls = []
+
+    def quadratic(x):
+        calls.append(1)
+        grad = hessian @ (x - x_star)
+        return 0.5 * (x - x_star) @ grad, grad
+
+    maxiter = 200
+    x, value, grad = _bfgs(quadratic, np.zeros(30), maxiter=maxiter, ftol=0.0,
+                           gtol=synthesis.LBFGS_GTOL)
+    assert len(calls) <= 1 + 20 * maxiter
+    assert np.abs(grad).max() <= synthesis.LBFGS_GTOL
+    assert np.array_equal(grad, quadratic(x)[1]) and value == quadratic(x)[0]
+    assert np.abs(x - x_star).max() <= 1e-7
+
+
+def test_bfgs_stops_when_no_step_lowers_the_value():
+    # a gradient that promises descent which the value never shows: the
+    # first line search tries the unit step and 19 halvings, then gives up
+    calls = []
+
+    def flat(x):
+        calls.append(x)
+        return 1.0, np.ones_like(x)
+
+    x0 = np.zeros(4)
+    x, value, grad = _bfgs(flat, x0, maxiter=50, ftol=1e-12, gtol=1e-8)
+    assert len(calls) == 21
+    assert x is x0 and value == 1.0
+    assert np.allclose(calls[1], -0.5 * np.ones(4))  # -g/|g|, a unit step
 
 
 def _kernel_cases(n, num_gates, rng):
