@@ -166,7 +166,10 @@ def collect_families(config: ExperimentConfig, target: StateVector,
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig(SearchSettings):
     """Resolved conjecture-experiment parameters (see from_dict for schema);
-    the search settings and their defaults are inherited."""
+    the search settings and their defaults are inherited.  target_files
+    holds the paths as the config gave them, and target_dir the directory
+    a relative one is loaded from, which to_dict does not echo, so a config
+    and its targets give the same outputs from any directory."""
 
     num_qubits: int
     target_count: int | None
@@ -178,6 +181,7 @@ class ExperimentConfig(SearchSettings):
     cut: tuple[int, ...] | None = None
     samples_per_r: int = 6
     geo_restarts: int = GEO_RESTARTS
+    target_dir: str | None = None
 
     @property
     def num_targets(self) -> int:
@@ -202,15 +206,14 @@ class ExperimentConfig(SearchSettings):
         need("targets" in doc, "targets", "is required")
         targets = doc["targets"]
         need(isinstance(targets, dict), "targets", "must be an object")
-        count = r_gen = files = None
+        count = r_gen = files = target_dir = None
         if "files" in targets:
             check_fields(targets, {"files", "seed"}, "targets")
             raw = targets["files"]
             need(isinstance(raw, list) and raw and all(isinstance(f, str) for f in raw),
                  "targets.files", "must be a nonempty list of paths")
-            base = Path(base_dir) if base_dir is not None else Path(".")
-            files = tuple(str((base / f).resolve()) if not Path(f).is_absolute() else f
-                          for f in raw)
+            files = tuple(raw)
+            target_dir = str(Path(base_dir if base_dir is not None else ".").resolve())
         else:
             check_fields(targets, {"count", "r_gen", "seed"}, "targets")
             count = int_field(targets, "count", None, low=1, where="targets")
@@ -231,7 +234,7 @@ class ExperimentConfig(SearchSettings):
              f"must leave r_max * n / delta_E_bin finite, got {delta_bin:g}")
         return cls(
             num_qubits=n, target_count=count, r_gen_max=r_gen,
-            target_files=files, seed=seed,
+            target_files=files, target_dir=target_dir, seed=seed,
             fidelity_tol=number_field(doc, "fidelity_tol", cls.fidelity_tol,
                                       above=0.0, below=1.0),
             r_max=r_max,
@@ -322,12 +325,13 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def _load_target(config: ExperimentConfig, index: int) -> StateVector:
-    """Target file `index`, checked against the config's qubit count."""
+    """Target file `index`, read from the config's target directory when
+    its path is relative, and checked against the config's qubit count."""
+    path = Path(config.target_dir or ".") / config.target_files[index]
     try:
-        target = load_state(config.target_files[index])
+        target = load_state(path)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"targets.files[{index}]: cannot load "
-                          f"{config.target_files[index]}: {exc}") from None
+        raise ConfigError(f"targets.files[{index}]: cannot load {path}: {exc}") from None
     if target.num_qubits != config.num_qubits:
         raise ConfigError(
             f"targets.files[{index}] has {target.num_qubits} qubits, config n={config.num_qubits}"

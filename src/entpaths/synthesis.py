@@ -12,10 +12,16 @@ the other R-1 gates alone (variable projection, Golub & Pereyra 1973).
 That function is maximized from many seeded random starts by _bfgs, a
 dense BFGS with Armijo backtracking that stops on L-BFGS-B's tests, with
 the exact gradient of each gate's exponential taken in its eigenbasis; a
-one-gate search is a single exact evaluation.  With at most a few
-hundred free parameters the dense update costs a fixed handful of numpy
-calls a step, less than scipy's L-BFGS-B spent on its bookkeeping.  The
-kernel's one batched eigh and one SVD per evaluation call LAPACK through
+one-gate search is a single exact evaluation.  A free gate whose two
+qubits no earlier gate touches (a fresh slot, always the first) acts on
+|00>, so the state path depends on it only through its first column and
+9 of its 15 coefficients are gauge: it keeps the gate U0 its restart drew
+and ascends U0 E(b) in the 6 coordinates b of the generators that move
+|00>, from b = 0, where E(b) has a closed form and its first column
+needs no eigh.  With at most a few hundred free parameters the dense
+update costs a fixed handful of numpy calls a step, less than scipy's
+L-BFGS-B spent on its bookkeeping.  The kernel's one batched eigh (of
+the other free gates) and one SVD per evaluation call LAPACK through
 core's _eigh and _svd, past numpy.linalg's wrappers, whose dispatch costs
 about a third of each call on 4x4 matrices; their results are numpy's bit
 for bit.  Each ascent evaluates its start once and calls _bfgs only when
@@ -24,11 +30,12 @@ test _bfgs would make on it before any step).  Whatever does not depend
 on the restart (the gather indices, the target gathered on the last pair,
 |0..0> on the first, scratch state vectors) is built once per layout and
 target, which also checks the layout before any ascent.  A kept restart
-binds the matrices its best evaluation built for the free gates, and the
-last gate the SVD gave there, rescaled into SU(4).  The smallest gate
-count at which any canonical architecture reaches a fidelity tolerance
-estimates the target's exact-preparation complexity.  One SearchSettings value
-carries that tolerance and the search caps down to each restart.
+binds the matrices its best point gives the free gates (U0 E(b) in full
+for a fresh one), and the last gate the SVD gave there, rescaled into
+SU(4).  The smallest gate count at which any canonical architecture
+reaches a fidelity tolerance estimates the target's exact-preparation
+complexity.  One SearchSettings value carries that tolerance and the
+search caps down to each restart.
 _bfgs is handed to scipy.optimize.minimize as its method, the one name
 read off scipy.  Only the scipy package itself is imported here; scipy
 loads its `optimize` submodule on first access, so that import happens on
@@ -72,6 +79,7 @@ from .core import (
     _checked_num_qubits,
     _checked_pair,
     _eigh,
+    _is_finite_number,
     _svd,
     all_pairs,
     fidelity,
@@ -118,6 +126,10 @@ GENERATORS = _build_generators()
 _GENERATOR_ROWS = GENERATORS.reshape(NUM_GATE_PARAMS, 16)
 # what np.sinc puts in place of a zero argument
 _EPS = np.finfo(np.float64).eps
+# a gathered state zero off its pair's |00> row, as that row times this
+_ROW_ZERO = np.array([[1.0], [0.0], [0.0], [0.0]])
+# the touched gates' matrices of a layout that has none
+_NO_GATES = np.empty((0, 4, 4), dtype=np.complex128)
 
 
 def _su4_eigh(thetas: np.ndarray
@@ -149,15 +161,23 @@ class _LayoutPlan:
     """What the fidelity kernel reads of one layout and target, built once
     for every restart on it: the gather index of each slot, the target
     gathered on the last pair and its conjugate transpose, and |0..0>
-    gathered on the first pair.  Two state vectors and the free gates'
-    environments are scratch space that each kernel call overwrites before
+    gathered on the first pair.  Two state vectors, the environments of the
+    touched gates and the first environment column of each fresh one times
+    its start are scratch space that each kernel call overwrites before
     reading, so the plan holds nothing of any one restart.
+
+    A free slot is fresh when no earlier slot touches either of its qubits
+    (slot 0 always is): its gate acts on |00> of its pair, so the state path
+    depends on it only through its first column.  `fresh` and `touched`
+    list the free slots of each kind in order, and `kinds` gives each free
+    slot its kind and its place in that list.
 
     An empty layout raises ValueError; each slot must be a qubit pair by
     core's rule (_checked_pair), any two-element sequence of indices.
     """
 
-    __slots__ = ("index", "last_target", "last_target_h", "start", "psi", "back", "env")
+    __slots__ = ("index", "fresh", "touched", "kinds", "last_target", "last_target_h",
+                 "start", "psi", "back", "env", "pulled")
 
     def __init__(self, slots: Sequence[tuple[int, int]], num_qubits: int,
                  target_amp: np.ndarray):
@@ -165,6 +185,15 @@ class _LayoutPlan:
             raise ValueError("the search needs a layout of at least one gate")
         pairs = [_checked_pair(pair, num_qubits, "layout slot") for pair in slots]
         self.index = [gather_index(pair, num_qubits) for pair in pairs]
+        fresh, touched, kinds, used = [], [], [], set()
+        for g, pair in enumerate(pairs[:-1]):
+            kind = fresh if used.isdisjoint(pair) else touched
+            kinds.append((kind is fresh, len(kind)))
+            kind.append(g)
+            used.update(pair)
+        self.fresh = np.array(fresh, dtype=np.intp)
+        self.touched = np.array(touched, dtype=np.intp)
+        self.kinds = kinds
         self.last_target = target_amp[self.index[-1]]
         self.last_target_h = self.last_target.conj().T
         zero = np.zeros(target_amp.size, dtype=np.complex128)
@@ -172,15 +201,44 @@ class _LayoutPlan:
         self.start = zero[self.index[0]]
         self.psi = np.empty_like(zero)
         self.back = np.empty_like(target_amp)
-        self.env = np.empty((len(slots) - 1, 4, 4), dtype=np.complex128)
+        self.env = np.empty((len(touched), 4, 4), dtype=np.complex128)
+        self.pulled = np.empty((len(fresh), 4), dtype=np.complex128)
 
 
-def _fidelity_and_grad(thetas: np.ndarray, plan: _LayoutPlan
+def _fresh_exp(coeffs: np.ndarray) -> np.ndarray:
+    """E(b) = exp(-i sum_a b_a G_a) over the generators that move |00>,
+    GENERATORS[:6], for a contiguous vector of 6 coefficients.
+
+    Packed as b = coeffs.view(complex), a vector of C^3 with rho = |b|,
+    H = [[0, b^+], [b, 0]], so E(b) = [[cos rho, -i sinc(rho) b^+],
+    [-i sinc(rho) b, I - sinc(rho/2)**2 b b^+ / 2]] with no eigh; the last
+    block is I + (cos rho - 1) b b^+ / rho**2 in a form exact as rho -> 0.
+    """
+    b = coeffs.view(np.complex128)
+    rho = math.sqrt(float(coeffs @ coeffs))
+    sinc = math.sin(rho) / rho if rho else 1.0
+    half = math.sin(0.5 * rho) / (0.5 * rho) if rho else 1.0
+    lower = (-1.0j * sinc) * b
+    out = np.empty((4, 4), dtype=np.complex128)
+    out[0, 0] = math.cos(rho)
+    out[1:, 0] = lower
+    out[0, 1:] = -lower.conj()
+    out[1:, 1:] = np.eye(3) - (0.5 * half * half) * (b[:, None] * b.conj())
+    return out
+
+
+def _fidelity_and_grad(x: np.ndarray, starts: np.ndarray, plan: _LayoutPlan
                        ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Best fidelity over the last gate, its gradient in the other gates,
-    the best last gate and the other gates' matrices.
+    """Best fidelity over the last gate, its gradient in the free gates'
+    coordinates x, the best last gate and the touched gates' matrices.
 
-    thetas holds the R-1 free gates of the R slots the plan was built on.
+    x holds 6 coordinates b for each fresh slot of the plan, then 15
+    parameters theta for each touched one, each kind in slot order.  Fresh
+    gate j is starts[j] E(b) (_fresh_exp), the gate its restart drew times
+    one that is the identity at b = 0; since it acts on |00>, only its
+    first column starts[j] E(b) e_0 is built, with E(b) e_0 =
+    (cos rho, -i sinc(rho) b).  A touched gate is exp(-i sum theta_a G_a).
+
     With phi the state before the last gate, gathered on its pair as
     Phi = phi[ix] and the target as T = t[ix], the amplitude is
     a = tr(U K) for K = Phi T^+, so by the von Neumann trace inequality
@@ -191,48 +249,107 @@ def _fidelity_and_grad(thetas: np.ndarray, plan: _LayoutPlan
 
     The amplitude is linear in each free gate: a = sum(E_g * U_g) with E_g
     built from the state before gate g and the target propagated back to
-    just after it.  With H = V diag(lam) V^+ and U = exp(-iH), the
-    derivative of U along H-direction G is V ((V^+ G V) * L) V^+, where L
-    holds the divided differences of exp(-i x) at the eigenvalues
-    (Daleckii-Krein), so dF/dtheta_a = 2 Re(conj(a) sum((conj(V) M V^T) * G_a))
-    with M = (V^T E conj(V)) * L.  One batched eigh serves the gates and the
-    gradient.
+    just after it.  For a touched gate, with H = V diag(lam) V^+ and
+    U = exp(-iH), the derivative of U along H-direction G is
+    V ((V^+ G V) * L) V^+, where L holds the divided differences of
+    exp(-i x) at the eigenvalues (Daleckii-Krein), so
+    dF/dtheta_a = 2 Re(conj(a) sum((conj(V) M V^T) * G_a)) with
+    M = (V^T E conj(V)) * L; one batched eigh serves these gates and their
+    gradient.  A fresh gate's E_g is nonzero in column 0 alone, so
+    a = v . E(b) e_0 with v = E_g[:, 0] starts[j], and the chain rule
+    through rho = |b| gives, packed as complex numbers like b,
+    dF/db = 2a (Re(alpha) b + i sinc(rho) conj(v[1:])) with
+    Re(alpha) = c Im(v[1:] . b) - sinc(rho) Re(v[0]) and
+    c = (cos rho - sinc rho) / rho**2.  The c term is O(rho**2 |v|), so
+    the round-off of c as rho -> 0 stays below that of the others.
     """
-    num_free = len(thetas)
-    eigenvalues, vecs, mats, vecs_conj = _su4_eigh(thetas)
+    num_fresh = len(plan.fresh)
+    split = 6 * num_fresh
+    coords = x[:split].reshape(num_fresh, 6)
+    charts = []  # of each fresh gate: b, rho**2, sinc(rho), cos(rho)
+    cols = np.empty((num_fresh, 4, 1), dtype=np.complex128)  # the fresh gates' first columns
+    for j, start in enumerate(starts):
+        b = coords[j].view(np.complex128).tolist()
+        rho2 = sum(bk.real * bk.real + bk.imag * bk.imag for bk in b)
+        rho = math.sqrt(rho2)
+        sinc = math.sin(rho) / rho if rho else 1.0
+        cos = math.cos(rho)
+        column = np.array([cos, *((-1.0j * sinc) * bk for bk in b)])
+        np.matmul(start, column, out=cols[j, :, 0])
+        charts.append((b, rho2, sinc, cos))
+    touched = bool(len(plan.touched))
+    if touched:
+        eigenvalues, vecs, mats, vecs_conj = _su4_eigh(x[split:].reshape(-1, NUM_GATE_PARAMS))
+    else:
+        mats = _NO_GATES
     index = plan.index
+    kinds = plan.kinds
     psi = plan.psi
     local = plan.start
     before = []  # the state before gate g, gathered for its pair
-    for g in range(num_free):
+    for g, (fresh, j) in enumerate(kinds):
+        if fresh:  # the pair holds |00>, so only row 0 is nonzero
+            local = local[0]
+            psi[index[g]] = cols[j] * local
+        else:
+            psi[index[g]] = mats[j] @ local
         before.append(local)
-        psi[index[g]] = mats[g] @ local
         local = psi[index[g + 1]]
     w, sigma, vh = _svd(local @ plan.last_target_h)
     last = vh.conj().T @ w.conj().T
     amp = float(sigma.sum())  # tr(U* K), real and nonnegative
     env = plan.env
+    pulled = plan.pulled
     back = plan.back
     back[index[-1]] = last.conj().T @ plan.last_target
-    for g in range(num_free - 1, -1, -1):
+    for g in range(len(kinds) - 1, -1, -1):
+        fresh, j = kinds[g]
         local = back[index[g]]
-        env[g] = local.conj() @ before[g].T
-        if g:  # nothing reads the target propagated to before gate 0
-            back[index[g]] = mats[g].conj().T @ local
-    # divided differences of exp(-ix), in a form that stays exact as
-    # eigenvalues meet: L_jk = -i exp(-i(l_j+l_k)/2) sinc((l_j-l_k)/2),
-    # with np.sinc written out as numpy computes it
-    total = eigenvalues[:, :, None] + eigenvalues[:, None, :]
-    diff = eigenvalues[:, :, None] - eigenvalues[:, None, :]
-    x = math.pi * (diff / (2.0 * math.pi))
-    y = np.where(x, x, _EPS)
-    divided = -1.0j * np.exp(-0.5j * total) * (np.sin(y) / y)
-    vecs_t = np.swapaxes(vecs, -1, -2)
-    inner = (vecs_t @ env @ vecs_conj) * divided
-    outer = vecs_conj @ inner @ vecs_t
-    damp = outer.reshape(num_free, 16) @ _GENERATOR_ROWS.T
-    grad = 2.0 * amp * damp.real
+        if fresh:
+            np.matmul(local.conj() @ before[g], starts[j], out=pulled[j])
+            if g:  # the gates before it read only the |00> row
+                back[index[g]] = _ROW_ZERO * (cols[j, :, 0].conj() @ local)
+        else:
+            env[j] = local.conj() @ before[g].T
+            if g:  # nothing reads the target propagated to before gate 0
+                back[index[g]] = mats[j].conj().T @ local
+    grad = np.empty_like(x)
+    for j, (b, rho2, sinc, cos) in enumerate(charts):
+        v0, *v = pulled[j].tolist()
+        curve = (cos - sinc) / rho2 if rho2 else 0.0
+        re_alpha = curve * sum(vk * bk for vk, bk in zip(v, b)).imag - sinc * v0.real
+        along, across = 2.0 * amp * re_alpha, 2.0 * amp * sinc
+        # Re(alpha) b + i sinc conj(v), packed as b is
+        grad[6 * j:6 * j + 6] = [part for bk, vk in zip(b, v)
+                                 for part in (along * bk.real + across * vk.imag,
+                                              along * bk.imag + across * vk.real)]
+    if touched:
+        # divided differences of exp(-ix), in a form that stays exact as
+        # eigenvalues meet: L_jk = -i exp(-i(l_j+l_k)/2) sinc((l_j-l_k)/2),
+        # with np.sinc written out as numpy computes it
+        total = eigenvalues[:, :, None] + eigenvalues[:, None, :]
+        diff = eigenvalues[:, :, None] - eigenvalues[:, None, :]
+        half = math.pi * (diff / (2.0 * math.pi))
+        half = np.where(half, half, _EPS)
+        divided = -1.0j * np.exp(-0.5j * total) * (np.sin(half) / half)
+        vecs_t = np.swapaxes(vecs, -1, -2)
+        inner = (vecs_t @ env @ vecs_conj) * divided
+        outer = vecs_conj @ inner @ vecs_t
+        damp = outer.reshape(-1, 16) @ _GENERATOR_ROWS.T
+        grad[split:] = (2.0 * amp * damp.real).reshape(-1)
     return amp * amp, grad, last, mats
+
+
+def _free_gates(x: np.ndarray, starts: np.ndarray, mats: np.ndarray, plan: _LayoutPlan
+                ) -> np.ndarray:
+    """The free gates' matrices in slot order at the point x of the
+    kernel's coordinates: each fresh gate starts[j] E(b) in full, each
+    touched one as the kernel built it (mats)."""
+    out = np.empty((len(plan.kinds), 4, 4), dtype=np.complex128)
+    for j, g in enumerate(plan.fresh):
+        np.matmul(starts[j], _fresh_exp(x[6 * j:6 * j + 6]), out=out[g])
+    out[plan.touched] = mats
+    return out
 
 
 class _EarlyStop(Exception):
@@ -303,10 +420,18 @@ def _bfgs(fun, x0: np.ndarray, *, maxiter: int, ftol: float, gtol: float, **_
 
 def _ascend(theta0: np.ndarray, plan: _LayoutPlan, iterations: int
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """One local ascent over the free gates theta0 (every slot of the
-    plan's layout but the last); returns the best free gates seen, as
-    parameters and as the kernel's matrices, the closed-form last gate
-    there (its phase not yet fixed) and their fidelity.
+    """One local ascent from the free gates theta0 (every slot of the
+    plan's layout but the last, 15 parameters each); returns the best point
+    seen in the kernel's coordinates, the free gates there as matrices in
+    slot order, the closed-form last gate there (its phase not yet fixed)
+    and their fidelity.
+
+    A fresh slot keeps its drawn gate U0 = exp(-iH(theta0)) as the start of
+    its chart and ascends only the 6 coordinates b of U0 E(b) that move
+    |00>, from b = 0; the other 9 would only move the gate along directions
+    the state path cannot see.  A touched slot ascends all 15 from theta0.
+    So the start is the drawn gates either way, and a kept fresh gate binds
+    U0 E(b*), which is in SU(4).
 
     The start is evaluated once.  It is the answer, and _bfgs is not
     called, when nothing is free, when it already reaches STOP_FIDELITY, or
@@ -316,18 +441,18 @@ def _ascend(theta0: np.ndarray, plan: _LayoutPlan, iterations: int
     scipy.optimize.minimize, which takes it as a method, and is handed
     that evaluation, so no point is evaluated twice.
     """
+    starts = _su4_eigh(theta0[plan.fresh])[2]
+    x0 = np.concatenate((np.zeros(6 * len(plan.fresh)), theta0[plan.touched].reshape(-1)))
     best = {"f": -1.0}
 
     def negative(x: np.ndarray):
-        theta = x.reshape(theta0.shape)
-        value, grad, last, mats = _fidelity_and_grad(theta, plan)
+        value, grad, last, mats = _fidelity_and_grad(x, starts, plan)
         if value > best["f"]:
-            best.update(f=value, theta=theta.copy(), mats=mats, last=last)
+            best.update(f=value, x=x.copy(), mats=mats, last=last)
             if value >= STOP_FIDELITY:
                 raise _EarlyStop
-        return -value, -grad.reshape(-1)
+        return -value, -grad
 
-    x0 = theta0.reshape(-1)
     try:
         start = negative(x0)
         if x0.size and np.abs(start[1]).max() > LBFGS_GTOL:
@@ -344,7 +469,8 @@ def _ascend(theta0: np.ndarray, plan: _LayoutPlan, iterations: int
             )
     except _EarlyStop:
         pass
-    return best["theta"], best["mats"], best["last"], best["f"]
+    x = best["x"]
+    return x, _free_gates(x, starts, best["mats"], plan), best["last"], best["f"]
 
 
 @dataclass(frozen=True)
@@ -361,8 +487,8 @@ class SearchSettings:
     max_architectures: int = 256
 
     def __post_init__(self):
-        if not 0.0 < self.fidelity_tol < 1.0:
-            raise ValueError(f"fidelity_tol must be in (0, 1), got {self.fidelity_tol}")
+        if not (_is_finite_number(self.fidelity_tol) and 0.0 < self.fidelity_tol < 1.0):
+            raise ValueError(f"fidelity_tol must be a number in (0, 1), got {self.fidelity_tol!r}")
         for name in ("r_max", "restarts", "iterations", "max_architectures"):
             _checked_count(getattr(self, name), 1, name)
 

@@ -10,11 +10,14 @@ full-gate one runs on the package's gate chart and scipy's L-BFGS-B, and
 the closed-form one on the package's fidelity kernel and either the
 package's optimizer or L-BFGS-B, the optimizer it replaced), the gate
 chart's exponential map as it was before it called LAPACK past
-np.linalg.eigh (on the package's generators), the closed-form kernel as
-it was before its per-layout constants moved into a plan (on that map and
-the package's gather index), and the gate-count search at the end: it
-walks every layout the way the search did before layouts were ruled out,
-through the package's own per-layout search.
+np.linalg.eigh (on the package's generators), two closed-form kernels on
+that map and the package's gather index (the package's own arithmetic
+with every per-layout constant rebuilt on each call, and the kernel as it
+was before gates on untouched pairs ascended 6 coordinates), the
+exponentials of scipy.linalg.expm on the package's generators, and the
+gate-count search at the end: it walks every layout the way the search
+did before layouts were ruled out, through the package's own per-layout
+search.
 """
 
 import cmath
@@ -32,7 +35,7 @@ from scipy.optimize import minimize
 from entpaths.core import Circuit, DimensionMismatchError, StateVector, fidelity, gather_index
 from entpaths.synthesis import (EXHAUSTIVE, GENERATORS, LBFGS_GTOL, NUM_GATE_PARAMS,
                                 SAMPLED, STOP_FIDELITY, _GENERATOR_ROWS, _bfgs,
-                                _fidelity_and_grad, _seed_key,
+                                _fidelity_and_grad, _free_gates, _seed_key,
                                 enumerate_architectures, optimize_gates)
 
 
@@ -400,30 +403,57 @@ def _apply_all(full, vec):
     return vec
 
 
-def fidelity_and_gradient_expm(thetas, generators, pairs, num_qubits, target):
+def fidelity_and_gradient_expm(thetas, generators, pairs, num_qubits, target, starts=None):
     """|<target|U_R..U_1|0..0>|^2 and its gradient in every gate parameter.
 
-    Gate g is U_g = expm(-i sum_a thetas[g, a] generators[a]); each
-    derivative dU_g/dtheta_a comes from scipy's Frechet derivative of expm,
-    and the circuit runs as dense embedded 2^n x 2^n matrices.
+    Gate g is U_g = starts[g] expm(-i sum_a thetas[g, a] generators[a]),
+    starts[g] the identity when starts is None; each derivative
+    dU_g/dtheta_a comes from scipy's Frechet derivative of expm, and the
+    circuit runs as dense embedded 2^n x 2^n matrices.
     """
     target = np.asarray(target, dtype=complex)
+    if starts is None:
+        starts = [np.eye(4)] * len(pairs)
     zero = np.zeros(2**num_qubits, dtype=complex)
     zero[0] = 1.0
     exponents = [-1j * np.tensordot(theta, generators, axes=1) for theta in thetas]
-    full = [embed_gate(expm(x), pair, num_qubits) for x, pair in zip(exponents, pairs)]
+    full = [embed_gate(start @ expm(x), pair, num_qubits)
+            for start, x, pair in zip(starts, exponents, pairs)]
     amp = np.vdot(target, _apply_all(full, zero))
     grad = np.zeros((len(pairs), len(generators)))
-    for g, (x, pair) in enumerate(zip(exponents, pairs)):
+    for g, (start, x, pair) in enumerate(zip(starts, exponents, pairs)):
         right = _apply_all(full[:g], zero)
         left = target.conj()
         for u in reversed(full[g + 1:]):
             left = left @ u
         for a, gen in enumerate(generators):
-            du = expm_frechet(x, -1j * gen, compute_expm=False)
+            du = start @ expm_frechet(x, -1j * gen, compute_expm=False)
             damp = left @ embed_gate(du, pair, num_qubits) @ right
             grad[g, a] = 2.0 * (np.conj(amp) * damp).real
     return float(abs(amp) ** 2), grad
+
+
+def fresh_exp_expm(coeffs):
+    """exp(-i sum_a coeffs[a] G_a) over the first six generators, those
+    that move |00>, by scipy's expm."""
+    return expm(-1j * np.tensordot(coeffs, GENERATORS[:6], axes=1))
+
+
+def untouched_slots(slots, num_qubits):
+    """The free slots (all but the last) whose pair holds |00> in every
+    branch of the state before them, found by tracking which basis states
+    can carry amplitude: from |0..0>, a gate on (j, k) spreads each over
+    the four values of its bits j and k."""
+    support = {0}
+    untouched = []
+    for g, (j, k) in enumerate(slots[:-1]):
+        mask_j = 1 << (num_qubits - 1 - j)
+        mask_k = 1 << (num_qubits - 1 - k)
+        if all(not x & (mask_j | mask_k) for x in support):
+            untouched.append(g)
+        support = {x & ~mask_j & ~mask_k | bits for x in support
+                   for bits in (0, mask_j, mask_k, mask_j | mask_k)}
+    return untouched
 
 
 def params_from_su4(matrix: np.ndarray) -> np.ndarray:
@@ -522,14 +552,15 @@ def fidelity_and_grad_full(thetas, pairs, num_qubits, target_amp):
     return float(abs(amp) ** 2), grad
 
 
-def fidelity_and_grad_per_call(thetas, pairs, num_qubits, target_amp):
+def fidelity_and_grad_all_coordinates(thetas, pairs, num_qubits, target_amp):
     """Best fidelity over the last gate, its gradient in the other gates,
-    and the best last gate.
+    and the best last gate, with every free gate exp(-iH(theta)) in all 15
+    coordinates.
 
-    The package's closed-form kernel before it read its per-layout
-    constants from a plan, kept verbatim: every call gathers the target,
-    builds |0..0> and allocates its state vectors.  The package's kernel
-    must match it bit for bit.  Its exponential map is su4_eigh, and its
+    The package's closed-form kernel before fresh slots ascended 6
+    coordinates and before it read its per-layout constants from a plan,
+    kept verbatim: every call gathers the target, builds |0..0> and
+    allocates its state vectors.  Its exponential map is su4_eigh, and its
     SVD np.linalg.svd.
     """
     num_free = len(pairs) - 1
@@ -568,6 +599,95 @@ def fidelity_and_grad_per_call(thetas, pairs, num_qubits, target_amp):
     return amp * amp, grad, last
 
 
+_ROW_ZERO = np.array([[1.0], [0.0], [0.0], [0.0]])
+
+
+def fidelity_and_grad_per_call(x, starts, pairs, num_qubits, target_amp):
+    """Best fidelity over the last gate, its gradient in the free gates'
+    coordinates x, the best last gate and the touched gates' matrices.
+
+    The package's kernel written out on each call: it finds the fresh
+    slots (no earlier slot shares a qubit with them), gathers the target,
+    builds |0..0> and allocates every array it writes.  x holds 6
+    coordinates per fresh slot, then 15 parameters per other free slot;
+    fresh gate j is starts[j] exp(-i sum_a b_a G_a) over the first six
+    generators, of which only the first column is applied.  The package's
+    kernel must match it bit for bit: its exponential map is su4_eigh,
+    its SVD np.linalg.svd and the rest the package's arithmetic.
+    """
+    num_free = len(pairs) - 1
+    fresh, touched = [], []
+    for g in range(num_free):
+        earlier = {q for pair in pairs[:g] for q in pair}
+        (touched if earlier & set(pairs[g]) else fresh).append(g)
+    split = 6 * len(fresh)
+    coords = x[:split].reshape(len(fresh), 6)
+    cols, charts = [], []
+    for j, start in enumerate(starts):
+        b = coords[j].view(np.complex128).tolist()
+        rho2 = sum(bk.real * bk.real + bk.imag * bk.imag for bk in b)
+        rho = math.sqrt(rho2)
+        sinc = math.sin(rho) / rho if rho else 1.0
+        cos = math.cos(rho)
+        column = np.array([cos] + [(-1.0j * sinc) * bk for bk in b])
+        cols.append(start @ column)
+        charts.append((b, rho2, sinc, cos))
+    mats = np.empty((0, 4, 4), dtype=np.complex128)
+    if touched:
+        eigenvalues, vecs, mats = su4_eigh(x[split:].reshape(-1, NUM_GATE_PARAMS))
+    index = [gather_index(pair, num_qubits) for pair in pairs]
+    psi = np.zeros(target_amp.size, dtype=np.complex128)
+    psi[0] = 1.0
+    before = []  # the state before gate g, gathered for its pair
+    for g in range(num_free):
+        local = psi[index[g]]
+        psi = np.empty_like(psi)
+        if g in fresh:  # only the |00> row of the pair is nonzero
+            local = local[0]
+            psi[index[g]] = cols[fresh.index(g)][:, None] * local
+        else:
+            psi[index[g]] = mats[touched.index(g)] @ local
+        before.append(local)
+    last_target = target_amp[index[-1]]
+    w, sigma, vh = np.linalg.svd(psi[index[-1]] @ last_target.conj().T)
+    last = vh.conj().T @ w.conj().T
+    amp = float(sigma.sum())  # tr(U* K), real and nonnegative
+    pulled = [None] * len(fresh)  # column 0 of each fresh environment, times starts[j]
+    env = np.empty((len(touched), 4, 4), dtype=np.complex128)
+    back = np.empty_like(target_amp)
+    back[index[-1]] = last.conj().T @ last_target
+    for g in range(num_free - 1, -1, -1):
+        local = back[index[g]]
+        back = np.empty_like(back)
+        if g in fresh:
+            j = fresh.index(g)
+            pulled[j] = (local.conj() @ before[g]) @ starts[j]
+            back[index[g]] = _ROW_ZERO * (cols[j].conj() @ local)
+        else:
+            j = touched.index(g)
+            env[j] = local.conj() @ before[g].T
+            back[index[g]] = mats[j].conj().T @ local
+    grad = np.empty_like(x)
+    for j, (b, rho2, sinc, cos) in enumerate(charts):
+        v0, v1, v2, v3 = pulled[j].tolist()
+        curve = (cos - sinc) / rho2 if rho2 else 0.0
+        re_alpha = curve * (v1 * b[0] + v2 * b[1] + v3 * b[2]).imag - sinc * v0.real
+        along, across = 2.0 * amp * re_alpha, 2.0 * amp * sinc
+        for k, vk in enumerate((v1, v2, v3)):
+            grad[6 * j + 2 * k] = along * b[k].real + across * vk.imag
+            grad[6 * j + 2 * k + 1] = along * b[k].imag + across * vk.real
+    if touched:
+        # L_jk = -i exp(-i(l_j+l_k)/2) sinc((l_j-l_k)/2)
+        total = eigenvalues[:, :, None] + eigenvalues[:, None, :]
+        diff = eigenvalues[:, :, None] - eigenvalues[:, None, :]
+        divided = -1.0j * np.exp(-0.5j * total) * np.sinc(diff / (2.0 * math.pi))
+        inner = (np.swapaxes(vecs, -1, -2) @ env @ vecs.conj()) * divided
+        outer = vecs.conj() @ inner @ np.swapaxes(vecs, -1, -2)
+        damp = outer.reshape(-1, 16) @ _GENERATOR_ROWS.T
+        grad[split:] = (2.0 * amp * damp.real).reshape(-1)
+    return amp * amp, grad, last, mats
+
+
 class _EarlyStop(Exception):
     pass
 
@@ -602,31 +722,36 @@ def ascend_full_gates(theta0, pairs, num_qubits, target_amp, iterations):
 def ascend_always_scipy(theta0, plan, iterations, method=_bfgs):
     """The closed-form ascent with scipy.optimize.minimize always called, on
     the package's kernel and a plan of its layout and target: returns the
-    best free gates seen, as parameters and as matrices, the raw last gate
-    there and their fidelity.  With the package's _bfgs as the method it is
-    the reference for the package's ascent, which skips the call on a
-    start that early-stops or is stationary; with "L-BFGS-B" it is the
-    ascent the package ran before it had an optimizer of its own."""
+    best point seen in the kernel's coordinates, the free gates there as
+    matrices (synthesis._free_gates), the raw last gate there and their
+    fidelity.  Each fresh slot starts its 6 coordinates at 0 from its
+    drawn gate, every other free slot its 15 at theta0.  With the
+    package's _bfgs as the method it is the reference for the package's
+    ascent, which skips the call on a start that early-stops or is
+    stationary; with "L-BFGS-B" it is the ascent the package ran before it
+    had an optimizer of its own."""
+    starts = su4_eigh(theta0[plan.fresh])[2]
+    x0 = np.concatenate((np.zeros(6 * len(plan.fresh)), theta0[plan.touched].reshape(-1)))
     best = {"f": -1.0}
 
     def negative(x: np.ndarray):
-        theta = x.reshape(theta0.shape)
-        value, grad, last, mats = _fidelity_and_grad(theta, plan)
+        value, grad, last, mats = _fidelity_and_grad(x, starts, plan)
         if value > best["f"]:
-            best.update(f=value, theta=theta.copy(), mats=mats, last=last)
+            best.update(f=value, x=x.copy(), mats=mats, last=last)
             if value >= STOP_FIDELITY:
                 raise _EarlyStop
-        return -value, -grad.reshape(-1)
+        return -value, -grad
 
     try:
         minimize(
-            negative, theta0.reshape(-1), method=method,
+            negative, x0, method=method,
             jac=None if callable(method) else True,
             options={"maxiter": iterations, "ftol": 1e-12, "gtol": LBFGS_GTOL},
         )
     except _EarlyStop:
         pass
-    return best["theta"], best["mats"], best["last"], best["f"]
+    return (best["x"], _free_gates(best["x"], starts, best["mats"], plan), best["last"],
+            best["f"])
 
 
 def search_every_layout(target, settings, seed):

@@ -12,7 +12,7 @@ from entpaths import harness
 from entpaths.canonical import write_canonical_json
 from entpaths.cli import main
 from entpaths.core import (StateVector, fixture_state, load_circuit, random_circuit,
-                           save_circuit, save_state)
+                           run_circuit, save_circuit, save_state)
 from entpaths.paths import deutsch_path_table
 from entpaths.synthesis import ComplexityNotFound
 
@@ -190,6 +190,27 @@ def test_conjecture_jobs_do_not_change_bytes(tmp_path):
     assert tree_bytes(out1) == tree_bytes(out2)
     report = read_json(out1 / "report.json")
     assert report["aggregate"]["num_targets"] == 2
+
+
+def test_file_targets_give_the_same_bytes_from_any_directory(tmp_path):
+    # one config and its target files, copied into two directories
+    outputs = []
+    for where in ("a", "b/deeper"):
+        root = tmp_path / where
+        (root / "targets").mkdir(parents=True)
+        for i in range(2):
+            circuit = random_circuit(3, ((0, 1), (1, 2)), np.random.default_rng((9, i)))
+            save_state(run_circuit(circuit)[-1], root / "targets" / f"t{i}.json")
+        config = write_config(root, "c.json", {
+            "n": 3, "targets": {"files": ["targets/t0.json", "targets/t1.json"], "seed": 4},
+            "budget": {"restarts": 4, "iters": 200}, "samples_per_r": 1,
+            "geo_restarts": 4, "r_max": 2})
+        assert main(["conjecture", "--config", config, "--out", str(root / "out")]) == 0
+        outputs.append(root / "out")
+    for name in ("report.json", "manifest.json"):
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+    assert read_json(outputs[0] / "report.json")["config"]["targets"]["files"] == [
+        "targets/t0.json", "targets/t1.json"]
 
 
 def test_conjecture_rerun_from_manifest(tmp_path):

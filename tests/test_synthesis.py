@@ -13,7 +13,8 @@ from entpaths.core import (Circuit, DimensionMismatchError, ResourceCapError,
 from entpaths.entanglement import cut_weights, geometric_entanglement
 from entpaths.synthesis import (BOUND_MARGIN, ComplexityEstimate, ComplexityNotFound,
                                 GENERATORS, STOP_FIDELITY, SearchSettings,
-                                _LayoutPlan, _ascend, _bfgs, _fidelity_and_grad, _su4_eigh,
+                                _LayoutPlan, _ascend, _bfgs, _fidelity_and_grad, _free_gates,
+                                _fresh_exp, _su4_eigh,
                                 can_reach, enumerate_architectures,
                                 estimate_state_complexity, layout_bound, optimize_gates,
                                 optimize_gates_collect, sample_target)
@@ -93,16 +94,37 @@ def _random_pairs(num_qubits, num_gates, rng):
             for _ in range(num_gates)]
 
 
-def _check_against_expm_oracle(free, pairs, n, target):
+def _chart_point(free, plan, b=None):
+    """The kernel's coordinates for free gates drawn as 15 parameters each:
+    each fresh slot starts from its drawn gate with 6 coordinates b (0 when
+    b is None, else b's rows in turn), every touched one keeps its 15."""
+    starts = _su4_eigh(free[plan.fresh])[2]
+    fresh = np.zeros((len(plan.fresh), 6)) if b is None else np.asarray(b)[:len(plan.fresh)]
+    return np.concatenate((fresh.reshape(-1), free[plan.touched].reshape(-1))), starts
+
+
+def _check_against_expm_oracle(free, pairs, n, target, b=None):
     # the reduced gradient is the full gradient at the closed-form last
     # gate, restricted to the free gates; at that optimum the full
-    # gradient on the last gate vanishes
-    value, grad, last, _ = _fidelity_and_grad(free, _LayoutPlan(pairs, n, target))
-    thetas = np.vstack([free, params_from_su4(last)])
+    # gradient on the last gate vanishes.  A fresh gate is its start times
+    # the exponential of its 6 coordinates, the rest of its 15 held at 0
+    plan = _LayoutPlan(pairs, n, target)
+    x, starts = _chart_point(free, plan, b)
+    value, grad, last, _ = _fidelity_and_grad(x, starts, plan)
+    split = 6 * len(plan.fresh)
+    thetas = np.zeros((len(pairs), 15))
+    thetas[plan.fresh, :6] = x[:split].reshape(-1, 6)
+    thetas[plan.touched] = x[split:].reshape(-1, 15)
+    thetas[-1] = params_from_su4(last)
+    gate_starts = [np.eye(4)] * len(pairs)
+    for j, g in enumerate(plan.fresh):
+        gate_starts[g] = starts[j]
     ref_value, ref_grad = oracles.fidelity_and_gradient_expm(
-        thetas, GENERATORS, pairs, n, target)
+        thetas, GENERATORS, pairs, n, target, gate_starts)
+    ref = np.concatenate((ref_grad[plan.fresh, :6].reshape(-1),
+                          ref_grad[plan.touched].reshape(-1)))
     assert abs(value - ref_value) <= 1e-12
-    assert np.max(np.abs(grad - ref_grad[:-1]), initial=0.0) <= 1e-8
+    assert np.max(np.abs(grad - ref), initial=0.0) <= 1e-8
     assert np.max(np.abs(ref_grad[-1])) <= 1e-8
 
 
@@ -113,7 +135,7 @@ def test_gradient_matches_expm_frechet_oracle(n, num_gates):
     pairs = _random_pairs(n, num_gates, rng)
     target = random_state(n, seed=200 + 10 * n + num_gates).amplitudes
     free = rng.uniform(-np.pi, np.pi, size=(num_gates - 1, 15))
-    _check_against_expm_oracle(free, pairs, n, target)
+    _check_against_expm_oracle(free, pairs, n, target, rng.normal(size=(num_gates, 6)))
 
 
 def test_gradient_at_identity_and_near_degenerate_spectra():
@@ -137,6 +159,85 @@ def _dense_state(free, pairs, n):
     return state
 
 
+# --- fresh slots: the 6 coordinates that move |00> ------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_fresh_slots_are_those_whose_pair_holds_00(n):
+    # every enumerated layout of up to four gates, against the slots whose
+    # pair the state before them leaves in |00> in every branch
+    for r in range(1, 5):
+        for slots in enumerate_architectures(n, r):
+            plan = _LayoutPlan(slots, n, random_state(n, seed=1).amplitudes)
+            fresh = oracles.untouched_slots(slots, n)
+            assert list(plan.fresh) == fresh
+            assert list(plan.touched) == [g for g in range(r - 1) if g not in fresh]
+            assert r == 1 or plan.fresh[0] == 0
+
+
+@pytest.mark.parametrize("scale", [3.0, 1.0, 1e-3, 1e-8, 1e-160, 0.0])
+def test_fresh_exponential_matches_expm(scale):
+    rng = np.random.default_rng(40)
+    for _ in range(5):
+        coeffs = scale * rng.normal(size=6)
+        e = _fresh_exp(coeffs)
+        assert np.max(np.abs(e - oracles.fresh_exp_expm(coeffs))) <= 1e-14
+        assert np.max(np.abs(e.conj().T @ e - np.eye(4))) <= 1e-14
+        assert abs(np.linalg.det(e) - 1.0) <= 1e-14
+
+
+# free slots 0 and 1 of ((0, 1), (2, 3), ...) are both fresh
+MIXED_LAYOUTS = [
+    (3, ((0, 1), (1, 2))),
+    (3, ((0, 1), (1, 2), (0, 2))),
+    (3, ((1, 2), (0, 1), (0, 2), (1, 2))),
+    (4, ((0, 1), (2, 3), (1, 2))),
+    (4, ((0, 1), (1, 2), (2, 3), (0, 3))),
+    (4, ((2, 3), (0, 1), (0, 3), (1, 2))),
+    (5, ((0, 1), (2, 3), (1, 2), (3, 4))),
+    (5, ((0, 1), (1, 2), (3, 4), (2, 4))),
+    (5, ((3, 1), (0, 2), (2, 4))),
+]
+
+
+@pytest.mark.parametrize("n,pairs", MIXED_LAYOUTS)
+def test_gradient_matches_central_differences(n, pairs):
+    rng = np.random.default_rng((n, len(pairs)))
+    target = random_state(n, seed=60 + n).amplitudes
+    plan = _LayoutPlan(pairs, n, target)
+    free = rng.uniform(-np.pi, np.pi, size=(len(pairs) - 1, 15))
+    for b in (None, 0.7 * rng.normal(size=(len(pairs), 6))):
+        x, starts = _chart_point(free, plan, b)
+        value, grad, _, _ = _fidelity_and_grad(x, starts, plan)
+        step = 1e-6
+        central = np.empty_like(x)
+        for i in range(x.size):
+            up, down = x.copy(), x.copy()
+            up[i] += step
+            down[i] -= step
+            central[i] = (_fidelity_and_grad(up, starts, plan)[0]
+                          - _fidelity_and_grad(down, starts, plan)[0]) / (2 * step)
+        assert 0.0 < value <= 1.0
+        assert np.max(np.abs(grad - central)) <= 1e-7
+
+
+@pytest.mark.parametrize("n,pairs", MIXED_LAYOUTS)
+def test_the_chart_starts_at_the_drawn_gates(n, pairs):
+    # at b = 0 every fresh gate is its drawn gate, so the fidelity is that
+    # of the kernel with every free gate in all 15 coordinates at theta0
+    rng = np.random.default_rng((7, n, len(pairs)))
+    target = random_state(n, seed=80 + n).amplitudes
+    theta0 = rng.uniform(-np.pi, np.pi, size=(len(pairs) - 1, 15))
+    plan = _LayoutPlan(pairs, n, target)
+    value = _fidelity_and_grad(*_chart_point(theta0, plan), plan)[0]
+    all_coordinates = oracles.fidelity_and_grad_all_coordinates(theta0, pairs, n, target)[0]
+    assert abs(value - all_coordinates) <= 1e-12
+    mats = _ascend(theta0, plan, 1)[1]
+    assert mats.shape == (len(pairs) - 1, 4, 4)
+    for m in mats:
+        TwoQubitGate((0, 1), m)  # each bound gate is in SU(4)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("num_gates", [1, 2, 3])
 def test_closed_form_last_gate_matches_trace_norm_oracle(n, num_gates):
@@ -144,7 +245,8 @@ def test_closed_form_last_gate_matches_trace_norm_oracle(n, num_gates):
     pairs = _random_pairs(n, num_gates, rng)
     target = random_state(n, seed=70 + 10 * n + num_gates).amplitudes
     free = rng.uniform(-np.pi, np.pi, size=(num_gates - 1, 15))
-    value, _, last, _ = _fidelity_and_grad(free, _LayoutPlan(pairs, n, target))
+    plan = _LayoutPlan(pairs, n, target)
+    value, _, last, _ = _fidelity_and_grad(*_chart_point(free, plan), plan)
     before = _dense_state(free, pairs, n)
     bound = oracles.best_last_gate_fidelity(before, target, n, pairs[-1])
     # K is rank-deficient on two qubits and after one gate from |0..0>;
@@ -165,10 +267,11 @@ def test_kernel_fidelity_matches_circuit_run(n):
     pairs = _random_pairs(n, 4, rng)
     free = rng.uniform(-np.pi, np.pi, size=(3, 15))
     target = random_state(n, seed=40 + n)
-    value, _, last, _ = _fidelity_and_grad(free, _LayoutPlan(pairs, n, target.amplitudes))
-    thetas = np.vstack([free, params_from_su4(last)])
-    circuit = Circuit(n, [TwoQubitGate(pair, _su4_eigh(theta)[2])
-                          for pair, theta in zip(pairs, thetas)])
+    plan = _LayoutPlan(pairs, n, target.amplitudes)
+    x, starts = _chart_point(free, plan, rng.normal(size=(3, 6)))
+    value, _, last, touched = _fidelity_and_grad(x, starts, plan)
+    mats = list(_free_gates(x, starts, touched, plan)) + [_su4_eigh(params_from_su4(last))[2]]
+    circuit = Circuit(n, [TwoQubitGate(pair, m) for pair, m in zip(pairs, mats)])
     slow = fidelity(run_circuit(circuit)[-1], target)
     assert abs(value - slow) <= 1e-12
 
@@ -189,11 +292,10 @@ def test_ascent_succeeds_at_least_as_often_as_the_full_gate_ascent():
                 _, full = oracles.ascend_full_gates(theta0, pairs, n,
                                                     target.amplitudes, 500)
                 plan = _LayoutPlan(pairs, n, target.amplitudes)
-                free, _, last, value = _ascend(theta0[:-1], plan, 500)
+                _, mats, last, value = _ascend(theta0[:-1], plan, 500)
                 last = last * np.exp(-0.25j * np.angle(np.linalg.det(last)))
-                theta = np.vstack([free, params_from_su4(last)])
-                circuit = Circuit(n, [
-                    TwoQubitGate(pair, _su4_eigh(t)[2]) for pair, t in zip(pairs, theta)])
+                mats = list(mats) + [_su4_eigh(params_from_su4(last))[2]]
+                circuit = Circuit(n, [TwoQubitGate(pair, m) for pair, m in zip(pairs, mats)])
                 replayed = fidelity(run_circuit(circuit)[-1], target)
                 assert abs(replayed - value) <= 1e-12
                 full_successes += full >= threshold
@@ -246,7 +348,8 @@ def test_ascent_matches_the_ascent_that_always_calls_scipy(n, pairs, monkeypatch
             assert value == ref_value
             if value >= STOP_FIDELITY:
                 break
-            theta0 = theta + 1e-6 * rng.normal(size=theta.shape)
+            theta0 = (np.stack([params_from_su4(m) for m in mats])
+                      + 1e-6 * rng.normal(size=theta0.shape))
     assert evaluations["package"] == evaluations["reference"]
 
 
@@ -370,14 +473,18 @@ def _kernel_cases(n, num_gates, rng):
 def test_kernel_matches_the_per_call_kernel_bit_for_bit(n, num_gates):
     rng = np.random.default_rng(500 + 10 * n + num_gates)
     target = random_state(n, seed=510 + 10 * n + num_gates).amplitudes
-    for pairs, free in _kernel_cases(n, num_gates, rng):
-        value, grad, last, mats = _fidelity_and_grad(free, _LayoutPlan(pairs, n, target))
-        ref_value, ref_grad, ref_last = oracles.fidelity_and_grad_per_call(
-            free, pairs, n, target)
+    for (pairs, free), b in itertools.product(_kernel_cases(n, num_gates, rng),
+                                              (None, rng.normal(size=(num_gates, 6)))):
+        plan = _LayoutPlan(pairs, n, target)
+        x, starts = _chart_point(free, plan, b)
+        value, grad, last, mats = _fidelity_and_grad(x, starts, plan)
+        ref_value, ref_grad, ref_last, ref_mats = oracles.fidelity_and_grad_per_call(
+            x, starts, pairs, n, target)
         assert value == ref_value
         assert np.array_equal(grad, ref_grad)
         assert np.array_equal(last, ref_last)
-        assert np.array_equal(mats, oracles.su4_eigh(free)[2])
+        assert np.array_equal(mats, oracles.su4_eigh(free[plan.touched])[2])
+        assert np.array_equal(mats, ref_mats)
 
 
 def test_a_plan_gives_the_same_bits_whatever_it_evaluated_before():
@@ -386,10 +493,11 @@ def test_a_plan_gives_the_same_bits_whatever_it_evaluated_before():
     rng = np.random.default_rng(530)
     pairs = [(0, 1), (2, 1), (1, 3), (3, 0)]
     plan = _LayoutPlan(pairs, 4, random_state(4, seed=531).amplitudes)
-    a, b = rng.uniform(-np.pi, np.pi, size=(2, 3, 15))
-    first = _fidelity_and_grad(a, plan)
-    _fidelity_and_grad(b, plan)
-    again = _fidelity_and_grad(a, plan)
+    a, b = (_chart_point(free, plan, rng.normal(size=(3, 6)))
+            for free in rng.uniform(-np.pi, np.pi, size=(2, 3, 15)))
+    first = _fidelity_and_grad(*a, plan)
+    _fidelity_and_grad(*b, plan)
+    again = _fidelity_and_grad(*a, plan)
     assert first[0] == again[0]
     for x, y in zip(first[1:], again[1:]):
         assert np.array_equal(x, y)
@@ -457,10 +565,23 @@ def test_a_layout_of_lists_searches_as_its_tuples():
         _assert_same_result(result, ref)
 
 
-def _replayed_from_parameters(slots, theta, last, target):
+def _gates_from_parameters(theta0, x, plan):
+    """Each free gate rebuilt by the exponential maps from the restart's
+    draw and the ascent's point: a fresh one as its drawn gate times
+    E(b), a touched one from its 15 parameters."""
+    split = 6 * len(plan.fresh)
+    starts = _su4_eigh(theta0[plan.fresh])[2]
+    gates = np.empty((len(theta0), 4, 4), dtype=complex)
+    for j, g in enumerate(plan.fresh):
+        gates[g] = starts[j] @ _fresh_exp(x[6 * j:6 * j + 6])
+    gates[plan.touched] = _su4_eigh(x[split:].reshape(-1, 15))[2]
+    return gates
+
+
+def _replayed_from_parameters(slots, free_gates, last, target):
     """The replay before it bound the kernel's matrices: each free gate
-    rebuilt from its parameters by the exponential map."""
-    gates = [TwoQubitGate(pair, m) for pair, m in zip(slots[:-1], _su4_eigh(theta)[2])]
+    rebuilt from its parameters by the exponential maps."""
+    gates = [TwoQubitGate(pair, m) for pair, m in zip(slots[:-1], free_gates)]
     gates.append(TwoQubitGate.from_unitary(slots[-1], last))
     path = run_circuit(Circuit(target.num_qubits, gates))
     return path, fidelity(path[-1], target)
@@ -475,7 +596,7 @@ def test_kept_restarts_replay_the_kernels_gates(collect, reachable, monkeypatch)
 
     def recorded(*args):
         out = _ascend(*args)
-        ascents.append(out)
+        ascents.append((args, out))
         return out
 
     monkeypatch.setattr(synthesis, "_ascend", recorded)
@@ -494,11 +615,11 @@ def test_kept_restarts_replay_the_kernels_gates(collect, reachable, monkeypatch)
         results = [optimize_gates(slots, target, SMALL, 7)]
         first = 0
     for result in results:
-        theta, mats, last, value = ascents[result.best_restart - first]
-        expected = _su4_eigh(theta)[2]
+        (theta0, plan, _), (x, mats, last, value) = ascents[result.best_restart - first]
+        expected = _gates_from_parameters(theta0, x, plan)
         for g, gate in enumerate(result.circuit.gates[:-1]):
             assert np.array_equal(gate.matrix, expected[g])
-        path, achieved = _replayed_from_parameters(slots, theta, last, target)
+        path, achieved = _replayed_from_parameters(slots, expected, last, target)
         assert result.achieved_fidelity == achieved
         assert len(result.path) == len(path)
         for state, ref in zip(result.path, path):
@@ -563,12 +684,12 @@ def test_early_stop_result_is_schedule_independent():
     target, _ = sample_target(3, 2, seed=5)
     arch = ((0, 1), (1, 2))
     stopped = optimize_gates(arch, target,
-                             SearchSettings(fidelity_tol=2e-3, restarts=8, iterations=3), seed=2)
+                             SearchSettings(fidelity_tol=1e-3, restarts=8, iterations=2), seed=2)
     assert stopped.converged
     assert stopped.restarts_run >= 2
     full = optimize_gates(arch, target,
                           SearchSettings(fidelity_tol=1e-12, restarts=stopped.restarts_run,
-                                         iterations=3), seed=2)
+                                         iterations=2), seed=2)
     assert not full.converged
     assert full.restarts_run == stopped.restarts_run
     assert full.best_restart == stopped.best_restart
@@ -584,13 +705,13 @@ def test_optimize_collect_returns_every_passing_restart_in_order():
     arch = ((0, 1), (1, 2))
     results = optimize_gates_collect(
         arch, target, SearchSettings(fidelity_tol=EVERY_RESTART, restarts=5, iterations=300),
-        seed=3, max_collect=5)
+        seed=4, max_collect=5)
     assert len(results) == 5
     assert [r.best_restart for r in results] == list(range(5))
     # every ascent stops once it passes STOP_FIDELITY = 1 - 1e-9, and here
     # none lands within 1e-15 of 1, so this search runs all five restarts
     best = optimize_gates(arch, target,
-                          SearchSettings(fidelity_tol=1e-15, restarts=5, iterations=300), seed=3)
+                          SearchSettings(fidelity_tol=1e-15, restarts=5, iterations=300), seed=4)
     assert best.restarts_run == 5
     assert np.isclose(max(r.achieved_fidelity for r in results),
                       best.achieved_fidelity, atol=1e-12)
@@ -730,7 +851,8 @@ def test_sample_target_is_deterministic_and_normalized():
     {"iterations": 0}, {"max_architectures": 0}, {"r_max": 2.5},
     {"max_architectures": 2.5}, {"restarts": True}, {"iterations": 8.0},
     {"r_max": "3"}, {"restarts": -1}, {"max_architectures": np.True_},
-    {"iterations": "8"}, {"r_max": np.float64(2.0)}])
+    {"iterations": "8"}, {"r_max": np.float64(2.0)}, {"fidelity_tol": "0.1"},
+    {"fidelity_tol": None}, {"fidelity_tol": True}, {"fidelity_tol": float("nan")}])
 def test_search_settings_reject_out_of_range_values(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         SearchSettings(**bad)
