@@ -258,6 +258,7 @@ def cmd_conjecture(args) -> int:
     outcomes = run_experiment(config, jobs=args.jobs)
 
     out = _out_dir(args)
+    config = config.targets_relative_to(out)  # as a rerun from the manifest reads them
     doc_out = report_to_dict(config, outcomes)
     write_canonical_json(out / "report.json", doc_out)
     write_records_csv(outcomes, out / "records.csv")

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import asdict, dataclass
+import os
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -169,7 +170,8 @@ class ExperimentConfig(SearchSettings):
     the search settings and their defaults are inherited.  target_files
     holds the paths as the config gave them, and target_dir the directory
     a relative one is loaded from, which to_dict does not echo, so a config
-    and its targets give the same outputs from any directory."""
+    and its targets give the same outputs from any directory
+    (targets_relative_to moves both to another directory)."""
 
     num_qubits: int
     target_count: int | None
@@ -247,6 +249,20 @@ class ExperimentConfig(SearchSettings):
             geo_restarts=int_field(doc, "geo_restarts", cls.geo_restarts, low=1),
             max_architectures=int_field(doc, "max_architectures",
                                         cls.max_architectures, low=1))
+
+    def targets_relative_to(self, directory) -> "ExperimentConfig":
+        """This config with each relative target path rewritten relative to
+        `directory`, and read from there.  The conjecture command echoes
+        this form into its output directory, so a manifest there reruns
+        from wherever it is read, and moving the targets and outputs
+        together changes no byte."""
+        if self.target_files is None:
+            return self
+        base = Path(directory).resolve()
+        files = tuple(f if Path(f).is_absolute()
+                      else os.path.relpath(Path(self.target_dir, f), base)
+                      for f in self.target_files)
+        return replace(self, target_files=files, target_dir=str(base))
 
     def to_dict(self) -> dict:
         """Resolved config echo (defaults materialized)."""

@@ -205,24 +205,38 @@ class _LayoutPlan:
         self.pulled = np.empty((len(fresh), 4), dtype=np.complex128)
 
 
-def _fresh_exp(coeffs: np.ndarray) -> np.ndarray:
-    """E(b) = exp(-i sum_a b_a G_a) over the generators that move |00>,
-    GENERATORS[:6], for a contiguous vector of 6 coefficients.
+def _fresh_chart(coeffs: Sequence[float]
+                 ) -> tuple[list[complex], tuple[complex, complex, complex], float, float]:
+    """The first column E(b) e_0 = (cos rho, -i sinc(rho) b) of a fresh
+    gate's factor E(b) (_fresh_exp), with b, rho**2 and sinc(rho), for 6
+    coordinates packed as b = (coeffs[0] + i coeffs[1], ...) in C^3 and
+    rho = |b|: what the kernel and _fresh_exp both build from, in Python
+    floats, cheaper than numpy calls at this size."""
+    r0, i0, r1, i1, r2, i2 = coeffs
+    b = (complex(r0, i0), complex(r1, i1), complex(r2, i2))
+    rho2 = r0 * r0 + i0 * i0 + r1 * r1 + i1 * i1 + r2 * r2 + i2 * i2
+    rho = math.sqrt(rho2)
+    sinc = math.sin(rho) / rho if rho else 1.0
+    lower = -1.0j * sinc
+    return [math.cos(rho), lower * b[0], lower * b[1], lower * b[2]], b, rho2, sinc
 
-    Packed as b = coeffs.view(complex), a vector of C^3 with rho = |b|,
-    H = [[0, b^+], [b, 0]], so E(b) = [[cos rho, -i sinc(rho) b^+],
+
+def _fresh_exp(coeffs: Sequence[float]) -> np.ndarray:
+    """E(b) = exp(-i sum_a b_a G_a) over the generators that move |00>,
+    GENERATORS[:6], for 6 coordinates packed as _fresh_chart packs them.
+
+    With H = [[0, b^+], [b, 0]], E(b) = [[cos rho, -i sinc(rho) b^+],
     [-i sinc(rho) b, I - sinc(rho/2)**2 b b^+ / 2]] with no eigh; the last
     block is I + (cos rho - 1) b b^+ / rho**2 in a form exact as rho -> 0.
+    Its first column is _fresh_chart's, the one the kernel scores.
     """
-    b = coeffs.view(np.complex128)
-    rho = math.sqrt(float(coeffs @ coeffs))
-    sinc = math.sin(rho) / rho if rho else 1.0
+    column, b, rho2, _ = _fresh_chart(coeffs)
+    rho = math.sqrt(rho2)
     half = math.sin(0.5 * rho) / (0.5 * rho) if rho else 1.0
-    lower = (-1.0j * sinc) * b
+    b = np.array(b)
     out = np.empty((4, 4), dtype=np.complex128)
-    out[0, 0] = math.cos(rho)
-    out[1:, 0] = lower
-    out[0, 1:] = -lower.conj()
+    out[:, 0] = column
+    out[0, 1:] = -out[1:, 0].conj()
     out[1:, 1:] = np.eye(3) - (0.5 * half * half) * (b[:, None] * b.conj())
     return out
 
@@ -265,18 +279,10 @@ def _fidelity_and_grad(x: np.ndarray, starts: np.ndarray, plan: _LayoutPlan
     """
     num_fresh = len(plan.fresh)
     split = 6 * num_fresh
-    coords = x[:split].reshape(num_fresh, 6)
-    charts = []  # of each fresh gate: b, rho**2, sinc(rho), cos(rho)
-    cols = np.empty((num_fresh, 4, 1), dtype=np.complex128)  # the fresh gates' first columns
-    for j, start in enumerate(starts):
-        b = coords[j].view(np.complex128).tolist()
-        rho2 = sum(bk.real * bk.real + bk.imag * bk.imag for bk in b)
-        rho = math.sqrt(rho2)
-        sinc = math.sin(rho) / rho if rho else 1.0
-        cos = math.cos(rho)
-        column = np.array([cos, *((-1.0j * sinc) * bk for bk in b)])
-        np.matmul(start, column, out=cols[j, :, 0])
-        charts.append((b, rho2, sinc, cos))
+    coords = x[:split].tolist()
+    charts = [_fresh_chart(coords[6 * j:6 * j + 6]) for j in range(num_fresh)]
+    # each fresh gate's first column, starts[j] E(b) e_0
+    cols = [np.dot(start, chart[0])[:, None] for start, chart in zip(starts, charts)]
     touched = bool(len(plan.touched))
     if touched:
         eigenvalues, vecs, mats, vecs_conj = _su4_eigh(x[split:].reshape(-1, NUM_GATE_PARAMS))
@@ -308,21 +314,22 @@ def _fidelity_and_grad(x: np.ndarray, starts: np.ndarray, plan: _LayoutPlan
         if fresh:
             np.matmul(local.conj() @ before[g], starts[j], out=pulled[j])
             if g:  # the gates before it read only the |00> row
-                back[index[g]] = _ROW_ZERO * (cols[j, :, 0].conj() @ local)
+                back[index[g]] = _ROW_ZERO * (cols[j].conj().T @ local)
         else:
             env[j] = local.conj() @ before[g].T
             if g:  # nothing reads the target propagated to before gate 0
                 back[index[g]] = mats[j].conj().T @ local
     grad = np.empty_like(x)
-    for j, (b, rho2, sinc, cos) in enumerate(charts):
-        v0, *v = pulled[j].tolist()
+    parts = []
+    for ((cos, *_), (b0, b1, b2), rho2, sinc), (v0, v1, v2, v3) in zip(charts, pulled.tolist()):
         curve = (cos - sinc) / rho2 if rho2 else 0.0
-        re_alpha = curve * sum(vk * bk for vk, bk in zip(v, b)).imag - sinc * v0.real
-        along, across = 2.0 * amp * re_alpha, 2.0 * amp * sinc
+        along = 2.0 * amp * (curve * (v1 * b0 + v2 * b1 + v3 * b2).imag - sinc * v0.real)
+        across = 2.0 * amp * sinc
         # Re(alpha) b + i sinc conj(v), packed as b is
-        grad[6 * j:6 * j + 6] = [part for bk, vk in zip(b, v)
-                                 for part in (along * bk.real + across * vk.imag,
-                                              along * bk.imag + across * vk.real)]
+        parts += (along * b0.real + across * v1.imag, along * b0.imag + across * v1.real,
+                  along * b1.real + across * v2.imag, along * b1.imag + across * v2.real,
+                  along * b2.real + across * v3.imag, along * b2.imag + across * v3.real)
+    grad[:split] = parts
     if touched:
         # divided differences of exp(-ix), in a form that stays exact as
         # eigenvalues meet: L_jk = -i exp(-i(l_j+l_k)/2) sinc((l_j-l_k)/2),
@@ -344,10 +351,12 @@ def _free_gates(x: np.ndarray, starts: np.ndarray, mats: np.ndarray, plan: _Layo
                 ) -> np.ndarray:
     """The free gates' matrices in slot order at the point x of the
     kernel's coordinates: each fresh gate starts[j] E(b) in full, each
-    touched one as the kernel built it (mats)."""
+    touched one as the kernel built it (mats).  E(b) e_0 is the kernel's
+    column to the last bit; the product with starts[j] is a matrix product
+    here and a matrix-vector one there, which may round differently."""
     out = np.empty((len(plan.kinds), 4, 4), dtype=np.complex128)
     for j, g in enumerate(plan.fresh):
-        np.matmul(starts[j], _fresh_exp(x[6 * j:6 * j + 6]), out=out[g])
+        np.matmul(starts[j], _fresh_exp(x[6 * j:6 * j + 6].tolist()), out=out[g])
     out[plan.touched] = mats
     return out
 

@@ -624,13 +624,14 @@ def fidelity_and_grad_per_call(x, starts, pairs, num_qubits, target_amp):
     coords = x[:split].reshape(len(fresh), 6)
     cols, charts = [], []
     for j, start in enumerate(starts):
-        b = coords[j].view(np.complex128).tolist()
-        rho2 = sum(bk.real * bk.real + bk.imag * bk.imag for bk in b)
+        r0, i0, r1, i1, r2, i2 = coords[j].tolist()
+        b = [complex(r0, i0), complex(r1, i1), complex(r2, i2)]
+        rho2 = r0 * r0 + i0 * i0 + r1 * r1 + i1 * i1 + r2 * r2 + i2 * i2
         rho = math.sqrt(rho2)
         sinc = math.sin(rho) / rho if rho else 1.0
         cos = math.cos(rho)
-        column = np.array([cos] + [(-1.0j * sinc) * bk for bk in b])
-        cols.append(start @ column)
+        column = [cos] + [(-1.0j * sinc) * bk for bk in b]
+        cols.append(np.dot(start, column))
         charts.append((b, rho2, sinc, cos))
     mats = np.empty((0, 4, 4), dtype=np.complex128)
     if touched:

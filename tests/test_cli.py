@@ -209,8 +209,32 @@ def test_file_targets_give_the_same_bytes_from_any_directory(tmp_path):
         outputs.append(root / "out")
     for name in ("report.json", "manifest.json"):
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+    # echoed relative to the output directory, from which a rerun reads them
     assert read_json(outputs[0] / "report.json")["config"]["targets"]["files"] == [
-        "targets/t0.json", "targets/t1.json"]
+        "../targets/t0.json", "../targets/t1.json"]
+
+
+@pytest.mark.parametrize("out", ["first", "runs/first"])
+def test_conjecture_rerun_from_manifest_with_file_targets(tmp_path, out):
+    # the outputs are not written next to the config, so the manifest's
+    # paths must hold relative to the manifest's own directory
+    (tmp_path / "in" / "targets").mkdir(parents=True)
+    absolute = tmp_path / "elsewhere.json"
+    for i, path in enumerate((tmp_path / "in" / "targets" / "t0.json", absolute)):
+        circuit = random_circuit(3, ((0, 1), (1, 2)), np.random.default_rng((11, i)))
+        save_state(run_circuit(circuit)[-1], path)
+    config = write_config(tmp_path / "in", "c.json", {
+        "n": 3, "targets": {"files": ["targets/t0.json", str(absolute)], "seed": 4},
+        "budget": {"restarts": 4, "iters": 200}, "samples_per_r": 1,
+        "geo_restarts": 4, "r_max": 2})
+    out1 = tmp_path / out
+    assert main(["conjecture", "--config", config, "--out", str(out1)]) == 0
+    out2 = out1.parent / "second"
+    assert main(["conjecture", "--config", str(out1 / "manifest.json"),
+                 "--out", str(out2)]) == 0
+    assert tree_bytes(out1) == tree_bytes(out2)
+    assert read_json(out1 / "manifest.json")["config"]["targets"]["files"] == [
+        os.path.relpath(tmp_path / "in" / "targets" / "t0.json", out1), str(absolute)]
 
 
 def test_conjecture_rerun_from_manifest(tmp_path):

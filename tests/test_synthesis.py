@@ -14,7 +14,7 @@ from entpaths.entanglement import cut_weights, geometric_entanglement
 from entpaths.synthesis import (BOUND_MARGIN, ComplexityEstimate, ComplexityNotFound,
                                 GENERATORS, STOP_FIDELITY, SearchSettings,
                                 _LayoutPlan, _ascend, _bfgs, _fidelity_and_grad, _free_gates,
-                                _fresh_exp, _su4_eigh,
+                                _fresh_chart, _fresh_exp, _su4_eigh,
                                 can_reach, enumerate_architectures,
                                 estimate_state_complexity, layout_bound, optimize_gates,
                                 optimize_gates_collect, sample_target)
@@ -139,15 +139,19 @@ def test_gradient_matches_expm_frechet_oracle(n, num_gates):
 
 
 def test_gradient_at_identity_and_near_degenerate_spectra():
-    # theta = 0 is the identity gate, whose eigenvalues all coincide; the two
-    # other free gates have exactly and nearly repeated eigenvalues
+    # slots 1-3 are touched, so their gates take the eigenbasis gradient:
+    # theta = 0 is the identity gate, whose eigenvalues all coincide, and
+    # the two after it have exactly and nearly repeated eigenvalues.  Slot 0
+    # is fresh and sits at b = 0, where rho = 0
     rng = np.random.default_rng(21)
     degenerate = np.zeros(15)
     degenerate[12] = 0.7  # diag(1, -1, 0, 0) direction: eigenvalue 0 twice
-    free = np.stack([np.zeros(15), degenerate,
+    free = np.stack([rng.uniform(-np.pi, np.pi, size=15), np.zeros(15), degenerate,
                      degenerate + 1e-7 * rng.normal(size=15)])
-    pairs = [(0, 1), (1, 2), (0, 2), (1, 2)]
+    pairs = [(0, 1), (1, 2), (0, 2), (0, 1), (1, 2)]
     target = random_state(3, seed=22).amplitudes
+    plan = _LayoutPlan(pairs, 3, target)
+    assert list(plan.fresh) == [0] and list(plan.touched) == [1, 2, 3]
     _check_against_expm_oracle(free, pairs, 3, target)
 
 
@@ -182,6 +186,8 @@ def test_fresh_exponential_matches_expm(scale):
         coeffs = scale * rng.normal(size=6)
         e = _fresh_exp(coeffs)
         assert np.max(np.abs(e - oracles.fresh_exp_expm(coeffs))) <= 1e-14
+        # the first column is the one the kernel scores, to the last bit
+        assert np.array_equal(e[:, 0], _fresh_chart(coeffs)[0])
         assert np.max(np.abs(e.conj().T @ e - np.eye(4))) <= 1e-14
         assert abs(np.linalg.det(e) - 1.0) <= 1e-14
 
