@@ -37,7 +37,7 @@ from .harness import (ExperimentConfig, report_to_dict, run_experiment,
                       write_records_csv)
 from .paths import DEFAULT_PATH_CAP, DEUTSCH_VARIANTS, deutsch_path_table, path_sums
 from .trajectories import export_trajectory, trajectory, trajectory_summary
-from .validation import (ConfigError, check_fields, cut_field, int_field,
+from .validation import (ConfigError, check_fields, cut_field, echo_path, int_field,
                          measure_field, need)
 
 ARTIFACT_VERSION = __version__
@@ -79,7 +79,7 @@ def _cut_from_bitmask(mask: str, num_qubits: int) -> list[int]:
     return [i for i, c in enumerate(mask) if c == "1"]
 
 
-def _circuit_for(doc: dict, config_dir: Path):
+def _circuit_for(doc: dict, args):
     """Shared n/r/seed/circuit_file resolution for simulate and paths.
 
     Returns (circuit, resolved-config fragment); a circuit_file pins the
@@ -91,14 +91,15 @@ def _circuit_for(doc: dict, config_dir: Path):
              "fixes n and r; drop those fields")
         raw = doc["circuit_file"]
         need(isinstance(raw, str) and raw, "circuit_file", "must be a path")
-        resolved = raw if Path(raw).is_absolute() else str((config_dir / raw).resolve())
+        config_dir = Path(args.config).resolve().parent
+        resolved = Path(config_dir, raw)
         try:
             circuit = load_circuit(resolved)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"circuit_file: cannot load {resolved}: {exc}") from None
         need(circuit.num_qubits >= 2, "circuit_file",
              f"must hold a circuit on at least 2 qubits, as n must; got {circuit.num_qubits}")
-        return circuit, {"circuit_file": resolved, "seed": seed}
+        return circuit, {"circuit_file": echo_path(raw, config_dir, args.out), "seed": seed}
     need("n" in doc, "n", "is required (or give circuit_file)")
     n = int_field(doc, "n", None, low=2, high=MAX_QUBITS)
     need("r" in doc, "r", "is required (or give circuit_file)")
@@ -137,7 +138,7 @@ def cmd_simulate(args) -> int:
     if args.measure is not None:
         doc["measure"] = args.measure
 
-    circuit, resolved = _circuit_for(doc, Path(args.config).resolve().parent)
+    circuit, resolved = _circuit_for(doc, args)
     n = circuit.num_qubits
     if args.cut is not None:
         doc["cut"] = _cut_from_bitmask(args.cut, n)
@@ -177,7 +178,7 @@ def cmd_paths(args) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed
 
-    circuit, resolved = _circuit_for(doc, Path(args.config).resolve().parent)
+    circuit, resolved = _circuit_for(doc, args)
     n = circuit.num_qubits
     q0_label = doc.get("q0", "0" * n)
     need(isinstance(q0_label, str) and len(q0_label) == n

@@ -1,19 +1,14 @@
-"""Experiment harness: family collection and the minimum-sum success test.
+"""Experiment harness: family scoring and the minimum-sum success test.
 
 One ExperimentConfig carries every setting through the harness, and is
 itself the SearchSettings of every synthesis search.  For each target
-state the harness estimates its minimum gate count r_star, gathers
-successful synthesis solutions at r_star and above from the estimate's
-seed, scores every solution by the total-variation sum of its
-entanglement trajectory (all of a target's solutions in one trajectory
-call, their state paths laid end to end), bins those sums, and marks the
-target a success iff some optimal-gate-count solution lands in the
-minimum observed bin.  At each gate count the solutions come from one
-list, every irreducible layout in sorted order, and a layout is known by
-its index there both in the search and in the record ids; layouts the
-target's cut spectra rule out are skipped.  At r_star the walk starts at
-the witness's index: the search's witness is the first solution there,
-and its layout resumes at the restart after the witness's.  Aggregates
+state the search finds its minimum gate count r_star and hands over the
+successful solutions it collected at r_star and above, the witness first
+(synthesis.estimate_state_complexity).  The harness scores every solution
+by the total-variation sum of its entanglement trajectory (all of a
+target's solutions in one trajectory call, their state paths laid end to
+end), bins those sums, and marks the target a success iff some
+optimal-gate-count solution lands in the minimum observed bin.  Aggregates
 report the empirical success rate with a binomial confidence interval,
 plus a rank-correlation statistic between bin and gate count (reported,
 never asserted).
@@ -26,7 +21,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -41,15 +35,12 @@ from .synthesis import (
     ComplexityNotFound,
     SearchSettings,
     _seed_key,
-    can_reach,
-    enumerate_architectures,
     estimate_state_complexity,
-    optimize_gates_collect,
     sample_target,
 )
 from .trajectories import (TrajectoryMeasureError, measure_state, path_entanglement_sum,
                            trajectory)
-from .validation import (ConfigError, check_fields, cut_field, int_field,
+from .validation import (ConfigError, check_fields, cut_field, echo_path, int_field,
                          measure_field, need, number_field)
 
 DELTA_BIN_DEFAULT = 1e-3
@@ -79,64 +70,21 @@ class PathFamilyRecord:
     architecture: tuple[tuple[int, int], ...]
 
 
-def collect_families(config: ExperimentConfig, target: StateVector,
-                     estimate: ComplexityEstimate, seed,
+def collect_families(config: ExperimentConfig, estimate: ComplexityEstimate,
                      target_id: str) -> list[PathFamilyRecord]:
-    """Gather successful synthesis solutions from r_star up to config.r_max.
-
-    Every search and scoring setting (the search settings, samples_per_r,
-    delta_bin, measure, cut, geo_restarts) is read from `config`; its search
-    settings and `seed` must be those `estimate` was searched with.  At each
-    gate count r the list enumerate_architectures(n, r), every irreducible
-    canonical layout in sorted order, is walked in order, layout ai
-    searched from seed (seed, r, ai) as in the search, and every restart
-    that reaches the fidelity threshold contributes a record, up to
-    samples_per_r per r.  A layout the estimate's cut weights rule out
-    (synthesis.can_reach) is skipped: no restart on it would reach the
-    threshold.  The list is never subsampled: a subsample would put a
-    random layout first, and one that cannot reach the target burns its
-    whole restart budget.  At r_star the walk starts at the witness's
-    index and its first record is the search's witness as it is, circuit
-    and states; the witness's layout then resumes at the restart after the
-    witness's, so no restart is ascended twice, and r_star keeps at least
-    the witness.  The empty witness of r_star = 0 has no layout and is its
-    own record.  A gate count may give no records at all, e.g. when no
-    irreducible layout of that length exists or none reaches the target.
-    Gate counts below r_star are not walked: the search found no solution
-    on the layouts it tried there.
-
-    Once every solution is collected, the state paths their searches ran
-    are laid end to end and scored in one trajectory call, which gives
-    each state the value it would get alone; each record's sum is taken
-    over its own slice.  A scoring failure raises TrajectoryMeasureError
-    at the step within the failing record, naming its record id, chained
-    to the measure's error.
-    """
-    r_star = estimate.r_star
-    witness = (estimate.witness, estimate.witness_path, estimate.achieved_fidelity)
-    solutions = []
-    if r_star == 0:
-        solutions.append((f"{target_id}-r0-witness", *witness))
-    for r in range(max(r_star, 1), config.r_max + 1):
-        archs = enumerate_architectures(target.num_qubits, r)
-        first, resume, wanted, collected_r = 0, 0, config.samples_per_r, 0
-        if r == r_star:
-            first = archs.index(tuple(g.qubit_pair for g in estimate.witness.gates))
-            k = estimate.witness_restart
-            solutions.append((f"{target_id}-r{r}-a{first:02d}-k{k:02d}", *witness))
-            resume, collected_r = k + 1, 1
-        for ai in range(first, len(archs)):
-            if collected_r >= wanted:
-                break
-            if not can_reach(archs[ai], estimate.cut_weights, config.threshold):
-                continue
-            for result in optimize_gates_collect(
-                    archs[ai], target, config, _seed_key(seed, r, ai), wanted - collected_r,
-                    resume if ai == first else 0):
-                solutions.append((f"{target_id}-r{r}-a{ai:02d}-k{result.best_restart:02d}",
-                                  result.circuit, result.path, result.achieved_fidelity))
-                collected_r += 1
-    paths = [path for _, _, path, _ in solutions]
+    """Score the search's solutions (estimate.solutions) as records, with
+    the scoring settings of `config`.  A record id names the gate count,
+    the layout's index in enumerate_architectures and the restart; the
+    empty witness of r_star = 0 is `-r0-witness`.  The state paths are laid
+    end to end and scored in one trajectory call, which gives each state
+    the value it would get alone; each record's sum is taken over its own
+    slice.  A scoring failure raises TrajectoryMeasureError at the step
+    within the failing record, naming its record id, chained to the
+    measure's error."""
+    ids = [f"{target_id}-r0-witness" if ai is None else
+           f"{target_id}-r{result.circuit.num_gates}-a{ai:02d}-k{result.best_restart:02d}"
+           for ai, result in estimate.solutions]
+    paths = [result.path for _, result in estimate.solutions]
     starts = np.cumsum([0] + [len(path) for path in paths])
     try:
         values = trajectory([state for path in paths for state in path], config.measure,
@@ -144,19 +92,20 @@ def collect_families(config: ExperimentConfig, target: StateVector,
     except TrajectoryMeasureError as exc:
         i = int(np.searchsorted(starts, exc.step, side="right")) - 1
         raise TrajectoryMeasureError(
-            exc.step - int(starts[i]), f"record {solutions[i][0]}: {exc.__cause__}"
+            exc.step - int(starts[i]), f"record {ids[i]}: {exc.__cause__}"
         ) from exc.__cause__
     records = []
-    for (record_id, circuit, _, achieved), begin, end in zip(solutions, starts, starts[1:]):
+    for record_id, (_, result), begin, end in zip(ids, estimate.solutions, starts, starts[1:]):
         total = path_entanglement_sum(values[begin:end])
+        r = result.circuit.num_gates
         records.append(PathFamilyRecord(
             record_id=record_id,
-            r=circuit.num_gates,
+            r=r,
             sum_value=total,
             family_bin=family_bin_of(total, config.delta_bin),
-            is_optimal_r=circuit.num_gates == r_star,
-            achieved_fidelity=achieved,
-            architecture=tuple(g.qubit_pair for g in circuit.gates),
+            is_optimal_r=r == estimate.r_star,
+            achieved_fidelity=result.achieved_fidelity,
+            architecture=tuple(g.qubit_pair for g in result.circuit.gates),
         ))
     return records
 
@@ -258,11 +207,8 @@ class ExperimentConfig(SearchSettings):
         together changes no byte."""
         if self.target_files is None:
             return self
-        base = Path(directory).resolve()
-        files = tuple(f if Path(f).is_absolute()
-                      else os.path.relpath(Path(self.target_dir, f), base)
-                      for f in self.target_files)
-        return replace(self, target_files=files, target_dir=str(base))
+        files = tuple(echo_path(f, self.target_dir, directory) for f in self.target_files)
+        return replace(self, target_files=files, target_dir=str(Path(directory).resolve()))
 
     def to_dict(self) -> dict:
         """Resolved config echo (defaults materialized)."""
@@ -369,15 +315,15 @@ def evaluate_target(config: ExperimentConfig, index: int) -> TargetOutcome:
     entanglement = measure_state(target, config.measure, cut=config.cut,
                                  geo_restarts=config.geo_restarts)
     degenerate = entanglement < DEGENERATE_ENTANGLEMENT
-    seed = _seed_key(config.seed, index, 2)
-    estimate = estimate_state_complexity(target, config, seed)
+    estimate = estimate_state_complexity(target, config, _seed_key(config.seed, index, 2),
+                                         config.samples_per_r)
     if isinstance(estimate, ComplexityNotFound):
         return TargetOutcome(
             target_id=target_id, r_gen=r_gen, target_entanglement=entanglement,
             degenerate=degenerate,
             best_fidelity_per_r=tuple(sorted(estimate.best_fidelity_per_r.items())),
             fidelity_bound_per_r=tuple(sorted(estimate.fidelity_bound_per_r.items())))
-    records = tuple(collect_families(config, target, estimate, seed, target_id))
+    records = tuple(collect_families(config, estimate, target_id))
     min_bin = min(rec.family_bin for rec in records)
     # r_star's first record is the witness, so this minimum is never empty
     min_bin_optimal_r = min(rec.family_bin for rec in records if rec.is_optimal_r)

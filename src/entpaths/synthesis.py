@@ -49,9 +49,9 @@ those once per target (entanglement.cut_weights), draws its subsample
 first and then skips every layout whose least such bound is below the
 threshold.  When no gate count is found, the largest bound over all the
 layouts of a gate count is reported as a ceiling no circuit of that many
-gates beats.  The search keeps the restart that found its witness and the
-states the witness runs through, so the harness takes the witness as its
-first record and resumes its layout at the next restart.
+gates beats.  Past its witness the search walks on to r_max in the same
+layout order and seeds, collecting the solutions the harness scores: the
+witness first, then its layout resumed at the next restart.
 
 Enumeration of architectures dedupes gate orderings that differ only by
 swapping adjacent slots on disjoint qubit pairs, which commute, keeping
@@ -720,20 +720,24 @@ def sample_target(num_qubits: int, r_gen: int, seed) -> tuple[StateVector, Circu
 
 @dataclass(frozen=True, eq=False)
 class ComplexityEstimate:
-    """Smallest gate count found to prepare the target within tolerance.
-
-    The witness is the circuit the search stopped at, found by restart
-    witness_restart of its layout; witness_path holds the states it runs
-    through, and cut_weights the target's (entanglement.cut_weights).
-    """
+    """Smallest gate count found to prepare the target within tolerance,
+    and the solutions collected from it on: (layout index in
+    enumerate_architectures(n, r), OptimizeResult) pairs, the witness
+    first, whose index is None for the layout-less witness of r_star = 0."""
 
     r_star: int
-    witness: Circuit
-    achieved_fidelity: float
     exhaustiveness: str
-    witness_restart: int
-    witness_path: tuple[StateVector, ...]
-    cut_weights: np.ndarray
+    solutions: tuple[tuple[int | None, OptimizeResult], ...]
+
+    @property
+    def witness(self) -> Circuit:
+        """The circuit the search stopped at."""
+        return self.solutions[0][1].circuit
+
+    @property
+    def achieved_fidelity(self) -> float:
+        """The witness's fidelity with the target."""
+        return self.solutions[0][1].achieved_fidelity
 
 
 @dataclass(frozen=True, eq=False)
@@ -747,8 +751,43 @@ class ComplexityNotFound:
     fidelity_bound_per_r: dict[int, float]
 
 
-def estimate_state_complexity(target: StateVector, settings: SearchSettings, seed):
-    """Search r = 1..settings.r_max for the smallest preparable gate count.
+def _collect(target: StateVector, settings: SearchSettings, seed, samples_per_r: int,
+             weights: np.ndarray, first: int | None, witness: OptimizeResult
+             ) -> tuple[tuple[int | None, OptimizeResult], ...]:
+    """The witness, found on layout `first` of its gate count r_star, then
+    up to samples_per_r solutions a gate count from r_star (at least 1) to
+    r_max, r_star keeping at least the witness.  At each gate count r the
+    list enumerate_architectures(n, r) is walked in order, from the
+    witness's index at r_star and from 0 above it.  Layout ai is searched
+    from seed (seed, r, ai), as the search seeds it, and every restart on
+    it that reaches the threshold is a solution (optimize_gates_collect);
+    a layout can_reach rules out is skipped.  The witness's layout resumes
+    at the restart after the witness's, so no restart is ascended twice.
+    The list is never subsampled: a subsample would put a random layout
+    first, and one that cannot reach the target burns its whole restart
+    budget."""
+    r_star = witness.circuit.num_gates
+    solutions = [(first, witness)]
+    for r in range(max(r_star, 1), settings.r_max + 1):
+        archs = enumerate_architectures(target.num_qubits, r)
+        start, resume, count = (first, witness.best_restart + 1, 1) if r == r_star else (0, 0, 0)
+        for ai in range(start, len(archs)):
+            if count >= samples_per_r:
+                break
+            if not can_reach(archs[ai], weights, settings.threshold):
+                continue
+            found = optimize_gates_collect(archs[ai], target, settings, _seed_key(seed, r, ai),
+                                           samples_per_r - count, resume if ai == start else 0)
+            solutions += [(ai, result) for result in found]
+            count += len(found)
+    return tuple(solutions)
+
+
+def estimate_state_complexity(target: StateVector, settings: SearchSettings, seed,
+                              samples_per_r: int = 0):
+    """Search r = 1..settings.r_max for the smallest preparable gate count,
+    and collect up to samples_per_r solutions at it and at each gate count
+    above it (_collect).
 
     Each layout is keyed by its index ai in enumerate_architectures(n, r)
     and searched from seed (seed, r, ai).  The layouts of a gate count are
@@ -762,15 +801,18 @@ def estimate_state_complexity(target: StateVector, settings: SearchSettings, see
     restart budget or ruled out).  Otherwise it returns a
     ComplexityNotFound with the best fidelity searched at each r and the
     ceiling the layout bounds put on it.  A target that is |0..0> within
-    tolerance short-circuits to r_star = 0.
+    tolerance short-circuits to r_star = 0.  samples_per_r must be an int
+    >= 0 (ValueError); at 0 the witness is the only solution.
     """
+    _checked_count(samples_per_r, 0, "samples_per_r")
     n = target.num_qubits
     weights = cut_weights(target)
     zero = StateVector.zero_state(n)
     zero_fidelity = fidelity(target, zero)
     if zero_fidelity >= settings.threshold:
-        return ComplexityEstimate(0, Circuit(n, ()), zero_fidelity, EXHAUSTIVE, 0,
-                                  (zero,), weights)
+        witness = OptimizeResult(Circuit(n, ()), (zero,), zero_fidelity, True, 0, 0)
+        return ComplexityEstimate(0, EXHAUSTIVE, _collect(target, settings, seed, samples_per_r,
+                                                          weights, None, witness))
     exhaustive_below = True
     best_per_r: dict[int, float] = {}
     for r in range(1, settings.r_max + 1):
@@ -788,8 +830,8 @@ def estimate_state_complexity(target: StateVector, settings: SearchSettings, see
             best_per_r[r] = max(best_per_r.get(r, 0.0), result.achieved_fidelity)
             if result.converged:
                 tag = EXHAUSTIVE if exhaustive_below else SAMPLED
-                return ComplexityEstimate(r, result.circuit, result.achieved_fidelity, tag,
-                                          result.best_restart, result.path, weights)
+                return ComplexityEstimate(r, tag, _collect(target, settings, seed, samples_per_r,
+                                                           weights, ai, result))
         exhaustive_below = exhaustive_below and full
     # two qubits have no layout past r = 1, whose one gate reaches every state
     ceiling = {r: max((layout_bound(slots, weights) for slots in enumerate_architectures(n, r)),

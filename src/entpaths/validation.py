@@ -1,11 +1,14 @@
-"""Config validation shared by the CLI and the experiment config.
+"""Config validation and path echoes shared by the CLI and the experiment config.
 
-Every helper raises ConfigError whose message starts with the failing
+Every check raises ConfigError whose message starts with the failing
 field's name.  A nested field is named by its dotted path: `where` is the
 path of the object holding it ("" at the top level).  Integers and numbers
 reject bools, and numbers reject inf and nan.
 """
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 from .core import _is_finite_number, _is_int
 from .entanglement import Measure, _checked_cut
@@ -13,6 +16,14 @@ from .entanglement import Measure, _checked_cut
 
 class ConfigError(ValueError):
     """A config violates its schema; the message names the field."""
+
+
+def echo_path(path: str, base_dir, directory) -> str:
+    """A config's path, read from base_dir when relative, echoed relative to
+    `directory` (an absolute one as given), so a manifest there reruns."""
+    if Path(path).is_absolute():
+        return path
+    return os.path.relpath(Path(base_dir, path), Path(directory).resolve())
 
 
 def need(cond, field: str, message: str) -> None:

@@ -760,7 +760,9 @@ def search_every_layout(target, settings, seed):
     layout of the subsample (drawn as the package draws it) is searched by
     optimize_gates in index order until one converges.  Returns a namespace
     with the fields of a ComplexityEstimate that outputs read (r_star None
-    when no gate count is found) and best_fidelity_per_r."""
+    when no gate count is found), the restart that found the witness
+    (witness_restart) and best_fidelity_per_r; it collects nothing past
+    the witness."""
     n = target.num_qubits
     zero_fidelity = fidelity(target, StateVector.zero_state(n))
     if zero_fidelity >= settings.threshold:

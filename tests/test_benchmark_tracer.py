@@ -70,3 +70,8 @@ def test_one_target_passes_through_every_traced_layer():
     # the target's records are scored together, in one trajectory call
     assert len(outcome.records) > 1
     assert tracer.counters["trajectories.trajectory.calls"] == 1
+    # the search collects the solutions past its witness itself
+    names = {span[1]: span[3] for span in tracer.spans}
+    parents = [names.get(span[2]) for span in tracer.spans
+               if span[3] == "synthesis.optimize_gates_collect"]
+    assert parents and set(parents) == {"synthesis.estimate_state_complexity"}

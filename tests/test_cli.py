@@ -96,6 +96,28 @@ def test_simulate_from_circuit_file(tmp_path):
            (out_b / "trajectory.csv").read_bytes()
 
 
+@pytest.mark.parametrize("subcommand, extra", [
+    ("simulate", {"measure": "vonneumann", "cut": [0]}), ("paths", {"q0": "010"})])
+def test_a_circuit_file_gives_the_same_bytes_from_any_directory(tmp_path, subcommand, extra):
+    # one config and its circuit file, copied into two directories
+    outputs = []
+    for where in ("a", "b/deeper"):
+        root = tmp_path / where
+        root.mkdir(parents=True)
+        save_circuit(random_circuit(3, ((0, 1), (1, 2)), 5), root / "c.json")
+        config = write_config(root, "cfg.json", {"circuit_file": "c.json", **extra})
+        assert main([subcommand, "--config", config, "--out", str(root / "out")]) == 0
+        outputs.append(root / "out")
+    assert (outputs[0] / "manifest.json").read_bytes() == \
+           (outputs[1] / "manifest.json").read_bytes()
+    # echoed relative to the output directory, from which a rerun reads it
+    assert read_json(outputs[0] / "manifest.json")["config"]["circuit_file"] == "../c.json"
+    rerun = tmp_path / "a" / "again"
+    assert main([subcommand, "--config", str(outputs[0] / "manifest.json"),
+                 "--out", str(rerun)]) == 0
+    assert tree_bytes(rerun) == tree_bytes(outputs[0])
+
+
 def test_seed_flag_overrides_config(tmp_path):
     config = write_config(tmp_path, "sim.json", {"n": 2, "r": 2, "seed": 1})
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from entpaths.trajectories import (TrajectoryMeasureError, path_entanglement_sum
 
 import oracles
 
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 LEAN = {"budget": {"restarts": 8, "iters": 500}, "samples_per_r": 2,
         "geo_restarts": 8, "r_max": 2}
 
@@ -114,6 +117,14 @@ def test_config_round_trips_through_its_echo():
     assert again == config
 
 
+def test_every_inline_config_of_the_ci_workflow_parses():
+    # the workflow writes these configs inline, so no other test reads them
+    docs = re.findall(r"""echo '(\{.*\})' > "\$dir/config\.json\"""", WORKFLOW.read_text())
+    assert len(docs) == 3
+    for doc in docs:
+        ExperimentConfig.from_dict(json.loads(doc))
+
+
 @pytest.mark.parametrize("doc,fragment", [
     ({}, "n"),
     ({"n": 1, "targets": {"count": 1, "r_gen": 1}}, "n"),
@@ -192,12 +203,17 @@ def family_config(num_qubits, r_max, samples_per_r):
         "delta_E_bin": 1e-3, "r_max": r_max, "samples_per_r": samples_per_r})
 
 
+def search_and_collect(config, target, seed, target_id):
+    """The estimate a run searches for a target, collecting the config's
+    samples_per_r, and the records collect_families scores from it."""
+    estimate = estimate_state_complexity(target, config, seed, config.samples_per_r)
+    return estimate, collect_families(config, estimate, target_id)
+
+
 def test_collect_families_on_bell(bell):
-    estimate = estimate_state_complexity(
-        bell, SearchSettings(restarts=8, iterations=500), seed=5)
+    estimate, records = search_and_collect(family_config(2, r_max=2, samples_per_r=3),
+                                           bell, 5, "bell")
     assert estimate.r_star == 1
-    records = collect_families(family_config(2, r_max=2, samples_per_r=3),
-                               bell, estimate, 5, "bell")
     # the one layout runs one restart, so r_star holds the witness alone
     assert [rec.record_id for rec in records] == ["bell-r1-a00-k00"]
     assert records[0].achieved_fidelity == estimate.achieved_fidelity
@@ -218,9 +234,8 @@ def test_collect_families_above_r_star_uses_irreducible_layouts():
     target = StateVector(
         3, np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
     config = family_config(3, r_max=3, samples_per_r=3)
-    estimate = estimate_state_complexity(target, config, seed=2)
+    estimate, records = search_and_collect(config, target, 2, "t")
     assert estimate.r_star == 2
-    records = collect_families(config, target, estimate, 2, "t")
     assert records[0].record_id.startswith("t-r2-a")
     by_r = {}
     for rec in records:
@@ -233,11 +248,9 @@ def test_collect_families_above_r_star_uses_irreducible_layouts():
 
 
 def test_collect_families_is_deterministic(bell):
-    estimate = estimate_state_complexity(
-        bell, SearchSettings(restarts=8, iterations=500), seed=5)
     config = family_config(2, r_max=2, samples_per_r=2)
-    a = collect_families(config, bell, estimate, 5, "x")
-    b = collect_families(config, bell, estimate, 5, "x")
+    _, a = search_and_collect(config, bell, 5, "x")
+    _, b = search_and_collect(config, bell, 5, "x")
     assert [(r.record_id, r.sum_value, r.family_bin) for r in a] == \
            [(r.record_id, r.sum_value, r.family_bin) for r in b]
 
@@ -246,15 +259,17 @@ def test_collect_families_skips_r_below_r_star():
     target = StateVector(
         3, np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
     config = family_config(3, r_max=2, samples_per_r=2)
-    estimate = estimate_state_complexity(target, config, seed=3)
+    estimate, records = search_and_collect(config, target, 3, "t")
     assert estimate.r_star == 2
-    records = collect_families(config, target, estimate, 3, "t")
     assert all(rec.r >= 2 for rec in records)
 
 
 def _collect_scoring_each_record(config, target, estimate, seed, target_id):
-    """collect_families with one trajectory call per record: the slow path
-    the batched scoring replaces, kept as its reference."""
+    """The search's collection and collect_families, with one trajectory
+    call per record: the slow path the batched scoring replaces, kept as
+    its reference.  It walks the layouts itself from the estimate's
+    witness, with no layout ruled out and the witness's layout run again
+    from restart 0."""
     def record(record_id, circuit, achieved):
         total = path_entanglement_sum(trajectory(
             run_circuit(circuit), config.measure, cut=config.cut,
@@ -291,13 +306,14 @@ def _collect_scoring_each_record(config, target, estimate, seed, target_id):
 def _split_pairs_case(samples_per_r):
     """A target made by gates on (0, 1) and then (2, 3): of the four-qubit
     two-gate layouts only ((0, 1), (2, 3)) reaches it, and four precede it.
-    Returns the config (r_max one past r_star), target and estimate."""
+    Returns the config (r_max one past r_star), target and estimate, which
+    collects the config's samples_per_r."""
     rng = np.random.default_rng(61)
     target = run_circuit(random_circuit(4, ((0, 1), (2, 3)), rng))[-1]
     config = ExperimentConfig.from_dict({
         "n": 4, "targets": {"count": 1, "r_gen": 2}, "budget": {"restarts": 4, "iters": 200},
         "r_max": 3, "samples_per_r": samples_per_r, "geo_restarts": 8})
-    return config, target, estimate_state_complexity(target, config, 6)
+    return config, target, estimate_state_complexity(target, config, 6, samples_per_r)
 
 
 def test_the_first_r_star_record_is_the_witness_replayed():
@@ -308,7 +324,8 @@ def test_the_first_r_star_record_is_the_witness_replayed():
     ai = enumerate_architectures(4, 2).index(layout)
     assert ai == 4
     k = optimize_gates(layout, target, config, _seed_key(6, 2, ai)).best_restart
-    records = collect_families(config, target, estimate, 6, "t")
+    assert estimate.solutions[0][0] == ai
+    records = collect_families(config, estimate, "t")
     first = records[0]
     assert first.record_id == f"t-r2-a{ai:02d}-k{k:02d}"
     assert first.architecture == layout
@@ -325,21 +342,27 @@ def test_collection_at_r_star_starts_at_the_witness_layout(monkeypatch):
     witness_index = archs.index(tuple(g.qubit_pair for g in estimate.witness.gates))
     searched = []
 
-    def spy(slots, *args):
-        searched.append(tuple(slots))
-        return optimize_gates_collect(slots, *args)
+    def spy(slots, target, settings, seed, max_collect, first_restart=0):
+        searched.append((tuple(slots), first_restart))
+        return optimize_gates_collect(slots, target, settings, seed, max_collect, first_restart)
 
-    monkeypatch.setattr(harness, "optimize_gates_collect", spy)
-    collect_families(config, target, estimate, 6, "t")
-    at_r_star = [archs.index(slots) for slots in searched if len(slots) == estimate.r_star]
+    monkeypatch.setattr(synthesis, "optimize_gates_collect", spy)
+    again = estimate_state_complexity(target, config, 6, config.samples_per_r)
+    at_r_star = [archs.index(slots) for slots, _ in searched if len(slots) == estimate.r_star]
     assert at_r_star[0] == witness_index
     assert min(at_r_star) == witness_index
-    assert any(len(slots) == estimate.r_star + 1 for slots in searched)
+    # the witness's layout resumes at the restart after the witness's
+    assert searched[0][1] == estimate.solutions[0][1].best_restart + 1
+    assert all(first == 0 for _, first in searched[1:])
+    assert any(len(slots) == estimate.r_star + 1 for slots, _ in searched)
+    assert [(ai, result.best_restart) for ai, result in again.solutions] == \
+           [(ai, result.best_restart) for ai, result in estimate.solutions]
 
 
 def test_no_samples_per_r_keeps_the_witness_alone():
     config, target, estimate = _split_pairs_case(samples_per_r=0)
-    records = collect_families(config, target, estimate, 6, "t")
+    assert len(estimate.solutions) == 1
+    records = collect_families(config, estimate, "t")
     assert len(records) == 1
     assert records[0].r == estimate.r_star and records[0].is_optimal_r
     assert records[0].achieved_fidelity == estimate.achieved_fidelity
@@ -354,14 +377,14 @@ def _subsampled_case():
     config = ExperimentConfig.from_dict({
         "n": 3, "targets": {"count": 1, "r_gen": 1}, "budget": {"restarts": 8, "iters": 500},
         "r_max": 3, "samples_per_r": 2, "max_architectures": 3})
-    return config, target, estimate_state_complexity(target, config, seed=2)
+    return config, target, estimate_state_complexity(target, config, 2, config.samples_per_r)
 
 
 def test_every_record_id_indexes_the_full_layout_list():
     config, target, estimate = _subsampled_case()
     assert estimate.r_star == 2
     assert len(enumerate_architectures(3, 2)) > config.max_architectures
-    records = collect_families(config, target, estimate, 2, "t")
+    records = collect_families(config, estimate, "t")
     index = [(rec.r, int(rec.record_id.split("-a")[1][:2])) for rec in records]
     assert [r for r, _ in index] == [2, 2, 3, 3]
     for rec, (r, ai) in zip(records, index):
@@ -376,7 +399,7 @@ def test_a_subsampled_search_seeds_each_layout_by_its_full_index():
     assert enumerate_architectures(3, 2).index(layout) == 2
     replayed = optimize_gates(layout, target, config, _seed_key(2, 2, 2))
     assert replayed.achieved_fidelity == estimate.achieved_fidelity
-    first = collect_families(config, target, estimate, 2, "t")[0]
+    first = collect_families(config, estimate, "t")[0]
     assert first.architecture == layout
     assert first.achieved_fidelity == estimate.achieved_fidelity
 
@@ -420,9 +443,9 @@ def test_a_subsampled_search_tries_the_drawn_layouts_only(monkeypatch):
 def test_a_zero_gate_target_keeps_its_witness_record():
     zero = StateVector.zero_state(2)
     config = family_config(2, r_max=1, samples_per_r=1)
-    estimate = estimate_state_complexity(zero, config, seed=5)
+    estimate, records = search_and_collect(config, zero, 5, "z")
     assert estimate.r_star == 0
-    records = collect_families(config, zero, estimate, 5, "z")
+    assert estimate.solutions[0][0] is None
     assert records[0].record_id == "z-r0-witness"
     assert records[0].r == 0 and records[0].is_optimal_r
     assert records[0].achieved_fidelity == estimate.achieved_fidelity
@@ -451,21 +474,23 @@ def _short_ascent_case(num_qubits, key, r_gen=2, **overrides):
 def test_skipping_and_resuming_match_the_walk_over_every_layout(num_qubits, key, overrides):
     config, target = _short_ascent_case(num_qubits, key, **overrides)
     expected = oracles.search_every_layout(target, config, 4)
-    estimate = estimate_state_complexity(target, config, 4)
-    assert estimate.witness_restart == expected.witness_restart > 0
+    estimate = estimate_state_complexity(target, config, 4, config.samples_per_r)
+    witness = estimate.solutions[0][1]
+    assert witness.best_restart == expected.witness_restart > 0
     assert estimate.r_star == expected.r_star
     assert estimate.achieved_fidelity == expected.achieved_fidelity
     assert estimate.exhaustiveness == expected.exhaustiveness
     for got, want in zip(estimate.witness.gates, expected.witness.gates, strict=True):
         assert got.qubit_pair == want.qubit_pair
         assert np.array_equal(got.matrix, want.matrix)
-    for got, want in zip(estimate.witness_path, run_circuit(expected.witness), strict=True):
+    for got, want in zip(witness.path, run_circuit(expected.witness), strict=True):
         assert np.array_equal(got.amplitudes, want.amplitudes)
     # the search skipped some layout
-    assert not all(can_reach(slots, estimate.cut_weights, config.threshold)
+    weights = entanglement.cut_weights(target)
+    assert not all(can_reach(slots, weights, config.threshold)
                    for r in range(1, estimate.r_star + 1)
                    for slots in enumerate_architectures(num_qubits, r))
-    records = collect_families(config, target, estimate, 4, "t")
+    records = collect_families(config, estimate, "t")
     assert records == _collect_scoring_each_record(config, target, expected, 4, "t")
     at_r_star = [rec for rec in records if rec.is_optimal_r]
     assert len(at_r_star) == max(config.samples_per_r, 1)
@@ -540,17 +565,18 @@ def test_resumed_witnesses_give_one_report_for_any_jobs():
 
 
 def _family_case(num_qubits, measure, cut, key=35):
-    """A two-gate target, its estimate (searched with seed 4), and a config
-    one gate past r_star."""
+    """A two-gate target whose r_star is 2, a config one gate past it, and
+    its estimate, searched with seed 4."""
     target, _ = sample_target(num_qubits, 2, (key, num_qubits))
-    search = SearchSettings(restarts=8, iterations=500)
-    estimate = estimate_state_complexity(target, search, seed=4)
     doc = {"n": num_qubits, "targets": {"count": 1, "r_gen": 2},
-           "budget": {"restarts": 8, "iters": 500}, "r_max": estimate.r_star + 1,
+           "budget": {"restarts": 8, "iters": 500}, "r_max": 3,
            "samples_per_r": 2, "geo_restarts": 8, "measure": measure}
     if cut is not None:
         doc["cut"] = list(cut)
-    return ExperimentConfig.from_dict(doc), target, estimate
+    config = ExperimentConfig.from_dict(doc)
+    estimate = estimate_state_complexity(target, config, 4, config.samples_per_r)
+    assert estimate.r_star == 2
+    return config, target, estimate
 
 
 @pytest.mark.parametrize("num_qubits, measure, cut, key", [
@@ -559,8 +585,7 @@ def _family_case(num_qubits, measure, cut, key=35):
 def test_batched_scoring_matches_one_trajectory_call_per_record(num_qubits, measure,
                                                                 cut, key):
     config, target, estimate = _family_case(num_qubits, measure, cut, key)
-    assert estimate.r_star == 2
-    records = collect_families(config, target, estimate, 4, "t")
+    records = collect_families(config, estimate, "t")
     expected = _collect_scoring_each_record(config, target, estimate, 4, "t")
     assert {rec.r for rec in records} == {2, 3}
     assert all(rec.sum_value > 0.1 for rec in records)
@@ -575,7 +600,7 @@ def test_a_record_that_fails_to_score_fails_as_that_record(monkeypatch):
     monkeypatch.setattr(harness, "trajectory",
                         lambda states, *args, **kwargs: stacked.append(list(states))
                         or trajectory(states, *args, **kwargs))
-    records = collect_families(config, target, estimate, 4, "t")
+    records = collect_families(config, estimate, "t")
     ends = np.cumsum([rec.r + 1 for rec in records])
     assert ends[-1] == len(stacked[0])
     paths = [stacked[0][begin:end] for begin, end in zip([0, *ends], ends)]
@@ -596,7 +621,7 @@ def test_a_record_that_fails_to_score_fails_as_that_record(monkeypatch):
         pytest.fail("no sweep count fails a record after the first")
     failing, expected = len(alone) - 1, alone[-1]
     with pytest.raises(TrajectoryMeasureError) as err:
-        collect_families(config, target, estimate, 4, "t")
+        collect_families(config, estimate, "t")
     # the step within the failing record, not an offset into the stacked states
     assert err.value.step == expected.step
     assert records[failing].record_id in str(err.value)

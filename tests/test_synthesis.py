@@ -910,6 +910,31 @@ def test_zero_state_has_complexity_zero():
     assert estimate.witness.num_gates == 0
 
 
+@pytest.mark.parametrize("samples_per_r", [True, -1, 1.0, "2"])
+def test_samples_per_r_is_a_count(bell, samples_per_r):
+    with pytest.raises(ValueError, match="samples_per_r"):
+        estimate_state_complexity(bell, SMALL, 0, samples_per_r)
+
+
+@pytest.mark.parametrize("case", ["readme", "three qubits"])
+def test_the_default_call_collects_nothing_past_the_witness(monkeypatch, bell, case):
+    calls = []
+    monkeypatch.setattr(synthesis, "optimize_gates_collect",
+                        lambda *args: calls.append(args) or [])
+    if case == "readme":
+        estimate = estimate_state_complexity(bell, SearchSettings(r_max=2), seed=0)
+    else:
+        target, _ = sample_target(3, 2, seed=12)
+        estimate = estimate_state_complexity(target, SMALL, seed=2)
+        assert estimate.r_star < SMALL.r_max
+    assert calls == []
+    (index, witness), = estimate.solutions
+    assert witness.circuit is estimate.witness
+    assert witness.achieved_fidelity == estimate.achieved_fidelity
+    assert enumerate_architectures(witness.circuit.num_qubits, estimate.r_star)[index] == \
+        tuple(g.qubit_pair for g in witness.circuit.gates)
+
+
 def test_one_gate_target_has_complexity_one(bell):
     estimate = estimate_state_complexity(bell, SMALL, seed=1)
     assert estimate.r_star == 1
