@@ -49,9 +49,10 @@ those once per target (entanglement.cut_weights), draws its subsample
 first and then skips every layout whose least such bound is below the
 threshold.  When no gate count is found, the largest bound over all the
 layouts of a gate count is reported as a ceiling no circuit of that many
-gates beats.  Past its witness the search walks on to r_max in the same
-layout order and seeds, collecting the solutions the harness scores: the
-witness first, then its layout resumed at the next restart.
+gates beats.  The search and the collection of the solutions the harness
+scores are one walk: past its witness the same loop goes on to r_max in
+the same layout order and seeds, the witness first, then its layout
+resumed at the next restart.
 
 Enumeration of architectures dedupes gate orderings that differ only by
 swapping adjacent slots on disjoint qubit pairs, which commute, keeping
@@ -751,88 +752,79 @@ class ComplexityNotFound:
     fidelity_bound_per_r: dict[int, float]
 
 
-def _collect(target: StateVector, settings: SearchSettings, seed, samples_per_r: int,
-             weights: np.ndarray, first: int | None, witness: OptimizeResult
-             ) -> tuple[tuple[int | None, OptimizeResult], ...]:
-    """The witness, found on layout `first` of its gate count r_star, then
-    up to samples_per_r solutions a gate count from r_star (at least 1) to
-    r_max, r_star keeping at least the witness.  At each gate count r the
-    list enumerate_architectures(n, r) is walked in order, from the
-    witness's index at r_star and from 0 above it.  Layout ai is searched
-    from seed (seed, r, ai), as the search seeds it, and every restart on
-    it that reaches the threshold is a solution (optimize_gates_collect);
-    a layout can_reach rules out is skipped.  The witness's layout resumes
-    at the restart after the witness's, so no restart is ascended twice.
-    The list is never subsampled: a subsample would put a random layout
-    first, and one that cannot reach the target burns its whole restart
-    budget."""
-    r_star = witness.circuit.num_gates
-    solutions = [(first, witness)]
-    for r in range(max(r_star, 1), settings.r_max + 1):
-        archs = enumerate_architectures(target.num_qubits, r)
-        start, resume, count = (first, witness.best_restart + 1, 1) if r == r_star else (0, 0, 0)
-        for ai in range(start, len(archs)):
-            if count >= samples_per_r:
-                break
-            if not can_reach(archs[ai], weights, settings.threshold):
-                continue
-            found = optimize_gates_collect(archs[ai], target, settings, _seed_key(seed, r, ai),
-                                           samples_per_r - count, resume if ai == start else 0)
-            solutions += [(ai, result) for result in found]
-            count += len(found)
-    return tuple(solutions)
-
-
 def estimate_state_complexity(target: StateVector, settings: SearchSettings, seed,
                               samples_per_r: int = 0):
-    """Search r = 1..settings.r_max for the smallest preparable gate count,
-    and collect up to samples_per_r solutions at it and at each gate count
-    above it (_collect).
+    """Search r = 1..settings.r_max for the smallest preparable gate count
+    r_star, and collect up to samples_per_r solutions at it and at each
+    gate count above it, in one walk over the layouts.
 
     Each layout is keyed by its index ai in enumerate_architectures(n, r)
-    and searched from seed (seed, r, ai).  The layouts of a gate count are
-    searched in that order; when there are more than max_architectures,
-    a sorted subsample of that many indices is drawn from seed
-    (seed, r, 777) and only those are searched.  The subsample is drawn
-    first; a layout of it that can_reach rules out is then skipped, since
-    no circuit on it reaches the threshold.  Returns a ComplexityEstimate
-    on success (tagged architecture-exhaustive when every canonical
-    architecture at each r below the found r was searched to the full
-    restart budget or ruled out).  Otherwise it returns a
+    and searched from seed (seed, r, ai); each gate count's list is walked
+    in that order, and a layout can_reach rules out is skipped, since no
+    circuit on it reaches the threshold.  Until the witness is found, a
+    gate count with more than max_architectures layouts searches only a
+    subsample of that many indices, drawn from seed (seed, r, 777) before
+    any layout is ruled out, and each layout gets optimize_gates.  The
+    first layout that converges gives the witness; its layout resumes at
+    the restart after the witness's, so no restart is ascended twice.
+    From there on every layout of r_star after the witness's, and every
+    layout of each gate count above it, is walked, subsample or not, and
+    each restart on it that reaches the threshold is a solution
+    (optimize_gates_collect): a subsample would put a random layout first,
+    and one that cannot reach the target burns its whole restart budget.
+    Each gate count keeps up to samples_per_r solutions, r_star at least
+    the witness; samples_per_r must be an int >= 0 (ValueError).
+
+    Returns a ComplexityEstimate on success, its solutions in walk order,
+    the witness first; it is tagged architecture-exhaustive when no gate
+    count below r_star was subsampled.  Otherwise it returns a
     ComplexityNotFound with the best fidelity searched at each r and the
     ceiling the layout bounds put on it.  A target that is |0..0> within
-    tolerance short-circuits to r_star = 0.  samples_per_r must be an int
-    >= 0 (ValueError); at 0 the witness is the only solution.
+    tolerance has r_star = 0 and a layout-less witness, and collects from
+    r = 1 on.
     """
     _checked_count(samples_per_r, 0, "samples_per_r")
     n = target.num_qubits
+    threshold = settings.threshold
     weights = cut_weights(target)
     zero = StateVector.zero_state(n)
     zero_fidelity = fidelity(target, zero)
-    if zero_fidelity >= settings.threshold:
-        witness = OptimizeResult(Circuit(n, ()), (zero,), zero_fidelity, True, 0, 0)
-        return ComplexityEstimate(0, EXHAUSTIVE, _collect(target, settings, seed, samples_per_r,
-                                                          weights, None, witness))
-    exhaustive_below = True
+    r_star, tag, solutions = None, EXHAUSTIVE, []
+    if zero_fidelity >= threshold:
+        r_star = 0
+        solutions.append((None, OptimizeResult(Circuit(n, ()), (zero,), zero_fidelity,
+                                               True, 0, 0)))
     best_per_r: dict[int, float] = {}
     for r in range(1, settings.r_max + 1):
         archs = enumerate_architectures(n, r)
-        full = len(archs) <= settings.max_architectures
-        indices = range(len(archs))
-        if not full:
+        drawn = None
+        if r_star is None and len(archs) > settings.max_architectures:
             rng = np.random.default_rng(_seed_key(seed, r, 777))
-            indices = sorted(rng.choice(len(archs), size=settings.max_architectures,
-                                        replace=False))
-        for ai in indices:
-            if not can_reach(archs[ai], weights, settings.threshold):
+            drawn = set(rng.choice(len(archs), size=settings.max_architectures,
+                                   replace=False).tolist())
+        count = 0
+        for ai, slots in enumerate(archs):
+            if r_star is not None and count >= samples_per_r:
+                break
+            if (drawn is not None and ai not in drawn) or not can_reach(slots, weights, threshold):
                 continue
-            result = optimize_gates(archs[ai], target, settings, _seed_key(seed, r, ai))
-            best_per_r[r] = max(best_per_r.get(r, 0.0), result.achieved_fidelity)
-            if result.converged:
-                tag = EXHAUSTIVE if exhaustive_below else SAMPLED
-                return ComplexityEstimate(r, tag, _collect(target, settings, seed, samples_per_r,
-                                                           weights, ai, result))
-        exhaustive_below = exhaustive_below and full
+            key, resume = _seed_key(seed, r, ai), 0
+            if r_star is None:
+                result = optimize_gates(slots, target, settings, key)
+                best_per_r[r] = max(best_per_r.get(r, 0.0), result.achieved_fidelity)
+                if not result.converged:
+                    continue
+                r_star, drawn, count, resume = r, None, 1, result.best_restart + 1
+                solutions.append((ai, result))
+            if count < samples_per_r:
+                found = optimize_gates_collect(slots, target, settings, key,
+                                               samples_per_r - count, resume)
+                solutions += [(ai, solution) for solution in found]
+                count += len(found)
+        if drawn is not None:  # a gate count below r_star was subsampled
+            tag = SAMPLED
+    if r_star is not None:
+        return ComplexityEstimate(r_star, tag, tuple(solutions))
     # two qubits have no layout past r = 1, whose one gate reaches every state
     ceiling = {r: max((layout_bound(slots, weights) for slots in enumerate_architectures(n, r)),
                       default=1.0)

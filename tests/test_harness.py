@@ -120,7 +120,7 @@ def test_config_round_trips_through_its_echo():
 def test_every_inline_config_of_the_ci_workflow_parses():
     # the workflow writes these configs inline, so no other test reads them
     docs = re.findall(r"""echo '(\{.*\})' > "\$dir/config\.json\"""", WORKFLOW.read_text())
-    assert len(docs) == 3
+    assert len(docs) == 4
     for doc in docs:
         ExperimentConfig.from_dict(json.loads(doc))
 
@@ -368,36 +368,62 @@ def test_no_samples_per_r_keeps_the_witness_alone():
     assert records[0].achieved_fidelity == estimate.achieved_fidelity
 
 
-def _subsampled_case():
-    """A three-qubit target with r_star 2, searched from seed 2 with
-    max_architectures 3 of the six two-gate layouts; the witness is layout
-    2 of the full list and the first of the search's subsample."""
-    target = StateVector(
-        3, np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
-    config = ExperimentConfig.from_dict({
-        "n": 3, "targets": {"count": 1, "r_gen": 1}, "budget": {"restarts": 8, "iters": 500},
-        "r_max": 3, "samples_per_r": 2, "max_architectures": 3})
-    return config, target, estimate_state_complexity(target, config, 2, config.samples_per_r)
+def _subsampled_case(undrawn=False):
+    """A three-qubit target with r_star 2 whose search subsamples the six
+    two-gate layouts: config, target, search seed and estimate.
+
+    By default it is searched from seed 2 with max_architectures 3; the
+    witness is layout 2 of the full list and the first of the subsample,
+    and every r_star record sits on its layout.  With `undrawn` it is a
+    target of two random gates searched from seed 4 with max_architectures
+    2 and three samples a gate count, tagged sampled, whose collection at
+    r_star moves on past the witness's layout to one the draw skipped."""
+    if undrawn:
+        target, _ = sample_target(3, 2, (0, 3))
+        doc, seed = {"budget": {"restarts": 2, "iters": 300}, "samples_per_r": 3,
+                     "max_architectures": 2, "geo_restarts": 8}, 4
+    else:
+        target = StateVector(
+            3, np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0], dtype=complex))
+        doc, seed = {"budget": {"restarts": 8, "iters": 500}, "samples_per_r": 2,
+                     "max_architectures": 3}, 2
+    config = ExperimentConfig.from_dict({"n": 3, "targets": {"count": 1, "r_gen": 1},
+                                         "r_max": 3, **doc})
+    return config, target, seed, estimate_state_complexity(target, config, seed,
+                                                            config.samples_per_r)
 
 
 def test_every_record_id_indexes_the_full_layout_list():
-    config, target, estimate = _subsampled_case()
-    assert estimate.r_star == 2
-    assert len(enumerate_architectures(3, 2)) > config.max_architectures
-    records = collect_families(config, estimate, "t")
-    index = [(rec.r, int(rec.record_id.split("-a")[1][:2])) for rec in records]
-    assert [r for r, _ in index] == [2, 2, 3, 3]
-    for rec, (r, ai) in zip(records, index):
-        assert enumerate_architectures(3, r)[ai] == rec.architecture
-    assert records[0].record_id == "t-r2-a02-k00"
-    assert index[2] == (3, 0)
+    # each case's tag and solutions as (r, layout index, restart)
+    for undrawn, tag, expected in [
+            (False, synthesis.EXHAUSTIVE, [(2, 2, 0), (2, 2, 1), (3, 0, 0), (3, 0, 1)]),
+            (True, synthesis.SAMPLED,
+             [(2, 2, 0), (2, 2, 1), (2, 3, 0), (3, 0, 0), (3, 0, 1), (3, 1, 0)])]:
+        config, target, seed, estimate = _subsampled_case(undrawn)
+        assert estimate.r_star == 2 and estimate.exhaustiveness == tag
+        assert len(enumerate_architectures(3, 2)) > config.max_architectures
+        assert [(result.circuit.num_gates, ai, result.best_restart)
+                for ai, result in estimate.solutions] == expected
+        # plain ints, as the walk counts them, not the numpy ints of the draw
+        assert all(type(ai) is int for ai, _ in estimate.solutions)
+        rng = np.random.default_rng(_seed_key(seed, 2, 777))
+        drawn = set(rng.choice(6, size=config.max_architectures, replace=False).tolist())
+        # no subsample applies past the witness
+        assert any(r == 2 and ai not in drawn for r, ai, _ in expected) == undrawn
+        records = collect_families(config, estimate, "t")
+        assert [rec.record_id for rec in records] == [f"t-r{r}-a{ai:02d}-k{k:02d}"
+                                                      for r, ai, k in expected]
+        for rec, (r, ai, _) in zip(records, expected, strict=True):
+            assert enumerate_architectures(3, r)[ai] == rec.architecture
+        walk = oracles.search_every_layout(target, config, seed)
+        assert records == _collect_scoring_each_record(config, target, walk, seed, "t")
 
 
 def test_a_subsampled_search_seeds_each_layout_by_its_full_index():
-    config, target, estimate = _subsampled_case()
+    config, target, seed, estimate = _subsampled_case()
     layout = tuple(g.qubit_pair for g in estimate.witness.gates)
     assert enumerate_architectures(3, 2).index(layout) == 2
-    replayed = optimize_gates(layout, target, config, _seed_key(2, 2, 2))
+    replayed = optimize_gates(layout, target, config, _seed_key(seed, 2, 2))
     assert replayed.achieved_fidelity == estimate.achieved_fidelity
     first = collect_families(config, estimate, "t")[0]
     assert first.architecture == layout

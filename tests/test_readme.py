@@ -23,6 +23,7 @@ def test_readme_python_blocks_run_in_order():
     assert len(namespace["configs"]) == namespace["circuit"].num_gates + 1
     assert namespace["configs"][0] == 0 and isinstance(namespace["amplitude"], complex)
     assert namespace["estimate"].r_star == 1
+    assert namespace["estimate"].witness.num_gates == 1
 
 
 def test_no_public_function_is_named_like_a_test():

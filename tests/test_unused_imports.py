@@ -8,10 +8,11 @@ written once; ExperimentConfig inherits the search settings from
 synthesis.SearchSettings and declares none of them again; scipy is
 imported only by synthesis, as the bare package, which reads nothing of
 it but scipy.optimize.minimize; core is the one module that reaches
-numpy's LAPACK gufuncs past numpy.linalg's wrappers; and outside core only
+numpy's LAPACK gufuncs past numpy.linalg's wrappers; outside core only
 validation reads core's _is_int, since every other module checks register
 sizes, qubit indices, pairs and counts through core's _checked_num_qubits,
-_checked_qubits, _checked_pair and _checked_count.
+_checked_qubits, _checked_pair and _checked_count; and one loop, in
+synthesis.estimate_state_complexity, is all that calls the layout search.
 """
 import ast
 import re
@@ -235,3 +236,36 @@ def test_outside_core_only_validation_reads_is_int():
              if path.name != "core.py"
              and reads_name(ast.parse(path.read_text(encoding="utf-8")), "_is_int")]
     assert found == ["validation.py"]
+
+
+# what the search runs on a layout: the cut-bound skip and the two ascents
+LAYOUT_SEARCH = {"optimize_gates", "optimize_gates_collect", "can_reach"}
+
+
+def layout_search_calls(tree):
+    """(top-level definition, name called, line of the outermost loop around
+    the call or None) for each call of a LAYOUT_SEARCH name."""
+    sites = set()
+    for top in tree.body:
+        parents = {child: node for node in ast.walk(top) for child in ast.iter_child_nodes(node)}
+        for call in ast.walk(top):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in LAYOUT_SEARCH):
+                continue
+            loop, node = None, call
+            while node in parents:
+                node = parents[node]
+                if isinstance(node, (ast.For, ast.While)):
+                    loop = node.lineno
+            sites.add((getattr(top, "name", None), call.func.id, loop))
+    return sites
+
+
+def test_one_loop_alone_calls_the_layout_search():
+    sites = {(path.stem, *site) for path in sorted((ROOT / "src" / "entpaths").glob("*.py"))
+             for site in layout_search_calls(ast.parse(path.read_text(encoding="utf-8")))}
+    assert {name for _, _, name, _ in sites} == LAYOUT_SEARCH
+    assert {(module, caller) for module, caller, _, _ in sites} == {
+        ("synthesis", "estimate_state_complexity")}
+    loops = {loop for *_, loop in sites}
+    assert len(loops) == 1 and None not in loops
